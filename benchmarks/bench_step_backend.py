@@ -1,31 +1,21 @@
-"""Micro-benchmarks of the pluggable step backends (PR 7).
+"""Micro-benchmark of rank-space super-stepping in the lockstep loop.
 
-The trajectory pair to watch is
-``step_ring30_100k_sync_superstep`` vs ``..._plain``: the same
-100 000-trial deterministic synchronous sweep point (token circulation
-on a 30-ring, 64 tiled initial configurations) through the rank-space
-super-stepping path and through the per-step reference loop.  The
-acceptance bar for PR 7 is a ≥ 3× min speedup; in practice the
-super-step path is orders of magnitude faster because the interned
+The trajectory pair to watch is ``step_ring30_100k_sync_superstep`` vs
+``..._plain``: the same 100 000-trial deterministic synchronous sweep
+point (token circulation on a 30-ring, 64 tiled initial configurations)
+through rank-space super-stepping and through the per-step body of
+:meth:`repro.markov.batch.BatchEngine.lockstep`, which the plain side
+forces by setting :data:`repro.markov.superstep.SUPERSTEP_BUDGET` to 0.
+The super-step path is orders of magnitude faster because the interned
 closure is tiny relative to ``trials × steps``.
 
-``step_ring12_10k_central_blockdraw`` vs ``..._perstep`` tracks the
-overhead/benefit of block-drawn scheduler randomness on a stochastic
-central-daemon point where super-stepping cannot engage.
-
-The plain-loop side of the headline pair is expensive by construction
-(it is the thing being beaten), so it runs a single round.
+The plain side is expensive by construction (it is the thing being
+beaten), so it runs a single round.
 """
-
-import pytest
 
 from repro.algorithms.token_ring import make_token_ring_system
 from repro.core.kernel import TransitionKernel
-from repro.markov.backends import (
-    NumpyStepBackend,
-    _numba_installed,
-    get_step_backend,
-)
+from repro.markov import superstep
 from repro.markov.batch import (
     BatchEngine,
     EnabledCountLegitimacy,
@@ -35,99 +25,49 @@ from repro.markov.batch import (
 )
 from repro.markov.montecarlo import random_configurations
 from repro.random_source import RandomSource
-from repro.schedulers.samplers import (
-    CentralRandomizedSampler,
-    SynchronousSampler,
-)
+from repro.schedulers.samplers import SynchronousSampler
 
-SYNC_TRIALS = 100_000
-SYNC_MAX_STEPS = 120
-CENTRAL_TRIALS = 10_000
-CENTRAL_MAX_STEPS = 300
+TRIALS = 100_000
+MAX_STEPS = 120
 INITIALS = 64
 
-#: The per-step loop with every fast path disabled — the PR 6 baseline.
-PLAIN = NumpyStepBackend(block_draw=False, superstep=False)
 
-
-def _point(ring_size, sampler, trials, seed=2026):
-    system = make_token_ring_system(ring_size)
+def _point(seed=2026):
+    system = make_token_ring_system(30)
     engine = BatchEngine(TransitionKernel(system))
-    strategy = batch_strategy_for(sampler)
+    strategy = batch_strategy_for(SynchronousSampler())
     legitimacy = compile_legitimacy(EnabledCountLegitimacy(1))
     initials = random_configurations(
         system, RandomSource(seed + 1), INITIALS
     )
-    codes = encode_initials(engine.encoding, initials, trials)
+    codes = encode_initials(engine.encoding, initials, TRIALS)
     return engine, strategy, legitimacy, codes
 
 
-SYNC_POINT = _point(30, SynchronousSampler(), SYNC_TRIALS)
-CENTRAL_POINT = _point(12, CentralRandomizedSampler(), CENTRAL_TRIALS)
+POINT = _point()
 
 
-def _run(point, max_steps, backend, seed=2026):
-    engine, strategy, legitimacy, codes = point
+def _run(seed=2026):
+    engine, strategy, legitimacy, codes = POINT
     return engine.run(
         strategy,
         legitimacy,
         codes,
-        max_steps,
+        MAX_STEPS,
         RandomSource(seed).numpy_generator(),
-        backend=backend,
     )
 
 
-def test_step_ring30_100k_sync_plain(benchmark):
-    """PR 6 baseline: the per-step reference loop on the headline point."""
-    result = benchmark.pedantic(
-        lambda: _run(SYNC_POINT, SYNC_MAX_STEPS, PLAIN),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.times.size == SYNC_TRIALS
+def test_step_ring30_100k_sync_plain(benchmark, monkeypatch):
+    """The per-step body on the headline point (super-stepping declined)."""
+    monkeypatch.setattr(superstep, "SUPERSTEP_BUDGET", 0)
+    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    assert not result.superstepped
+    assert result.times.size == TRIALS
 
 
 def test_step_ring30_100k_sync_superstep(benchmark):
-    """Same point through rank-space super-stepping (PR 7 bar: ≥ 3×)."""
-    backend = NumpyStepBackend()
-    result = benchmark.pedantic(
-        lambda: _run(SYNC_POINT, SYNC_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert backend.last_superstep, "super-stepping did not engage"
-    assert result.times.size == SYNC_TRIALS
-
-
-def test_step_ring12_10k_central_perstep(benchmark):
-    """Stochastic central-daemon point, sequential per-step draws."""
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, PLAIN),
-        rounds=2,
-        iterations=1,
-    )
-    assert result.converged.any()
-
-
-def test_step_ring12_10k_central_blockdraw(benchmark):
-    """Same point with block-drawn scheduler randomness (stream-exact)."""
-    backend = NumpyStepBackend(superstep=False)
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.converged.any()
-
-
-@pytest.mark.skipif(not _numba_installed(), reason="numba not installed")
-def test_step_ring12_10k_central_numba(benchmark):
-    """Optional JIT backend on the central point (skips without numba)."""
-    backend = get_step_backend("numba")
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.converged.any()
+    """Same point through rank-space super-stepping."""
+    result = benchmark.pedantic(_run, rounds=3, iterations=1)
+    assert result.superstepped, "super-stepping did not engage"
+    assert result.times.size == TRIALS

@@ -11,7 +11,7 @@ so the performance trajectory of the execution engine (state-space
 exploration — sequential and sharded — chain building and hitting
 solves, simulation throughput, batch Monte-Carlo throughput, fused
 multi-point sweeps, fault-injection overhead, MDP value iteration,
-step-backend fast paths, multi-tenant serving fusion) is tracked
+rank-space super-stepping, multi-tenant serving fusion) is tracked
 across PRs.  Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--label "note"]

@@ -32,6 +32,7 @@ or copy-on-write under ``fork``).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -378,24 +379,12 @@ class ExpansionContext:
         for size in self.sizes:
             space_size *= size
         self.int64_safe = space_size < 2**62
-        # Outcome codes per action row, trimmed to the row's real arity
-        # (rows are padded with the 2.0 cum-probability sentinel).
+        # Real arity of each action row (rows are padded with the 2.0
+        # cum-probability sentinel).
         self.arity = (tables.outcome_cum < 1.5).sum(axis=1)
-        self.outcome_codes: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(code) for code in tables.outcome_code[row, :count])
-            for row, count in enumerate(self.arity.tolist())
-        )
         #: First outcome code of each action row — the whole transition
         #: when the row is deterministic (arity 1).
         self.first_outcome = tables.outcome_code[:, 0].astype(np.int64)
-        #: Outcome probabilities per action row, trimmed like
-        #: ``outcome_codes`` — the probability substrate shared by the
-        #: chain builder (:mod:`repro.markov.builder`) and the MDP
-        #: builder (:mod:`repro.markov.mdp`).
-        self.outcome_probs: tuple[tuple[float, ...], ...] = tuple(
-            tuple(float(p) for p in tables.outcome_prob[row, :count])
-            for row, count in enumerate(self.arity.tolist())
-        )
         self.weights_row = (
             np.array(self.config_weights, dtype=np.int64)
             if self.int64_safe
@@ -405,9 +394,31 @@ class ExpansionContext:
         #: action row has exactly one outcome: the synchronous (and
         #: single-enabled central) step is then a pure function of the
         #: configuration, which is what licenses rank-space
-        #: super-stepping (:mod:`repro.markov.backends`).
+        #: super-stepping (:mod:`repro.markov.superstep`).
         self.deterministic = bool(
             (tables.action_count <= 1).all() and (self.arity == 1).all()
+        )
+
+    # The per-row tuples below cost a Python loop over every action row,
+    # so they are built on first use: the lockstep loop's super-step
+    # eligibility check reads only the vectorized fields above.
+    @cached_property
+    def outcome_codes(self) -> tuple[tuple[int, ...], ...]:
+        """Outcome codes per action row, trimmed to the row's arity."""
+        return tuple(
+            tuple(int(code) for code in self.tables.outcome_code[row, :count])
+            for row, count in enumerate(self.arity.tolist())
+        )
+
+    @cached_property
+    def outcome_probs(self) -> tuple[tuple[float, ...], ...]:
+        """Outcome probabilities per action row, trimmed like
+        ``outcome_codes`` — the probability substrate shared by the chain
+        builder (:mod:`repro.markov.builder`) and the MDP builder
+        (:mod:`repro.markov.mdp`)."""
+        return tuple(
+            tuple(float(p) for p in self.tables.outcome_prob[row, :count])
+            for row, count in enumerate(self.arity.tolist())
         )
 
     def codes_of_ranks(self, ranks: Sequence[int]) -> np.ndarray:
@@ -658,9 +669,9 @@ def expansion_context(tables: CompiledKernelTables) -> ExpansionContext:
     """Memoized :class:`ExpansionContext` for one set of compiled tables.
 
     The context is pure derived structure, so every consumer sharing a
-    table object (batch step backends, chain builders, sharded
-    exploration) can share one instance; the memo lives on the tables so
-    it dies with them.
+    table object (the lockstep super-stepping planner, chain builders,
+    sharded exploration) can share one instance; the memo lives on the
+    tables so it dies with them.
     """
     cached = getattr(tables, "_expansion_memo", None)
     if cached is None:

@@ -30,12 +30,6 @@ Monte-Carlo sweeps fuse into one code matrix per system group (see
 :mod:`repro.markov.sweep_engine`; fusion is the default).
 ``--no-fused`` restores the per-point engines — useful when comparing
 against the seeded per-point oracle.
-
-``--backend NAME`` selects the step backend for lockstep Monte-Carlo
-batches (see :mod:`repro.markov.backends`): ``auto`` (default — numba
-when installed, else numpy), ``numpy``, or ``numba``.  Every backend is
-stream-exact, so experiment outputs are identical; only wall-clock
-changes.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from repro.experiments.registry import (
     run_all,
     run_preset,
 )
-from repro.markov.backends import set_default_backend
 from repro.markov.sweep_engine import set_default_fusion
 from repro.stabilization.sharding import set_default_shards
 
@@ -109,18 +102,6 @@ def _add_fused_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="step backend for lockstep Monte-Carlo batches: 'auto'"
-        " (default; numba when installed, else numpy), 'numpy', or"
-        " 'numba' — all backends are stream-exact, so results are"
-        " identical",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -136,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("ids", nargs="+", metavar="ID")
     _add_shards_flag(run_parser)
     _add_fused_flag(run_parser)
-    _add_backend_flag(run_parser)
 
     run_all_parser = sub.add_parser("run-all", help="run every experiment")
     run_all_parser.add_argument(
@@ -144,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shards_flag(run_all_parser)
     _add_fused_flag(run_all_parser)
-    _add_backend_flag(run_all_parser)
 
     report_parser = sub.add_parser(
         "report", help="run everything, write markdown"
@@ -155,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shards_flag(report_parser)
     _add_fused_flag(report_parser)
-    _add_backend_flag(report_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -256,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on cached system compilations (kernels, lockstep"
         " tables, runners); default 64",
     )
-    _add_backend_flag(serve_parser)
     return parser
 
 
@@ -348,9 +325,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("(multi-point Monte-Carlo sweeps fused)")
         else:
             print("(multi-point Monte-Carlo sweeps running per point)")
-    if getattr(args, "backend", None) is not None:
-        resolved = set_default_backend(args.backend)
-        print(f"(lockstep step backend: {resolved})")
     if args.command == "list":
         for experiment_id in all_ids():
             experiment = get_experiment(experiment_id)

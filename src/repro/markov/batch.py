@@ -35,33 +35,33 @@ strategy:
   predicate.  Correct for everything, slower, still leaves the stepping
   itself vectorized.
 
-**Step backends.**  The inner stepping of :meth:`BatchEngine.run` is
-delegated to a pluggable :class:`repro.markov.backends.StepBackend`
-(``backend="numpy" | "numba" | "auto"``): the reference numpy loop plus
-stream-preserving fast paths (block-drawn scheduler randomness,
-rank-space super-stepping for deterministic synchronous/central blocks)
-and an optional numba JIT.  All built-in backends are bit-exact against
-the reference loop, including the consumed random stream, so the choice
-is pure throughput.  :meth:`BatchEngine.run_with_fault` keeps the
-reference per-step loop on every backend — the fault timeline needs the
-step-granular trigger/freeze machinery below.
+**One lockstep loop.**  :meth:`BatchEngine.lockstep` is the only step
+loop of the lockstep tiers: it advances a code matrix whose rows carry
+a point id and a step budget, dispatches legitimacy and scheduler draws
+per point, and runs the fault timeline of
+:mod:`repro.stabilization.faults` for points that carry a fault.
+:meth:`BatchEngine.run` and :meth:`BatchEngine.run_with_fault` are
+one-point calls to it, and the fused sweep engine
+(:mod:`repro.markov.sweep_engine`) calls it with many points.  At its
+entry, fault-free deterministic runs under the synchronous or central
+daemon take rank-space super-stepping (:mod:`repro.markov.superstep`)
+instead of the per-step body: outcome vectors are bit-identical, but no
+uniforms are drawn, so the generator state matches the per-step body
+only where that body runs.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import (
-    CompiledKernelTables,
-    StateEncoding,
-    compile_tables,
-)
+from repro.core.encoding import StateEncoding, compile_tables
 from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.errors import MarkovError
-from repro.markov.backends import StepBackend, TrialBlock, resolve_backend
+from repro.markov.superstep import SuperstepPlan
 from repro.schedulers.samplers import (
     BernoulliSampler,
     CentralRandomizedSampler,
@@ -79,8 +79,12 @@ __all__ = [
     "register_batch_sampler",
     "BatchEngine",
     "BatchRunResult",
-    "FaultRunResult",
+    "PROFILE_PHASES",
 ]
+
+#: Per-phase keys of a profiled per-step run (milliseconds on
+#: :attr:`BatchRunResult.profile`).
+PROFILE_PHASES = ("gather", "legitimacy", "retire", "draw")
 
 
 # ----------------------------------------------------------------------
@@ -246,49 +250,27 @@ def batch_strategy_for(sampler: object) -> BatchSamplerStrategy | None:
 # the engine
 # ----------------------------------------------------------------------
 class BatchRunResult:
-    """Per-trial outcome vectors of one lockstep batch.
+    """Per-row outcome vectors of one lockstep run.
 
-    ``times[t]`` is meaningful only where ``converged[t]``;
-    ``hit_terminal`` marks trials retired in an illegitimate terminal
+    ``times[r]`` is meaningful only where ``converged[r]``;
+    ``hit_terminal`` marks rows retired in an illegitimate terminal
     configuration (they can never converge — the scalar path counts them
-    as censored, and so do we).  ``profile`` is ``None`` unless the run
-    was profiled, in which case it maps phase name → milliseconds (see
-    :data:`repro.markov.backends.PROFILE_PHASES`, plus the superstep
-    build/execute timers when that path ran).
-    """
+    as censored, and so do we) and ``timed_out`` rows that exhausted
+    their step budget.
 
-    __slots__ = ("times", "converged", "hit_terminal", "profile")
+    Faulted points additionally fill the robustness vectors of the fault
+    timeline (see :mod:`repro.stabilization.faults`): ``fault_times[r]``
+    is the step at which row ``r``'s fault fired (``-1`` if it never
+    did), ``legit_counts``/``observations`` feed the availability
+    fraction, and ``max_runs[r]`` is the longest contiguous run of
+    illegitimate observations (the *maximum excursion*).  Rows of
+    fault-free points keep ``-1`` and zeros there.
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        converged: np.ndarray,
-        hit_terminal: np.ndarray,
-        profile: dict[str, float] | None = None,
-    ) -> None:
-        self.times = times
-        self.converged = converged
-        self.hit_terminal = hit_terminal
-        self.profile = profile
-
-    @property
-    def stabilization_times(self) -> list[float]:
-        """Converged trials' times, trial order, as floats."""
-        return [float(t) for t in self.times[self.converged]]
-
-
-class FaultRunResult:
-    """Per-trial outcome and re-convergence vectors of one faulted batch.
-
-    Extends :class:`BatchRunResult`'s retirement vectors with the
-    robustness metrics of the fault timeline (see
-    :mod:`repro.stabilization.faults`): ``fault_times[t]`` is the step
-    at which trial ``t``'s fault fired (``-1`` if it never did),
-    ``legit_counts``/``observations`` feed the availability fraction,
-    ``max_runs[t]`` is the longest contiguous run of illegitimate
-    observations (the *maximum excursion*), and ``timed_out`` separates
-    budget-exhausted trials from illegitimate-terminal (``hit_terminal``)
-    ones.
+    ``superstepped`` records whether rank-space super-stepping ran
+    instead of the per-step body.  ``profile`` is ``None`` unless the
+    run was profiled, in which case it maps phase name → milliseconds
+    (:data:`PROFILE_PHASES`, plus ``superstep_build`` and
+    ``superstep_execute`` when super-stepping ran).
     """
 
     __slots__ = (
@@ -300,27 +282,26 @@ class FaultRunResult:
         "legit_counts",
         "observations",
         "max_runs",
+        "superstepped",
+        "profile",
     )
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        converged: np.ndarray,
-        hit_terminal: np.ndarray,
-        timed_out: np.ndarray,
-        fault_times: np.ndarray,
-        legit_counts: np.ndarray,
-        observations: np.ndarray,
-        max_runs: np.ndarray,
-    ) -> None:
-        self.times = times
-        self.converged = converged
-        self.hit_terminal = hit_terminal
-        self.timed_out = timed_out
-        self.fault_times = fault_times
-        self.legit_counts = legit_counts
-        self.observations = observations
-        self.max_runs = max_runs
+    def __init__(self, rows: int) -> None:
+        self.times = np.zeros(rows, dtype=np.int64)
+        self.converged = np.zeros(rows, dtype=bool)
+        self.hit_terminal = np.zeros(rows, dtype=bool)
+        self.timed_out = np.zeros(rows, dtype=bool)
+        self.fault_times = np.full(rows, -1, dtype=np.int64)
+        self.legit_counts = np.zeros(rows, dtype=np.int64)
+        self.observations = np.zeros(rows, dtype=np.int64)
+        self.max_runs = np.zeros(rows, dtype=np.int64)
+        self.superstepped = False
+        self.profile: dict[str, float] | None = None
+
+    @property
+    def stabilization_times(self) -> list[float]:
+        """Converged rows' times, row order, as floats."""
+        return [float(t) for t in self.times[self.converged]]
 
 
 class BatchEngine:
@@ -338,14 +319,10 @@ class BatchEngine:
         self,
         kernel: TransitionKernel,
         max_entries: int = DEFAULT_TABLE_BUDGET,
-        backend: str | StepBackend | None = None,
     ) -> None:
         self.kernel = kernel
         self.encoding = StateEncoding(kernel)
         self.tables = compile_tables(kernel, self.encoding, max_entries)
-        #: Step-backend spec (name, instance, or ``None`` for the process
-        #: default) used by :meth:`run` unless overridden per call.
-        self.backend = backend
 
     def run(
         self,
@@ -355,43 +332,25 @@ class BatchEngine:
         max_steps: int,
         generator: np.random.Generator,
         *,
-        backend: str | StepBackend | None = None,
         profile: bool = False,
     ) -> BatchRunResult:
-        """Advance all trials in lockstep until retirement or budget.
+        """One-point :meth:`lockstep` run of ``initial_codes``' trials.
 
         Semantics per trial match :func:`repro.core.simulate.run_until`:
         legitimacy is tested on the initial configuration (time 0) and
         after every step; an illegitimate terminal configuration retires
         the trial as censored; ``max_steps`` bounds the sampler calls.
-
-        The stepping itself is delegated to a pluggable
-        :class:`~repro.markov.backends.StepBackend` (``backend=`` here
-        overrides the engine-level spec; both default to the process
-        default, normally ``"auto"``).  Every built-in backend is
-        stream-exact, so results do not depend on the choice.
         ``profile=True`` attaches per-phase millisecond totals to the
-        result: gather/legitimacy/retire/draw for per-step execution,
-        superstep build/execute when the rank-space path runs.
+        result.
         """
-        backend_obj = resolve_backend(
-            backend if backend is not None else self.backend
-        )
-        block = TrialBlock(
-            self,
+        return self._one_point(
             strategy,
             legitimacy,
             initial_codes,
             max_steps,
             generator,
-            profile=profile,
-        )
-        backend_obj.run(block)
-        return BatchRunResult(
-            block.times,
-            block.converged,
-            block.hit_terminal,
-            profile=block.profile_milliseconds(),
+            None,
+            profile,
         )
 
     def run_with_fault(
@@ -402,172 +361,341 @@ class BatchEngine:
         max_steps: int,
         generator: np.random.Generator,
         fault,
-    ) -> FaultRunResult:
-        """Lockstep batch with one transient corruption event per trial.
+    ) -> BatchRunResult:
+        """One-point :meth:`lockstep` run with one transient corruption
+        event per trial.
 
         ``fault`` is a :class:`repro.stabilization.faults.CompiledFault`.
-        The corruption itself is *one extra scatter* into the active code
-        matrix; the loop otherwise follows the fault timeline documented
-        in :mod:`repro.stabilization.faults`: a pending fault blocks
-        convergence retirement, a pending fixed-step fault parks terminal
-        rows in place (the corruption may re-enable them), and legitimacy
-        observations feed the availability/excursion counters every step.
         The scalar oracle (:class:`~repro.markov.montecarlo
         .MonteCarloRunner` ``engine="scalar"``) implements the identical
         timeline, so deterministic cells agree bit-for-bit.
         """
+        return self._one_point(
+            strategy,
+            legitimacy,
+            initial_codes,
+            max_steps,
+            generator,
+            fault,
+            False,
+        )
+
+    def _one_point(
+        self,
+        strategy: BatchSamplerStrategy,
+        legitimacy: BatchLegitimacy,
+        initial_codes: np.ndarray,
+        max_steps: int,
+        generator: np.random.Generator,
+        fault,
+        profile: bool,
+    ) -> BatchRunResult:
+        """:meth:`lockstep` over one point that owns every row."""
         trials = initial_codes.shape[0]
-        times = np.zeros(trials, dtype=np.int64)
-        converged = np.zeros(trials, dtype=bool)
-        hit_terminal = np.zeros(trials, dtype=bool)
-        timed_out = np.zeros(trials, dtype=bool)
-        fault_times = np.full(trials, -1, dtype=np.int64)
-        legit_counts = np.zeros(trials, dtype=np.int64)
-        observations = np.zeros(trials, dtype=np.int64)
-        max_runs = np.zeros(trials, dtype=np.int64)
+        everyone = np.ones(1, dtype=bool)
+        return self.lockstep(
+            np.array(initial_codes, copy=True),
+            np.zeros(trials, dtype=np.int64),
+            np.full(trials, max_steps, dtype=np.int64),
+            [(legitimacy, everyone)],
+            [(strategy, everyone)],
+            generator,
+            faults=None if fault is None else [fault],
+            profile=profile,
+        )
 
-        active = np.arange(trials)
-        codes = np.array(initial_codes, copy=True)
-        # Aligned with ``active`` and compacted together with it.  The
-        # availability/excursion counters stay active-aligned too and
-        # are scattered into the global arrays only when rows retire,
-        # keeping the per-step bookkeeping free of fancy indexing (the
-        # fault path must stay within a few percent of the plain loop —
-        # see ``benchmarks/bench_fault_injection.py``).
-        pending = np.ones(trials, dtype=bool)
-        cur_run = np.zeros(trials, dtype=np.int64)
-        obs = np.zeros(trials, dtype=np.int64)
-        legit_seen = np.zeros(trials, dtype=np.int64)
-        run_peak = np.zeros(trials, dtype=np.int64)
+    def lockstep(
+        self,
+        codes: np.ndarray,
+        point: np.ndarray,
+        budget: np.ndarray,
+        legit_groups: Sequence[tuple[BatchLegitimacy, np.ndarray]],
+        strategy_groups: Sequence[tuple[BatchSamplerStrategy, np.ndarray]],
+        generator: np.random.Generator,
+        faults: Sequence | None = None,
+        profile: bool = False,
+    ) -> BatchRunResult:
+        """Advance every row of ``codes`` in lockstep until it retires.
+
+        Each row is one trial: ``point[r]`` is its point id and
+        ``budget[r]`` its step budget.  A point's rows are contiguous
+        and in trial order.  ``legit_groups`` and ``strategy_groups``
+        pair one vectorized legitimacy or scheduler strategy with a
+        boolean mask over point ids; points sharing a signature share
+        one call per step.  ``faults`` holds one
+        :class:`~repro.stabilization.faults.CompiledFault` or ``None``
+        per point, or is ``None`` when no point has a fault.  ``codes``
+        is consumed.
+
+        Per-row semantics match :func:`repro.core.simulate.run_until`:
+        legitimacy is tested at time 0 and after every step, legitimacy
+        wins over terminal retirement, an illegitimate terminal row
+        retires as censored, and a row whose budget is spent retires as
+        timed out, after retirement and before the scheduler draw.
+        Faulted points follow the fault timeline of
+        :mod:`repro.stabilization.faults`: a pending fault blocks
+        convergence retirement, a pending fixed-step fault parks terminal
+        rows in place (the corruption may re-enable them; time still
+        passes), and every observation feeds the availability and
+        excursion counters.  The corruption itself is one scatter into
+        the code matrix.
+
+        Fault-free runs with one synchronous or central strategy group
+        and one :class:`EnabledCountLegitimacy` group over deterministic
+        tables take rank-space super-stepping
+        (:class:`~repro.markov.superstep.SuperstepPlan`) when its closure
+        fits the state budget; every other run takes the per-step body.
+        """
+        result = BatchRunResult(codes.shape[0])
+        timing = (
+            {phase: 0.0 for phase in PROFILE_PHASES} if profile else None
+        )
+        plan = None
+        if faults is None and len(strategy_groups) == len(legit_groups) == 1:
+            strategy_type = type(strategy_groups[0][0])
+            legitimacy = legit_groups[0][0]
+            if (
+                strategy_type in (_SynchronousBatch, _CentralRandomizedBatch)
+                and type(legitimacy) is EnabledCountLegitimacy
+            ):
+                start = time.perf_counter()
+                plan = SuperstepPlan.build(
+                    self.tables,
+                    codes,
+                    budget,
+                    legitimacy.count,
+                    central=strategy_type is _CentralRandomizedBatch,
+                )
+        if plan is not None:
+            built = time.perf_counter()
+            plan.execute(budget, result)
+            result.superstepped = True
+            if timing is not None:
+                timing["superstep_build"] = built - start
+                timing["superstep_execute"] = time.perf_counter() - built
+        else:
+            self._per_step(
+                codes,
+                point,
+                budget,
+                legit_groups,
+                strategy_groups,
+                generator,
+                faults,
+                result,
+                timing,
+            )
+        if timing is not None:
+            result.profile = {
+                phase: seconds * 1000.0 for phase, seconds in timing.items()
+            }
+        return result
+
+    def _per_step(
+        self,
+        codes,
+        point,
+        budget,
+        legit_groups,
+        strategy_groups,
+        generator,
+        faults,
+        result: BatchRunResult,
+        timing: dict[str, float] | None,
+    ) -> None:
+        """The per-step body of :meth:`lockstep`: gather → legitimacy →
+        fault trigger → retire → draw, once per step for every row."""
         tables = self.tables
-        at_convergence = fault.at_convergence
-        # Scalar mirror of ``pending.sum()``: once every fault has
-        # fired, the trigger/freeze machinery short-circuits and each
-        # step runs the plain loop plus the aligned counters above.
-        pending_count = trials
+        times = result.times
+        converged = result.converged
+        hit_terminal = result.hit_terminal
+        timed_out = result.timed_out
+        fault_times = result.fault_times
+        active = np.arange(codes.shape[0])
 
+        any_fault = faults is not None
+        pending_count = 0
+        if any_fault:
+            # ``step_of_point`` encodes each point's trigger: -2 no fault,
+            # -1 at-convergence, >= 0 fixed step; ``offsets`` maps a row
+            # to its trial index within its point.
+            step_of_point = np.array(
+                [
+                    -2
+                    if fault is None
+                    else (-1 if fault.at_convergence else fault.step)
+                    for fault in faults
+                ],
+                dtype=np.int64,
+            )
+            offsets = np.searchsorted(point, np.arange(len(faults)))
+            # Aligned with ``active`` and compacted together with it; the
+            # observation counters are scattered into the result vectors
+            # only when rows retire, keeping the per-step bookkeeping
+            # free of fancy indexing.
+            pending = step_of_point[point] != -2
+            pending_count = int(pending.sum())
+            cur_run = np.zeros(active.size, dtype=np.int64)
+            obs = np.zeros(active.size, dtype=np.int64)
+            legit_seen = np.zeros(active.size, dtype=np.int64)
+            run_peak = np.zeros(active.size, dtype=np.int64)
+
+        def retire(keep: np.ndarray) -> None:
+            nonlocal active, codes, point, budget
+            nonlocal pending, pending_count, cur_run, obs, legit_seen
+            nonlocal run_peak
+            if any_fault:
+                gone = ~keep
+                retired = active[gone]
+                result.observations[retired] = obs[gone]
+                result.legit_counts[retired] = legit_seen[gone]
+                result.max_runs[retired] = run_peak[gone]
+                pending, cur_run = pending[keep], cur_run[keep]
+                obs, legit_seen = obs[keep], legit_seen[keep]
+                run_peak = run_peak[keep]
+                if pending_count:
+                    # Rows can retire with their fault still pending
+                    # (illegitimate terminal, or out of budget).
+                    pending_count = int(pending.sum())
+            active = active[keep]
+            codes = codes[keep]
+            point = point[keep]
+            budget = budget[keep]
+
+        def evaluate_legit(
+            codes_m: np.ndarray, enabled_m: np.ndarray, point_m: np.ndarray
+        ) -> np.ndarray:
+            # Homogeneous runs (one legitimacy/sampler signature — every
+            # one-point run and the Q1/Q2 sweep shape) skip the row
+            # masking entirely: dispatch cost is only paid when points
+            # actually differ.
+            if len(legit_groups) == 1:
+                return legit_groups[0][0].evaluate(codes_m, enabled_m, self)
+            legit_m = np.zeros(len(point_m), dtype=bool)
+            for legitimacy, mask in legit_groups:
+                rows = mask[point_m]
+                if rows.any():
+                    legit_m[rows] = legitimacy.evaluate(
+                        codes_m[rows], enabled_m[rows], self
+                    )
+            return legit_m
+
+        def choose(
+            enabled_m: np.ndarray, point_m: np.ndarray
+        ) -> np.ndarray:
+            if len(strategy_groups) == 1:
+                return strategy_groups[0][0].choose(enabled_m, generator)
+            movers_m = np.zeros_like(enabled_m)
+            for strategy, mask in strategy_groups:
+                rows = mask[point_m]
+                if rows.any():
+                    movers_m[rows] = strategy.choose(
+                        enabled_m[rows], generator
+                    )
+            return movers_m
+
+        tick = time.perf_counter if timing is not None else None
         step = 0
         while active.size:
+            if tick:
+                t0 = tick()
             keys = tables.pack(codes)
             enabled = tables.enabled(keys)
-            legit = legitimacy.evaluate(codes, enabled, self)
+            if tick:
+                t1 = tick()
+                timing["gather"] += t1 - t0
+            legit = evaluate_legit(codes, enabled, point)
+            if tick:
+                t2 = tick()
+                timing["legitimacy"] += t2 - t1
             if pending_count:
-                if at_convergence:
-                    fire = pending & legit
-                elif step == fault.step:
-                    fire = pending.copy()
-                else:
-                    fire = None
-                if fire is not None and fire.any():
+                trigger = step_of_point[point]
+                fire = pending & (
+                    (trigger == step) | ((trigger == -1) & legit)
+                )
+                if fire.any():
+                    for member, fault in enumerate(faults):
+                        if fault is None:
+                            continue
+                        rows = np.flatnonzero(fire & (point == member))
+                        if not rows.size:
+                            continue
+                        trial_ids = active[rows] - offsets[member]
+                        fault.scatter(codes, rows, trial_ids)
+                        fault_times[active[rows]] = step
+                    pending[fire] = False
+                    # Re-derive the corrupted rows' state post-corruption.
                     rows = np.flatnonzero(fire)
-                    trial_ids = active[rows]
-                    fault.scatter(codes, rows, trial_ids)
-                    fault_times[trial_ids] = step
-                    pending[rows] = False
                     pending_count -= rows.size
-                    # The corrupted rows' neighborhood keys, enabledness,
-                    # and legitimacy are re-derived post-corruption.
                     keys[rows] = tables.pack(codes[rows])
                     enabled[rows] = tables.enabled(keys[rows])
-                    legit[rows] = legitimacy.evaluate(
-                        codes[rows], enabled[rows], self
+                    legit[rows] = evaluate_legit(
+                        codes[rows], enabled[rows], point[rows]
                     )
-            obs += 1
-            legit_seen += legit
-            cur_run = np.where(legit, 0, cur_run + 1)
-            np.maximum(run_peak, cur_run, out=run_peak)
-            done = legit & ~pending if pending_count else legit
+            if any_fault:
+                obs += 1
+                legit_seen += legit
+                cur_run = np.where(legit, 0, cur_run + 1)
+                np.maximum(run_peak, cur_run, out=run_peak)
+                done = legit & ~pending if pending_count else legit
+            else:
+                done = legit
             if done.any():
                 retired = active[done]
                 times[retired] = step
                 converged[retired] = True
-                observations[retired] = obs[done]
-                legit_counts[retired] = legit_seen[done]
-                max_runs[retired] = run_peak[done]
                 keep = ~done
-                active, codes, keys, enabled, pending, cur_run = (
-                    active[keep],
-                    codes[keep],
-                    keys[keep],
-                    enabled[keep],
-                    pending[keep],
-                    cur_run[keep],
-                )
-                obs, legit_seen, run_peak = (
-                    obs[keep],
-                    legit_seen[keep],
-                    run_peak[keep],
-                )
+                retire(keep)
                 if not active.size:
                     break
+                keys = keys[keep]
+                enabled = enabled[keep]
+            # Illegitimate terminal rows can never converge: censored —
+            # unless a pending fixed-step fault may re-enable them, in
+            # which case they idle in place (time still passes).
             terminal = ~enabled.any(axis=1)
-            if at_convergence or not pending_count:
-                # A pending at-convergence fault on a terminal row can
-                # never fire (the row is illegitimate, else it would
-                # have fired above) — every terminal row retires; ditto
-                # once every fault already fired.
+            if pending_count:
+                frozen = terminal & pending & (step_of_point[point] >= 0)
+                retire_terminal = terminal & ~frozen
+            else:
                 frozen = None
                 retire_terminal = terminal
-            else:
-                frozen = terminal & pending
-                retire_terminal = terminal & ~frozen
             if retire_terminal.any():
-                retired = active[retire_terminal]
-                hit_terminal[retired] = True
-                observations[retired] = obs[retire_terminal]
-                legit_counts[retired] = legit_seen[retire_terminal]
-                max_runs[retired] = run_peak[retire_terminal]
+                hit_terminal[active[retire_terminal]] = True
                 keep = ~retire_terminal
-                active, codes, keys, enabled, pending, cur_run = (
-                    active[keep],
-                    codes[keep],
-                    keys[keep],
-                    enabled[keep],
-                    pending[keep],
-                    cur_run[keep],
-                )
-                obs, legit_seen, run_peak = (
-                    obs[keep],
-                    legit_seen[keep],
-                    run_peak[keep],
-                )
+                retire(keep)
                 if frozen is not None:
                     frozen = frozen[keep]
-                if pending_count:
-                    # At-convergence plans can retire rows whose fault
-                    # never fired (illegitimate terminal).
-                    pending_count = int(pending.sum())
                 if not active.size:
                     break
-            if step >= max_steps:
-                timed_out[active] = True
-                observations[active] = obs
-                legit_counts[active] = legit_seen
-                max_runs[active] = run_peak
-                break
+                keys = keys[keep]
+                enabled = enabled[keep]
+            over = budget <= step
+            if over.any():
+                timed_out[active[over]] = True
+                keep = ~over
+                retire(keep)
+                if frozen is not None:
+                    frozen = frozen[keep]
+                if not active.size:
+                    break
+                keys = keys[keep]
+                enabled = enabled[keep]
+            if tick:
+                t3 = tick()
+                timing["retire"] += t3 - t2
             if frozen is not None and frozen.any():
-                # Terminal rows waiting for a fixed-step fault idle in
-                # place (no scheduler draw — nothing is enabled); time
-                # still passes for them.
                 move = ~frozen
-                movers = strategy.choose(enabled[move], generator)
+                movers = choose(enabled[move], point[move])
                 codes[move] = tables.sample(
                     codes[move], keys[move], movers, generator
                 )
             else:
-                movers = strategy.choose(enabled, generator)
+                movers = choose(enabled, point)
                 codes = tables.sample(codes, keys, movers, generator)
             step += 1
-        return FaultRunResult(
-            times,
-            converged,
-            hit_terminal,
-            timed_out,
-            fault_times,
-            legit_counts,
-            observations,
-            max_runs,
-        )
+            if tick:
+                timing["draw"] += tick() - t3
 
 
 def encode_initials(

@@ -37,6 +37,7 @@ from repro.errors import MarkovError, ModelError
 from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
+    BatchRunResult,
     batch_strategy_for,
     compile_legitimacy,
     encode_initials,
@@ -46,8 +47,8 @@ from repro.stabilization.faults import CompiledFault, FaultPlan, compile_fault
 
 __all__ = ["MonteCarloResult", "MonteCarloRunner", "TrialOutcomes",
            "TrialSink", "estimate_stabilization_time",
-           "fault_result_from_arrays", "random_configuration",
-           "random_configurations"]
+           "fault_result_from_arrays", "lockstep_point_result",
+           "random_configuration", "random_configurations"]
 
 #: Accepted ``engine`` values.
 ENGINES = ("auto", "batch", "scalar")
@@ -256,6 +257,66 @@ def fault_result_from_arrays(
     )
 
 
+def lockstep_point_result(
+    outcome: BatchRunResult,
+    rows: slice,
+    faulted: bool,
+    keep_samples: bool = True,
+    sink: TrialSink | None = None,
+    point: int = 0,
+    label: str | None = None,
+) -> MonteCarloResult:
+    """One point's :class:`MonteCarloResult` from its ``rows`` of a
+    lockstep run, emitting its outcome vectors to ``sink`` first.
+
+    The shared reduction of :meth:`MonteCarloRunner.estimate`'s batch
+    path (one point, every row) and the fused sweep engine (one row
+    slice per point), so both report identical results for identical
+    vectors.
+    """
+    times = outcome.times[rows]
+    converged = outcome.converged[rows]
+    hit_terminal = outcome.hit_terminal[rows]
+    timed_out = outcome.timed_out[rows]
+    fault_times = outcome.fault_times[rows] if faulted else None
+    if sink is not None:
+        sink(
+            TrialOutcomes(
+                point=point,
+                label=label,
+                times=times,
+                converged=converged,
+                timed_out=timed_out,
+                hit_terminal=hit_terminal,
+                fault_times=fault_times,
+            )
+        )
+    trials = len(times)
+    if faulted:
+        return fault_result_from_arrays(
+            trials,
+            times,
+            converged,
+            hit_terminal,
+            timed_out,
+            fault_times,
+            outcome.legit_counts[rows],
+            outcome.observations[rows],
+            outcome.max_runs[rows],
+            keep_samples,
+        )
+    samples = [float(t) for t in times[converged]]
+    return MonteCarloResult(
+        trials=trials,
+        converged=len(samples),
+        censored=trials - len(samples),
+        stats=summarize(samples) if samples else None,
+        round_stats=None,
+        samples=tuple(samples) if keep_samples else None,
+        timed_out=int(timed_out.sum()),
+    )
+
+
 class MonteCarloRunner:
     """Batched multi-replica Monte-Carlo driver for one system.
 
@@ -295,7 +356,6 @@ class MonteCarloRunner:
         kernel: TransitionKernel | None = None,
         engine: str = "auto",
         batch_engine: BatchEngine | None = None,
-        backend: str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise MarkovError(
@@ -304,12 +364,6 @@ class MonteCarloRunner:
         self.system = system
         self.kernel = kernel if kernel is not None else TransitionKernel(system)
         self.engine = engine
-        # Step-backend spec for lockstep runs (see
-        # :mod:`repro.markov.backends`); ``None`` keeps the process
-        # default.  Orthogonal to ``engine``: the engine picks the
-        # execution tier (scalar vs batch), the backend picks how the
-        # batch tier steps.
-        self.backend = backend
         # ``batch_engine`` lets a multi-system driver (SweepRunner)
         # share one compiled engine instead of recompiling here.
         self._batch_engine: BatchEngine | None = batch_engine
@@ -325,9 +379,7 @@ class MonteCarloRunner:
             if self._batch_compile_error is not None:
                 raise self._batch_compile_error
             try:
-                self._batch_engine = BatchEngine(
-                    self.kernel, backend=self.backend
-                )
+                self._batch_engine = BatchEngine(self.kernel)
             except ModelError as error:
                 self._batch_compile_error = error
                 raise
@@ -345,7 +397,6 @@ class MonteCarloRunner:
         engine: str | None = None,
         batch_legitimate: BatchLegitimacy | None = None,
         fault: FaultPlan | None = None,
-        backend: str | None = None,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
@@ -367,12 +418,6 @@ class MonteCarloRunner:
         carries the re-convergence metrics.  Both engines implement the
         same fault timeline, so cross-engine equivalence holds under
         corruption too.
-
-        ``backend`` overrides the runner-wide step backend for this
-        estimate's lockstep run (see :mod:`repro.markov.backends`); all
-        built-in backends are stream-exact, so this is a throughput
-        knob, never a semantics knob.  Fault runs always execute the
-        reference per-step path.
 
         ``keep_samples=False`` drops the per-trial sample tuples from
         the returned result (summary statistics are unaffected), and
@@ -411,7 +456,6 @@ class MonteCarloRunner:
                 initial_configurations,
                 batch_legitimate,
                 compiled_fault,
-                backend,
                 keep_samples,
                 sink,
             )
@@ -489,7 +533,6 @@ class MonteCarloRunner:
         initial_configurations: Sequence[Configuration] | None,
         batch_legitimate: BatchLegitimacy | None,
         fault: CompiledFault | None = None,
-        backend: str | None = None,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
@@ -507,67 +550,17 @@ class MonteCarloRunner:
         )
         strategy = batch_strategy_for(sampler)
         assert strategy is not None  # _batch_supported vetted it
+        generator = rng.numpy_generator()
         if fault is not None:
             outcome = engine.run_with_fault(
-                strategy,
-                legitimacy,
-                codes,
-                max_steps,
-                rng.numpy_generator(),
-                fault,
+                strategy, legitimacy, codes, max_steps, generator, fault
             )
-            if sink is not None:
-                sink(
-                    TrialOutcomes(
-                        point=0,
-                        label=None,
-                        times=outcome.times,
-                        converged=outcome.converged,
-                        timed_out=outcome.timed_out,
-                        hit_terminal=outcome.hit_terminal,
-                        fault_times=outcome.fault_times,
-                    )
-                )
-            return fault_result_from_arrays(
-                trials,
-                outcome.times,
-                outcome.converged,
-                outcome.hit_terminal,
-                outcome.timed_out,
-                outcome.fault_times,
-                outcome.legit_counts,
-                outcome.observations,
-                outcome.max_runs,
-                keep_samples,
+        else:
+            outcome = engine.run(
+                strategy, legitimacy, codes, max_steps, generator
             )
-        outcome = engine.run(
-            strategy,
-            legitimacy,
-            codes,
-            max_steps,
-            rng.numpy_generator(),
-            backend=backend,
-        )
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=outcome.times,
-                    converged=outcome.converged,
-                    timed_out=~outcome.converged & ~outcome.hit_terminal,
-                    hit_terminal=outcome.hit_terminal,
-                )
-            )
-        times = outcome.stabilization_times
-        return MonteCarloResult(
-            trials=trials,
-            converged=len(times),
-            censored=trials - len(times),
-            stats=summarize(times) if times else None,
-            round_stats=None,
-            samples=tuple(times) if keep_samples else None,
-            timed_out=trials - len(times) - int(outcome.hit_terminal.sum()),
+        return lockstep_point_result(
+            outcome, slice(None), fault is not None, keep_samples, sink
         )
 
     def _estimate_scalar(
@@ -857,8 +850,7 @@ class MonteCarloRunner:
             )
         if specs:
             runner = SweepRunner(
-                engine="fused" if self.engine == "batch" else "auto",
-                backend=self.backend,
+                engine="fused" if self.engine == "batch" else "auto"
             )
             # Share this runner's kernel and compiled engine — or its
             # cached compilation *failure*, so an over-budget system is
@@ -892,14 +884,13 @@ def estimate_stabilization_time(
     engine: str = "auto",
     batch_legitimate: BatchLegitimacy | None = None,
     fault: FaultPlan | None = None,
-    backend: str | None = None,
 ) -> MonteCarloResult:
     """Sample stabilization times over random starts and scheduler draws.
 
     Thin wrapper over :class:`MonteCarloRunner`: one kernel is shared by
     all trials (pass ``kernel`` to also share it with other callers).
     """
-    return MonteCarloRunner(system, kernel, backend=backend).estimate(
+    return MonteCarloRunner(system, kernel).estimate(
         sampler,
         legitimate,
         trials=trials,

@@ -16,11 +16,13 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   systems constructed independently (concurrent tenants of the serving
   tier) therefore share one compilation *and* one fused matrix;
 * **same-system points fuse** into one ``(Σ trials × processes)`` code
-  matrix carrying a per-row *point id* and a per-row *step budget*;
-  legitimacy and scheduler draws dispatch per point (points sharing a
-  predicate or sampler signature share one vectorized call), so each
-  lockstep iteration pays the interpreter overhead once for the whole
-  sweep instead of once per point;
+  matrix carrying a per-row *point id* and a per-row *step budget*,
+  advanced by :meth:`~repro.markov.batch.BatchEngine.lockstep` — the
+  same loop a one-point ``BatchEngine.run`` takes, so deterministic
+  blocks super-step too; legitimacy and scheduler draws dispatch per
+  point (points sharing a predicate or sampler signature share one
+  vectorized call), so each lockstep iteration pays the interpreter
+  overhead once for the whole sweep instead of once per point;
 * **points of different N** within a group run as block-scheduled
   sub-batches — one fused matrix per system, executed back to back over
   cached kernels/tables (table compilation is memoized per system for
@@ -51,7 +53,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import summarize
 from repro.core.configuration import Configuration
 from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.core.simulate import SchedulerSampler
@@ -70,7 +71,7 @@ from repro.markov.montecarlo import (
     MonteCarloRunner,
     TrialOutcomes,
     TrialSink,
-    fault_result_from_arrays,
+    lockstep_point_result,
     random_configurations,
 )
 from repro.random_source import RandomSource
@@ -157,6 +158,7 @@ class PointExecution:
     group: tuple[str, str]
     engine: str
     fused_rows: int = 0
+    superstepped: bool = False
 
 
 def _strategy_signature(sampler: SchedulerSampler) -> tuple:
@@ -261,7 +263,6 @@ class SweepRunner:
         self,
         engine: str = "auto",
         table_budget: int = DEFAULT_TABLE_BUDGET,
-        backend: str | None = None,
         cache_size: int | None = DEFAULT_SYSTEM_CACHE,
     ) -> None:
         if engine not in SWEEP_ENGINES:
@@ -274,12 +275,6 @@ class SweepRunner:
             )
         self.engine = engine
         self.table_budget = table_budget
-        # Step-backend spec for per-point lockstep batches (see
-        # :mod:`repro.markov.backends`); ``None`` keeps the process
-        # default.  The fused matrix keeps its own reference stepping —
-        # fused rows carry per-point budgets/legitimacies that the
-        # backends' fast paths do not model.
-        self.backend = backend
         self.last_plan: list[PointExecution] = []
         # Per-system cache, keyed by the canonical *content* signature
         # (:func:`repro.store.columnar.system_cache_key`), never by
@@ -376,9 +371,7 @@ class SweepRunner:
         if entry.engine is None:
             try:
                 entry.engine = BatchEngine(
-                    self._kernel_for(entry.system),
-                    self.table_budget,
-                    backend=self.backend,
+                    self._kernel_for(entry.system), self.table_budget
                 )
             except ModelError as error:
                 entry.engine = error
@@ -395,7 +388,6 @@ class SweepRunner:
                     if isinstance(entry.engine, BatchEngine)
                     else None
                 ),
-                backend=self.backend,
             )
         return entry.runner
 
@@ -463,7 +455,7 @@ class SweepRunner:
                 if fused:
                     engine_obj = self._batch_engine_for(system)
                     assert isinstance(engine_obj, BatchEngine)
-                    block_results = self._run_fused(
+                    block_results, superstepped = self._run_fused(
                         engine_obj, fused, sink, keep_samples
                     )
                     rows = sum(spec.trials for _, spec in fused)
@@ -475,6 +467,7 @@ class SweepRunner:
                             group=group_key,
                             engine="fused",
                             fused_rows=rows,
+                            superstepped=superstepped,
                         )
 
         self.last_plan = [plan[index] for index in range(len(points))]
@@ -591,24 +584,15 @@ class SweepRunner:
         members: Sequence[tuple[int, SweepPointSpec]],
         sink: TrialSink | None = None,
         keep_samples: bool = True,
-    ) -> dict[int, MonteCarloResult]:
+    ) -> tuple[dict[int, MonteCarloResult], bool]:
         """Advance all member points in one lockstep code matrix.
 
-        Per-trial semantics match :meth:`BatchEngine.run` exactly —
-        legitimacy tested at time 0 and after every step, illegitimate
-        terminal rows retire as censored — with two generalizations:
-        a per-row *step budget* (rows retire censored when their own
-        point's ``max_steps`` is exhausted) and per-point dispatch of
-        legitimacy predicates and scheduler strategies over row slices
-        of the shared matrix.  Points carrying a
-        :class:`~repro.stabilization.faults.FaultPlan` additionally run
-        the fault timeline of :meth:`BatchEngine.run_with_fault` on
-        their row slices (pending faults block retirement, fixed-step
-        faults park terminal rows, availability/excursion bookkeeping
-        per observation); a fault-free sweep takes the exact pre-fault
-        instruction path, consuming an identical random stream.
+        Stacks the members' initial codes with per-row point ids and
+        budgets, groups them by legitimacy and sampler signature, and
+        hands everything to :meth:`BatchEngine.lockstep` — the same loop
+        a one-point :meth:`BatchEngine.run` takes.  Returns the
+        per-point results and whether the block was super-stepped.
         """
-        tables = engine.tables
         encoding = engine.encoding
         system = engine.kernel.system
         specs = [spec for _, spec in members]
@@ -631,7 +615,6 @@ class SweepRunner:
                     )
                 )
         codes = np.concatenate(blocks, axis=0)
-        total_rows = int(counts.sum())
         point = np.repeat(np.arange(len(specs)), counts)
         budget = np.repeat(
             np.array([spec.max_steps for spec in specs], dtype=np.int64),
@@ -675,168 +658,25 @@ class SweepRunner:
         ).numpy_generator()
 
         # Per-point fault plans, compiled against the shared encoding.
-        # ``step_of_point`` encodes each member's trigger: -2 no fault,
-        # -1 at-convergence, >= 0 fixed step.
         faults = [
             compile_fault(spec.fault, encoding, spec.trials)
             if spec.fault is not None
             else None
             for spec in specs
         ]
-        any_fault = any(fault is not None for fault in faults)
-        step_of_point = np.array(
-            [
-                -2
-                if fault is None
-                else (-1 if fault.at_convergence else fault.step)
-                for fault in faults
-            ],
-            dtype=np.int64,
+        outcome = engine.lockstep(
+            codes,
+            point,
+            budget,
+            legit_groups,
+            strategy_groups,
+            generator,
+            faults=(
+                faults
+                if any(fault is not None for fault in faults)
+                else None
+            ),
         )
-        offsets = np.cumsum(counts) - counts
-
-        times = np.zeros(total_rows, dtype=np.int64)
-        converged = np.zeros(total_rows, dtype=bool)
-        hit_terminal = np.zeros(total_rows, dtype=bool)
-        timed_out = np.zeros(total_rows, dtype=bool)
-        fault_times = np.full(total_rows, -1, dtype=np.int64)
-        legit_counts = np.zeros(total_rows, dtype=np.int64)
-        observations = np.zeros(total_rows, dtype=np.int64)
-        max_runs = np.zeros(total_rows, dtype=np.int64)
-        active = np.arange(total_rows)
-        # Aligned with ``active`` and compacted together with it.
-        pending = step_of_point[point] != -2
-        cur_run = np.zeros(total_rows, dtype=np.int64)
-
-        def retire(keep: np.ndarray) -> None:
-            nonlocal active, codes, point, budget, pending, cur_run
-            active = active[keep]
-            codes = codes[keep]
-            point = point[keep]
-            budget = budget[keep]
-            if any_fault:
-                pending = pending[keep]
-                cur_run = cur_run[keep]
-
-        def evaluate_legit(
-            codes_m: np.ndarray, enabled_m: np.ndarray, point_m: np.ndarray
-        ) -> np.ndarray:
-            # Homogeneous sweeps (one legitimacy/sampler signature — the
-            # Q1/Q2 shape) skip the row masking entirely: dispatch cost
-            # is only paid when points actually differ.
-            if len(legit_groups) == 1:
-                return legit_groups[0][0].evaluate(
-                    codes_m, enabled_m, engine
-                )
-            legit_m = np.zeros(len(point_m), dtype=bool)
-            for legitimacy, mask in legit_groups:
-                rows = mask[point_m]
-                if rows.any():
-                    legit_m[rows] = legitimacy.evaluate(
-                        codes_m[rows], enabled_m[rows], engine
-                    )
-            return legit_m
-
-        def choose(
-            enabled_m: np.ndarray, point_m: np.ndarray
-        ) -> np.ndarray:
-            if len(strategy_groups) == 1:
-                return strategy_groups[0][0].choose(enabled_m, generator)
-            movers_m = np.zeros_like(enabled_m)
-            for strategy, mask in strategy_groups:
-                rows = mask[point_m]
-                if rows.any():
-                    movers_m[rows] = strategy.choose(
-                        enabled_m[rows], generator
-                    )
-            return movers_m
-
-        step = 0
-        while active.size:
-            keys = tables.pack(codes)
-            enabled = tables.enabled(keys)
-            legit = evaluate_legit(codes, enabled, point)
-            if any_fault and pending.any():
-                spt = step_of_point[point]
-                fire = pending & ((spt == step) | ((spt == -1) & legit))
-                if fire.any():
-                    for member, fault in enumerate(faults):
-                        if fault is None:
-                            continue
-                        rows = np.flatnonzero(fire & (point == member))
-                        if not rows.size:
-                            continue
-                        trial_ids = active[rows] - offsets[member]
-                        fault.scatter(codes, rows, trial_ids)
-                        fault_times[active[rows]] = step
-                    pending[fire] = False
-                    # Re-derive the corrupted rows' state post-corruption.
-                    rows = np.flatnonzero(fire)
-                    keys[rows] = tables.pack(codes[rows])
-                    enabled[rows] = tables.enabled(keys[rows])
-                    legit[rows] = evaluate_legit(
-                        codes[rows], enabled[rows], point[rows]
-                    )
-            if any_fault:
-                observations[active] += 1
-                legit_counts[active] += legit
-                cur_run = np.where(legit, 0, cur_run + 1)
-                max_runs[active] = np.maximum(max_runs[active], cur_run)
-                done = legit & ~pending
-            else:
-                done = legit
-            if done.any():
-                retired = active[done]
-                times[retired] = step
-                converged[retired] = True
-                keep = ~done
-                retire(keep)
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            # Illegitimate terminal rows can never converge: censored,
-            # exactly as the scalar path and BatchEngine.run count them
-            # — unless a pending fixed-step fault may re-enable them, in
-            # which case they idle in place (time still passes).
-            terminal = ~enabled.any(axis=1)
-            if any_fault:
-                frozen = terminal & pending & (step_of_point[point] >= 0)
-                retire_terminal = terminal & ~frozen
-            else:
-                frozen = None
-                retire_terminal = terminal
-            if retire_terminal.any():
-                hit_terminal[active[retire_terminal]] = True
-                keep = ~retire_terminal
-                retire(keep)
-                if frozen is not None:
-                    frozen = frozen[keep]
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            over = budget <= step
-            if over.any():
-                timed_out[active[over]] = True
-                keep = ~over
-                retire(keep)
-                if frozen is not None:
-                    frozen = frozen[keep]
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            if frozen is not None and frozen.any():
-                move = ~frozen
-                movers = choose(enabled[move], point[move])
-                codes[move] = tables.sample(
-                    codes[move], keys[move], movers, generator
-                )
-            else:
-                movers = choose(enabled, point)
-                codes = tables.sample(codes, keys, movers, generator)
-            step += 1
 
         results: dict[int, MonteCarloResult] = {}
         start = 0
@@ -845,43 +685,13 @@ class SweepRunner:
         ):
             rows = slice(start, start + count)
             start += count
-            if sink is not None:
-                sink(
-                    TrialOutcomes(
-                        point=index,
-                        label=spec.label,
-                        times=times[rows],
-                        converged=converged[rows],
-                        timed_out=timed_out[rows],
-                        hit_terminal=hit_terminal[rows],
-                        fault_times=(
-                            fault_times[rows] if fault is not None else None
-                        ),
-                    )
-                )
-            if fault is not None:
-                results[index] = fault_result_from_arrays(
-                    count,
-                    times[rows],
-                    converged[rows],
-                    hit_terminal[rows],
-                    timed_out[rows],
-                    fault_times[rows],
-                    legit_counts[rows],
-                    observations[rows],
-                    max_runs[rows],
-                    keep_samples,
-                )
-                continue
-            row_converged = converged[rows]
-            samples = [float(t) for t in times[rows][row_converged]]
-            results[index] = MonteCarloResult(
-                trials=count,
-                converged=len(samples),
-                censored=count - len(samples),
-                stats=summarize(samples) if samples else None,
-                round_stats=None,
-                samples=tuple(samples) if keep_samples else None,
-                timed_out=int(timed_out[rows].sum()),
+            results[index] = lockstep_point_result(
+                outcome,
+                rows,
+                fault is not None,
+                keep_samples,
+                sink,
+                index,
+                spec.label,
             )
-        return results
+        return results, outcome.superstepped

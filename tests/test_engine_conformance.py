@@ -13,10 +13,9 @@ every execution tier against its oracle:
   deterministic algorithm under the synchronous sampler consumes no
   randomness, so all engines see identical initial draws) must be
   *identical*, censored trials included.
-* **Step backends**: every available backend (numpy fast paths, the
-  optional numba JIT) against the reference per-step loop on every
-  cell, bit-for-bit — including the fault axis, which always takes the
-  reference path.
+* **One lockstep loop**: a one-point fused sweep against
+  ``BatchEngine.run`` / ``run_with_fault`` on every cell, with and
+  without a fault — bit-for-bit, final generator state included.
 * **Exact analysis**: compiled-vs-scalar chain building bit-equality
   and sharded-vs-sequential exploration bit-equality over the same
   registry systems.
@@ -41,14 +40,20 @@ from conformance_registry import (
     ks_bound,
     ks_statistic,
 )
-from repro.markov.backends import (
-    NumpyStepBackend,
-    available_backends,
-    get_step_backend,
+from repro.core.kernel import TransitionKernel
+from repro.markov import superstep
+from repro.markov.batch import (
+    BatchEngine,
+    batch_strategy_for,
+    compile_legitimacy,
+    encode_initials,
 )
 from repro.markov.builder import build_chain
-from repro.markov.montecarlo import random_configurations
-from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
+from repro.markov.montecarlo import (
+    fault_result_from_arrays,
+    random_configurations,
+)
+from repro.markov.sweep_engine import SweepPointSpec, SweepRunner, _fold_seeds
 from repro.random_source import RandomSource
 from repro.schedulers.distributions import (
     CentralRandomizedDistribution,
@@ -56,6 +61,7 @@ from repro.schedulers.distributions import (
     SynchronousDistribution,
 )
 from repro.schedulers.relations import CentralRelation, SynchronousRelation
+from repro.stabilization.faults import compile_fault
 from repro.stabilization.statespace import StateSpace
 
 pytestmark = pytest.mark.conformance
@@ -237,73 +243,125 @@ def test_fused_multi_seed_replications_match_scalar(
 
 
 # ----------------------------------------------------------------------
-# step-backend axis: every available backend on every matrix cell
+# one lockstep loop: a one-point fused run is the BatchEngine path
 # ----------------------------------------------------------------------
-BACKEND_AXIS = available_backends()
+def _assert_fused_is_batch_engine(
+    entry, system, sampler_key, seed, mode, monkeypatch, fault=None
+):
+    """Run one point through ``SweepRunner(engine="fused")`` and through
+    ``BatchEngine.run`` / ``run_with_fault`` with the same initial codes
+    and the same generator seed, both on the per-step body (a zero
+    super-step budget declines every plan), and demand bit-identical
+    outcome vectors *and* final generator state."""
+    monkeypatch.setattr(superstep, "SUPERSTEP_BUDGET", 0)
+    generators = []
+    numpy_generator = RandomSource.numpy_generator
 
+    def recording(source):
+        generator = numpy_generator(source)
+        generators.append(generator)
+        return generator
 
-def _run_backend(entry, system, sampler_key, backend, seed, mode, fault=None):
-    runner = SweepRunner(engine="batch", backend=backend)
-    (result,) = runner.run(
-        [_point(entry, system, sampler_key, seed, mode, fault)]
+    monkeypatch.setattr(RandomSource, "numpy_generator", recording)
+    spec = _point(entry, system, sampler_key, seed, mode, fault)
+    emitted = []
+    (fused_result,) = SweepRunner(engine="fused").run(
+        [spec], sink=emitted.append
     )
-    assert runner.last_plan[0].engine == "batch"
-    return result
+    (fused,) = emitted
+    (fused_generator,) = generators
+
+    engine = BatchEngine(TransitionKernel(system))
+    if spec.initial_configurations is not None:
+        codes = encode_initials(
+            engine.encoding, spec.initial_configurations, spec.trials
+        )
+    else:
+        codes = engine.encoding.encode_batch(
+            random_configurations(system, RandomSource(seed), spec.trials)
+        )
+    strategy = batch_strategy_for(spec.sampler)
+    legitimacy = compile_legitimacy(
+        spec.batch_legitimate
+        if spec.batch_legitimate is not None
+        else spec.legitimate
+    )
+    generator = RandomSource(_fold_seeds([seed])).numpy_generator()
+    if fault is None:
+        outcome = engine.run(
+            strategy, legitimacy, codes, spec.max_steps, generator
+        )
+        assert fused.fault_times is None
+    else:
+        outcome = engine.run_with_fault(
+            strategy,
+            legitimacy,
+            codes,
+            spec.max_steps,
+            generator,
+            compile_fault(fault, engine.encoding, spec.trials),
+        )
+        assert np.array_equal(fused.fault_times, outcome.fault_times)
+        assert fused_result == fault_result_from_arrays(
+            spec.trials,
+            outcome.times,
+            outcome.converged,
+            outcome.hit_terminal,
+            outcome.timed_out,
+            outcome.fault_times,
+            outcome.legit_counts,
+            outcome.observations,
+            outcome.max_runs,
+        )
+    assert np.array_equal(fused.times, outcome.times)
+    assert np.array_equal(fused.converged, outcome.converged)
+    assert np.array_equal(fused.hit_terminal, outcome.hit_terminal)
+    assert np.array_equal(fused.timed_out, outcome.timed_out)
+    assert (
+        fused_generator.bit_generator.state
+        == generator.bit_generator.state
+    )
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_AXIS)
 @pytest.mark.parametrize(
     "system_name,sampler_key,mode", MATRIX, ids=MATRIX_IDS
 )
-def test_step_backends_bit_equal_on_every_cell(
-    system_name, sampler_key, mode, backend_name
+def test_fused_equals_batch_engine(
+    system_name, sampler_key, mode, monkeypatch
 ):
-    """Every available step backend reproduces the reference per-step
-    loop on every matrix cell *bit-for-bit*: the numpy backend's fast
-    paths (block-drawn scheduler randomness, rank-space super-stepping)
-    and the optional numba JIT all consume the random stream exactly
-    like the reference loop, so even stochastic cells must be identical
-    — a far stronger bar than the KS equivalence used across engines."""
-    entry = conformance_entry(system_name)
-    system = conformance_system(system_name)
-    seed = 515
-    reference = NumpyStepBackend(block_draw=False, superstep=False)
-    base = _run_backend(entry, system, sampler_key, reference, seed, mode)
-    under = _run_backend(
-        entry, system, sampler_key, get_step_backend(backend_name), seed, mode
+    """The lockstep loop's contract, pinned on every matrix cell: a
+    one-point fused sweep and ``BatchEngine.run`` are the same run —
+    identical retirement vectors and an identical random stream, so
+    even stochastic cells must agree bit-for-bit."""
+    _assert_fused_is_batch_engine(
+        conformance_entry(system_name),
+        conformance_system(system_name),
+        sampler_key,
+        515,
+        mode,
+        monkeypatch,
     )
-    assert base == under
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_AXIS)
 @pytest.mark.parametrize(
     "system_name,sampler_key,mode", MATRIX, ids=MATRIX_IDS
 )
-def test_step_backends_bit_equal_under_fault(
-    system_name, sampler_key, mode, backend_name
+def test_fused_equals_batch_engine_under_fault(
+    system_name, sampler_key, mode, monkeypatch
 ):
-    """The fault axis under every backend: faulted runs always take the
-    reference per-step path, so every backend must produce identical
-    fault results — this pins the wiring (backend selection must not
-    perturb the fault timeline or its random stream)."""
-    entry = conformance_entry(system_name)
+    """The same contract on the fault axis: a one-point faulted fused
+    sweep and ``BatchEngine.run_with_fault`` agree on every vector of
+    the fault timeline and on the generator state."""
     system = conformance_system(system_name)
-    seed = 1583
-    fault = conformance_fault_plan(system, mode)
-    reference = NumpyStepBackend(block_draw=False, superstep=False)
-    base = _run_backend(
-        entry, system, sampler_key, reference, seed, mode, fault
-    )
-    under = _run_backend(
-        entry,
+    _assert_fused_is_batch_engine(
+        conformance_entry(system_name),
         system,
         sampler_key,
-        get_step_backend(backend_name),
-        seed,
+        1583,
         mode,
-        fault,
+        monkeypatch,
+        fault=conformance_fault_plan(system, mode),
     )
-    assert base == under
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Step-backend tier: registry contracts, fast-path bit-equality, and
-the wiring of ``backend=`` through engines, runners, and the CLI.
+"""Rank-space super-stepping inside the one lockstep loop.
 
-The cross-engine conformance matrix (``test_engine_conformance.py``)
-exercises every available backend on every cell; this module covers the
-machinery itself: registry errors, availability fallback, the buffered
-draw shim's stream preservation (results *and* final generator state),
-rank-space super-stepping engagement/abort/budget-fallback, per-phase
-profiling counters, and the parameter plumbing.
+:meth:`repro.markov.batch.BatchEngine.lockstep` decides at its entry
+whether a run takes rank-space super-stepping or the per-step body.
+This module pins that decision (engagement, decline on stochastic
+choices, decoding predicates and over-budget closures), the exactness
+of super-stepped outcome vectors against the per-step body — forced by
+setting :data:`repro.markov.superstep.SUPERSTEP_BUDGET` to 0 — on
+one-point runs and on fused sweeps with per-row budgets, and the
+per-phase profiling counters.  The cross-engine conformance matrix
+(``test_engine_conformance.py``) pins the per-step body itself.
 """
 
 from __future__ import annotations
@@ -21,24 +23,10 @@ from conformance_registry import (
 )
 from repro.core.encoding import expansion_context
 from repro.core.kernel import TransitionKernel
-from repro.errors import MarkovError, ModelError
-from repro.markov.backends import (
-    DEFAULT_SUPERSTEP_BUDGET,
-    PROFILE_PHASES,
-    STEP_BACKENDS,
-    NumbaStepBackend,
-    NumpyStepBackend,
-    StepBackend,
-    _numba_installed,
-    available_backends,
-    backend_names,
-    default_backend,
-    get_step_backend,
-    register_step_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.errors import ModelError
+from repro.markov import superstep
 from repro.markov.batch import (
+    PROFILE_PHASES,
     BatchEngine,
     EnabledCountLegitimacy,
     batch_strategy_for,
@@ -47,23 +35,26 @@ from repro.markov.batch import (
 )
 from repro.markov.montecarlo import (
     MonteCarloRunner,
+    estimate_stabilization_time,
     random_configurations,
 )
 from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
 from repro.random_source import RandomSource
 
-NUMBA_PRESENT = _numba_installed()
-
-REFERENCE = NumpyStepBackend(block_draw=False, superstep=False)
-
 
 # ----------------------------------------------------------------------
-# shared run helper
+# shared run helpers
 # ----------------------------------------------------------------------
+def _per_step(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with super-stepping declined."""
+    with monkeypatch.context() as patch:
+        patch.setattr(superstep, "SUPERSTEP_BUDGET", 0)
+        return run(*args, **kwargs)
+
+
 def _batch_run(
     system_name,
     sampler_key,
-    backend,
     seed=2024,
     trials=300,
     max_steps=400,
@@ -72,11 +63,11 @@ def _batch_run(
 ):
     """One BatchEngine.run on a registry system; returns (result, state).
 
-    The returned generator-state string lets tests assert that a fast
-    path leaves the random stream exactly where the reference loop
-    would (block draw) or untouched relative to its own replay
-    (superstep consumes no draws at all, which is fine — deterministic
-    runs never read them).
+    The returned generator-state string lets tests assert that the
+    per-step body leaves the random stream where the reference does.
+    A super-stepped run draws nothing at all, while the per-step body
+    draws every step even on deterministic tables, so the two states
+    differ by design and only results are compared across paths.
     """
     entry = conformance_entry(system_name)
     system = conformance_system(system_name)
@@ -95,9 +86,7 @@ def _batch_run(
         )
     codes = encode_initials(engine.encoding, initials, trials)
     generator = RandomSource(seed).numpy_generator()
-    result = engine.run(
-        strategy, legitimacy, codes, max_steps, generator, backend=backend
-    )
+    result = engine.run(strategy, legitimacy, codes, max_steps, generator)
     return result, str(generator.bit_generator.state)
 
 
@@ -105,111 +94,18 @@ def _assert_same_outcome(reference, candidate):
     assert np.array_equal(reference.times, candidate.times)
     assert np.array_equal(reference.converged, candidate.converged)
     assert np.array_equal(reference.hit_terminal, candidate.hit_terminal)
+    assert np.array_equal(reference.timed_out, candidate.timed_out)
 
 
-# ----------------------------------------------------------------------
-# registry contracts
-# ----------------------------------------------------------------------
-def test_builtin_backends_registered():
-    assert "numpy" in backend_names()
-    assert "numba" in backend_names()
-    assert "numpy" in available_backends()
-
-
-def test_unknown_backend_name_raises():
-    with pytest.raises(MarkovError, match="unknown step backend"):
-        get_step_backend("cuda")
-    with pytest.raises(MarkovError, match="unknown step backend"):
-        resolve_backend("cuda")
-
-
-def test_duplicate_registration_raises():
-    name = "test-shadow-backend"
-    register_step_backend(name, NumpyStepBackend)
-    try:
-        with pytest.raises(MarkovError, match="already registered"):
-            register_step_backend(name, NumpyStepBackend)
-        # Explicit replacement is allowed.
-        register_step_backend(name, NumpyStepBackend, replace=True)
-    finally:
-        del STEP_BACKENDS[name]
-
-
-def test_auto_is_reserved():
-    with pytest.raises(MarkovError, match="reserved"):
-        register_step_backend("auto", NumpyStepBackend)
-
-
-def test_resolve_accepts_instances_and_default():
-    backend = NumpyStepBackend(superstep=False)
-    assert resolve_backend(backend) is backend
-    assert default_backend() == "auto"
-    assert isinstance(resolve_backend(None), StepBackend)
-    assert isinstance(resolve_backend("auto"), StepBackend)
-
-
-def test_set_default_backend_validates_and_restores():
-    assert default_backend() == "auto"
-    try:
-        assert set_default_backend("numpy") == "numpy"
-        assert resolve_backend(None).name == "numpy"
-        with pytest.raises(MarkovError, match="unknown step backend"):
-            set_default_backend("cuda")
-        with pytest.raises(MarkovError, match="backend spec"):
-            set_default_backend(42)
-    finally:
-        set_default_backend("auto")
-    assert default_backend() == "auto"
-
-
-@pytest.mark.skipif(
-    NUMBA_PRESENT, reason="numba installed; absence fallback not testable"
-)
-def test_numba_absent_fallback():
-    """Without numba: auto-detection resolves to numpy, the registered
-    numba backend reports unavailable, and requesting it by name is a
-    clear error rather than an import crash."""
-    assert "numba" not in available_backends()
-    assert resolve_backend("auto").name == "numpy"
-    assert set_default_backend("auto") == "numpy"
-    with pytest.raises(MarkovError, match="not available"):
-        get_step_backend("numba")
-    with pytest.raises(MarkovError, match="not available"):
-        set_default_backend("numba")
-
-
-# ----------------------------------------------------------------------
-# block-drawn randomness: stream preservation
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "system_name,sampler_key",
-    [
-        ("token-ring5", "central"),
-        ("herman-ring5", "synchronous"),
-        ("herman-ring5", "central"),
-        ("israeli-jalfon-ring6", "central"),
-    ],
-)
-def test_block_draw_preserves_results_and_stream(system_name, sampler_key):
-    """Pre-drawing k steps of randomness in one Generator call must be
-    invisible: identical retirement vectors *and* identical final
-    generator state (the end-of-block rewind discards exactly the
-    consumed prefix)."""
-    reference, ref_state = _batch_run(system_name, sampler_key, REFERENCE)
-    block = NumpyStepBackend(block_draw=True, superstep=False)
-    candidate, state = _batch_run(system_name, sampler_key, block)
-    _assert_same_outcome(reference, candidate)
-    assert state == ref_state
-
-
-def test_rejection_samplers_fall_back_to_per_step_draws():
+def test_rejection_samplers_fall_back_to_per_step_draws(monkeypatch):
     """The independent-coin strategies redraw a data-dependent number of
-    uniforms, so they cannot be block-drawn; the backend must keep the
-    sequential path (identical stream) rather than corrupt it."""
-    reference, ref_state = _batch_run("token-ring5", "distributed", REFERENCE)
-    candidate, state = _batch_run(
-        "token-ring5", "distributed", NumpyStepBackend(superstep=False)
+    uniforms and are never deterministic, so they always take the
+    per-step body — results and generator state match the reference."""
+    reference, ref_state = _per_step(
+        monkeypatch, _batch_run, "token-ring5", "distributed"
     )
+    candidate, state = _batch_run("token-ring5", "distributed")
+    assert not candidate.superstepped
     _assert_same_outcome(reference, candidate)
     assert state == ref_state
 
@@ -217,58 +113,61 @@ def test_rejection_samplers_fall_back_to_per_step_draws():
 # ----------------------------------------------------------------------
 # rank-space super-stepping
 # ----------------------------------------------------------------------
-def test_superstep_engages_and_is_bit_identical():
+def test_superstep_engages_and_is_bit_identical(monkeypatch):
     """Deterministic synchronous cells take the rank-space path and the
-    recorded first-hit times must match the per-step loop exactly (the
+    recorded first-hit times must match the per-step body exactly (the
     binary-lifting descent bisects within the last jump)."""
-    backend = NumpyStepBackend()
-    candidate, _ = _batch_run("coloring-ring5", "synchronous", backend)
-    assert backend.last_superstep
-    reference, _ = _batch_run("coloring-ring5", "synchronous", REFERENCE)
+    candidate, _ = _batch_run("coloring-ring5", "synchronous")
+    assert candidate.superstepped
+    reference, _ = _per_step(
+        monkeypatch, _batch_run, "coloring-ring5", "synchronous"
+    )
+    assert not reference.superstepped
     _assert_same_outcome(reference, candidate)
     assert candidate.converged.any()  # nontrivial first-hit recovery
 
 
-def test_superstep_handles_livelock_timeouts():
+def test_superstep_handles_livelock_timeouts(monkeypatch):
     """Synchronous token circulation livelocks (the paper's Theorem 1
     setting): every trial must drain its budget and time out with the
-    same default vectors as the reference loop."""
-    backend = NumpyStepBackend()
-    candidate, _ = _batch_run(
-        "token-ring5", "synchronous", backend, max_steps=123
-    )
-    assert backend.last_superstep
-    reference, _ = _batch_run(
-        "token-ring5", "synchronous", REFERENCE, max_steps=123
+    same vectors as the per-step body."""
+    candidate, _ = _batch_run("token-ring5", "synchronous", max_steps=123)
+    assert candidate.superstepped
+    reference, _ = _per_step(
+        monkeypatch, _batch_run, "token-ring5", "synchronous", max_steps=123
     )
     _assert_same_outcome(reference, candidate)
     assert not candidate.converged.all()
+    assert candidate.timed_out.any()
 
 
-def test_superstep_over_budget_falls_back_to_plain_loop():
+def test_superstep_over_budget_falls_back_to_plain_loop(monkeypatch):
     """A state budget smaller than the reachable closure must abort the
-    plan and take the per-step path, with identical results."""
-    tiny = NumpyStepBackend(superstep=True, superstep_budget=3)
-    candidate, _ = _batch_run("coloring-ring5", "synchronous", tiny)
-    assert not tiny.last_superstep
-    reference, _ = _batch_run("coloring-ring5", "synchronous", REFERENCE)
+    plan and take the per-step body, with identical results."""
+    assert superstep.SUPERSTEP_BUDGET > 3
+    monkeypatch.setattr(superstep, "SUPERSTEP_BUDGET", 3)
+    candidate, _ = _batch_run("coloring-ring5", "synchronous")
+    assert not candidate.superstepped
+    reference, _ = _per_step(
+        monkeypatch, _batch_run, "coloring-ring5", "synchronous"
+    )
     _assert_same_outcome(reference, candidate)
-    assert DEFAULT_SUPERSTEP_BUDGET > 3
 
 
-def test_superstep_aborts_on_central_choice():
+def test_superstep_aborts_on_central_choice(monkeypatch):
     """The central daemon on a multi-enabled start has a real scheduling
     choice, so the deterministic plan must abort during exploration and
-    the stochastic per-step path must run (stream-exactly)."""
-    backend = NumpyStepBackend()
-    reference, ref_state = _batch_run("token-ring5", "central", REFERENCE)
-    candidate, state = _batch_run("token-ring5", "central", backend)
-    assert not backend.last_superstep
+    the stochastic per-step body must run (stream-exactly)."""
+    reference, ref_state = _per_step(
+        monkeypatch, _batch_run, "token-ring5", "central"
+    )
+    candidate, state = _batch_run("token-ring5", "central")
+    assert not candidate.superstepped
     _assert_same_outcome(reference, candidate)
     assert state == ref_state
 
 
-def test_superstep_central_single_enabled_run():
+def test_superstep_central_single_enabled_run(monkeypatch):
     """A single-token ring under the central daemon is deterministic
     (exactly one enabled process at every reachable state), so the
     central eligibility check passes and the rank-space path runs."""
@@ -279,12 +178,7 @@ def test_superstep_central_single_enabled_run():
     # legitimacy count keeps every trial alive so the run exercises the
     # jump ladder and the timeout drain rather than retiring at t=0.
     legitimacy = EnabledCountLegitimacy(system.num_processes + 1)
-    initials = [
-        config
-        for config in random_configurations(
-            system, RandomSource(7), 200
-        )
-    ]
+    initials = random_configurations(system, RandomSource(7), 200)
     context = expansion_context(engine.tables)
     single = [
         config
@@ -296,31 +190,22 @@ def test_superstep_central_single_enabled_run():
     ]
     assert single, "expected at least one single-enabled configuration"
     codes = encode_initials(engine.encoding, single[:4], 50)
-    backend = NumpyStepBackend()
-    result = engine.run(
-        strategy,
-        legitimacy,
-        codes,
-        60,
-        RandomSource(5).numpy_generator(),
-        backend=backend,
-    )
-    assert backend.last_superstep
-    reference_result = engine.run(
-        strategy,
-        legitimacy,
-        codes,
-        60,
-        RandomSource(5).numpy_generator(),
-        backend=REFERENCE,
-    )
-    _assert_same_outcome(reference_result, result)
+
+    def run():
+        return engine.run(
+            strategy, legitimacy, codes, 60, RandomSource(5).numpy_generator()
+        )
+
+    result = run()
+    assert result.superstepped
+    _assert_same_outcome(_per_step(monkeypatch, run), result)
+    assert result.timed_out.all()
     assert context.deterministic
 
 
-def test_superstep_skipped_for_decoding_legitimacy():
+def test_superstep_skipped_for_decoding_legitimacy(monkeypatch):
     """Decoding predicates would have to run per interned state, so the
-    plan must decline and the per-step path must evaluate them."""
+    plan must decline and the per-step body must evaluate them."""
     system = conformance_system("coloring-ring5")
     entry = conformance_entry("coloring-ring5")
     engine = BatchEngine(TransitionKernel(system))
@@ -328,25 +213,15 @@ def test_superstep_skipped_for_decoding_legitimacy():
     legitimacy = compile_legitimacy(entry.legitimate(system))  # decoding
     initials = random_configurations(system, RandomSource(11), 16)
     codes = encode_initials(engine.encoding, initials, 100)
-    backend = NumpyStepBackend()
-    result = engine.run(
-        strategy,
-        legitimacy,
-        codes,
-        200,
-        RandomSource(3).numpy_generator(),
-        backend=backend,
-    )
-    assert not backend.last_superstep
-    reference_result = engine.run(
-        strategy,
-        legitimacy,
-        codes,
-        200,
-        RandomSource(3).numpy_generator(),
-        backend=REFERENCE,
-    )
-    _assert_same_outcome(reference_result, result)
+
+    def run():
+        return engine.run(
+            strategy, legitimacy, codes, 200, RandomSource(3).numpy_generator()
+        )
+
+    result = run()
+    assert not result.superstepped
+    _assert_same_outcome(_per_step(monkeypatch, run), result)
 
 
 def test_deterministic_successor_ranks_guards_stochastic_tables():
@@ -365,6 +240,62 @@ def test_expansion_context_memoized_on_tables():
     assert expansion_context(engine.tables) is expansion_context(
         engine.tables
     )
+
+
+# ----------------------------------------------------------------------
+# super-stepping fused sweeps
+# ----------------------------------------------------------------------
+def _coloring_point(max_steps, seed, sampler_key="synchronous"):
+    system = conformance_system("coloring-ring5")
+    entry = conformance_entry("coloring-ring5")
+    return SweepPointSpec(
+        system=system,
+        sampler=CONFORMANCE_SAMPLERS[sampler_key](),
+        legitimate=entry.legitimate(system),
+        trials=200,
+        max_steps=max_steps,
+        seed=seed,
+        batch_legitimate=entry.batch_legitimate,
+        label=f"coloring-{sampler_key}-{max_steps}",
+    )
+
+
+def _fused_run(points):
+    emitted = []
+    runner = SweepRunner(engine="fused")
+    results = runner.run(points, sink=emitted.append)
+    assert all(execution.engine == "fused" for execution in runner.last_plan)
+    return results, emitted, runner.last_plan
+
+
+def test_fused_sweep_supersteps_with_per_row_budgets(monkeypatch):
+    """Same-system deterministic points with budgets 1, 5, 50 and 400
+    fuse into one super-stepped block whose rows are bit-identical to
+    the per-step body, timeouts at each point's own budget included.
+    All points share one seed, hence one set of initial configurations,
+    and coloring converges within two steps, so the 1-step budget
+    censors rows that the larger budgets let converge."""
+    points = [_coloring_point(max_steps, 41) for max_steps in (1, 5, 50, 400)]
+    results, emitted, plan = _fused_run(points)
+    assert all(execution.superstepped for execution in plan)
+    reference, reference_emitted, reference_plan = _per_step(
+        monkeypatch, _fused_run, points
+    )
+    assert not any(execution.superstepped for execution in reference_plan)
+    assert results == reference
+    for candidate, expected in zip(emitted, reference_emitted):
+        _assert_same_outcome(expected, candidate)
+    assert emitted[0].converged.sum() < emitted[-1].converged.sum()
+
+
+def test_fused_sweep_with_stochastic_member_declines(monkeypatch):
+    """One stochastic sampler in the block gives two strategy groups, so
+    the whole block takes the per-step body."""
+    points = [_coloring_point(50, 51), _coloring_point(50, 52, "central")]
+    results, _, plan = _fused_run(points)
+    assert not any(execution.superstepped for execution in plan)
+    reference, _, _ = _per_step(monkeypatch, _fused_run, points)
+    assert results == reference
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +347,13 @@ def test_profile_counters_on_superstep_path():
 
 
 def test_unprofiled_run_has_no_profile():
-    result, _ = _batch_run("token-ring5", "central", None, trials=50)
+    result, _ = _batch_run("token-ring5", "central", trials=50)
     assert result.profile is None
 
 
-# ----------------------------------------------------------------------
-# wiring: engines, runners, sweep runner, CLI
-# ----------------------------------------------------------------------
 def test_batch_engine_run_rejects_unknown_backend():
+    """There is one lockstep loop and no step-backend option: passing
+    ``backend=`` is an error, not a silently ignored knob."""
     engine = BatchEngine(TransitionKernel(conformance_system("token-ring5")))
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["central"]())
     codes = encode_initials(
@@ -433,105 +363,33 @@ def test_batch_engine_run_rejects_unknown_backend():
         ),
         10,
     )
-    with pytest.raises(MarkovError, match="unknown step backend"):
+    with pytest.raises(TypeError, match="backend"):
         engine.run(
             strategy,
             compile_legitimacy(EnabledCountLegitimacy(1)),
             codes,
             10,
             RandomSource(1).numpy_generator(),
-            backend="cuda",
+            backend="numpy",
         )
 
 
-def test_montecarlo_runner_threads_backend():
+def test_unknown_backend_name_raises():
+    """No layer takes a step-backend option: the runners and
+    ``estimate_stabilization_time`` reject ``backend=`` outright."""
     system = conformance_system("token-ring5")
     entry = conformance_entry("token-ring5")
-    sampler = CONFORMANCE_SAMPLERS["central"]()
-    kwargs = dict(
-        legitimate=entry.legitimate(system),
-        trials=120,
-        max_steps=2000,
-        batch_legitimate=entry.batch_legitimate,
-    )
-    reference = MonteCarloRunner(
-        system, engine="batch", backend=REFERENCE
-    ).estimate(sampler, rng=RandomSource(77), **kwargs)
-    fast = MonteCarloRunner(system, engine="batch").estimate(
-        sampler, rng=RandomSource(77), **kwargs
-    )
-    per_call = MonteCarloRunner(system, engine="batch").estimate(
-        sampler, rng=RandomSource(77), backend="numpy", **kwargs
-    )
-    assert reference == fast == per_call
-
-
-def test_sweep_runner_threads_backend():
-    system = conformance_system("coloring-ring5")
-    entry = conformance_entry("coloring-ring5")
-    point = SweepPointSpec(
-        system=system,
-        sampler=CONFORMANCE_SAMPLERS["synchronous"](),
-        legitimate=entry.legitimate(system),
-        trials=150,
-        max_steps=200,
-        seed=31,
-        batch_legitimate=entry.batch_legitimate,
-        initial_configurations=tuple(
-            random_configurations(system, RandomSource(31), 150)
-        ),
-    )
-    (reference,) = SweepRunner(engine="batch", backend=REFERENCE).run(
-        [point]
-    )
-    (fast,) = SweepRunner(engine="batch").run([point])
-    assert reference == fast
-
-
-def test_cli_backend_flag_parses_and_sets_default():
-    from repro.experiments.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["run", "THM1", "--backend", "numpy"])
-    assert args.backend == "numpy"
-    args = parser.parse_args(["run-all"])
-    assert args.backend is None
-    try:
-        assert set_default_backend("numpy") == "numpy"
-        engine = BatchEngine(
-            TransitionKernel(conformance_system("token-ring5"))
+    with pytest.raises(TypeError, match="backend"):
+        MonteCarloRunner(system, backend="numpy")
+    with pytest.raises(TypeError, match="backend"):
+        SweepRunner(backend="numpy")
+    with pytest.raises(TypeError, match="backend"):
+        estimate_stabilization_time(
+            system,
+            CONFORMANCE_SAMPLERS["central"](),
+            entry.legitimate(system),
+            trials=1,
+            max_steps=1,
+            rng=RandomSource(1),
+            backend="numpy",
         )
-        assert resolve_backend(engine.backend).name == "numpy"
-    finally:
-        set_default_backend("auto")
-
-
-# ----------------------------------------------------------------------
-# optional numba backend (skips cleanly when absent)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not NUMBA_PRESENT, reason="numba not installed")
-@pytest.mark.parametrize(
-    "system_name,sampler_key",
-    [
-        ("token-ring5", "central"),
-        ("herman-ring5", "synchronous"),
-        ("herman-ring5", "central"),
-        ("israeli-jalfon-ring6", "central"),
-    ],
-)
-def test_numba_backend_bit_equal_with_stream(system_name, sampler_key):
-    """The JIT kernel consumes the same pre-drawn buffers in the same
-    layout, so results and the final generator state must both match
-    the reference loop exactly."""
-    reference, ref_state = _batch_run(system_name, sampler_key, REFERENCE)
-    numba_backend = get_step_backend("numba")
-    assert isinstance(numba_backend, NumbaStepBackend)
-    candidate, state = _batch_run(system_name, sampler_key, numba_backend)
-    _assert_same_outcome(reference, candidate)
-    assert state == ref_state
-
-
-@pytest.mark.skipif(not NUMBA_PRESENT, reason="numba not installed")
-def test_numba_backend_is_auto_selected():
-    assert "numba" in available_backends()
-    assert resolve_backend("auto").name == "numba"
