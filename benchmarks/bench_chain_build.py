@@ -58,7 +58,9 @@ def test_chain_build_lumped_ring6_bernoulli(benchmark):
 def test_chain_solve_ring6_hitting(benchmark):
     """Hitting solve alone on a fresh 4096-state chain per round (a fresh
     chain defeats the transient-LU cache, so the factorization cost is
-    measured, not amortized away)."""
+    measured, not amortized away).  The 4072-state transient block is
+    sparse, so the shared structure policy factors it with SuperLU in
+    its NATURAL order, and both solves check their residual."""
     system = make_token_ring_system(6)
     spec = TokenCirculationSpec()
 

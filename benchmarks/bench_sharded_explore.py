@@ -1,15 +1,18 @@
-"""Shard-scaling benchmarks for exhaustive state-space exploration.
+"""Exploration benchmarks: the compiled explorer against its oracle.
 
 One ring-N exploration point (Algorithm 1 on a 10-ring, central daemon:
-59049 configurations, 393660 edges) measured sequentially and sharded,
-so ``BENCH_kernel.json`` records the shard-scaling trajectory next to
-the other hot paths.  The sharded runs assert bit-for-bit equality with
-the sequential result — a benchmark that drifted semantically would be
-worthless.
+59049 configurations, 393660 edges) measured with the FIFO dict walk —
+the oracle and fallback — and with the compiled explorer in-process and
+sharded, so ``BENCH_kernel.json`` records both the compiled speedup and
+the shard-scaling trajectory next to the other hot paths.  A ring-6
+distributed-daemon point (4096 configurations, 113552 subset edges)
+measures the vectorized distributed layer.  Every compiled run asserts
+bit-for-bit equality with the dict walk — a benchmark that drifted
+semantically would be worthless.
 """
 
 from repro.algorithms.token_ring import make_token_ring_system
-from repro.schedulers.relations import CentralRelation
+from repro.schedulers.relations import CentralRelation, DistributedRelation
 from repro.stabilization.statespace import StateSpace
 
 RING_SIZE = 10
@@ -21,8 +24,20 @@ def _explore(system, shards):
     return StateSpace.explore(system, CentralRelation(), shards=shards)
 
 
+def test_explore_ring10_dict_walk(benchmark):
+    """The dict-walk oracle: the baseline the compiled explorer beats."""
+    system = make_token_ring_system(RING_SIZE)
+    space = benchmark.pedantic(
+        lambda: StateSpace._explore_walk(system, CentralRelation()),
+        rounds=3,
+        iterations=1,
+    )
+    assert space.num_configurations == EXPECTED_CONFIGURATIONS
+    assert space.num_edges == EXPECTED_EDGES
+
+
 def test_explore_ring10_shards1(benchmark):
-    """Sequential oracle: the baseline the speedup criterion divides by."""
+    """The compiled explorer in-process (the default)."""
     system = make_token_ring_system(RING_SIZE)
     space = benchmark.pedantic(
         lambda: _explore(system, 1), rounds=3, iterations=1
@@ -49,11 +64,24 @@ def test_explore_ring10_shards4(benchmark):
     assert space.num_edges == EXPECTED_EDGES
 
 
+def test_explore_ring6_distributed(benchmark):
+    """Distributed daemon: every non-empty enabled subset is an edge."""
+    system = make_token_ring_system(6)
+    space = benchmark.pedantic(
+        lambda: StateSpace.explore(system, DistributedRelation(), shards=1),
+        rounds=5,
+        iterations=1,
+    )
+    assert space.num_configurations == 4096
+    assert space.num_edges == 113552
+
+
 def test_explore_ring10_sharded_equals_oracle():
     """Not a timing: the equivalence guarantee on the benchmark point."""
     system = make_token_ring_system(RING_SIZE)
-    oracle = _explore(system, 1)
-    sharded = _explore(system, 4)
-    assert oracle.configurations == sharded.configurations
-    assert oracle.edges == sharded.edges
-    assert oracle.enabled == sharded.enabled
+    oracle = StateSpace._explore_walk(system, CentralRelation())
+    for shards in (1, 4):
+        compiled = _explore(system, shards)
+        assert oracle.configurations == compiled.configurations
+        assert oracle.edges == compiled.edges
+        assert oracle.enabled == compiled.enabled

@@ -32,15 +32,15 @@ lives in ``docs/architecture.md``):
   reproduces the scalar engines' sampling *distributions* — not their
   random streams — and ``engine="scalar"`` remains the per-trial
   equivalence oracle.
-* :mod:`repro.stabilization.sharding` stacks parallelism on the same
-  compiled tables: ``StateSpace.explore(shards=N | "auto")`` partitions
-  the exploration frontier across worker processes, each expanding its
-  slice in code space over the immutable
-  :class:`~repro.core.encoding.CompiledKernelTables`, and merges the
-  per-worker results back into the canonical id space.  Unlike the
-  batch tier's distribution-level equivalence, sharded exploration is
-  **bit-for-bit** identical to the sequential explorer for every shard
-  count — ``shards=1`` is the oracle.
+* :mod:`repro.stabilization.sharding` explores over the same compiled
+  tables: ``StateSpace.explore`` expands blocks of the frontier in code
+  space over the immutable
+  :class:`~repro.core.encoding.CompiledKernelTables`, in-process or,
+  with ``shards=N | "auto"``, across worker processes, and merges the
+  results into the canonical id space.  Unlike the batch tier's
+  distribution-level equivalence, compiled exploration is
+  **bit-for-bit** identical to the FIFO dict walk for every shard
+  count — the dict walk is the oracle.
 """
 
 from repro.core.actions import (

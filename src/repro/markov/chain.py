@@ -141,7 +141,7 @@ class MarkovChain:
         self._encoding: "StateEncoding | None" = None
         self._sparse: sparse.csr_matrix | None = None
         self._dense: np.ndarray | None = None
-        #: (solve-set key, kind, LU) memo owned by repro.markov.hitting.
+        #: (solve-set key, TransientFactor) memo owned by repro.markov.hitting.
         self._transient_lu: tuple | None = None
         self._check_arrays()
 

@@ -16,6 +16,12 @@ All three consume the chain's CSR arrays directly — the backward
 closure is a sparse-transpose BFS over ``(indices, indptr)``, and the
 transient-submatrix solves slice the cached scipy matrix with fancy
 indexing (:func:`_transient_solve`) — no per-state Python dict walking.
+
+Every transient solve in the package — these three and the parametric
+sweeps of :mod:`repro.markov.parametric` — goes through one policy,
+:class:`TransientFactor`: the factorization is chosen from the block's
+structure alone (:func:`dense_structure`), and every solve checks its
+normwise residual.
 """
 
 from __future__ import annotations
@@ -35,15 +41,77 @@ __all__ = [
     "expected_hitting_times",
     "HittingSummary",
     "hitting_summary",
+    "TransientFactor",
+    "dense_structure",
     "ABSORPTION_TOLERANCE",
+    "RESIDUAL_TOLERANCE",
 ]
 
 #: States with absorption probability below ``1 - ABSORPTION_TOLERANCE``
 #: are treated as having infinite expected hitting time.
 ABSORPTION_TOLERANCE = 1e-8
 
-#: Below this state count we solve densely with numpy; above, sparsely.
-_DENSE_LIMIT = 1500
+#: Transient blocks of at most this many states factor densely.
+DENSE_MAX_STATES = 128
+
+#: Larger blocks factor densely when ``nnz(Q) / m²`` exceeds this.
+DENSE_MIN_DENSITY = 0.05
+
+#: Largest normwise relative residual ``‖b − Ax‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)``
+#: a transient solve may return; measured residuals sit near 1e-15.
+RESIDUAL_TOLERANCE = 1e-10
+
+
+def dense_structure(m: int, nnz: int) -> bool:
+    """Whether an ``m × m`` transient block with ``nnz`` entries in ``Q``
+    factors densely (LAPACK LU) rather than sparsely (SuperLU).
+
+    The choice depends on structure only.  Small or dense blocks go
+    dense.  Everything else goes to SuperLU with the ``NATURAL`` column
+    order: chain states are BFS or enumeration ordered, so ``I − Q`` is
+    near banded already, and the fill-reducing orderings cost more than
+    they save — on the 4072-state ring-6 blocks ``MMD_AT_PLUS_A`` takes
+    about ten times longer with seven times the fill.
+    """
+    return m <= DENSE_MAX_STATES or nnz > DENSE_MIN_DENSITY * m * m
+
+
+class TransientFactor:
+    """One LU factorization of ``A = I − Q``, residual-checked per solve.
+
+    ``matrix`` is a dense array (factored by LAPACK) or a scipy CSC
+    matrix (factored by SuperLU, ``NATURAL`` order); callers pick the
+    form with :func:`dense_structure`.  :meth:`solve` raises
+    :class:`MarkovError` when the normwise residual exceeds
+    :data:`RESIDUAL_TOLERANCE`.
+    """
+
+    def __init__(self, matrix) -> None:
+        self.matrix = matrix
+        self.dense = isinstance(matrix, np.ndarray)
+        if self.dense:
+            self._lu = lu_factor(matrix)
+        else:
+            self._lu = splu(matrix, permc_spec="NATURAL")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A⁻¹ rhs``, after checking ``‖rhs − A x‖``."""
+        x = lu_solve(self._lu, rhs) if self.dense else self._lu.solve(rhs)
+        error = float(np.abs(rhs - self.matrix @ x).max())
+        rhs_norm = float(np.abs(rhs).max())
+        # The normwise denominator is at least ‖rhs‖∞, so a solve within
+        # tolerance of that passes without computing ‖A‖∞.
+        if not error <= RESIDUAL_TOLERANCE * rhs_norm:
+            matrix_norm = float(abs(self.matrix).sum(axis=1).max())
+            residual = error / (matrix_norm * np.abs(x).max() + rhs_norm)
+            if not residual <= RESIDUAL_TOLERANCE:
+                raise MarkovError(
+                    f"transient solve residual {residual:.3g} exceeds"
+                    f" {RESIDUAL_TOLERANCE:g}"
+                    f" ({'dense' if self.dense else 'sparse'} LU,"
+                    f" {len(rhs)} states)"
+                )
+        return x
 
 
 def _target_vector(chain: MarkovChain, target: np.ndarray) -> np.ndarray:
@@ -66,39 +134,32 @@ def _transient_solve(
     ``Q`` is the ``solve_ids × solve_ids`` submatrix of the transition
     matrix, sliced from the cached CSR export — the one assembly both
     :func:`absorption_probabilities` and :func:`expected_hitting_times`
-    share.  Dense below :data:`_DENSE_LIMIT` states (LAPACK LU), sparse
-    above (SuperLU with the minimum-degree ``A^T + A`` column ordering —
-    chain states are BFS/enumeration ordered, so the support is near
-    banded and COLAMD's fill-in is 5-10× worse here).  The factorization
-    is cached on the chain keyed by the solve set: absorption and
-    expected-time solves over the same transient block — every
-    probability-1 chain — factor once and back-substitute twice.
+    share.  The factorization is cached on the chain keyed by the solve
+    set: absorption and expected-time solves over the same transient
+    block — every probability-1 chain — factor once and back-substitute
+    twice.
     """
-    factor_kind, factor = _transient_factorization(chain, solve_ids)
-    if factor_kind == "dense":
-        return lu_solve(factor, rhs)
-    return factor.solve(rhs)
+    return _transient_factorization(chain, solve_ids).solve(rhs)
 
 
-def _transient_factorization(chain: MarkovChain, solve_ids: np.ndarray):
-    """Cached LU factorization of ``I - Q`` for one solve set."""
+def _transient_factorization(
+    chain: MarkovChain, solve_ids: np.ndarray
+) -> TransientFactor:
+    """Cached :class:`TransientFactor` of ``I - Q`` for one solve set."""
     key = solve_ids.tobytes()
     cached = chain._transient_lu
     if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
+        return cached[1]
     m = len(solve_ids)
     q = chain.sparse_matrix()[solve_ids][:, solve_ids]
-    if m <= _DENSE_LIMIT:
-        kind = "dense"
-        factor = lu_factor(np.eye(m) - q.toarray())
+    if dense_structure(m, q.nnz):
+        factor = TransientFactor(np.eye(m) - q.toarray())
     else:
-        kind = "sparse"
-        factor = splu(
-            (sparse.identity(m, format="csc") - q.tocsc()).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+        factor = TransientFactor(
+            (sparse.identity(m, format="csc") - q.tocsc()).tocsc()
         )
-    chain._transient_lu = (key, kind, factor)
-    return kind, factor
+    chain._transient_lu = (key, factor)
+    return factor
 
 
 def _backward_closure(

@@ -30,13 +30,14 @@ conformance-registry system).
 
 For parameter sweeps, :meth:`ParametricChain.expected_times` bypasses
 chain construction entirely: the transient block's sparsity pattern is
-also parameter-independent, so the hitting solver computes its
-fill-reducing (reverse Cuthill–McKee) ordering and the permuted CSC
-assembly plan **once** and reuses them for every point — per point only
-the numeric LU factorization runs (``permc_spec="NATURAL"``, the
-symbolic analysis having been paid up front).  Dense blocks below the
-:data:`~repro.markov.hitting._DENSE_LIMIT` threshold scatter into a
-preallocated ``I − Q`` and run one LAPACK factorization per point.
+also parameter-independent, so the hitting solver picks its
+factorization from that structure once
+(:func:`~repro.markov.hitting.dense_structure`, the policy every
+transient solve shares) and reuses the plan for every point.  Dense
+blocks scatter into a preallocated ``I − Q``; sparse blocks compute a
+reverse Cuthill–McKee ordering and the permuted CSC assembly plan once,
+so per point only the numeric factorization runs.  Each point is one
+residual-checked :class:`~repro.markov.hitting.TransientFactor`.
 ``benchmarks/bench_parametric_sweep.py`` measures the resulting speedup
 over rebuilding the chain per point on a 64-point bias grid.
 """
@@ -48,9 +49,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from repro.core.configuration import Configuration
 from repro.core.kernel import TransitionKernel
@@ -64,7 +63,7 @@ from repro.markov.builder import (
     _compile_chain_context,
 )
 from repro.markov.chain import MarkovChain, concat_ranges
-from repro.markov.hitting import _DENSE_LIMIT
+from repro.markov.hitting import TransientFactor, dense_structure
 from repro.schedulers.distributions import SchedulerDistribution
 
 __all__ = ["ParametricChain", "build_parametric_chain"]
@@ -278,15 +277,15 @@ class _HittingStructure:
         q_rows = position[row_of_entry[self.entry_sel]]
         q_cols = position[indices[self.entry_sel]]
 
-        self.dense = m <= _DENSE_LIMIT
+        self.dense = dense_structure(m, q_rows.shape[0])
         if self.dense:
             self.q_rows = q_rows
             self.q_cols = q_cols
             return
 
         # Sparse path: symmetric RCM on the |I − Q| pattern, computed
-        # once; per point SuperLU runs with permc_spec="NATURAL" on the
-        # pre-permuted matrix, skipping its own ordering phase.
+        # once; per point SuperLU factors the pre-permuted matrix in its
+        # NATURAL order, skipping an ordering phase of its own.
         pattern = sparse.csr_matrix(
             (
                 np.ones(q_rows.shape[0] + m),
@@ -341,7 +340,7 @@ class _HittingStructure:
             a = np.zeros((m, m), dtype=float)
             a[self.q_rows, self.q_cols] = -q_data
             a[np.arange(m), np.arange(m)] += 1.0
-            t = lu_solve(lu_factor(a), ones)
+            t = TransientFactor(a).solve(ones)
         else:
             values = np.concatenate([-q_data, ones])
             slot_data = np.zeros(self._num_slots, dtype=float)
@@ -352,8 +351,7 @@ class _HittingStructure:
                 (slot_data, self._csc_indices, self._csc_indptr),
                 shape=(m, m),
             )
-            factor = splu(matrix, permc_spec="NATURAL")
-            t = factor.solve(ones)[self._pos]
+            t = TransientFactor(matrix).solve(ones)[self._pos]
         times[self.transient_ids] = np.maximum(t, 0.0)
         return times
 

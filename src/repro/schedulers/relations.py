@@ -78,6 +78,11 @@ class DistributedRelation(SchedulerRelation):
     def __init__(self, max_enabled: int = 16) -> None:
         self._max_enabled = max_enabled
 
+    @property
+    def max_enabled(self) -> int:
+        """Largest enabled count :meth:`subsets` will enumerate."""
+        return self._max_enabled
+
     def subsets(self, enabled: Sequence[int]) -> Iterator[tuple[int, ...]]:
         k = len(enabled)
         if k > self._max_enabled:

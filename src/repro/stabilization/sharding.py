@@ -1,40 +1,40 @@
-"""Sharded parallel state-space exploration — the scale tier of explore.
+"""The compiled state-space explorer, in-process or sharded across workers.
 
-:meth:`repro.stabilization.statespace.StateSpace.explore` walks the
-transition digraph one configuration at a time, resolving guards through
-the memoized :class:`~repro.core.kernel.TransitionKernel`.  This module
-partitions that walk across ``multiprocessing`` workers:
+:meth:`repro.stabilization.statespace.StateSpace.explore` runs this
+explorer at every shard count.  It expands the transition digraph
+entirely in *code space* over the immutable
+:class:`~repro.core.encoding.CompiledKernelTables`: configurations are
+mixed-radix ranks over the :class:`~repro.core.encoding.StateEncoding`,
+enabledness is one gather per block, and a successor is integer
+arithmetic instead of tuple surgery plus dict interning.  Deterministic
+blocks (one applicable action with one outcome per enabled cell — the
+paper's Algorithms 1 and 2) under the central, synchronous and
+distributed daemons are whole-block array expressions; everything else
+replays the relation's subsets per source.
 
-* every worker receives the immutable
-  :class:`~repro.core.encoding.CompiledKernelTables` (read-only NumPy
-  storage, so shipping it is one cheap pickle — or free copy-on-write
-  under the ``fork`` start method) and expands its slice of the frontier
-  entirely in *code space*: configurations are mixed-radix ranks over the
-  :class:`~repro.core.encoding.StateEncoding`, enabledness is one gather
-  per slice, and a successor is integer arithmetic instead of tuple
-  surgery plus dict interning;
-* the master merges the per-worker results back into one canonical
-  :class:`~repro.stabilization.statespace.StateSpace` by replaying each
-  slice in frontier order, so interned ids, edge order, and enabled
-  tuples come out **bit-for-bit identical** to the sequential explorer
-  (``shards=1`` is the equivalence oracle — see
-  ``tests/test_sharded_explore.py``).
+The result is **bit-for-bit identical** to the FIFO dict walk
+(``StateSpace._explore_walk``, also reached through ``use_kernel=False``)
+— same interned ids, edge order and enabled tuples; the dict walk is the
+oracle of ``tests/test_sharded_explore.py`` and the fallback for systems
+the tables cannot represent (neighborhood space over the compilation
+budget, or more than :data:`MAX_SHARDABLE_PROCESSES` processes).
 
-Two partitioning modes cover the two exploration modes:
+Two modes cover the two exploration modes:
 
 * **full space** (``initial=None``): every configuration is a seed and
   its canonical id *is* its enumeration rank, so the id space needs no
-  merge at all — workers take contiguous rank ranges and the master
-  concatenates their edge lists;
+  merge at all — blocks (or workers) take contiguous rank ranges and the
+  master concatenates their edge lists;
 * **reachable fragment** (explicit ``initial``): a level-synchronous
-  parallel BFS; each level's frontier is split across workers, and the
-  master interns discovered ranks in (source order, edge order) — the
-  exact order the sequential FIFO explorer would have used.
+  BFS; the master interns discovered ranks in (source order, edge order)
+  — the exact order the FIFO dict walk would have used.
 
-Entry points: :func:`explore_sharded` (called by ``StateSpace.explore``
-when ``shards > 1``), :func:`resolve_shards`, and the process-wide
-default used by the ``--shards`` CLI flag
-(:func:`set_default_shards` / :func:`get_default_shards`).
+With ``shards > 1`` the blocks go to ``multiprocessing`` workers, each
+receiving the tables once (one cheap pickle, or free copy-on-write under
+the ``fork`` start method).  Entry points: :func:`explore_sharded`,
+:func:`resolve_shards`, and the process-wide default used by the
+``--shards`` CLI flag (:func:`set_default_shards` /
+:func:`get_default_shards`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.core.system import System
 from repro.errors import ModelError, StateSpaceError
 from repro.schedulers.relations import (
     CentralRelation,
+    DistributedRelation,
     SchedulerRelation,
     SynchronousRelation,
 )
@@ -79,13 +80,17 @@ __all__ = [
 ]
 
 #: Activation bitmasks travel as int64-friendly Python ints; beyond this
-#: many processes the sharded path defers to the sequential explorer
-#: (whose exploration budget such systems exceed anyway).
+#: many processes the compiled explorer defers to the dict walk (whose
+#: exploration budget such systems exceed anyway).
 MAX_SHARDABLE_PROCESSES = 62
 
 #: Frontiers smaller than this are expanded in-process: the pickle +
 #: scheduling overhead of a worker round-trip exceeds the work.
 MIN_FRONTIER_FOR_WORKERS = 256
+
+#: Sources per in-process block: bounds the per-block code and edge
+#: arrays on large full-space explorations.
+IN_PROCESS_BLOCK = 1 << 16
 
 #: Wall-clock budget (seconds) for one pool task batch.  A worker that
 #: dies mid-task (OOM kill, SIGKILL) loses its task, and a bare
@@ -100,8 +105,11 @@ _DEFAULT_SHARDS = 1
 
 #: Relations whose deterministic-block expansion is a pure array
 #: expression (exact types: a subclass may redefine ``subsets``).
-#: Order matters — index 0 is the central relation.
-_VECTOR_RELATIONS = (CentralRelation, SynchronousRelation)
+_VECTOR_RELATIONS = (
+    CentralRelation,
+    SynchronousRelation,
+    DistributedRelation,
+)
 
 
 def set_default_shards(shards: int | str) -> int:
@@ -180,12 +188,60 @@ _ChunkResult = tuple[
 ]
 
 
+def _distributed_edges(
+    relation: DistributedRelation,
+    enabled_counts: np.ndarray,
+    enabled_cols: np.ndarray,
+    rank_array: np.ndarray,
+    delta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-empty subset edge of a deterministic block at once.
+
+    Sources are grouped by enabled count ``k``; the ``2^k − 1`` subsets
+    of a group are the rows of one 0/1 ``indicator`` matrix in
+    :meth:`DistributedRelation.subsets` order (subset ``s`` holds the
+    ``i``-th enabled process iff bit ``i`` of ``s + 1`` is set), so a
+    group's targets are ``rank + delta[:, enabled] @ indicator.T`` and its
+    masks ``bits @ indicator.T``.  Distinct subsets have distinct masks
+    and one target each, so no dedup is needed.  Returns per-source edge
+    counts, flat masks and flat targets.
+    """
+    if enabled_counts.size and enabled_counts.max() > relation.max_enabled:
+        first = int(np.argmax(enabled_counts > relation.max_enabled))
+        # Same SchedulerError the dict walk gets from the relation.
+        next(relation.subsets(range(int(enabled_counts[first]))))
+    edge_counts = np.where(
+        enabled_counts > 0, (np.int64(1) << enabled_counts) - 1, 0
+    )
+    edge_starts = np.cumsum(edge_counts) - edge_counts
+    col_starts = np.cumsum(enabled_counts) - enabled_counts
+    total = int(edge_counts.sum())
+    masks = np.empty(total, dtype=np.int64)
+    targets = np.empty(total, dtype=np.int64)
+    for k in np.unique(enabled_counts[enabled_counts > 0]).tolist():
+        sources = np.flatnonzero(enabled_counts == k)
+        positions = np.arange(k, dtype=np.int64)
+        movers = enabled_cols[col_starts[sources, None] + positions]
+        indicator = (
+            np.arange(1, 1 << k, dtype=np.int64)[:, None] >> positions
+        ) & 1
+        slots = edge_starts[sources, None] + np.arange(
+            (1 << k) - 1, dtype=np.int64
+        )
+        targets[slots] = (
+            rank_array[sources, None]
+            + delta[sources[:, None], movers] @ indicator.T
+        )
+        masks[slots] = (np.int64(1) << movers) @ indicator.T
+    return edge_counts, masks, targets
+
+
 def _expand_block(
     context: _ShardContext, codes: np.ndarray, ranks: Sequence[int]
 ) -> _ChunkResult:
     """Expand one slice of sources entirely in code space.
 
-    Reproduces the sequential explorer's per-source behavior exactly —
+    Reproduces the dict walk's per-source behavior exactly —
     same ``enabled`` tuples (sorted process ids), same subset enumeration
     through ``relation.subsets``, same branch order as
     :func:`repro.core.system.compose_weighted_targets`, and the same
@@ -194,9 +250,9 @@ def _expand_block(
     is one vectorized gather for the whole slice.
 
     Deterministic blocks (every enabled cell has one applicable action
-    with one outcome — the paper's Algorithms 1 and 2) under the central
-    or synchronous relation skip the per-source loop entirely: edges are
-    emitted as whole-block array expressions.
+    with one outcome — the paper's Algorithms 1 and 2) under the central,
+    synchronous or distributed relation skip the per-source loop
+    entirely: edges are emitted as whole-block array expressions.
     """
     tables = context.tables
     keys = tables.pack(codes)
@@ -211,7 +267,7 @@ def _expand_block(
     first_only = context.action_mode == "first"
 
     # ------------------------------------------------------------------
-    # vectorized layer: deterministic cells, central/synchronous relation
+    # vectorized layer: deterministic cells, central/synchronous/distributed
     # ------------------------------------------------------------------
     if context.int64_safe and type(relation) in _VECTOR_RELATIONS:
         candidate = enabled_matrix & (
@@ -230,7 +286,7 @@ def _expand_block(
                 * context.weights_row,
                 0,
             )
-            if type(relation) is _VECTOR_RELATIONS[0]:  # central
+            if type(relation) is CentralRelation:
                 source_idx, movers = np.nonzero(enabled_matrix)
                 masks = np.int64(1) << movers
                 targets = rank_array[source_idx] + delta[source_idx, movers]
@@ -240,6 +296,15 @@ def _expand_block(
                     enabled_counts,
                     masks,
                     targets,
+                )
+            if type(relation) is DistributedRelation:
+                return (
+                    enabled_counts,
+                    enabled_cols,
+                    *_distributed_edges(
+                        relation, enabled_counts, enabled_cols, rank_array,
+                        delta,
+                    ),
                 )
             # synchronous: one edge per non-terminal source, all movers.
             bits = np.int64(1) << np.arange(
@@ -527,7 +592,7 @@ class _SupervisedPool:
 
 
 # ----------------------------------------------------------------------
-# the sharded explorer
+# the compiled explorer
 # ----------------------------------------------------------------------
 def explore_sharded(
     system: System,
@@ -538,37 +603,32 @@ def explore_sharded(
     kernel: TransitionKernel | None,
     shards: int,
 ) -> "StateSpace":
-    """Sharded equivalent of ``StateSpace.explore`` (see module docs).
+    """The compiled ``StateSpace.explore`` (see module docs).
 
-    Falls back to the sequential explorer when the system cannot take the
-    compiled-table fast path (neighborhood space over the compilation
-    budget, or more than :data:`MAX_SHARDABLE_PROCESSES` processes) — the
-    result is identical either way, sharding is purely an execution
-    strategy.
+    ``shards == 1`` expands in-process; ``shards > 1`` adds a worker
+    pool.  Falls back to the dict walk when the system cannot take the
+    compiled tables (neighborhood space over the compilation budget, or
+    more than :data:`MAX_SHARDABLE_PROCESSES` processes) — the result is
+    identical either way.
     """
     from repro.stabilization.statespace import StateSpace
 
     if action_mode not in ("all", "first"):
-        # Same rejection the sequential path gets from
-        # compose_weighted_targets — sharding must not relax validation.
+        # Same rejection the dict walk gets from compose_weighted_targets
+        # — the compiled path must not relax validation.
         raise ModelError(f"unknown action_mode {action_mode!r}")
+    seeds = None if initial is None else list(initial)
 
-    def sequential() -> "StateSpace":
-        return StateSpace.explore(
-            system,
-            relation,
-            initial=initial,
-            max_configurations=max_configurations,
-            action_mode=action_mode,
-            kernel=kernel,
-            shards=1,
+    def walk() -> "StateSpace":
+        return StateSpace._explore_walk(
+            system, relation, seeds, max_configurations, action_mode, kernel
         )
 
-    if shards <= 1 or system.num_processes > MAX_SHARDABLE_PROCESSES:
-        return sequential()
-    if initial is None and system.num_configurations() > max_configurations:
-        # Same immediate rejection the sequential path gives — don't pay
-        # for table compilation first.
+    if system.num_processes > MAX_SHARDABLE_PROCESSES:
+        return walk()
+    if seeds is None and system.num_configurations() > max_configurations:
+        # Same immediate rejection the dict walk gives — don't pay for
+        # table compilation first.
         raise StateSpaceError(
             f"configuration space has {system.num_configurations()} states,"
             f" budget is {max_configurations}"
@@ -578,18 +638,16 @@ def explore_sharded(
     try:
         tables = compile_tables(kernel)
     except ModelError:
-        # Neighborhood space over the compilation budget: the batch tier
-        # cannot represent this system; take the scalar path.
-        return sequential()
+        # Neighborhood space over the compilation budget: the tables
+        # cannot represent this system; take the dict walk.
+        return walk()
 
-    if initial is None:
-        return _explore_full(
-            system, relation, max_configurations, action_mode, tables, shards
-        )
+    if seeds is None:
+        return _explore_full(system, relation, action_mode, tables, shards)
     return _explore_frontier(
         system,
         relation,
-        list(initial),
+        seeds,
         max_configurations,
         action_mode,
         tables,
@@ -600,7 +658,6 @@ def explore_sharded(
 def _explore_full(
     system: System,
     relation: SchedulerRelation,
-    max_configurations: int,
     action_mode: str,
     tables: CompiledKernelTables,
     shards: int,
@@ -609,16 +666,8 @@ def _explore_full(
     from repro.stabilization.statespace import StateSpace
 
     space_size = system.num_configurations()
-    if space_size > max_configurations:
-        raise StateSpaceError(
-            f"configuration space has {space_size} states,"
-            f" budget is {max_configurations}"
-        )
-    if space_size < MIN_FRONTIER_FOR_WORKERS:
-        bounds = [(0, space_size)]
-    else:
+    if shards > 1 and space_size >= MIN_FRONTIER_FOR_WORKERS:
         bounds = _chunk_bounds(space_size, shards)
-    if len(bounds) > 1:
         # The fallback context is built only if the pool actually breaks.
         local: list[_ShardContext] = []
 
@@ -641,7 +690,12 @@ def _explore_full(
             pool.close()
     else:
         context = _ShardContext(tables, relation, action_mode)
-        results = [_expand_rank_range(bounds[0], context)]
+        results = (
+            _expand_rank_range(
+                (start, min(start + IN_PROCESS_BLOCK, space_size)), context
+            )
+            for start in range(0, space_size, IN_PROCESS_BLOCK)
+        )
 
     edges: list[list[tuple[int, int]]] = []
     enabled_lists: list[tuple[int, ...]] = []
@@ -678,9 +732,10 @@ def _append_chunk(
     target_list = targets.tolist() if isinstance(targets, np.ndarray) else targets
     if intern is not None:
         target_list = [intern(rank) for rank in target_list]
-    pairs = iter(zip(masks.tolist(), target_list))
+    pairs = list(zip(masks.tolist(), target_list))
+    stops = np.cumsum(edge_counts).tolist()
     edges.extend(
-        list(islice(pairs, count)) for count in edge_counts.tolist()
+        pairs[start:stop] for start, stop in zip([0, *stops], stops)
     )
 
 
@@ -697,7 +752,7 @@ def _explore_frontier(
 
     The master owns the rank → id interning; workers only expand.  Each
     level's results are replayed in (source order, edge order), which is
-    exactly the order the sequential FIFO explorer interns targets in, so
+    exactly the order the FIFO dict walk interns targets in, so
     the id space comes out identical.
     """
     from repro.stabilization.statespace import StateSpace
@@ -752,11 +807,12 @@ def _explore_frontier(
                 ]
                 results = pool.map(chunks)
             else:
-                results = [
-                    _expand_block(
-                        context, context.codes_of_ranks(frontier), frontier
+                results = (
+                    _expand_rank_list(
+                        frontier[start : start + IN_PROCESS_BLOCK], context
                     )
-                ]
+                    for start in range(0, len(frontier), IN_PROCESS_BLOCK)
+                )
             for result in results:
                 _append_chunk(result, enabled_lists, edges, intern=intern)
     finally:

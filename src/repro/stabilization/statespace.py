@@ -10,19 +10,20 @@ edge labelled with the *activation bitmask* of the processes that moved
 Edges follow possibility semantics: a probabilistic action contributes one
 edge per outcome in its support.
 
-Two execution strategies produce the same digraph (see
-``docs/architecture.md``):
+Two explorers produce the same digraph (see ``docs/architecture.md``):
 
-* the **sequential explorer** below — a FIFO walk that resolves guards
-  and outcomes through the neighborhood-memoized
-  :class:`~repro.core.kernel.TransitionKernel` (once per distinct local
-  neighborhood, not once per configuration; ``use_kernel=False`` restores
-  the reference :class:`~repro.core.system.System` path);
-* the **sharded explorer** (:mod:`repro.stabilization.sharding`,
-  ``shards > 1``) — the frontier is partitioned across worker processes
-  that expand their slices over the compiled NumPy kernel tables, and the
-  merge reproduces the sequential intern order bit-for-bit.  ``shards=1``
-  is the equivalence oracle.
+* the **compiled explorer** (:mod:`repro.stabilization.sharding`) — the
+  default at every shard count: configurations are mixed-radix ranks
+  over the compiled NumPy kernel tables, deterministic blocks under the
+  central, synchronous and distributed daemons expand as whole-block
+  array expressions, and ``shards > 1`` partitions the frontier across
+  worker processes;
+* the **dict walk** below — a FIFO walk that resolves guards and
+  outcomes through the neighborhood-memoized
+  :class:`~repro.core.kernel.TransitionKernel` (or the reference
+  :class:`~repro.core.system.System` with ``use_kernel=False``).  It is
+  the fallback for systems the compiled tables cannot represent and the
+  oracle the compiled explorer is tested against.
 """
 
 from __future__ import annotations
@@ -111,18 +112,18 @@ class StateSpace:
         configuration; pass ``kernel`` to reuse existing memo tables or
         ``use_kernel=False`` for the reference :class:`System` path.
 
-        ``shards`` selects the execution strategy: ``1`` runs the
-        sequential walk below; an int ``> 1`` partitions the frontier
-        across that many worker processes running the compiled-table fast
-        path (:func:`repro.stabilization.sharding.explore_sharded`);
-        ``"auto"`` sizes the pool from the available CPUs; ``None`` (the
-        default) uses the process-wide default — 1 unless raised via
+        ``shards`` selects how the compiled explorer
+        (:func:`repro.stabilization.sharding.explore_sharded`) runs:
+        ``1`` expands in-process; an int ``> 1`` partitions the frontier
+        across that many worker processes; ``"auto"`` sizes the pool from
+        the available CPUs; ``None`` (the default) uses the process-wide
+        default — 1 unless raised via
         :func:`repro.stabilization.sharding.set_default_shards` or the
         ``--shards`` CLI flag.  Every value yields an identical
         :class:`StateSpace` (same ids, edges, and enabled tuples);
-        systems that cannot take the compiled fast path fall back to the
-        sequential walk.  ``use_kernel=False`` forces the sequential
-        reference path regardless of ``shards``.
+        systems the compiled tables cannot represent fall back to the
+        dict walk.  ``use_kernel=False`` runs the dict walk over the
+        reference :class:`System` path regardless of ``shards``.
         """
         if use_kernel:
             from repro.stabilization.sharding import (
@@ -130,17 +131,38 @@ class StateSpace:
                 resolve_shards,
             )
 
-            num_shards = resolve_shards(shards)
-            if num_shards > 1:
-                return explore_sharded(
-                    system,
-                    relation,
-                    initial,
-                    max_configurations,
-                    action_mode,
-                    kernel,
-                    num_shards,
-                )
+            return explore_sharded(
+                system,
+                relation,
+                initial,
+                max_configurations,
+                action_mode,
+                kernel,
+                resolve_shards(shards),
+            )
+        return cls._explore_walk(
+            system, relation, initial, max_configurations, action_mode,
+            kernel, use_kernel=False,
+        )
+
+    @classmethod
+    def _explore_walk(
+        cls,
+        system: System,
+        relation: SchedulerRelation,
+        initial: Iterable[Configuration] | None = None,
+        max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
+        action_mode: str = "all",
+        kernel: TransitionKernel | None = None,
+        use_kernel: bool = True,
+    ) -> "StateSpace":
+        """The FIFO dict walk: the compiled explorer's fallback and oracle.
+
+        Interns configurations in discovery order and resolves each
+        source's guards once per local neighborhood (through ``kernel``,
+        or the reference :class:`System` with ``use_kernel=False``); every
+        subset step composes from those solo resolutions (atomic reads).
+        """
         if initial is None:
             space_size = system.num_configurations()
             if space_size > max_configurations:

@@ -14,6 +14,7 @@ from repro.algorithms.center_leader import (
     center_leader_leaders,
     make_center_leader_system,
 )
+from repro.core.kernel import TransitionKernel
 from repro.errors import TopologyError
 from repro.graphs.generators import (
     broom,
@@ -32,10 +33,24 @@ from repro.stabilization.statespace import StateSpace
 from repro.stabilization.witnesses import synchronous_lasso
 
 
+#: Above this many configurations, scan with the neighborhood-memoized
+#: kernel (bit-equal to ``System`` by ``test_kernel_equivalence``) rather
+#: than re-running every guard per configuration.
+KERNEL_SCAN_THRESHOLD = 100_000
+
+
 def _terminal_configurations(system, limit=None):
+    if system.num_configurations() > KERNEL_SCAN_THRESHOLD:
+        kernel = TransitionKernel(system)
+
+        def is_terminal(configuration):
+            return not kernel.resolved_actions(configuration)
+
+    else:
+        is_terminal = system.is_terminal
     found = []
     for configuration in system.all_configurations():
-        if system.is_terminal(configuration):
+        if is_terminal(configuration):
             found.append(configuration)
             if limit and len(found) >= limit:
                 break

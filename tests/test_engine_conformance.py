@@ -410,12 +410,15 @@ def test_sharded_exploration_bit_equal_to_sequential(
     system_name, relation_key, make_relation
 ):
     system = conformance_system(system_name)
-    sequential = StateSpace.explore(system, make_relation(), shards=1)
-    sharded = StateSpace.explore(system, make_relation(), shards=2)
-    assert sequential.configurations == sharded.configurations
-    assert sequential.index == sharded.index
-    assert sequential.edges == sharded.edges
-    assert sequential.enabled == sharded.enabled
+    # The dict walk is the oracle of both compiled strategies: in-process
+    # (shards=1) and the worker pool.
+    walk = StateSpace._explore_walk(system, make_relation())
+    for shards in (1, 2):
+        compiled = StateSpace.explore(system, make_relation(), shards=shards)
+        assert walk.configurations == compiled.configurations
+        assert walk.index == compiled.index
+        assert walk.edges == compiled.edges
+        assert walk.enabled == compiled.enabled
 
 
 def test_matrix_covers_required_axes():

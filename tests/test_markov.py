@@ -15,6 +15,7 @@ from repro.markov.builder import build_chain
 from repro.markov.chain import MarkovChain
 from repro.markov.hitting import (
     absorption_probabilities,
+    dense_structure,
     expected_hitting_times,
     hitting_summary,
 )
@@ -238,6 +239,46 @@ class TestHitting:
         times = expected_hitting_times(chain, target)
         assert math.isclose(times[0], 6.0)
         assert math.isclose(times[1], 4.0)
+
+    def test_solver_policy_follows_structure(self):
+        assert dense_structure(128, 0)
+        assert not dense_structure(1000, 10_000)
+        assert dense_structure(1000, 60_000)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_both_factorizations_agree(
+        self, ring5_system, monkeypatch, dense
+    ):
+        from repro.markov import hitting
+
+        chain = build_chain(ring5_system, CentralRandomizedDistribution())
+        target = chain.mark(TokenCirculationSpec().legitimate)
+        reference = expected_hitting_times(chain, target)
+        monkeypatch.setattr(hitting, "dense_structure", lambda m, nnz: dense)
+        chain._transient_lu = None
+        times = expected_hitting_times(chain, target)
+        assert chain._transient_lu[1].dense is dense
+        np.testing.assert_allclose(times, reference, rtol=1e-12)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_bad_factor_raises_residual_error(
+        self, ring5_system, monkeypatch, dense
+    ):
+        """A factorization of the wrong matrix must not return silently."""
+        from repro.markov import hitting
+
+        real_lu_factor, real_splu = hitting.lu_factor, hitting.splu
+        monkeypatch.setattr(hitting, "dense_structure", lambda m, nnz: dense)
+        monkeypatch.setattr(
+            hitting, "lu_factor", lambda a: real_lu_factor(2.0 * a)
+        )
+        monkeypatch.setattr(
+            hitting, "splu", lambda a, **kw: real_splu((2.0 * a).tocsc(), **kw)
+        )
+        chain = build_chain(ring5_system, CentralRandomizedDistribution())
+        target = chain.mark(TokenCirculationSpec().legitimate)
+        with pytest.raises(MarkovError, match="residual"):
+            absorption_probabilities(chain, target)
 
 
 class TestLumping:

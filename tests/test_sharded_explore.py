@@ -1,11 +1,12 @@
-"""Sharded exploration is bit-for-bit identical to the sequential oracle.
+"""The compiled explorer is bit-for-bit identical to the dict-walk oracle.
 
 The contract (see ``docs/architecture.md``): for every shard count,
-``StateSpace.explore`` must produce the *same* canonical state space —
-configurations, interned ids, edge lists (order included), enabled
-tuples — and therefore identical downstream verdicts, on every topology
-family the registry uses (rings, trees/chains, stars) and for
-deterministic as well as probabilistic systems.
+``StateSpace.explore`` must produce the *same* canonical state space as
+the FIFO dict walk (``StateSpace._explore_walk``) — configurations,
+interned ids, edge lists (order included), enabled tuples — and
+therefore identical downstream verdicts, on every topology family the
+registry uses (rings, trees/chains, stars) and for deterministic as well
+as probabilistic systems.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from repro.algorithms.token_ring import (
     make_token_ring_system,
 )
 from repro.algorithms.two_process import make_two_process_system
-from repro.errors import StateSpaceError
-from repro.graphs.generators import figure3_chain, star
+from repro.errors import SchedulerError, StateSpaceError
+from repro.graphs.generators import figure3_chain, path, star
 from repro.schedulers.relations import (
     CentralRelation,
     DistributedRelation,
@@ -45,7 +46,7 @@ def assert_identical(space_a: StateSpace, space_b: StateSpace) -> None:
 
 
 def explore_pair(system, relation, shards, **kwargs):
-    oracle = StateSpace.explore(system, relation, shards=1, **kwargs)
+    oracle = StateSpace._explore_walk(system, relation, **kwargs)
     sharded = StateSpace.explore(system, relation, shards=shards, **kwargs)
     return oracle, sharded
 
@@ -81,6 +82,96 @@ def test_sharded_identical_across_topologies(
     assert_identical(oracle, sharded)
 
 
+# ----------------------------------------------------------------------
+# the in-process compiled explorer (shards=1) and its distributed layer
+# ----------------------------------------------------------------------
+DISTRIBUTED_CASES = [
+    *(
+        pytest.param(lambda n=n: make_token_ring_system(n), id=f"ring{n}")
+        for n in range(3, 7)
+    ),
+    *(
+        pytest.param(
+            lambda n=n: make_leader_tree_system(path(n)), id=f"path{n}"
+        )
+        for n in (4, 5, 6)
+    ),
+    *(
+        pytest.param(
+            lambda n=n: make_leader_tree_system(star(n)), id=f"star{n}"
+        )
+        for n in (3, 4)
+    ),
+]
+
+
+@pytest.fixture
+def distributed_layer_calls(monkeypatch):
+    """Count calls into the vectorized distributed-daemon layer."""
+    from repro.stabilization import sharding
+
+    calls = []
+    original = sharding._distributed_edges
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(sharding, "_distributed_edges", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["full", "frontier"])
+@pytest.mark.parametrize("make_relation", RELATIONS)
+@pytest.mark.parametrize("make_system", DISTRIBUTED_CASES)
+def test_compiled_explorer_matches_dict_walk(
+    make_system, make_relation, mode, distributed_layer_calls
+):
+    """``shards=1`` runs the compiled explorer in-process; under the
+    distributed daemon deterministic blocks take the vectorized layer."""
+    system = make_system()
+    relation = make_relation()
+    initial = None if mode == "full" else [next(system.all_configurations())]
+    oracle = StateSpace._explore_walk(system, relation, initial)
+    compiled = StateSpace.explore(system, relation, initial, shards=1)
+    assert_identical(oracle, compiled)
+    assert bool(distributed_layer_calls) == (
+        type(relation) is DistributedRelation
+    )
+
+
+def test_distributed_layer_enforces_max_enabled():
+    """Too many enabled processes raise the dict walk's SchedulerError."""
+    system = make_token_ring_system(6)
+    relation = DistributedRelation(max_enabled=2)
+    with pytest.raises(SchedulerError) as walk_error:
+        StateSpace._explore_walk(system, relation)
+    with pytest.raises(SchedulerError) as compiled_error:
+        StateSpace.explore(system, relation, shards=1)
+    assert str(compiled_error.value) == str(walk_error.value)
+
+
+def test_distributed_subclass_takes_the_replay(distributed_layer_calls):
+    """A subclass may redefine ``subsets``, so only the exact type is
+    vectorized; subclasses replay their own enumeration."""
+
+    class SmallestFirst(DistributedRelation):
+        def subsets(self, enabled):
+            return iter(
+                sorted(super().subsets(enabled), key=lambda s: (len(s), s))
+            )
+
+    system = make_token_ring_system(5)
+    relation = SmallestFirst()
+    oracle = StateSpace._explore_walk(system, relation)
+    compiled = StateSpace.explore(system, relation, shards=1)
+    assert_identical(oracle, compiled)
+    assert distributed_layer_calls == []
+    assert compiled.edges != StateSpace.explore(
+        system, DistributedRelation(), shards=1
+    ).edges
+
+
 def test_sharded_identical_probabilistic_two_process():
     """Multi-outcome (probabilistic) actions take the scalar replay path."""
     system = make_two_process_system()
@@ -112,7 +203,7 @@ def test_sharded_identical_action_mode_first():
 
 
 def test_sharded_rejects_unknown_action_mode():
-    """Sharding must not relax the sequential path's validation."""
+    """The compiled explorer must not relax the dict walk's validation."""
     from repro.errors import ModelError
 
     with pytest.raises(ModelError):
@@ -130,9 +221,7 @@ def test_sharded_rejects_unknown_action_mode():
 def test_sharded_identical_restricted_initial():
     system = make_token_ring_system(6)
     seeds = [next(system.all_configurations())]
-    oracle = StateSpace.explore(
-        system, CentralRelation(), initial=seeds, shards=1
-    )
+    oracle = StateSpace._explore_walk(system, CentralRelation(), seeds)
     sharded = StateSpace.explore(
         system, CentralRelation(), initial=seeds, shards=4
     )
@@ -155,9 +244,7 @@ def test_sharded_restricted_worker_pool_path(monkeypatch):
     system = make_token_ring_system(6)
     seeds = [next(system.all_configurations())]
     for relation in (CentralRelation(), DistributedRelation()):
-        oracle = StateSpace.explore(
-            system, relation, initial=seeds, shards=1
-        )
+        oracle = StateSpace._explore_walk(system, relation, seeds)
         sharded = StateSpace.explore(
             system, relation, initial=seeds, shards=3
         )
@@ -248,7 +335,7 @@ def test_default_shards_round_trip():
 
 def test_shards_auto_explores():
     system = make_token_ring_system(5)
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
+    oracle = StateSpace._explore_walk(system, CentralRelation())
     auto = StateSpace.explore(system, CentralRelation(), shards="auto")
     assert_identical(oracle, auto)
 
@@ -259,7 +346,7 @@ def test_use_kernel_false_still_oracle():
     reference = StateSpace.explore(
         system, CentralRelation(), use_kernel=False, shards=4
     )
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
+    oracle = StateSpace._explore_walk(system, CentralRelation())
     assert_identical(reference, oracle)
 
 
@@ -347,7 +434,7 @@ def test_exploration_result_survives_broken_pool(monkeypatch):
 
     monkeypatch.setattr(sharding, "POOL_TASK_TIMEOUT", 0.0001)
     system = make_token_ring_system(9)  # 512 configs: takes the pool path
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
+    oracle = StateSpace._explore_walk(system, CentralRelation())
     with pytest.warns(RuntimeWarning) as record:
         survived = StateSpace.explore(system, CentralRelation(), shards=2)
     assert any(
