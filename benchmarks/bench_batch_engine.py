@@ -6,18 +6,28 @@ vs ``..._batch``: the same 1000-trial sweep point (Algorithm 1 on a
 kernel path and through the lockstep code-matrix engine.  The acceptance
 bar for PR 2 is a ≥ 5× mean speedup.  ``q1_preset_n40_batch`` proves a
 previously out-of-budget large-N experiment preset completes under the
-harness.
+harness.  ``trans_ring50_sync_1000trials_batch`` is a per-step coin-flip
+point (the transformed ring is never super-stepped), so it times the
+lockstep step itself: mover-only sampling and column-wise key packing.
 """
 
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
 )
+from repro.core.encoding import expansion_context
 from repro.experiments.q1 import run_q1
 from repro.markov.batch import EnabledCountLegitimacy
 from repro.markov.montecarlo import MonteCarloRunner
 from repro.random_source import RandomSource
-from repro.schedulers.samplers import DistributedRandomizedSampler
+from repro.schedulers.samplers import (
+    DistributedRandomizedSampler,
+    SynchronousSampler,
+)
+from repro.transformer.coin_toss import (
+    TransformedSpec,
+    make_transformed_system,
+)
 
 TRIALS = 1000
 MAX_STEPS = 50_000
@@ -66,3 +76,28 @@ def test_q1_preset_n40_batch(benchmark):
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.passed, result.render()
+
+
+def test_trans_ring50_sync_1000trials_batch(benchmark):
+    """Q1's Monte-Carlo shape at N = 50: the coin-toss transformed ring
+    under the synchronous sampler, 1000 trials through the per-step
+    lockstep body (tables compiled once, outside the timed rounds)."""
+    base = make_token_ring_system(50)
+    system = make_transformed_system(base)
+    spec = TransformedSpec(TokenCirculationSpec(), base)
+    runner = MonteCarloRunner(system, engine="batch")
+    # Coin flips: the tables are not deterministic, so no super-stepping.
+    assert not expansion_context(runner.batch_engine().tables).deterministic
+
+    def run():
+        return runner.estimate(
+            SynchronousSampler(),
+            lambda c: spec.legitimate(system, c),
+            trials=TRIALS,
+            max_steps=200_000,
+            rng=RandomSource(2026),
+            batch_legitimate=EnabledCountLegitimacy(1),
+        )
+
+    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    assert result.censored == 0

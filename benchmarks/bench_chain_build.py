@@ -1,9 +1,10 @@
-"""Micro-benchmarks of the compiled chain pipeline (PR 4).
+"""Micro-benchmarks of the compiled chain pipeline.
 
 Splits the `test_markov_solve_ring6` composite into its stages so the
 trajectory file shows where time goes: chain build (compiled wire format
-vs the scalar dict-walk oracle), the Bernoulli lumped chain (the
-compiled builder's scalar-replay layer), and the hitting solve alone
+vs the scalar dict-walk oracle), the coin-flip chains of the compiled
+builder's array layer (the Bernoulli lumped chain and the transformed
+ring under the distributed daemon), and the hitting solve alone
 (array-direct solvers + cached transient factorization).
 """
 
@@ -14,7 +15,11 @@ from repro.algorithms.token_ring import (
 from repro.markov.builder import build_chain
 from repro.markov.hitting import hitting_summary
 from repro.markov.lumping import lumped_synchronous_transformed_chain
-from repro.schedulers.distributions import CentralRandomizedDistribution
+from repro.schedulers.distributions import (
+    CentralRandomizedDistribution,
+    DistributedRandomizedDistribution,
+)
+from repro.transformer.coin_toss import make_transformed_system
 
 
 def test_chain_build_ring6_compiled(benchmark):
@@ -45,7 +50,7 @@ def test_chain_build_ring6_scalar(benchmark):
 
 def test_chain_build_lumped_ring6_bernoulli(benchmark):
     """Bernoulli(½) lumped chain on the 6-ring: the compiled builder's
-    order-exact scalar-replay layer (subset enumeration per row)."""
+    array layer with one subset plan per enabled count."""
     system = make_token_ring_system(6)
 
     def build():
@@ -53,6 +58,21 @@ def test_chain_build_lumped_ring6_bernoulli(benchmark):
 
     chain = benchmark.pedantic(build, rounds=3, iterations=1)
     assert chain.num_states == 4096
+
+
+def test_chain_build_trans_ring5_distributed(benchmark):
+    """The coin-toss transformed 5-ring under the distributed randomized
+    daemon: every move is a coin flip (two outcomes), expanded by the
+    array layer over all ``2^k − 1`` subsets."""
+    system = make_transformed_system(make_token_ring_system(5))
+
+    def build():
+        return build_chain(
+            system, DistributedRandomizedDistribution(), engine="compiled"
+        )
+
+    chain = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert chain.num_states == 1024
 
 
 def test_chain_solve_ring6_hitting(benchmark):

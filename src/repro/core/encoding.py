@@ -202,8 +202,8 @@ class CompiledKernelTables:
 
     * ``pack(codes)`` — neighbor gather + weighted sum → keys ``(T, N)``;
     * ``enabled_flat[keys]`` — enabled bit per (trial, process);
-    * ``sample(...)`` — action count / outcome rows per mover, inverse-CDF
-      outcome draw, post-state codes.
+    * ``sample(...)`` — two full-shape uniform draws, then, at the movers
+      only: action choice, inverse-CDF outcome, post-state codes.
 
     All arrays are immutable after :func:`compile_tables`; the only state
     is precomputed structure, so one compiled table serves any number of
@@ -305,9 +305,16 @@ class CompiledKernelTables:
     # gathers over code matrices
     # ------------------------------------------------------------------
     def pack(self, codes: np.ndarray) -> np.ndarray:
-        """Packed neighborhood keys of a ``(T, N)`` code matrix."""
-        gathered = codes[:, self.neighbor_index].astype(np.int64)
-        return (gathered * self.neighbor_weight).sum(axis=2) + self.key_offset
+        """Packed neighborhood keys of a ``(T, N)`` code matrix.
+
+        Summed one neighbor column at a time (padding columns carry
+        weight 0), so no ``(T, N, width)`` block is materialized.
+        """
+        index, weight = self.neighbor_index, self.neighbor_weight
+        keys = codes[:, index[:, 0]] * weight[:, 0] + self.key_offset
+        for column in range(1, index.shape[1]):
+            keys += codes[:, index[:, column]] * weight[:, column]
+        return keys
 
     def enabled(self, keys: np.ndarray) -> np.ndarray:
         """Boolean enabled matrix for packed keys."""
@@ -326,19 +333,29 @@ class CompiledKernelTables:
         :meth:`repro.core.kernel.TransitionKernel.sample_step` in
         distribution: a uniform choice among the neighborhood's enabled
         actions, then an inverse-CDF draw from that action's outcome
-        distribution.  Non-movers keep their codes; random draws are made
-        for the full matrix (independent uniforms, so masking is sound).
+        distribution.  ``movers`` must be a subset of the enabled cells.
+
+        The two uniform draws are made for the full ``keys`` shape, choice
+        first, so the generator stream depends only on the matrix shape;
+        everything after them — choice, outcome, post-state — is computed
+        only at the movers.  Non-movers keep their codes.
         """
-        counts = self.action_count[keys]
-        choice = (generator.random(keys.shape) * counts).astype(np.int64)
-        # Guard the half-open-interval edge and disabled (count 0) cells;
-        # the latter are masked out by ``movers`` below.
-        choice = np.clip(choice, 0, np.maximum(counts - 1, 0))
-        rows = self.action_base[keys] + choice
-        cum = self.outcome_cum[rows]
-        draws = generator.random(keys.shape)
-        outcome = (draws[..., None] >= cum).sum(axis=-1)
-        return np.where(movers, self.outcome_code[rows, outcome], codes)
+        choice_draws = generator.random(keys.shape)
+        outcome_draws = generator.random(keys.shape)
+        cells = np.flatnonzero(movers)
+        mover_keys = keys.reshape(-1)[cells]
+        counts = self.action_count[mover_keys]
+        # Guard the half-open-interval edge: u · count may round to count.
+        choice = (choice_draws.reshape(-1)[cells] * counts).astype(np.int64)
+        np.minimum(choice, counts - 1, out=choice)
+        rows = self.action_base[mover_keys] + choice
+        draws = outcome_draws.reshape(-1)[cells]
+        outcome = np.zeros(cells.shape[0], dtype=np.int64)
+        for column in range(self.outcome_cum.shape[1]):
+            outcome += draws >= self.outcome_cum[rows, column]
+        stepped = codes.copy()
+        stepped.reshape(-1)[cells] = self.outcome_code[rows, outcome]
+        return stepped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

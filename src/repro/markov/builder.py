@@ -19,13 +19,15 @@ chain, selected via ``engine=``:
   over the :class:`~repro.core.encoding.StateEncoding`; a block of rows
   is expanded over the :class:`~repro.core.encoding.CompiledKernelTables`
   as ``(edge count per source, target rank, probability)`` wire arrays.
-  Deterministic blocks under the central-randomized or synchronous
-  distribution are whole-block array expressions (enabled-count gather →
-  per-mover uniform weight); everything else (probabilistic outcomes,
-  distributed/Bernoulli daemons, custom distributions) takes an
-  order-exact scalar replay of the oracle's subset and branch
-  enumeration.  The wire triples are deduplicated/accumulated into the
-  CSR arrays :class:`~repro.markov.chain.MarkovChain` stores natively.
+  Under the four built-in distributions (central-randomized,
+  synchronous, distributed-randomized, Bernoulli) every block whose
+  enabled cells each have one action — deterministic or coin-flip
+  outcomes alike — is a whole-block array expression driven by one
+  subset plan per enabled count.  Multi-action cells, custom
+  distributions and subclasses take an order-exact scalar replay of
+  the oracle's subset and branch enumeration.  The wire triples are
+  deduplicated/accumulated into the CSR arrays
+  :class:`~repro.markov.chain.MarkovChain` stores natively.
 * ``"scalar"`` — the pre-existing dict-walk over the memoized
   :class:`~repro.core.kernel.TransitionKernel` (or the reference
   :class:`System` with ``use_kernel=False``): the bit-for-bit oracle the
@@ -34,9 +36,11 @@ chain, selected via ``engine=``:
   compilation budget, scalar otherwise; mirroring
   :class:`~repro.markov.montecarlo.MonteCarloRunner`'s engine knob.
 
-Either way the resulting chain has identical states in identical order,
-identical transition support, and row probabilities equal to ≤ 1e-12
-(bit-for-bit in the deterministic blocks).
+Every engine builds the identical chain: same states in the same order,
+same transition support, bit-identical row probabilities (the array
+layer multiplies each edge's factors in the replay's order, and
+``tests/test_chain_compiled.py`` pins both against each other with
+``np.array_equal``).
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
 from repro.markov.chain import MarkovChain
 from repro.schedulers.distributions import (
+    BernoulliDistribution,
     CentralRandomizedDistribution,
+    DistributedRandomizedDistribution,
     SchedulerDistribution,
     SynchronousDistribution,
 )
@@ -67,10 +73,15 @@ DEFAULT_MAX_STATES = 500_000
 #: Accepted ``engine`` values.
 CHAIN_ENGINES = ("auto", "compiled", "scalar")
 
-#: Distributions whose deterministic-block expansion is a pure array
-#: expression (exact types: a subclass may redefine ``weighted_subsets``).
-#: Index 0 is the central-randomized distribution.
-_VECTOR_DISTRIBUTIONS = (CentralRandomizedDistribution, SynchronousDistribution)
+#: Distributions whose weighted subsets depend only on positions in the
+#: sorted enabled tuple, so one plan per enabled count drives the array
+#: layer (exact types: a subclass may redefine ``weighted_subsets``).
+_POSITIONAL_DISTRIBUTIONS = (
+    CentralRandomizedDistribution,
+    SynchronousDistribution,
+    DistributedRandomizedDistribution,
+    BernoulliDistribution,
+)
 
 #: Sources are expanded in blocks of this many ranks so the gather
 #: working set stays cache-friendly and memory-bounded.
@@ -220,9 +231,9 @@ class _ChainContext(ExpansionContext):
 
     Extends the sharded explorer's :class:`ExpansionContext` (which
     already carries the per-action outcome codes *and* probabilities)
-    with a per-enabled-tuple cache of the distribution's weighted
-    subsets (the distribution is a pure function of the enabled set, so
-    each distinct enabled tuple is enumerated once per build).
+    with the distribution's subset plans, each enumerated once per
+    build: per enabled tuple for the scalar replay (``plan_cache``), and
+    per enabled count for the array layer (:meth:`subset_plan`).
     """
 
     def __init__(self, tables, distribution: SchedulerDistribution) -> None:
@@ -231,6 +242,36 @@ class _ChainContext(ExpansionContext):
         self.plan_cache: dict[
             tuple[int, ...], list[tuple[float, tuple[int, ...]]]
         ] = {}
+        # Terminal sources (k = 0): one self-loop of probability 1.
+        self._subset_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            0: (np.ones(1), np.zeros((1, 0), dtype=bool))
+        }
+
+    def subset_plan(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distribution over positions ``range(k)``, as arrays.
+
+        Returns the weights ``(S,)`` and the membership matrix ``(S, k)``
+        of the plan's subsets in enumeration order, weights ≤ 0 dropped.
+        For the built-in distributions this is the plan of every sorted
+        enabled tuple of length ``k``, with position ``i`` standing for
+        its ``i``-th process.  Enumerating raises the distribution's own
+        ``max_enabled`` :class:`SchedulerError`, as the replay would.
+        """
+        plan = self._subset_plans.get(k)
+        if plan is None:
+            subsets = [
+                (weight, subset)
+                for weight, subset in self.distribution.weighted_subsets(
+                    tuple(range(k))
+                )
+                if weight > 0.0
+            ]
+            members = np.zeros((len(subsets), k), dtype=bool)
+            for row, (_, subset) in enumerate(subsets):
+                members[row, list(subset)] = True
+            plan = (np.array([weight for weight, _ in subsets]), members)
+            self._subset_plans[k] = plan
+        return plan
 
 
 def _compile_chain_context(
@@ -285,10 +326,10 @@ def _expand_chain_block(
     are emitted pre-accumulation (duplicate targets within a row are
     summed later, in emission order, by :func:`_csr_from_wire`).
 
-    Deterministic blocks (every enabled cell has one applicable action
-    with one outcome — the paper's Algorithms 1 and 2) under the
-    central-randomized or synchronous distribution skip the per-source
-    loop entirely.
+    Blocks in which every enabled cell has exactly one action (any
+    outcome arity: deterministic moves and coin flips alike) under a
+    built-in distribution take :func:`_array_edges`; everything else
+    takes the per-source scalar replay.
     """
     tables = context.tables
     keys = tables.pack(codes)
@@ -297,71 +338,26 @@ def _expand_chain_block(
     bases_matrix = tables.action_base[keys]
 
     enabled_counts = enabled_matrix.sum(axis=1, dtype=np.int64)
-    enabled_cols = np.nonzero(enabled_matrix)[1].astype(np.int64)
 
-    distribution = context.distribution
-
-    # ------------------------------------------------------------------
-    # vectorized layer: deterministic cells, central/synchronous daemon
-    # ------------------------------------------------------------------
-    if context.int64_safe and type(distribution) in _VECTOR_DISTRIBUTIONS:
-        deterministic = (
-            enabled_matrix
-            & (counts_matrix == 1)
-            & (context.arity[bases_matrix] == 1)
+    if (
+        context.int64_safe
+        and type(context.distribution) in _POSITIONAL_DISTRIBUTIONS
+        and np.array_equal(counts_matrix == 1, enabled_matrix)
+    ):
+        return _array_edges(
+            context, codes, ranks, enabled_matrix, bases_matrix,
+            enabled_counts,
         )
-        if np.array_equal(deterministic, enabled_matrix):
-            rank_array = np.fromiter(
-                ranks, dtype=np.int64, count=len(codes)
-            )
-            # Post-state delta of each (source, process) solo move:
-            # (new code − old code) · weight — zero where disabled.
-            delta = np.where(
-                enabled_matrix,
-                (context.first_outcome[bases_matrix] - codes.astype(np.int64))
-                * context.weights_row,
-                0,
-            )
-            nonterminal = enabled_counts > 0
-            if type(distribution) is _VECTOR_DISTRIBUTIONS[0]:  # central
-                edge_counts = np.where(nonterminal, enabled_counts, 1)
-                offsets = np.cumsum(edge_counts) - edge_counts
-                targets = np.empty(int(edge_counts.sum()), dtype=np.int64)
-                probs = np.empty(targets.shape[0], dtype=float)
-                terminal_rows = np.flatnonzero(~nonterminal)
-                targets[offsets[terminal_rows]] = rank_array[terminal_rows]
-                probs[offsets[terminal_rows]] = 1.0
-                source_idx, movers = np.nonzero(enabled_matrix)
-                # np.nonzero is row-major, so a row's edges are contiguous
-                # in mover (= sorted-singleton) order, matching the
-                # oracle's weighted_subsets enumeration.
-                first_edge = np.cumsum(enabled_counts) - enabled_counts
-                positions = offsets[source_idx] + (
-                    np.arange(source_idx.shape[0]) - first_edge[source_idx]
-                )
-                targets[positions] = (
-                    rank_array[source_idx] + delta[source_idx, movers]
-                )
-                probs[positions] = 1.0 / enabled_counts[source_idx]
-                return edge_counts, targets, probs
-            # synchronous: one edge per source — all movers, or self-loop.
-            targets = np.where(
-                nonterminal, rank_array + delta.sum(axis=1), rank_array
-            )
-            return (
-                np.ones(len(codes), dtype=np.int64),
-                targets,
-                np.ones(len(codes), dtype=float),
-            )
 
     # ------------------------------------------------------------------
     # scalar replay layer: any distribution, any action/outcome structure
     # ------------------------------------------------------------------
+    distribution = context.distribution
     counts = counts_matrix.tolist()
     bases = bases_matrix.tolist()
     rows = codes.tolist()
     per_row = enabled_counts.tolist()
-    flat_enabled = enabled_cols.tolist()
+    flat_enabled = np.nonzero(enabled_matrix)[1].tolist()
     outcome_codes = context.outcome_codes
     outcome_probs = context.outcome_probs
     weights = context.config_weights
@@ -463,6 +459,99 @@ def _expand_chain_block(
         targets,
         np.fromiter(edge_probs, dtype=float, count=len(edge_probs)),
     )
+
+
+def _array_edges(
+    context: _ChainContext,
+    codes: np.ndarray,
+    ranks: Sequence[int],
+    enabled_matrix: np.ndarray,
+    bases_matrix: np.ndarray,
+    enabled_counts: np.ndarray,
+) -> _ChainChunk:
+    """The array layer: one block with one action per enabled cell.
+
+    Sources are grouped by enabled count ``k`` in order of first
+    appearance, so plans — and any ``max_enabled`` error — come up in the
+    replay's order.  Within a group every (source, subset) pair emits
+    ``Π arity`` edges over its members, in source, then plan, then
+    :func:`itertools.product` order (first member slowest), with the
+    outcome digits read mixed-radix off the edge's index in its pair.  A
+    target is the rank plus each mover's ``(new code − old code) ·
+    weight``; a probability is ``weight · branch`` with ``branch``
+    multiplied left to right from ``1.0`` — the replay's float expression,
+    as ``action_choices`` is 1 here.  Non-members read a padding outcome
+    slot whose delta is 0 and whose factor is exactly ``1.0``.
+    """
+    tables = context.tables
+    width = tables.outcome_cum.shape[1]
+    num_sources = enabled_matrix.shape[0]
+    rank_array = np.fromiter(ranks, dtype=np.int64, count=num_sources)
+    enabled_cols = np.nonzero(enabled_matrix)[1]
+    col_starts = np.cumsum(enabled_counts) - enabled_counts
+    counts_seen, first = np.unique(enabled_counts, return_index=True)
+
+    parts = []
+    edge_counts = np.empty(num_sources, dtype=np.int64)
+    for k in counts_seen[np.argsort(first)].tolist():
+        weights, members = context.subset_plan(k)
+        sources = np.flatnonzero(enabled_counts == k)
+        movers = enabled_cols[col_starts[sources, None] + np.arange(k)]
+        action_rows = bases_matrix[sources[:, None], movers]
+        arity = context.arity[action_rows]
+        # Edges per (source, subset): the product of the members' arities.
+        pair_edges = np.ones((sources.shape[0], weights.shape[0]), np.int64)
+        for position in range(k):
+            pair_edges *= np.where(
+                members[:, position], arity[:, position, None], 1
+            )
+        edge_counts[sources] = pair_edges.sum(axis=1)
+        pair_edges = pair_edges.reshape(-1)
+        pair = np.repeat(np.arange(pair_edges.shape[0]), pair_edges)
+        local = np.arange(pair.shape[0]) - (
+            np.cumsum(pair_edges) - pair_edges
+        )[pair]
+        source, subset = np.divmod(pair, weights.shape[0])
+        # Rank delta and branch factor per (position, source, outcome
+        # slot), plus the padding slot for "this position does not move",
+        # flattened per position so one edge reads slot
+        # ``row + digit`` of its position's table.
+        old = codes[sources[:, None], movers].astype(np.int64).T
+        delta = np.zeros((k, sources.shape[0], width + 1), dtype=np.int64)
+        delta[:, :, :width] = (
+            tables.outcome_code[action_rows.T].astype(np.int64)
+            - old[..., None]
+        ) * context.weights_row[movers.T][..., None]
+        factor = np.ones((k, sources.shape[0], width + 1))
+        factor[:, :, :width] = tables.outcome_prob[action_rows.T]
+        row = source * (width + 1)
+        # Mixed-radix digits, first member slowest: ``remaining`` is the
+        # product of the radices after the current position.
+        remaining = pair_edges[pair]
+        target = rank_array[sources][source]
+        branch = np.ones(pair.shape[0])
+        for position in range(k):
+            member = members[:, position][subset]
+            remaining //= np.where(member, arity[:, position][source], 1)
+            digit, local = np.divmod(local, remaining)
+            slot = row + np.where(member, digit, width)
+            target += delta[position].reshape(-1)[slot]
+            branch *= factor[position].reshape(-1)[slot]
+        parts.append((sources, target, weights[subset] * branch))
+
+    # Scatter each group's source-major edges into block order.
+    edge_starts = np.cumsum(edge_counts) - edge_counts
+    targets = np.empty(int(edge_counts.sum()), dtype=np.int64)
+    probs = np.empty(targets.shape[0], dtype=float)
+    for sources, target, prob in parts:
+        group_counts = edge_counts[sources]
+        slots = np.arange(target.shape[0]) + np.repeat(
+            edge_starts[sources] - (np.cumsum(group_counts) - group_counts),
+            group_counts,
+        )
+        targets[slots] = target
+        probs[slots] = prob
+    return edge_counts, targets, probs
 
 
 def _csr_from_wire(

@@ -89,10 +89,10 @@ def _expand_symbolic_block(
     *atoms* (flat table slots) instead of multiplying them out — the
     builder's probability ``weight · Π atoms / action_choices`` is
     recovered per parameter point by :meth:`ParametricChain.edge_probs`.
-    The builder's vectorized deterministic layer needs no twin: on
-    deterministic cells the scalar replay below emits identical floats
-    (``1/len(enabled)`` singleton weights, unit branches, integer rank
-    arithmetic), so one symbolic path covers every block.
+    The builder's array layer needs no twin: it emits the replay's
+    edges in the replay's order with the replay's floats (tested
+    bit-for-bit in ``tests/test_chain_compiled.py``), so one symbolic
+    path covers every block.
 
     Must stay in lockstep with the builder's scalar replay; the
     conformance-registry bit-equality suite (``tests/test_parametric_chain.py``)

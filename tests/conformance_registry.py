@@ -41,7 +41,11 @@ from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
 )
+from repro.core.actions import Action, Outcome
+from repro.core.algorithm import Algorithm
 from repro.core.system import System
+from repro.core.topology import Topology
+from repro.core.variables import VariableLayout, VarSpec
 from repro.graphs.generators import path, random_tree, ring, star
 from repro.markov.batch import BatchLegitimacy, EnabledCountLegitimacy
 from repro.random_source import RandomSource
@@ -56,6 +60,8 @@ from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 
 __all__ = [
     "ConformanceSystem",
+    "TwoActionAlgorithm",
+    "make_two_action_system",
     "CONFORMANCE_SAMPLERS",
     "CONFORMANCE_SYSTEMS",
     "conformance_system",
@@ -336,6 +342,61 @@ CONFORMANCE_SYSTEMS: tuple[ConformanceSystem, ...] = (
         ),
     ),
 )
+
+
+def _step(amount: int):
+    def statement(view) -> None:
+        view.set("x", (view.get("x") + amount) % 3)
+
+    return statement
+
+
+def _matches_neighbor(view) -> bool:
+    return view.get("x") == view.nbr(0, "x")
+
+
+class TwoActionAlgorithm(Algorithm):
+    """Cells with two simultaneously enabled actions (a test fixture).
+
+    Every registry system above has at most one enabled action per
+    neighborhood, so the uniform action choice is never exercised by
+    them.  Here ``x ∈ {0, 1, 2}``; while ``x`` equals the first
+    neighbor's value two actions are enabled — a coin flip to ``x + 1``
+    or ``x + 2`` (probabilities 1/4, 3/4) and a deterministic step to
+    ``x + 1`` — and otherwise ``x = 2`` alone enables a reset to 0.
+    """
+
+    name = "two-action-fixture"
+
+    def layout(self, topology: Topology, process: int) -> VariableLayout:
+        return VariableLayout((VarSpec("x", (0, 1, 2)),))
+
+    def actions(self) -> tuple[Action, ...]:
+        return (
+            Action(
+                "flip",
+                _matches_neighbor,
+                lambda view: (Outcome(0.25, _step(1)), Outcome(0.75, _step(2))),
+            ),
+            Action(
+                "step",
+                _matches_neighbor,
+                lambda view: (Outcome(1.0, _step(1)),),
+            ),
+            Action(
+                "reset",
+                lambda view: view.get("x") == 2 and not _matches_neighbor(view),
+                lambda view: (Outcome(1.0, _step(1)),),
+            ),
+        )
+
+    def is_probabilistic(self) -> bool:
+        return True
+
+
+def make_two_action_system(size: int = 4) -> System:
+    """:class:`TwoActionAlgorithm` on a ring of ``size`` processes."""
+    return System(TwoActionAlgorithm(), Topology(ring(size)))
 
 
 @lru_cache(maxsize=None)

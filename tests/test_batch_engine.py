@@ -11,12 +11,19 @@ two-sample Kolmogorov–Smirnov bound, plus matching structural outcomes
 import numpy as np
 import pytest
 
+from conformance_registry import (
+    CONFORMANCE_SYSTEMS,
+    conformance_system,
+    make_two_action_system,
+)
 from repro.algorithms.leader_tree import make_leader_tree_system
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
 )
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
+from repro.core.encoding import compile_tables
+from repro.core.kernel import TransitionKernel
 from repro.errors import MarkovError
 from repro.graphs.generators import path
 from repro.markov.batch import (
@@ -397,3 +404,66 @@ class TestRandomConfigurations:
             system, RandomSource(1), 20
         ):
             system.check_configuration(configuration)
+
+
+def _dense_pack(tables, codes):
+    """The pre-column-loop ``pack``: one ``(T, N, width)`` gather."""
+    gathered = codes[:, tables.neighbor_index].astype(np.int64)
+    return (gathered * tables.neighbor_weight).sum(axis=2) + tables.key_offset
+
+
+def _dense_sample(tables, codes, keys, movers, generator):
+    """The pre-mover-only ``sample``: the oracle of the stream contract."""
+    counts = tables.action_count[keys]
+    choice = (generator.random(keys.shape) * counts).astype(np.int64)
+    choice = np.clip(choice, 0, np.maximum(counts - 1, 0))
+    rows = tables.action_base[keys] + choice
+    cum = tables.outcome_cum[rows]
+    draws = generator.random(keys.shape)
+    outcome = (draws[..., None] >= cum).sum(axis=-1)
+    return np.where(movers, tables.outcome_code[rows, outcome], codes)
+
+
+#: Every conformance system, plus the fixture whose cells have two
+#: enabled actions (the only one that exercises the action-choice draw).
+_STREAM_SYSTEMS = [entry.name for entry in CONFORMANCE_SYSTEMS] + [
+    "two-action-ring4"
+]
+
+
+@pytest.mark.parametrize("name", _STREAM_SYSTEMS)
+def test_sample_stream_contract(name):
+    """Mover-only sampling returns the dense expression's codes and leaves
+    the generator in the same state: both draws keep their full shape."""
+    system = (
+        make_two_action_system(4)
+        if name == "two-action-ring4"
+        else conformance_system(name)
+    )
+    tables = compile_tables(TransitionKernel(system))
+    sizes = tables.encoding.sizes
+    rng = np.random.default_rng(2024)
+    # Zero rows, a single row, zero movers, some movers, every enabled cell.
+    shapes = [(0, 0.5), (1, 0.5), (37, 0.0), (37, 0.5), (200, 1.0)]
+    for trials, density in shapes:
+        codes = (
+            rng.random((trials, sizes.shape[0])) * sizes
+        ).astype(np.uint32)
+        keys = tables.pack(codes)
+        np.testing.assert_array_equal(keys, _dense_pack(tables, codes))
+        enabled = tables.enabled(keys)
+        movers = enabled & (rng.random(enabled.shape) < density)
+        seed = int(rng.integers(2**32))
+        mover_only = np.random.default_rng(seed)
+        dense = np.random.default_rng(seed)
+        stepped = tables.sample(codes, keys, movers, mover_only)
+        expected = _dense_sample(tables, codes, keys, movers, dense)
+        assert stepped.dtype == expected.dtype
+        np.testing.assert_array_equal(stepped, expected)
+        assert mover_only.bit_generator.state == dense.bit_generator.state
+
+
+def test_two_action_fixture_exercises_the_action_choice():
+    tables = compile_tables(TransitionKernel(make_two_action_system(4)))
+    assert tables.action_count.max() == 2
+    assert (tables.action_count == 1).any()

@@ -1,9 +1,9 @@
-"""Compiled-vs-scalar chain equivalence: the PR 4 oracle contract.
+"""Compiled-vs-scalar chain equivalence: the oracle contract.
 
 The compiled wire-format builder (``build_chain(engine="compiled")``)
 must reproduce the dict-walk oracle (``engine="scalar"``) exactly: same
-state list in the same order, row probabilities equal to ≤ 1e-12
-(bit-for-bit in practice), and identical downstream verdicts
+state list in the same order, bit-identical CSR arrays whether a block
+takes the array layer or the scalar replay, and identical downstream verdicts
 (``hitting_summary``, ``classify_probabilistic``) — across topologies,
 scheduler distributions, deterministic and probabilistic systems, and
 both full-space and restricted-initial modes.  Also covers the
@@ -13,14 +13,17 @@ CSR-native :class:`MarkovChain` surface: cached matrix exports, the lazy
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from conformance_registry import make_two_action_system
 from repro.algorithms.herman_ring import HermanSingleTokenSpec, make_herman_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import TokenCirculationSpec, make_token_ring_system
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
-from repro.errors import MarkovError
+from repro.errors import MarkovError, SchedulerError
 from repro.graphs.generators import figure3_chain, star
 from repro.markov.batch import DecodingLegitimacy, EnabledCountLegitimacy
 from repro.markov.builder import CHAIN_ENGINES, build_chain
@@ -45,6 +48,10 @@ SYSTEMS = {
     "herman5": lambda: make_herman_system(5),
     "trans(two-process)": lambda: make_transformed_system(
         make_two_process_system()
+    ),
+    # An inexact coin: products of 0.3/0.7 factors depend on their order.
+    "trans(ring4, 0.3)": lambda: make_transformed_system(
+        make_token_ring_system(4), 0.3
     ),
 }
 
@@ -97,6 +104,91 @@ def test_restricted_initial_equivalence(system_name, distribution_name):
     # The forward closure must be a strict restriction, not the full
     # space, for this test to exercise the BFS interning path.
     assert compiled.num_states <= system.num_configurations()
+
+
+def _replay_twin(distribution):
+    """The same distribution as a trivial subclass: identical subsets, but
+    not an exact built-in type, so the builder takes the scalar replay."""
+    twin = copy.copy(distribution)
+    twin.__class__ = type(
+        f"Replay{type(distribution).__name__}", (type(distribution),), {}
+    )
+    return twin
+
+
+@pytest.fixture
+def array_layer_calls(monkeypatch):
+    """Counts the compiled blocks expanded by the array layer."""
+    import repro.markov.builder as builder_module
+
+    calls = []
+    original = builder_module._array_edges
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builder_module, "_array_edges", spy)
+    return calls
+
+
+def assert_arrays_identical(expected, actual):
+    assert expected.states == actual.states
+    for ours, theirs in zip(
+        expected.transition_arrays(), actual.transition_arrays()
+    ):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("distribution_name", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+def test_array_layer_bit_identical_to_replay(
+    system_name, distribution_name, array_layer_calls
+):
+    system = SYSTEMS[system_name]()
+    distribution = DISTRIBUTIONS[distribution_name]()
+    array = build_chain(system, distribution, engine="compiled")
+    assert array_layer_calls, "the exact built-in type takes the array layer"
+    array_layer_calls.clear()
+    replay = build_chain(
+        system, _replay_twin(distribution), engine="compiled"
+    )
+    assert not array_layer_calls, "a subclass takes the scalar replay"
+    assert_arrays_identical(replay, array)
+    scalar = build_chain(system, distribution, engine="scalar")
+    assert_arrays_identical(scalar, array)
+
+
+@pytest.mark.parametrize(
+    "distribution",
+    [
+        DistributedRandomizedDistribution(max_enabled=2),
+        BernoulliDistribution(0.5, True, max_enabled=2),
+    ],
+    ids=["distributed", "bernoulli"],
+)
+def test_max_enabled_overflow_raises_on_both_paths(distribution):
+    system = make_herman_system(5)
+    messages = []
+    for candidate in (distribution, _replay_twin(distribution)):
+        with pytest.raises(SchedulerError) as raised:
+            build_chain(system, candidate, engine="compiled")
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("distribution_name", sorted(DISTRIBUTIONS))
+def test_multi_action_blocks_take_the_replay(
+    distribution_name, array_layer_calls
+):
+    system = make_two_action_system(4)
+    distribution = DISTRIBUTIONS[distribution_name]()
+    compiled = build_chain(system, distribution, engine="compiled")
+    scalar = build_chain(system, distribution, engine="scalar")
+    # Every block of the full space holds a two-action cell.
+    assert not array_layer_calls
+    assert_arrays_identical(scalar, compiled)
 
 
 def test_auto_engine_matches_both(ring5_system):
