@@ -416,25 +416,14 @@ class ExpansionContext:
             (tables.action_count <= 1).all() and (self.arity == 1).all()
         )
 
-    # The per-row tuples below cost a Python loop over every action row,
-    # so they are built on first use: the lockstep loop's super-step
+    # The per-row tuples cost a Python loop over every action row, so
+    # they are built on first use: the lockstep loop's super-step
     # eligibility check reads only the vectorized fields above.
     @cached_property
     def outcome_codes(self) -> tuple[tuple[int, ...], ...]:
         """Outcome codes per action row, trimmed to the row's arity."""
         return tuple(
             tuple(int(code) for code in self.tables.outcome_code[row, :count])
-            for row, count in enumerate(self.arity.tolist())
-        )
-
-    @cached_property
-    def outcome_probs(self) -> tuple[tuple[float, ...], ...]:
-        """Outcome probabilities per action row, trimmed like
-        ``outcome_codes`` — the probability substrate shared by the chain
-        builder (:mod:`repro.markov.builder`) and the MDP builder
-        (:mod:`repro.markov.mdp`)."""
-        return tuple(
-            tuple(float(p) for p in self.tables.outcome_prob[row, :count])
             for row, count in enumerate(self.arity.tolist())
         )
 

@@ -14,20 +14,29 @@ configurations are absorbing.
 Execution tier (see ``docs/architecture.md``): two engines build the same
 chain, selected via ``engine=``:
 
-* ``"compiled"`` — a probability-carrying extension of the sharded
-  explorer's wire format.  Sources are mixed-radix configuration ranks
-  over the :class:`~repro.core.encoding.StateEncoding`; a block of rows
-  is expanded over the :class:`~repro.core.encoding.CompiledKernelTables`
-  as ``(edge count per source, target rank, probability)`` wire arrays.
-  Under the four built-in distributions (central-randomized,
-  synchronous, distributed-randomized, Bernoulli) every block whose
-  enabled cells each have one action — deterministic or coin-flip
-  outcomes alike — is a whole-block array expression driven by one
-  subset plan per enabled count.  Multi-action cells, custom
-  distributions and subclasses take an order-exact scalar replay of
-  the oracle's subset and branch enumeration.  The wire triples are
-  deduplicated/accumulated into the CSR arrays
-  :class:`~repro.markov.chain.MarkovChain` stores natively.
+* ``"compiled"`` — one probability-carrying expander over the
+  :class:`~repro.core.encoding.CompiledKernelTables`.  Sources are
+  mixed-radix configuration ranks over the
+  :class:`~repro.core.encoding.StateEncoding`; each block of rows is
+  expanded (:func:`_expand_block`) into a *symbolic wire chunk*: edge
+  count per source, then per edge its daemon choice (the subset's
+  position in the plan), target rank, subset weight, ``action_choices``
+  divisor and outcome atoms (slots of the raveled outcome-probability
+  table, plus one padding slot of exactly ``1.0``).  Under a positional
+  plan — the four built-in distributions (central-randomized,
+  synchronous, distributed-randomized, Bernoulli) or an MDP's daemon
+  family — every block whose enabled cells each have one action
+  (deterministic or coin-flip outcomes alike) is a whole-block array
+  expression driven by one subset plan per enabled count.  Multi-action
+  cells, custom distributions and subclasses take an order-exact scalar
+  replay of the oracle's subset and branch enumeration.  Three views
+  read the chunks through :func:`_expand`: this module evaluates each
+  block right away as ``weight · Π atoms / action_choices`` and
+  deduplicates the edges into the CSR arrays
+  :class:`~repro.markov.chain.MarkovChain` stores natively;
+  :class:`~repro.markov.parametric.ParametricChain` keeps the atoms;
+  :func:`~repro.markov.mdp.build_mdp` groups edges into actions by
+  (source, choice).
 * ``"scalar"`` — the pre-existing dict-walk over the memoized
   :class:`~repro.core.kernel.TransitionKernel` (or the reference
   :class:`System` with ``use_kernel=False``): the bit-for-bit oracle the
@@ -47,7 +56,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +65,7 @@ from repro.core.encoding import ExpansionContext, compile_tables
 from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
-from repro.markov.chain import MarkovChain
+from repro.markov.chain import MarkovChain, concat_ranges
 from repro.schedulers.distributions import (
     BernoulliDistribution,
     CentralRandomizedDistribution,
@@ -130,10 +139,11 @@ def build_chain(
             require=engine == "compiled",
         )
         if context is not None:
-            if initial is None:
-                return _build_full(system, context)
-            return _build_frontier(
-                system, context, list(initial), max_states
+            return _build_compiled(
+                system,
+                context,
+                None if initial is None else list(initial),
+                max_states,
             )
 
     return _build_scalar(
@@ -226,19 +236,43 @@ def _row(
 # ----------------------------------------------------------------------
 # compiled wire-format path
 # ----------------------------------------------------------------------
+#: The plan of a terminal source (no enabled process): one self-loop.
+_TERMINAL_PLAN = ((1.0, ()),)
+
+
 class _ChainContext(ExpansionContext):
     """Expansion lookups plus the probability structure of one builder run.
 
     Extends the sharded explorer's :class:`ExpansionContext` (which
-    already carries the per-action outcome codes *and* probabilities)
-    with the distribution's subset plans, each enumerated once per
-    build: per enabled tuple for the scalar replay (``plan_cache``), and
-    per enabled count for the array layer (:meth:`subset_plan`).
+    already carries the per-action outcome codes) with the plan — an
+    object whose ``weighted_subsets(enabled)`` lists the daemon choices
+    of a sorted enabled tuple with their weights: a scheduler
+    distribution for a chain, a daemon family at weight one for an MDP.
+    Plans are enumerated once per build: per enabled tuple for the
+    scalar replay (``plan_cache``), and per enabled count for the array
+    layer (:meth:`subset_plan`).  ``positional`` says whether a plan
+    depends only on positions in the sorted enabled tuple (by default:
+    the exact built-in distribution types; a subclass may redefine
+    ``weighted_subsets``); only then does the array layer run.
+
+    Wire atoms index :attr:`atom_values`: the raveled outcome
+    probability table plus one padding slot, :attr:`pad_atom`, of
+    exactly ``1.0`` for positions that do not move.
     """
 
-    def __init__(self, tables, distribution: SchedulerDistribution) -> None:
+    def __init__(
+        self,
+        tables,
+        distribution: SchedulerDistribution,
+        positional: bool | None = None,
+    ) -> None:
         super().__init__(tables)
         self.distribution = distribution
+        self.positional = (
+            type(distribution) in _POSITIONAL_DISTRIBUTIONS
+            if positional is None
+            else positional
+        )
         self.plan_cache: dict[
             tuple[int, ...], list[tuple[float, tuple[int, ...]]]
         ] = {}
@@ -246,15 +280,17 @@ class _ChainContext(ExpansionContext):
         self._subset_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {
             0: (np.ones(1), np.zeros((1, 0), dtype=bool))
         }
+        self.pad_atom = tables.outcome_prob.size
+        self.atom_values = np.append(tables.outcome_prob.ravel(), 1.0)
 
     def subset_plan(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distribution over positions ``range(k)``, as arrays.
+        """The plan over positions ``range(k)``, as arrays.
 
         Returns the weights ``(S,)`` and the membership matrix ``(S, k)``
         of the plan's subsets in enumeration order, weights ≤ 0 dropped.
-        For the built-in distributions this is the plan of every sorted
-        enabled tuple of length ``k``, with position ``i`` standing for
-        its ``i``-th process.  Enumerating raises the distribution's own
+        For a positional plan this is the plan of every sorted enabled
+        tuple of length ``k``, with position ``i`` standing for its
+        ``i``-th process.  Enumerating raises the plan's own
         ``max_enabled`` :class:`SchedulerError`, as the replay would.
         """
         plan = self._subset_plans.get(k)
@@ -306,30 +342,65 @@ def _compile_chain_context(
     return _ChainContext(tables, distribution)
 
 
-#: Wire format of one expanded block, all flat: (edge count per source,
-#: flat target ranks, flat edge probabilities).  ``targets`` degrades to
-#: a Python list when ranks exceed int64.
-_ChainChunk = tuple[np.ndarray, "np.ndarray | list[int]", np.ndarray]
+class _WireChunk(NamedTuple):
+    """One expanded block in the symbolic wire format.
+
+    Edges are grouped by source in block order; within a source they
+    follow the plan, then the branch enumeration of
+    :func:`repro.core.system.compose_weighted_targets`.
+    """
+
+    #: ``(B,)`` edges per source.
+    counts: np.ndarray
+    #: ``(E,)`` each edge's daemon choice: its subset's position in the
+    #: source's plan (weights ≤ 0 skipped).
+    choice: np.ndarray
+    #: ``(E,)`` target ranks; a Python list when ranks exceed int64.
+    targets: "np.ndarray | list[int]"
+    #: ``(E,)`` subset weights.
+    weight: np.ndarray
+    #: ``(E,)`` ``action_choices`` divisors, as floats.
+    divisor: np.ndarray
+    #: ``(E, k)`` outcome atoms, indices into the context's
+    #: ``atom_values``.
+    atoms: np.ndarray
 
 
-def _expand_chain_block(
+def _edge_probs(
+    weight: np.ndarray,
+    divisor: np.ndarray,
+    atoms: np.ndarray,
+    atom_values: np.ndarray,
+) -> np.ndarray:
+    """``weight · Π atoms / divisor`` per edge, atoms multiplied left to
+    right from ``1.0`` — the scalar oracle's float expression (padding
+    atoms read exactly ``1.0``, which leaves every product unchanged)."""
+    branch = np.ones(atoms.shape[0])
+    for column in range(atoms.shape[1]):
+        branch *= atom_values[atoms[:, column]]
+    return weight * branch / divisor
+
+
+def _expand_block(
     context: _ChainContext, codes: np.ndarray, ranks: Sequence[int]
-) -> _ChainChunk:
-    """Expand one block of sources into probability-carrying wire arrays.
+) -> _WireChunk:
+    """Expand one block of sources into the symbolic wire format.
 
     Reproduces the scalar ``_row`` per source exactly — same weighted
     subsets in the same order, same branch enumeration as
-    :func:`repro.core.system.compose_weighted_targets`, same probability
-    expression ``weight · branch / action_choices`` — but a successor is
-    ``source rank + Σ (new code − old code) · weight`` instead of tuple
-    surgery, and enabledness is one gather for the whole block.  Edges
-    are emitted pre-accumulation (duplicate targets within a row are
-    summed later, in emission order, by :func:`_csr_from_wire`).
+    :func:`repro.core.system.compose_weighted_targets` — but a successor
+    is ``source rank + Σ (new code − old code) · weight`` instead of
+    tuple surgery, enabledness is one gather for the whole block, and an
+    edge's probability is left as its factors (subset weight,
+    ``action_choices`` divisor, outcome atoms) for the caller's view to
+    evaluate.  Edges are emitted pre-accumulation (duplicate targets
+    within a row are summed later, in emission order, by
+    :class:`_DedupPlan`).
 
     Blocks in which every enabled cell has exactly one action (any
     outcome arity: deterministic moves and coin flips alike) under a
-    built-in distribution take :func:`_array_edges`; everything else
-    takes the per-source scalar replay.
+    positional plan take :func:`_array_edges`; everything else takes
+    the per-source scalar replay.
     """
     tables = context.tables
     keys = tables.pack(codes)
@@ -341,7 +412,7 @@ def _expand_chain_block(
 
     if (
         context.int64_safe
-        and type(context.distribution) in _POSITIONAL_DISTRIBUTIONS
+        and context.positional
         and np.array_equal(counts_matrix == 1, enabled_matrix)
     ):
         return _array_edges(
@@ -350,78 +421,58 @@ def _expand_chain_block(
         )
 
     # ------------------------------------------------------------------
-    # scalar replay layer: any distribution, any action/outcome structure
+    # scalar replay layer: any plan, any action/outcome structure
     # ------------------------------------------------------------------
     distribution = context.distribution
+    width = tables.outcome_cum.shape[1]
     counts = counts_matrix.tolist()
     bases = bases_matrix.tolist()
     rows = codes.tolist()
     per_row = enabled_counts.tolist()
     flat_enabled = np.nonzero(enabled_matrix)[1].tolist()
     outcome_codes = context.outcome_codes
-    outcome_probs = context.outcome_probs
     weights = context.config_weights
     plan_cache = context.plan_cache
 
     edge_counts: list[int] = []
+    edge_choice: list[int] = []
     edge_targets: list[int] = []
-    edge_probs: list[float] = []
+    edge_weights: list[float] = []
+    edge_divisors: list[int] = []
+    atom_counts: list[int] = []
+    flat_atoms: list[int] = []
 
     cursor = 0
     for index, source_rank in enumerate(ranks):
         count = per_row[index]
         enabled = tuple(flat_enabled[cursor : cursor + count])
         cursor += count
-        emitted = 0
         if not enabled:
-            edge_targets.append(source_rank)
-            edge_probs.append(1.0)
-            edge_counts.append(1)
-            continue
+            plan = _TERMINAL_PLAN
+        else:
+            plan = plan_cache.get(enabled)
+            if plan is None:
+                plan = distribution.weighted_subsets(enabled)
+                plan_cache[enabled] = plan
         row = rows[index]
         row_counts = counts[index]
         row_bases = bases[index]
-        plan = plan_cache.get(enabled)
-        if plan is None:
-            plan = distribution.weighted_subsets(enabled)
-            plan_cache[enabled] = plan
+        emitted = 0
+        choice = 0
         for weight, subset in plan:
             if weight <= 0.0:
                 continue
-            if not subset:
-                # Lazy daemons: the empty draw is an explicit self-loop.
-                edge_targets.append(source_rank)
-                edge_probs.append(weight)
-                emitted += 1
-                continue
+            # An empty subset (terminal source, or a lazy daemon's empty
+            # draw) is one self-loop edge with no atoms.
             action_choices = 1
             for process in subset:
                 action_choices *= row_counts[process]
-            if len(subset) == 1:
-                process = subset[0]
-                base = row_bases[process]
-                config_weight = weights[process]
-                old = row[process] * config_weight
-                for action_row in range(base, base + row_counts[process]):
-                    for code, branch in zip(
-                        outcome_codes[action_row],
-                        outcome_probs[action_row],
-                    ):
-                        edge_targets.append(
-                            source_rank + code * config_weight - old
-                        )
-                        edge_probs.append(
-                            weight * branch / action_choices
-                        )
-                        emitted += 1
-                continue
             choice_lists = [
                 [
                     (
                         weights[process],
                         row[process] * weights[process],
-                        outcome_codes[action_row],
-                        outcome_probs[action_row],
+                        action_row,
                     )
                     for action_row in range(
                         row_bases[process],
@@ -432,32 +483,51 @@ def _expand_chain_block(
             ]
             for assignment in product(*choice_lists):
                 outcome_spaces = [
-                    tuple(zip(codes_, probs_))
-                    for _, _, codes_, probs_ in assignment
+                    tuple(
+                        enumerate(outcome_codes[action_row], action_row * width)
+                    )
+                    for _, _, action_row in assignment
                 ]
                 for combo in product(*outcome_spaces):
-                    branch = 1.0
                     target = source_rank
-                    for (config_weight, old, _, _), (code, p) in zip(
+                    for (config_weight, old, _), (atom, code) in zip(
                         assignment, combo
                     ):
-                        branch *= p
                         target += code * config_weight - old
+                        flat_atoms.append(atom)
                     edge_targets.append(target)
-                    edge_probs.append(weight * branch / action_choices)
+                    edge_choice.append(choice)
+                    edge_weights.append(weight)
+                    edge_divisors.append(action_choices)
+                    atom_counts.append(len(combo))
                     emitted += 1
+            choice += 1
         edge_counts.append(emitted)
 
+    num_edges = len(edge_targets)
+    lengths = np.fromiter(atom_counts, dtype=np.int64, count=num_edges)
+    atoms = np.full(
+        (num_edges, int(lengths.max(initial=0))),
+        context.pad_atom,
+        dtype=np.int64,
+    )
+    atoms[
+        np.repeat(np.arange(num_edges), lengths),
+        concat_ranges(np.zeros(num_edges, dtype=np.int64), lengths),
+    ] = flat_atoms
     if context.int64_safe:
         targets: np.ndarray | list[int] = np.fromiter(
-            edge_targets, dtype=np.int64, count=len(edge_targets)
+            edge_targets, dtype=np.int64, count=num_edges
         )
     else:
         targets = edge_targets
-    return (
+    return _WireChunk(
         np.fromiter(edge_counts, dtype=np.int64, count=len(edge_counts)),
+        np.fromiter(edge_choice, dtype=np.int64, count=num_edges),
         targets,
-        np.fromiter(edge_probs, dtype=float, count=len(edge_probs)),
+        np.fromiter(edge_weights, dtype=float, count=num_edges),
+        np.fromiter(edge_divisors, dtype=float, count=num_edges),
+        atoms,
     )
 
 
@@ -468,7 +538,7 @@ def _array_edges(
     enabled_matrix: np.ndarray,
     bases_matrix: np.ndarray,
     enabled_counts: np.ndarray,
-) -> _ChainChunk:
+) -> _WireChunk:
     """The array layer: one block with one action per enabled cell.
 
     Sources are grouped by enabled count ``k`` in order of first
@@ -478,20 +548,23 @@ def _array_edges(
     :func:`itertools.product` order (first member slowest), with the
     outcome digits read mixed-radix off the edge's index in its pair.  A
     target is the rank plus each mover's ``(new code − old code) ·
-    weight``; a probability is ``weight · branch`` with ``branch``
-    multiplied left to right from ``1.0`` — the replay's float expression,
-    as ``action_choices`` is 1 here.  Non-members read a padding outcome
-    slot whose delta is 0 and whose factor is exactly ``1.0``.
+    weight``; position ``i``'s atom is its action row's outcome slot,
+    or the padding atom when position ``i`` is not in the subset.  The
+    divisor is 1, as every mover has one action.
     """
     tables = context.tables
     width = tables.outcome_cum.shape[1]
+    pad = context.pad_atom
     num_sources = enabled_matrix.shape[0]
     rank_array = np.fromiter(ranks, dtype=np.int64, count=num_sources)
     enabled_cols = np.nonzero(enabled_matrix)[1]
     col_starts = np.cumsum(enabled_counts) - enabled_counts
     counts_seen, first = np.unique(enabled_counts, return_index=True)
 
-    parts = []
+    # Pass 1, per enabled-count group: the plan, the movers and the
+    # edges each (source, subset) pair emits.  The per-source edge counts
+    # place every group's edges in block order for pass 2.
+    groups = []
     edge_counts = np.empty(num_sources, dtype=np.int64)
     for k in counts_seen[np.argsort(first)].tolist():
         weights, members = context.subset_plan(k)
@@ -499,169 +572,189 @@ def _array_edges(
         movers = enabled_cols[col_starts[sources, None] + np.arange(k)]
         action_rows = bases_matrix[sources[:, None], movers]
         arity = context.arity[action_rows]
-        # Edges per (source, subset): the product of the members' arities.
-        pair_edges = np.ones((sources.shape[0], weights.shape[0]), np.int64)
-        for position in range(k):
-            pair_edges *= np.where(
-                members[:, position], arity[:, position, None], 1
-            )
-        edge_counts[sources] = pair_edges.sum(axis=1)
-        pair_edges = pair_edges.reshape(-1)
+        # Per pair and position, the radix: the mover's arity if it is a
+        # member, else 1.  A pair emits the product of its radices — one
+        # edge when the group's moves are deterministic.
+        if (arity == 1).all():
+            radix = None
+            pair_edges = np.ones(sources.shape[0] * weights.shape[0], np.int64)
+        else:
+            radix = np.where(members, arity[:, None, :], 1).reshape(-1, k).T
+            pair_edges = radix.prod(axis=0)
+        edge_counts[sources] = pair_edges.reshape(
+            sources.shape[0], -1
+        ).sum(axis=1)
+        groups.append(
+            (k, weights, members, sources, movers, action_rows, radix, pair_edges)
+        )
+
+    edge_starts = np.cumsum(edge_counts) - edge_counts
+    num_edges = int(edge_counts.sum())
+    choice = np.empty(num_edges, dtype=np.int64)
+    targets = np.empty(num_edges, dtype=np.int64)
+    weight = np.empty(num_edges, dtype=float)
+    # Position-major, so each position's atoms are one contiguous row.
+    atoms = np.empty((int(counts_seen.max()), num_edges), dtype=np.int64)
+    for (
+        k, weights, members, sources, movers, action_rows, radix, pair_edges
+    ) in groups:
         pair = np.repeat(np.arange(pair_edges.shape[0]), pair_edges)
-        local = np.arange(pair.shape[0]) - (
-            np.cumsum(pair_edges) - pair_edges
-        )[pair]
         source, subset = np.divmod(pair, weights.shape[0])
-        # Rank delta and branch factor per (position, source, outcome
-        # slot), plus the padding slot for "this position does not move",
-        # flattened per position so one edge reads slot
-        # ``row + digit`` of its position's table.
+        group_counts = edge_counts[sources]
+        slots = np.arange(pair.shape[0]) + np.repeat(
+            edge_starts[sources] - (np.cumsum(group_counts) - group_counts),
+            group_counts,
+        )
+        # Rank delta and atom per (position, source, outcome slot), plus
+        # a padding slot (delta 0, the padding atom) for "this position
+        # does not move", flattened per position so one edge reads slot
+        # ``row + digit`` of its position's tables, or ``row + width``.
         old = codes[sources[:, None], movers].astype(np.int64).T
         delta = np.zeros((k, sources.shape[0], width + 1), dtype=np.int64)
         delta[:, :, :width] = (
             tables.outcome_code[action_rows.T].astype(np.int64)
             - old[..., None]
         ) * context.weights_row[movers.T][..., None]
-        factor = np.ones((k, sources.shape[0], width + 1))
-        factor[:, :, :width] = tables.outcome_prob[action_rows.T]
-        row = source * (width + 1)
-        # Mixed-radix digits, first member slowest: ``remaining`` is the
-        # product of the radices after the current position.
-        remaining = pair_edges[pair]
-        target = rank_array[sources][source]
-        branch = np.ones(pair.shape[0])
-        for position in range(k):
-            member = members[:, position][subset]
-            remaining //= np.where(member, arity[:, position][source], 1)
-            digit, local = np.divmod(local, remaining)
-            slot = row + np.where(member, digit, width)
-            target += delta[position].reshape(-1)[slot]
-            branch *= factor[position].reshape(-1)[slot]
-        parts.append((sources, target, weights[subset] * branch))
-
-    # Scatter each group's source-major edges into block order.
-    edge_starts = np.cumsum(edge_counts) - edge_counts
-    targets = np.empty(int(edge_counts.sum()), dtype=np.int64)
-    probs = np.empty(targets.shape[0], dtype=float)
-    for sources, target, prob in parts:
-        group_counts = edge_counts[sources]
-        slots = np.arange(target.shape[0]) + np.repeat(
-            edge_starts[sources] - (np.cumsum(group_counts) - group_counts),
-            group_counts,
+        atom_table = np.full((k, sources.shape[0], width + 1), pad)
+        atom_table[:, :, :width] = action_rows.T[..., None] * width + np.arange(
+            width
         )
+        row = source * (width + 1)
+        offset = np.where(members, 0, width).T
+        target = rank_array[sources][source]
+        # Mixed-radix digits of the edge's index in its pair, first
+        # member slowest, so they peel off from the last position.
+        if radix is not None:
+            local = np.arange(pair.shape[0]) - (
+                np.cumsum(pair_edges) - pair_edges
+            )[pair]
+        for position in reversed(range(k)):
+            slot = row + offset[position][subset]
+            if radix is not None:
+                local, digit = np.divmod(local, radix[position][pair])
+                slot += digit
+            target += delta[position].reshape(-1)[slot]
+            atoms[position, slots] = atom_table[position].reshape(-1)[slot]
+        atoms[k:, slots] = pad
+        choice[slots] = subset
         targets[slots] = target
-        probs[slots] = prob
-    return edge_counts, targets, probs
+        weight[slots] = weights[subset]
+    return _WireChunk(
+        edge_counts, choice, targets, weight, np.ones(num_edges), atoms.T
+    )
 
 
-def _csr_from_wire(
-    num_rows: int,
-    edge_counts: np.ndarray,
-    targets: np.ndarray,
-    probs: np.ndarray,
-    num_cols: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate flat (row-grouped) wire edges into CSR arrays.
+class _DedupPlan:
+    """How flat (row-grouped) wire edges accumulate into CSR slots.
 
     Duplicate targets within a row are summed **in emission order**
     (stable sort + sequential segment reduction), reproducing the scalar
-    oracle's dict-accumulation order bit-for-bit.
+    oracle's dict-accumulation order bit-for-bit.  The plan depends only
+    on structure, so a parametric chain freezes it once and
+    :meth:`accumulate` reruns per parameter point.
 
     For a square chain matrix ``num_rows == num_cols`` (the default);
-    the MDP builder (:mod:`repro.markov.mdp`) reuses this with rows =
-    *actions* and columns = states, so ``num_cols`` is independent.
+    the MDP builder (:mod:`repro.markov.mdp`) uses rows = *actions* and
+    columns = states.
     """
-    if num_cols is None:
-        num_cols = num_rows
-    if targets.size == 0:
-        return (
-            np.zeros(0, dtype=float),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(num_rows + 1, dtype=np.int64),
+
+    def __init__(
+        self,
+        num_rows: int,
+        edge_counts: np.ndarray,
+        targets: np.ndarray,
+        num_cols: int | None = None,
+    ) -> None:
+        if num_cols is None:
+            num_cols = num_rows
+        self.indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        #: Per sorted edge, its CSR slot; ``None`` when no two edges
+        #: share a slot (nothing to accumulate).
+        self.group_of_sorted: np.ndarray | None = None
+        if targets.size == 0:
+            self.order = np.zeros(0, dtype=np.int64)
+            self.num_slots = 0
+            self.indices = np.zeros(0, dtype=np.int64)
+            return
+        row_of_edge = np.repeat(
+            np.arange(num_rows, dtype=np.int64), edge_counts
         )
-    row_of_edge = np.repeat(
-        np.arange(num_rows, dtype=np.int64), edge_counts
-    )
-    keys = row_of_edge * np.int64(num_cols) + targets
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    boundaries = np.diff(keys_sorted) != 0
-    group_starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
-    if group_starts.size == keys_sorted.size:
-        # No duplicate (row, target) pairs — nothing to accumulate.
-        data = probs[order]
-    else:
+        keys = row_of_edge * np.int64(num_cols) + targets
+        self.order = np.argsort(keys, kind="stable")
+        keys_sorted = keys[self.order]
+        boundaries = np.diff(keys_sorted) != 0
+        group_starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
+        self.num_slots = group_starts.size
+        if group_starts.size != keys_sorted.size:
+            self.group_of_sorted = np.zeros(keys_sorted.size, dtype=np.int64)
+            self.group_of_sorted[1:] = np.cumsum(boundaries)
+        unique_keys = keys_sorted[group_starts]
+        self.indices = unique_keys % num_cols
+        np.cumsum(
+            np.bincount(unique_keys // num_cols, minlength=num_rows),
+            out=self.indptr[1:],
+        )
+
+    def accumulate(self, probs: np.ndarray) -> np.ndarray:
+        """The CSR ``data`` vector of per-edge ``probs``."""
+        if self.group_of_sorted is None:
+            return probs[self.order]
         # ``np.add.at`` applies strictly sequentially in index order, so
         # duplicates sum left-to-right exactly as the oracle's dict
         # accumulation does (reduceat's pairwise summation would differ
         # in the last ulp).
-        group_of_edge = np.zeros(keys_sorted.size, dtype=np.int64)
-        group_of_edge[1:] = np.cumsum(boundaries)
-        data = np.zeros(group_starts.size, dtype=float)
-        np.add.at(data, group_of_edge, probs[order])
-    unique_keys = keys_sorted[group_starts]
-    indices = unique_keys % num_cols
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(
-            unique_keys // num_cols, minlength=num_rows
-        ),
-        out=indptr[1:],
-    )
-    return data, indices, indptr
+        data = np.zeros(self.num_slots, dtype=float)
+        np.add.at(data, self.group_of_sorted, probs[self.order])
+        return data
 
 
-def _build_full(system: System, context: _ChainContext) -> MarkovChain:
-    """Full-space mode: state ids are enumeration ranks."""
-    num_states = system.num_configurations()
-    counts_parts: list[np.ndarray] = []
-    target_parts: list[np.ndarray] = []
-    prob_parts: list[np.ndarray] = []
-    codes_parts: list[np.ndarray] = []
-    for start in range(0, num_states, _CHAIN_BLOCK):
-        stop = min(start + _CHAIN_BLOCK, num_states)
-        codes = context.codes_of_ranks(range(start, stop))
-        counts, targets, probs = _expand_chain_block(
-            context, codes, range(start, stop)
-        )
-        counts_parts.append(counts)
-        target_parts.append(np.asarray(targets, dtype=np.int64))
-        prob_parts.append(probs)
-        codes_parts.append(codes)
-
-    data, indices, indptr = _csr_from_wire(
-        num_states,
-        np.concatenate(counts_parts) if counts_parts else np.zeros(0, np.int64),
-        np.concatenate(target_parts) if target_parts else np.zeros(0, np.int64),
-        np.concatenate(prob_parts) if prob_parts else np.zeros(0),
-    )
-    states = list(system.all_configurations())
-    return MarkovChain.from_arrays(
-        system,
-        states,
-        data,
-        indices,
-        indptr,
-        context.distribution.name,
-        codes=np.concatenate(codes_parts) if codes_parts else None,
-        tables=context.tables,
-    )
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
-def _build_frontier(
+def _expand(
     system: System,
     context: _ChainContext,
-    seeds: list[Configuration],
+    initial: list[Configuration] | None,
     max_states: int,
-) -> MarkovChain:
-    """Reachable-fragment mode: level-synchronous BFS in rank space.
+    view: Callable[[_WireChunk], object],
+) -> tuple[list[Configuration], np.ndarray | None, np.ndarray, np.ndarray, list]:
+    """Expand a state set block by block and hand each chunk to ``view``.
 
-    Targets are interned in (source order, edge order) — the exact order
-    the scalar FIFO builder discovers them — so state ids come out
-    identical to the oracle's.
+    ``initial=None`` expands the full space, with enumeration ranks as
+    state ids.  Otherwise a level-synchronous BFS in rank space takes the
+    forward closure of ``initial``, interning targets in (source order,
+    edge order) — the exact order the scalar FIFO builder discovers
+    them — so state ids come out identical to the oracle's.  ``view``
+    keeps what its caller needs of each chunk, so at most one block of
+    symbolic edges is alive at a time.
+
+    Returns the states, their code matrix (``None`` when empty), the
+    edge count per state, the flat target ids and the kept views in
+    block order.
     """
-    encoding = context.tables.encoding
+    counts_parts: list[np.ndarray] = []
+    target_parts: list[np.ndarray] = []
+    kept: list = []
+    if initial is None:
+        num_states = system.num_configurations()
+        codes_parts: list[np.ndarray] = []
+        for start in range(0, num_states, _CHAIN_BLOCK):
+            block = range(start, min(start + _CHAIN_BLOCK, num_states))
+            codes = context.codes_of_ranks(block)
+            chunk = _expand_block(context, codes, block)
+            counts_parts.append(chunk.counts)
+            target_parts.append(np.asarray(chunk.targets, dtype=np.int64))
+            kept.append(view(chunk))
+            codes_parts.append(codes)
+        states = list(system.all_configurations())
+        all_codes = np.concatenate(codes_parts) if codes_parts else None
+        return (
+            states, all_codes, _concat(counts_parts, np.int64),
+            _concat(target_parts, np.int64), kept,
+        )
 
+    encoding = context.tables.encoding
     rank_to_id: dict[int, int] = {}
     rank_of_id: list[int] = []
 
@@ -676,12 +769,8 @@ def _build_frontier(
         rank_of_id.append(rank)
         return state_id
 
-    for seed in seeds:
+    for seed in initial:
         intern(context.rank_of(encoding.encode(seed)))
-
-    counts_parts: list[np.ndarray] = []
-    id_parts: list[np.ndarray] = []
-    prob_parts: list[np.ndarray] = []
 
     frontier_start = 0
     while frontier_start < len(rank_of_id):
@@ -689,38 +778,48 @@ def _build_frontier(
         frontier_start = len(rank_of_id)
         for start in range(0, len(frontier), _CHAIN_BLOCK):
             block = frontier[start : start + _CHAIN_BLOCK]
-            counts, targets, probs = _expand_chain_block(
+            chunk = _expand_block(
                 context, context.codes_of_ranks(block), block
             )
-            target_list = (
-                targets.tolist()
-                if isinstance(targets, np.ndarray)
-                else targets
-            )
-            ids = [intern(rank) for rank in target_list]
-            counts_parts.append(counts)
-            id_parts.append(
+            targets = chunk.targets
+            if isinstance(targets, np.ndarray):
+                targets = targets.tolist()
+            ids = [intern(rank) for rank in targets]
+            counts_parts.append(chunk.counts)
+            target_parts.append(
                 np.fromiter(ids, dtype=np.int64, count=len(ids))
             )
-            prob_parts.append(probs)
+            kept.append(view(chunk))
 
-    num_states = len(rank_of_id)
-    data, indices, indptr = _csr_from_wire(
-        num_states,
-        np.concatenate(counts_parts) if counts_parts else np.zeros(0, np.int64),
-        np.concatenate(id_parts) if id_parts else np.zeros(0, np.int64),
-        np.concatenate(prob_parts) if prob_parts else np.zeros(0),
-    )
-    states = [
-        context.configuration_of_rank(rank) for rank in rank_of_id
-    ]
+    states = [context.configuration_of_rank(rank) for rank in rank_of_id]
     codes = context.codes_of_ranks(rank_of_id) if rank_of_id else None
+    return (
+        states, codes, _concat(counts_parts, np.int64),
+        _concat(target_parts, np.int64), kept,
+    )
+
+
+def _build_compiled(
+    system: System,
+    context: _ChainContext,
+    initial: list[Configuration] | None,
+    max_states: int,
+) -> MarkovChain:
+    """The chain view: each chunk's probabilities evaluated right away."""
+    atom_values = context.atom_values
+    states, codes, counts, targets, probs = _expand(
+        system, context, initial, max_states,
+        lambda chunk: _edge_probs(
+            chunk.weight, chunk.divisor, chunk.atoms, atom_values
+        ),
+    )
+    plan = _DedupPlan(len(states), counts, targets)
     return MarkovChain.from_arrays(
         system,
         states,
-        data,
-        indices,
-        indptr,
+        plan.accumulate(_concat(probs, float)),
+        plan.indices,
+        plan.indptr,
         context.distribution.name,
         codes=codes,
         tables=context.tables,

@@ -35,11 +35,17 @@ Wire format (flat CSR, two levels)::
     edge_target   : (E,)      successor state ids
     edge_prob     : (E,)      successor probabilities (sum to 1 per action)
 
-States are full-space mixed-radix enumeration ranks — identical ids to
+The MDP is the third view of the chain builder's one expander
+(:func:`repro.markov.builder._expand`): its plan is the daemon family's
+choices (:func:`~repro.schedulers.distributions.daemon_action_subsets`,
+each at weight one), edges are grouped into actions by (source,
+choice), evaluated with the chain's expression ``1.0 · Π atoms /
+action_choices``, and zero-probability edges are dropped.  States are
+full-space mixed-radix enumeration ranks — identical ids to
 ``build_chain(system, distribution, initial=None)`` — and edges are
 accumulated through the same emission-order CSR reduction
-(:func:`repro.markov.builder._csr_from_wire`), so cross-checks against
-the chain tier compare array-to-array.  Terminal configurations get a
+(:class:`repro.markov.builder._DedupPlan`), so cross-checks against the
+chain tier compare array-to-array.  Terminal configurations get a
 single self-loop action, so every state has at least one action and
 every action at least one edge (``reduceat`` over the segment starts is
 always well-formed).
@@ -47,18 +53,23 @@ always well-formed).
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import ExpansionContext, compile_tables
+from repro.core.encoding import compile_tables
 from repro.core.kernel import TransitionKernel
 from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.batch import BatchLegitimacy
-from repro.markov.builder import DEFAULT_MAX_STATES, _csr_from_wire
+from repro.markov.builder import (
+    DEFAULT_MAX_STATES,
+    _ChainContext,
+    _DedupPlan,
+    _edge_probs,
+    _expand,
+)
 from repro.schedulers.distributions import daemon_action_subsets
 
 __all__ = [
@@ -73,10 +84,6 @@ MDP_DAEMONS = ("central", "distributed", "synchronous")
 
 #: Accepted optimization directions.
 MDP_OBJECTIVES = ("min", "max")
-
-#: Sources are expanded in blocks of this many ranks (matches the chain
-#: builder's block size).
-_MDP_BLOCK = 8192
 
 #: Reachability within this tolerance of one counts as certain — the
 #: same contract as :data:`repro.markov.hitting.ABSORPTION_TOLERANCE`.
@@ -257,6 +264,29 @@ class MarkovDecisionProcess:
         )
 
 
+class _DaemonChoices:
+    """A daemon family as the expander's plan: every choice at weight one.
+
+    :func:`daemon_action_subsets` depends only on positions in the
+    sorted enabled tuple, so the builder's array layer takes this plan
+    like a built-in distribution.
+    """
+
+    def __init__(self, daemon: str, max_enabled: int) -> None:
+        self.daemon = daemon
+        self.max_enabled = max_enabled
+
+    def weighted_subsets(
+        self, enabled: Sequence[int]
+    ) -> list[tuple[float, tuple[int, ...]]]:
+        return [
+            (1.0, subset)
+            for subset in daemon_action_subsets(
+                self.daemon, enabled, self.max_enabled
+            )
+        ]
+
+
 def build_mdp(
     system: System,
     daemon: str = "distributed",
@@ -288,145 +318,52 @@ def build_mdp(
     if kernel is None:
         kernel = TransitionKernel(system)
     tables = compile_tables(kernel)
-    context = ExpansionContext(tables)
+    context = _ChainContext(
+        tables, _DaemonChoices(daemon, max_enabled), positional=True
+    )
     if not context.int64_safe:
         raise MarkovError(
             "configuration ranks exceed int64; the MDP tier requires"
             " an int64-rankable configuration space"
         )
     num_states = int(total)
-
-    action_counts: list[int] = []
-    edge_counts: list[int] = []
-    edge_targets: list[int] = []
-    edge_probs: list[float] = []
-    subset_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    outcome_codes = context.outcome_codes
-    outcome_probs = context.outcome_probs
-    weights = context.config_weights
-
-    for block_start in range(0, num_states, _MDP_BLOCK):
-        block = range(
-            block_start, min(block_start + _MDP_BLOCK, num_states)
-        )
-        codes = context.codes_of_ranks(block)
-        keys = tables.pack(codes)
-        enabled_matrix = tables.enabled_flat[keys]
-        counts_matrix = tables.action_count[keys].tolist()
-        bases_matrix = tables.action_base[keys].tolist()
-        per_row = enabled_matrix.sum(axis=1, dtype=np.int64).tolist()
-        flat_enabled = np.nonzero(enabled_matrix)[1].tolist()
-        rows = codes.tolist()
-
-        cursor = 0
-        for index, source_rank in enumerate(block):
-            count = per_row[index]
-            enabled = tuple(flat_enabled[cursor : cursor + count])
-            cursor += count
-            if not enabled:
-                # Terminal: one self-loop action with probability one.
-                action_counts.append(1)
-                edge_counts.append(1)
-                edge_targets.append(source_rank)
-                edge_probs.append(1.0)
-                continue
-            row = rows[index]
-            row_counts = counts_matrix[index]
-            row_bases = bases_matrix[index]
-            subsets = subset_cache.get(enabled)
-            if subsets is None:
-                subsets = daemon_action_subsets(
-                    daemon, enabled, max_enabled
-                )
-                subset_cache[enabled] = subsets
-            action_counts.append(len(subsets))
-            for subset in subsets:
-                emitted = 0
-                action_choices = 1
-                for process in subset:
-                    action_choices *= row_counts[process]
-                if len(subset) == 1:
-                    process = subset[0]
-                    base = row_bases[process]
-                    config_weight = weights[process]
-                    old = row[process] * config_weight
-                    for action_row in range(
-                        base, base + row_counts[process]
-                    ):
-                        for code, branch in zip(
-                            outcome_codes[action_row],
-                            outcome_probs[action_row],
-                        ):
-                            if branch <= 0.0:
-                                continue
-                            edge_targets.append(
-                                source_rank + code * config_weight - old
-                            )
-                            edge_probs.append(branch / action_choices)
-                            emitted += 1
-                    edge_counts.append(emitted)
-                    continue
-                choice_lists = [
-                    [
-                        (
-                            weights[process],
-                            row[process] * weights[process],
-                            outcome_codes[action_row],
-                            outcome_probs[action_row],
-                        )
-                        for action_row in range(
-                            row_bases[process],
-                            row_bases[process] + row_counts[process],
-                        )
-                    ]
-                    for process in subset
-                ]
-                for assignment in product(*choice_lists):
-                    outcome_spaces = [
-                        tuple(zip(codes_, probs_))
-                        for _, _, codes_, probs_ in assignment
-                    ]
-                    for combo in product(*outcome_spaces):
-                        branch = 1.0
-                        target = source_rank
-                        for (config_weight, old, _, _), (code, p) in zip(
-                            assignment, combo
-                        ):
-                            branch *= p
-                            target += code * config_weight - old
-                        if branch <= 0.0:
-                            continue
-                        edge_targets.append(target)
-                        edge_probs.append(branch / action_choices)
-                        emitted += 1
-                edge_counts.append(emitted)
-
-    num_actions = len(edge_counts)
-    edge_prob, edge_target, edge_indptr = _csr_from_wire(
-        num_actions,
-        np.fromiter(edge_counts, dtype=np.int64, count=num_actions),
-        np.fromiter(
-            edge_targets, dtype=np.int64, count=len(edge_targets)
+    atom_values = context.atom_values
+    states, codes, counts, targets, kept = _expand(
+        system, context, None, max_states,
+        lambda chunk: (
+            chunk.choice,
+            _edge_probs(chunk.weight, chunk.divisor, chunk.atoms, atom_values),
         ),
-        np.fromiter(edge_probs, dtype=float, count=len(edge_probs)),
+    )
+    choice = np.concatenate([part[0] for part in kept])
+    probs = np.concatenate([part[1] for part in kept])
+    # Edges come source-major, then in plan order: an action is one run
+    # of equal (source, choice).
+    source = np.repeat(np.arange(num_states, dtype=np.int64), counts)
+    starts = np.ones(source.shape[0], dtype=bool)
+    starts[1:] = (source[1:] != source[:-1]) | (choice[1:] != choice[:-1])
+    action_of_edge = np.cumsum(starts) - 1
+    num_actions = int(action_of_edge[-1]) + 1
+    positive = probs > 0.0
+    plan = _DedupPlan(
+        num_actions,
+        np.bincount(action_of_edge[positive], minlength=num_actions),
+        targets[positive],
         num_cols=num_states,
     )
+    action_counts = np.bincount(source[starts], minlength=num_states)
     action_indptr = np.zeros(num_states + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(action_counts, dtype=np.int64, count=num_states),
-        out=action_indptr[1:],
-    )
-    states = list(system.all_configurations())
+    np.cumsum(action_counts, out=action_indptr[1:])
     mdp = MarkovDecisionProcess(
         system,
         states,
         daemon,
         action_indptr,
-        edge_indptr,
-        edge_target,
-        edge_prob,
+        plan.indptr,
+        plan.indices,
+        plan.accumulate(probs[positive]),
         tables.encoding,
-        context.codes_of_ranks(range(num_states)),
+        codes,
     )
     mdp._tables = tables
     return mdp

@@ -7,19 +7,20 @@ and how duplicate wire edges accumulate into CSR slots are all decided
 by guards and post-states, never by the numeric value of a coin.  Only
 the CSR ``data`` vector changes with the parameter point.
 
-:class:`ParametricChain` exploits that split.  It replays the compiled
-chain builder's expansion (:mod:`repro.markov.builder`) **symbolically**
-— every wire edge is recorded as ``(target, weight, action_choices,
-outcome atoms)`` where an *atom* is one slot of the compiled outcome
-table — and freezes the builder's stable-argsort dedup once.  Per
-parameter point, instantiation is then:
+:class:`ParametricChain` exploits that split.  It is the symbolic view
+of the compiled chain builder's one expander
+(:func:`repro.markov.builder._expand`, the same array layer and scalar
+replay ``build_chain`` evaluates): it keeps every wire edge as
+``(target, weight, action_choices, outcome atoms)`` — an *atom* is one
+slot of the compiled outcome table — and freezes the builder's
+stable-argsort dedup plan (:class:`repro.markov.builder._DedupPlan`)
+once.  Per parameter point, instantiation is then:
 
 1. evaluate the affine outcome table at the assignment
    (:meth:`~repro.core.encoding.CompiledKernelTables.evaluate_outcome_probs`);
 2. per edge, multiply its atoms left-to-right and apply the oracle's
    probability expression ``weight · Π atoms / action_choices``;
-3. scatter-accumulate into the frozen CSR slots exactly like
-   :func:`repro.markov.builder._csr_from_wire`.
+3. scatter-accumulate into the frozen CSR slots.
 
 Because every arithmetic step mirrors the concrete builder's, a chain
 instantiated at a concrete assignment is **bit-for-bit identical** —
@@ -44,7 +45,6 @@ over rebuilding the chain per point on a 64-point bias grid.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,162 +58,18 @@ from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.builder import (
     DEFAULT_MAX_STATES,
-    _CHAIN_BLOCK,
     _ChainContext,
     _compile_chain_context,
+    _concat,
+    _DedupPlan,
+    _edge_probs,
+    _expand,
 )
 from repro.markov.chain import MarkovChain, concat_ranges
 from repro.markov.hitting import TransientFactor, dense_structure
 from repro.schedulers.distributions import SchedulerDistribution
 
 __all__ = ["ParametricChain", "build_parametric_chain"]
-
-
-#: Wire format of one symbolically expanded block: per-source edge
-#: counts, flat target ranks, flat subset weights, flat action-choice
-#: divisors, and per-edge outcome-atom tuples (flat indices into the
-#: raveled outcome-probability table; empty for self-loop edges whose
-#: probability is the weight itself).
-_SymbolicChunk = tuple[
-    "list[int]", "list[int]", "list[float]", "list[float]", "list[tuple]"
-]
-
-
-def _expand_symbolic_block(
-    context: _ChainContext, codes: np.ndarray, ranks: Sequence[int]
-) -> _SymbolicChunk:
-    """Symbolic twin of :func:`repro.markov.builder._expand_chain_block`.
-
-    Emits the same edges in the same order with the same ``weight`` and
-    ``action_choices`` factors, but keeps each edge's outcome-probability
-    *atoms* (flat table slots) instead of multiplying them out — the
-    builder's probability ``weight · Π atoms / action_choices`` is
-    recovered per parameter point by :meth:`ParametricChain.edge_probs`.
-    The builder's array layer needs no twin: it emits the replay's
-    edges in the replay's order with the replay's floats (tested
-    bit-for-bit in ``tests/test_chain_compiled.py``), so one symbolic
-    path covers every block.
-
-    Must stay in lockstep with the builder's scalar replay; the
-    conformance-registry bit-equality suite (``tests/test_parametric_chain.py``)
-    is the guard.
-    """
-    tables = context.tables
-    keys = tables.pack(codes)
-    counts_matrix = tables.action_count[keys]
-    bases_matrix = tables.action_base[keys]
-    enabled_matrix = tables.enabled_flat[keys]
-
-    enabled_counts = enabled_matrix.sum(axis=1, dtype=np.int64)
-    enabled_cols = np.nonzero(enabled_matrix)[1].astype(np.int64)
-
-    distribution = context.distribution
-    width_out = tables.outcome_cum.shape[1]
-
-    counts = counts_matrix.tolist()
-    bases = bases_matrix.tolist()
-    rows = codes.tolist()
-    per_row = enabled_counts.tolist()
-    flat_enabled = enabled_cols.tolist()
-    outcome_codes = context.outcome_codes
-    weights = context.config_weights
-    plan_cache = context.plan_cache
-
-    edge_counts: list[int] = []
-    edge_targets: list[int] = []
-    edge_weights: list[float] = []
-    edge_choices: list[float] = []
-    edge_atoms: list[tuple] = []
-
-    cursor = 0
-    for index, source_rank in enumerate(ranks):
-        count = per_row[index]
-        enabled = tuple(flat_enabled[cursor : cursor + count])
-        cursor += count
-        emitted = 0
-        if not enabled:
-            edge_targets.append(source_rank)
-            edge_weights.append(1.0)
-            edge_choices.append(1.0)
-            edge_atoms.append(())
-            edge_counts.append(1)
-            continue
-        row = rows[index]
-        row_counts = counts[index]
-        row_bases = bases[index]
-        plan = plan_cache.get(enabled)
-        if plan is None:
-            plan = distribution.weighted_subsets(enabled)
-            plan_cache[enabled] = plan
-        for weight, subset in plan:
-            if weight <= 0.0:
-                continue
-            if not subset:
-                edge_targets.append(source_rank)
-                edge_weights.append(weight)
-                edge_choices.append(1.0)
-                edge_atoms.append(())
-                emitted += 1
-                continue
-            action_choices = 1
-            for process in subset:
-                action_choices *= row_counts[process]
-            if len(subset) == 1:
-                process = subset[0]
-                base = row_bases[process]
-                config_weight = weights[process]
-                old = row[process] * config_weight
-                for action_row in range(base, base + row_counts[process]):
-                    atom_base = action_row * width_out
-                    for slot, code in enumerate(outcome_codes[action_row]):
-                        edge_targets.append(
-                            source_rank + code * config_weight - old
-                        )
-                        edge_weights.append(weight)
-                        edge_choices.append(float(action_choices))
-                        edge_atoms.append((atom_base + slot,))
-                        emitted += 1
-                continue
-            choice_lists = [
-                [
-                    (
-                        weights[process],
-                        row[process] * weights[process],
-                        action_row,
-                    )
-                    for action_row in range(
-                        row_bases[process],
-                        row_bases[process] + row_counts[process],
-                    )
-                ]
-                for process in subset
-            ]
-            for assignment in product(*choice_lists):
-                outcome_spaces = [
-                    tuple(
-                        (code, action_row * width_out + slot)
-                        for slot, code in enumerate(
-                            outcome_codes[action_row]
-                        )
-                    )
-                    for _, _, action_row in assignment
-                ]
-                for combo in product(*outcome_spaces):
-                    target = source_rank
-                    atoms = []
-                    for (config_weight, old, _), (code, atom) in zip(
-                        assignment, combo
-                    ):
-                        atoms.append(atom)
-                        target += code * config_weight - old
-                    edge_targets.append(target)
-                    edge_weights.append(weight)
-                    edge_choices.append(float(action_choices))
-                    edge_atoms.append(tuple(atoms))
-                    emitted += 1
-        edge_counts.append(emitted)
-
-    return edge_counts, edge_targets, edge_weights, edge_choices, edge_atoms
 
 
 class _HittingStructure:
@@ -361,8 +217,9 @@ class ParametricChain:
 
     Built like ``build_chain(engine="compiled")`` (raising
     :class:`MarkovError` under the same conditions the compiled engine
-    is unavailable), but the expansion is symbolic: per-edge weights,
-    action-choice divisors, and outcome-table atoms.  The CSR
+    is unavailable) by the same expander, but keeping the wire format
+    symbolic: per-edge weights, action-choice divisors, and
+    outcome-table atoms.  The CSR
     ``indices``/``indptr`` and the dedup scatter plan are frozen at
     construction; :meth:`data_vector` re-instantiates only the ``data``
     vector at a parameter assignment, and :meth:`instantiate` wraps it
@@ -407,172 +264,62 @@ class ParametricChain:
             by_name[name] for name in self.param_names
         )
 
-        if initial is None:
-            self._expand_full(context)
-        else:
-            self._expand_frontier(context, list(initial), max_states)
-        self._freeze_structure()
+        self._freeze_structure(
+            context,
+            *_expand(
+                system,
+                context,
+                None if initial is None else list(initial),
+                max_states,
+                lambda chunk: (chunk.weight, chunk.divisor, chunk.atoms),
+            ),
+        )
         self._solvers: dict[bytes, _HittingStructure] = {}
         self._reference_chain: MarkovChain | None = None
 
     # ------------------------------------------------------------------
-    # construction: symbolic expansion + frozen dedup plan
+    # construction: frozen dedup plan over the symbolic wire edges
     # ------------------------------------------------------------------
-    def _expand_full(self, context: _ChainContext) -> None:
-        system = self.system
-        num_states = system.num_configurations()
-        counts: list[int] = []
-        targets: list[int] = []
-        weights: list[float] = []
-        choices: list[float] = []
-        atoms: list[tuple] = []
-        codes_parts: list[np.ndarray] = []
-        for start in range(0, num_states, _CHAIN_BLOCK):
-            stop = min(start + _CHAIN_BLOCK, num_states)
-            codes = context.codes_of_ranks(range(start, stop))
-            chunk = _expand_symbolic_block(
-                context, codes, range(start, stop)
-            )
-            counts.extend(chunk[0])
-            targets.extend(chunk[1])
-            weights.extend(chunk[2])
-            choices.extend(chunk[3])
-            atoms.extend(chunk[4])
-            codes_parts.append(codes)
-        self.num_states = num_states
-        self.states = list(system.all_configurations())
-        self._codes = (
-            np.concatenate(codes_parts) if codes_parts else None
-        )
-        self._edge_counts = counts
-        self._edge_targets = targets
-        self._edge_weights = np.asarray(weights, dtype=float)
-        self._edge_choices = np.asarray(choices, dtype=float)
-        self._edge_atoms = atoms
-
-    def _expand_frontier(
+    def _freeze_structure(
         self,
         context: _ChainContext,
-        seeds: list[Configuration],
-        max_states: int,
+        states: list[Configuration],
+        codes: np.ndarray | None,
+        counts: np.ndarray,
+        targets: np.ndarray,
+        kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> None:
-        encoding = context.tables.encoding
-        rank_to_id: dict[int, int] = {}
-        rank_of_id: list[int] = []
+        """Keep the symbolic edges and freeze the builder's dedup plan.
 
-        def intern(rank: int) -> int:
-            state_id = rank_to_id.get(rank)
-            if state_id is not None:
-                return state_id
-            if len(rank_of_id) >= max_states:
-                raise MarkovError(f"chain exceeded {max_states} states")
-            state_id = len(rank_of_id)
-            rank_to_id[rank] = state_id
-            rank_of_id.append(rank)
-            return state_id
-
-        for seed in seeds:
-            intern(context.rank_of(encoding.encode(seed)))
-
-        counts: list[int] = []
-        ids: list[int] = []
-        weights: list[float] = []
-        choices: list[float] = []
-        atoms: list[tuple] = []
-
-        frontier_start = 0
-        while frontier_start < len(rank_of_id):
-            frontier = rank_of_id[frontier_start:]
-            frontier_start = len(rank_of_id)
-            for start in range(0, len(frontier), _CHAIN_BLOCK):
-                block = frontier[start : start + _CHAIN_BLOCK]
-                chunk = _expand_symbolic_block(
-                    context, context.codes_of_ranks(block), block
-                )
-                counts.extend(chunk[0])
-                ids.extend(intern(rank) for rank in chunk[1])
-                weights.extend(chunk[2])
-                choices.extend(chunk[3])
-                atoms.extend(chunk[4])
-
-        self.num_states = len(rank_of_id)
-        self.states = [
-            context.configuration_of_rank(rank) for rank in rank_of_id
-        ]
-        self._codes = (
-            context.codes_of_ranks(rank_of_id) if rank_of_id else None
-        )
-        self._edge_counts = counts
-        self._edge_targets = ids
-        self._edge_weights = np.asarray(weights, dtype=float)
-        self._edge_choices = np.asarray(choices, dtype=float)
-        self._edge_atoms = atoms
-
-    def _freeze_structure(self) -> None:
-        """Replay ``_csr_from_wire``'s dedup once, keeping the plan.
-
-        Identical stable argsort and group boundaries; per point only
-        the scatter-accumulation of probabilities reruns, so the
-        resulting ``data`` matches the concrete builder's bit-for-bit
-        (``np.add.at`` applies sequentially in sorted-emission order,
-        exactly like the builder and the scalar oracle's dict walk).
+        Per point only the scatter-accumulation of probabilities reruns
+        (:meth:`_DedupPlan.accumulate`), so the resulting ``data`` matches
+        the concrete builder's bit-for-bit.  Each edge's real atoms move
+        left in order and all-padding columns are dropped: removing a
+        factor of exactly ``1.0`` leaves every product unchanged.
         """
-        num_rows = self.num_states
-        edge_counts = np.fromiter(
-            self._edge_counts, dtype=np.int64, count=len(self._edge_counts)
+        self.num_states = len(states)
+        self.states = states
+        self._codes = codes
+        self._edge_weights = _concat([part[0] for part in kept], float)
+        self._edge_divisors = _concat([part[1] for part in kept], float)
+        self.num_edges = self._edge_weights.shape[0]
+        width = max((part[2].shape[1] for part in kept), default=0)
+        atoms = np.full(
+            (self.num_edges, width), context.pad_atom, dtype=np.int64
         )
-        targets = np.fromiter(
-            self._edge_targets, dtype=np.int64, count=len(self._edge_targets)
+        start = 0
+        for _, _, block_atoms in kept:
+            stop = start + block_atoms.shape[0]
+            atoms[start:stop, : block_atoms.shape[1]] = block_atoms
+            start = stop
+        real = atoms != context.pad_atom
+        atoms = np.take_along_axis(
+            atoms, np.argsort(~real, axis=1, kind="stable"), axis=1
         )
-        if targets.size == 0:
-            self._order = np.zeros(0, dtype=np.int64)
-            self._group_of_sorted = None
-            self._num_slots = 0
-            self.indices = np.zeros(0, dtype=np.int64)
-            self.indptr = np.zeros(num_rows + 1, dtype=np.int64)
-            self._atom_groups = []
-            self._plain_edges = np.zeros(0, dtype=np.int64)
-            return
-        row_of_edge = np.repeat(
-            np.arange(num_rows, dtype=np.int64), edge_counts
-        )
-        keys = row_of_edge * np.int64(num_rows) + targets
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        boundaries = np.diff(keys_sorted) != 0
-        group_starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
-        if group_starts.size == keys_sorted.size:
-            group_of_sorted = None
-        else:
-            group_of_sorted = np.zeros(keys_sorted.size, dtype=np.int64)
-            group_of_sorted[1:] = np.cumsum(boundaries)
-        unique_keys = keys_sorted[group_starts]
-        self._order = order
-        self._group_of_sorted = group_of_sorted
-        self._num_slots = group_starts.size
-        self.indices = unique_keys % num_rows
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(unique_keys // num_rows, minlength=num_rows),
-            out=indptr[1:],
-        )
-        self.indptr = indptr
-
-        # Group edges by atom count for vectorized per-point products.
-        atom_counts = np.fromiter(
-            (len(a) for a in self._edge_atoms),
-            dtype=np.int64,
-            count=len(self._edge_atoms),
-        )
-        self._plain_edges = np.flatnonzero(atom_counts == 0)
-        self._atom_groups = []
-        for k in sorted(set(atom_counts.tolist()) - {0}):
-            edge_ids = np.flatnonzero(atom_counts == k)
-            matrix = np.empty((edge_ids.shape[0], k), dtype=np.int64)
-            for position, edge in enumerate(edge_ids.tolist()):
-                matrix[position] = self._edge_atoms[edge]
-            self._atom_groups.append((edge_ids, matrix))
-        self.num_edges = int(atom_counts.shape[0])
+        self._edge_atoms = atoms[:, : int(real.sum(axis=1).max(initial=0))]
+        self._plan = _DedupPlan(self.num_states, counts, targets)
+        self.indices = self._plan.indices
+        self.indptr = self._plan.indptr
 
     # ------------------------------------------------------------------
     # per-point instantiation
@@ -588,39 +335,27 @@ class ParametricChain:
         ``None`` evaluates at the raw construction-time table
         (``outcome_prob`` itself); an explicit assignment evaluates the
         affine forms.  Either way each edge applies the oracle's exact
-        expression: plain edges carry their weight verbatim, one-atom
-        edges compute ``weight · atom / choices``, multi-atom edges fold
-        their atoms left-to-right from ``1.0`` first.
+        expression ``weight · Π atoms / action_choices``, its atoms
+        multiplied left to right from ``1.0`` (see
+        :func:`repro.markov.builder._edge_probs`).
         """
         tables = self._tables
         if assignment is None:
-            atom_values = tables.outcome_prob.ravel()
+            atom_values = tables.outcome_prob
         else:
-            atom_values = tables.evaluate_outcome_probs(
-                dict(assignment)
-            ).ravel()
-        probs = np.empty(self.num_edges, dtype=float)
-        if self._plain_edges.size:
-            probs[self._plain_edges] = self._edge_weights[self._plain_edges]
-        for edge_ids, matrix in self._atom_groups:
-            branch = atom_values[matrix[:, 0]]
-            for column in range(1, matrix.shape[1]):
-                branch = branch * atom_values[matrix[:, column]]
-            probs[edge_ids] = (
-                self._edge_weights[edge_ids] * branch
-            ) / self._edge_choices[edge_ids]
-        return probs
+            atom_values = tables.evaluate_outcome_probs(dict(assignment))
+        return _edge_probs(
+            self._edge_weights,
+            self._edge_divisors,
+            self._edge_atoms,
+            np.append(atom_values.ravel(), 1.0),
+        )
 
     def data_vector(
         self, assignment: Mapping[str, float] | None = None
     ) -> np.ndarray:
         """The CSR ``data`` vector at one assignment (frozen structure)."""
-        probs = self.edge_probs(assignment)
-        if self._group_of_sorted is None:
-            return probs[self._order]
-        data = np.zeros(self._num_slots, dtype=float)
-        np.add.at(data, self._group_of_sorted, probs[self._order])
-        return data
+        return self._plan.accumulate(self.edge_probs(assignment))
 
     def data_bounds(
         self, lows: Mapping[str, float], highs: Mapping[str, float]
@@ -635,29 +370,18 @@ class ParametricChain:
         atom_lo, atom_hi = self._tables.outcome_prob_bounds(
             dict(lows), dict(highs)
         )
-        atom_lo = np.maximum(atom_lo.ravel(), 0.0)
-        atom_hi = np.maximum(atom_hi.ravel(), 0.0)
-        lo = np.empty(self.num_edges, dtype=float)
-        hi = np.empty(self.num_edges, dtype=float)
-        if self._plain_edges.size:
-            lo[self._plain_edges] = self._edge_weights[self._plain_edges]
-            hi[self._plain_edges] = self._edge_weights[self._plain_edges]
-        for edge_ids, matrix in self._atom_groups:
-            branch_lo = atom_lo[matrix[:, 0]]
-            branch_hi = atom_hi[matrix[:, 0]]
-            for column in range(1, matrix.shape[1]):
-                branch_lo = branch_lo * atom_lo[matrix[:, column]]
-                branch_hi = branch_hi * atom_hi[matrix[:, column]]
-            scale = self._edge_weights[edge_ids] / self._edge_choices[edge_ids]
-            lo[edge_ids] = scale * branch_lo
-            hi[edge_ids] = scale * branch_hi
-        if self._group_of_sorted is None:
-            return lo[self._order], hi[self._order]
-        data_lo = np.zeros(self._num_slots, dtype=float)
-        data_hi = np.zeros(self._num_slots, dtype=float)
-        np.add.at(data_lo, self._group_of_sorted, lo[self._order])
-        np.add.at(data_hi, self._group_of_sorted, hi[self._order])
-        return data_lo, data_hi
+        atom_lo = np.append(np.maximum(atom_lo.ravel(), 0.0), 1.0)
+        atom_hi = np.append(np.maximum(atom_hi.ravel(), 0.0), 1.0)
+        branch_lo = np.ones(self.num_edges)
+        branch_hi = np.ones(self.num_edges)
+        for column in self._edge_atoms.T:
+            branch_lo = branch_lo * atom_lo[column]
+            branch_hi = branch_hi * atom_hi[column]
+        scale = self._edge_weights / self._edge_divisors
+        return (
+            self._plan.accumulate(scale * branch_lo),
+            self._plan.accumulate(scale * branch_hi),
+        )
 
     def instantiate(
         self, assignment: Mapping[str, float] | None = None

@@ -6,7 +6,9 @@ state list in the same order, bit-identical CSR arrays whether a block
 takes the array layer or the scalar replay, and identical downstream verdicts
 (``hitting_summary``, ``classify_probabilistic``) — across topologies,
 scheduler distributions, deterministic and probabilistic systems, and
-both full-space and restricted-initial modes.  Also covers the
+both full-space and restricted-initial modes — and which layer of the
+one expander each view (chain, ``ParametricChain``, ``build_mdp``)
+takes.  Also covers the
 CSR-native :class:`MarkovChain` surface: cached matrix exports, the lazy
 ``rows`` view, and vectorized ``mark`` predicates.
 """
@@ -18,7 +20,7 @@ import copy
 import numpy as np
 import pytest
 
-from conformance_registry import make_two_action_system
+from conformance_registry import conformance_system, make_two_action_system
 from repro.algorithms.herman_ring import HermanSingleTokenSpec, make_herman_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import TokenCirculationSpec, make_token_ring_system
@@ -28,6 +30,8 @@ from repro.graphs.generators import figure3_chain, star
 from repro.markov.batch import DecodingLegitimacy, EnabledCountLegitimacy
 from repro.markov.builder import CHAIN_ENGINES, build_chain
 from repro.markov.hitting import hitting_summary
+from repro.markov.mdp import MDP_DAEMONS, build_mdp
+from repro.markov.parametric import ParametricChain
 from repro.schedulers.distributions import (
     BernoulliDistribution,
     CentralRandomizedDistribution,
@@ -186,9 +190,30 @@ def test_multi_action_blocks_take_the_replay(
     distribution = DISTRIBUTIONS[distribution_name]()
     compiled = build_chain(system, distribution, engine="compiled")
     scalar = build_chain(system, distribution, engine="scalar")
-    # Every block of the full space holds a two-action cell.
+    # Every block of the full space holds a two-action cell, in every
+    # view of the expander.
     assert not array_layer_calls
     assert_arrays_identical(scalar, compiled)
+    assert_arrays_identical(
+        scalar, ParametricChain(system, distribution).instantiate()
+    )
+    assert not array_layer_calls
+
+
+@pytest.mark.parametrize("daemon", MDP_DAEMONS)
+def test_multi_action_mdp_takes_the_replay(daemon, array_layer_calls):
+    build_mdp(make_two_action_system(4), daemon=daemon)
+    assert not array_layer_calls
+
+
+def test_parametric_and_mdp_views_take_the_array_layer(array_layer_calls):
+    ParametricChain(
+        conformance_system("herman-ring5"), SynchronousDistribution()
+    )
+    assert array_layer_calls, "ParametricChain takes the array layer"
+    array_layer_calls.clear()
+    build_mdp(conformance_system("token-ring5"), daemon="central")
+    assert array_layer_calls, "build_mdp takes the array layer"
 
 
 def test_auto_engine_matches_both(ring5_system):

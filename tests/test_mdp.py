@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformance_registry import conformance_entry, conformance_system
+from conformance_registry import (
+    conformance_entry,
+    conformance_system,
+    make_two_action_system,
+)
+from repro.core.kernel import TransitionKernel
+from repro.core.system import compose_weighted_targets
 from repro.errors import MarkovError
 from repro.markov.builder import build_chain
 from repro.markov.hitting import (
@@ -21,7 +27,10 @@ from repro.markov.hitting import (
     expected_hitting_times,
 )
 from repro.markov.mdp import MDP_DAEMONS, MDP_OBJECTIVES, build_mdp
-from repro.schedulers.distributions import SynchronousDistribution
+from repro.schedulers.distributions import (
+    SynchronousDistribution,
+    daemon_action_subsets,
+)
 from repro.stabilization.adversarial import (
     best_case_convergence,
     daemon_bracket,
@@ -106,6 +115,74 @@ def test_mdp_states_align_with_chain_states():
     assert (
         mdp.mark(scalar) == np.asarray(chain.mark(scalar), dtype=bool)
     ).all()
+
+
+# ----------------------------------------------------------------------
+# scalar oracle: the exact wire arrays, rebuilt from the kernel
+# ----------------------------------------------------------------------
+def _scalar_mdp(system, daemon):
+    """The MDP's four wire arrays from :class:`TransitionKernel` alone.
+
+    One action per :func:`daemon_action_subsets` subset (a terminal
+    configuration gets one self-loop action), each edge ``branch /
+    action_choices`` with zero-probability branches dropped, duplicate
+    targets summed in dict (emission) order, edges sorted by target.
+    """
+    kernel = TransitionKernel(system)
+    states = list(system.all_configurations())
+    index = {state: state_id for state_id, state in enumerate(states)}
+    action_counts, edge_counts, targets, probs = [], [], [], []
+    for state_id, configuration in enumerate(states):
+        resolved = kernel.resolved_actions(configuration)
+        enabled = tuple(sorted(resolved))
+        if not enabled:
+            action_counts.append(1)
+            edge_counts.append(1)
+            targets.append(state_id)
+            probs.append(1.0)
+            continue
+        subsets = daemon_action_subsets(daemon, enabled)
+        action_counts.append(len(subsets))
+        for subset in subsets:
+            action_choices = 1
+            for process in subset:
+                action_choices *= len(resolved[process])
+            row: dict[int, float] = {}
+            for branch, target in compose_weighted_targets(
+                configuration, subset, resolved
+            ):
+                if branch <= 0.0:
+                    continue
+                target_id = index[target]
+                row[target_id] = (
+                    row.get(target_id, 0.0) + branch / action_choices
+                )
+            edge_counts.append(len(row))
+            for target_id in sorted(row):
+                targets.append(target_id)
+                probs.append(row[target_id])
+    return (
+        np.concatenate([[0], np.cumsum(action_counts)]),
+        np.concatenate([[0], np.cumsum(edge_counts)]),
+        np.array(targets, dtype=np.int64),
+        np.array(probs, dtype=float),
+    )
+
+
+@pytest.mark.parametrize("daemon", sorted(MDP_DAEMONS))
+@pytest.mark.parametrize("name", BRACKET_SYSTEMS + ("two-action-ring4",))
+def test_mdp_matches_scalar_oracle_exactly(name, daemon):
+    if name == "two-action-ring4":
+        system = make_two_action_system(4)
+    else:
+        system = conformance_system(name)
+    mdp = build_mdp(system, daemon=daemon)
+    expected = _scalar_mdp(system, daemon)
+    actual = (
+        mdp.action_indptr, mdp.edge_indptr, mdp.edge_target, mdp.edge_prob
+    )
+    for ours, theirs in zip(expected, actual):
+        assert np.array_equal(ours, theirs)
 
 
 # ----------------------------------------------------------------------

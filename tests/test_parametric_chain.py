@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conformance_registry import CONFORMANCE_SYSTEMS, conformance_entry
+from conformance_registry import (
+    CONFORMANCE_SYSTEMS,
+    conformance_entry,
+    conformance_system,
+)
 
 from repro.algorithms.herman_ring import HermanSingleTokenSpec
 from repro.algorithms.herman_variants import (
@@ -204,6 +208,22 @@ def test_frontier_mode_matches_compiled_builder():
     assert pchain.num_states == chain.num_states
     assert pchain.num_states < system.num_configurations()
     assert_bit_identical(chain, pchain, {"p": 0.6})
+
+
+def test_empty_initial_set_matches_compiled_builder():
+    system = conformance_system("herman-ring5")
+    distribution = SynchronousDistribution()
+    chain = build_chain(system, distribution, initial=[], engine="compiled")
+    pchain = ParametricChain(system, distribution, initial=[])
+    assert pchain.num_states == chain.num_states == 0
+    instantiated = pchain.instantiate()
+    assert instantiated.states == chain.states
+    for ours, theirs in zip(
+        instantiated.transition_arrays(), chain.transition_arrays()
+    ):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(pchain.data_vector(), chain.transition_arrays()[0])
 
 
 # ----------------------------------------------------------------------
