@@ -12,12 +12,18 @@ step a handful of integer gathers:
   process (codes follow the deterministic domain-product order that
   :func:`repro.core.configuration.enumerate_configurations` and
   :meth:`repro.core.kernel.TransitionKernel.precompute` already use);
+* :func:`process_classes` — the classes of look-alike processes: two
+  processes whose local views observe the same layouts, constants,
+  degrees and ``my_index_at`` numbering run the anonymous program on
+  identical inputs;
 * :class:`CompiledKernelTables` / :func:`compile_tables` — every
-  neighborhood of every process resolved once through the kernel and
-  packed into mixed-radix-indexed arrays: enabled bit, action count,
-  and per-action outcome rows (cumulative probability for inverse-CDF
-  sampling, raw probability for the exact chain builder, post-state
-  code).
+  neighborhood of one member per process class resolved once through
+  the kernel and packed into mixed-radix-indexed arrays: enabled bit,
+  action count, and per-action outcome rows (cumulative probability for
+  inverse-CDF sampling, raw probability for the exact chain builder,
+  post-state code).  Class members share the block through their
+  ``key_offset``, so a ring of identical processes compiles one block,
+  not one per process.
 
 Division of labor (see :mod:`repro.core`): ``System`` = semantics,
 ``TransitionKernel`` = speed, encoding/batch = scale.  Three engines
@@ -55,6 +61,7 @@ __all__ = [
     "ExpansionContext",
     "compile_tables",
     "expansion_context",
+    "process_classes",
 ]
 
 #: Code dtype: local state spaces are tiny, 32 bits is generous.
@@ -106,6 +113,10 @@ class StateEncoding:
     # ------------------------------------------------------------------
     # sizes
     # ------------------------------------------------------------------
+    def local_states(self, process: int) -> Sequence[LocalState]:
+        """One process's local states in code order (do not mutate)."""
+        return self._states[process]
+
     def num_local_states(self, process: int) -> int:
         """Cardinality of one process's local-state space."""
         return int(self._sizes[process])
@@ -196,9 +207,13 @@ class CompiledKernelTables:
 
     Per process ``p`` with neighbors ``(q_0, ..., q_{d-1})`` the packed
     neighborhood key is the mixed-radix integer
-    ``((code_p · |S_{q_0}| + code_{q_0}) · |S_{q_1}| + ...)`` offset into
-    one global flat index space.  Lookups over a ``(T, N)`` code matrix
-    are then three gathers:
+    ``((code_p · |S_{q_0}| + code_{q_0}) · |S_{q_1}| + ...)`` plus
+    ``key_offset[p]``, the start of the block of ``p``'s *process class*
+    (:func:`process_classes`, recorded in ``process_class``) in one
+    global flat index space.  Look-alike processes resolve every
+    neighborhood identically, so each class block and its action rows
+    are stored once and ``num_entries`` counts class entries.  Lookups
+    over a ``(T, N)`` code matrix are then three gathers:
 
     * ``pack(codes)`` — neighbor gather + weighted sum → keys ``(T, N)``;
     * ``enabled_flat[keys]`` — enabled bit per (trial, process);
@@ -224,6 +239,7 @@ class CompiledKernelTables:
         "param_names",
         "outcome_prob_const",
         "outcome_prob_coeff",
+        "process_class",
         "num_entries",
         "_expansion_memo",
     )
@@ -240,6 +256,7 @@ class CompiledKernelTables:
         outcome_cum: np.ndarray,
         outcome_code: np.ndarray,
         outcome_prob: np.ndarray,
+        process_class: np.ndarray,
         param_names: tuple[str, ...] = (),
         outcome_prob_const: np.ndarray | None = None,
         outcome_prob_coeff: np.ndarray | None = None,
@@ -257,6 +274,7 @@ class CompiledKernelTables:
         self.param_names = param_names
         self.outcome_prob_const = outcome_prob_const
         self.outcome_prob_coeff = outcome_prob_coeff
+        self.process_class = process_class
         self.num_entries = int(enabled_flat.shape[0])
 
     # ------------------------------------------------------------------
@@ -360,6 +378,7 @@ class CompiledKernelTables:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledKernelTables(entries={self.num_entries},"
+            f" classes={int(self.process_class.max()) + 1},"
             f" action_rows={self.outcome_cum.shape[0]})"
         )
 
@@ -498,18 +517,87 @@ class ExpansionContext:
         return ranks + delta, enabled.sum(axis=1)
 
 
+def _strict(value: object) -> object:
+    """Type-strict hashable stand-in for a domain value or constant.
+
+    Python's ``0 == False == 0.0`` would merge values an algorithm can
+    tell apart, so every leaf carries its type (floats their exact bit
+    pattern, which keeps ``0.0`` and ``-0.0`` apart), recursing into
+    tuples and frozensets.  Unhashable leaves pass through and make the
+    whole key unhashable.
+    """
+    if isinstance(value, tuple):
+        return (type(value), tuple(_strict(item) for item in value))
+    if isinstance(value, frozenset):
+        return (type(value), frozenset(_strict(item) for item in value))
+    if isinstance(value, float):
+        return (type(value), value.hex())
+    return (type(value), value)
+
+
+def process_classes(system: System | TransitionKernel) -> np.ndarray:
+    """Class id of every process, shape ``(N,)``, in first-seen order.
+
+    Two processes share a class when they agree on everything a
+    :class:`~repro.core.view.View` lets the anonymous local program
+    observe: their own layout, constants and degree, and per local
+    index the neighbor's layout, the neighbor's degree and
+    ``my_index_at``.  Such processes resolve every local neighborhood
+    identically (equal layouts intern equal codes in
+    :class:`StateEncoding`), so :func:`compile_tables` stores one
+    neighborhood block per class.  Layouts and constants compare
+    type-strictly; a process with an unhashable constant is its own
+    class.
+    """
+    topology = system.topology
+    layout_keys = [
+        tuple((spec.name, _strict(spec.domain)) for spec in layout.specs)
+        for layout in system.layouts
+    ]
+    classes = np.empty(system.num_processes, dtype=np.int64)
+    interned: dict[object, int] = {}
+    num_classes = 0
+    for process in system.processes:
+        view_key = (
+            layout_keys[process],
+            tuple(
+                (
+                    layout_keys[neighbor],
+                    topology.degree(neighbor),
+                    topology.mirror_index(process, index),
+                )
+                for index, neighbor in enumerate(topology.neighbors(process))
+            ),
+        )
+        try:
+            constants = frozenset(
+                (name, _strict(value))
+                for name, value in system.constants(process).items()
+            )
+            class_id = interned.setdefault((view_key, constants), num_classes)
+        except TypeError:  # unhashable constant: a class of its own
+            class_id = num_classes
+        if class_id == num_classes:
+            num_classes += 1
+        classes[process] = class_id
+    return classes
+
+
 def compile_tables(
     kernel: TransitionKernel,
     encoding: StateEncoding | None = None,
     max_entries: int = DEFAULT_TABLE_BUDGET,
 ) -> CompiledKernelTables:
-    """Resolve every neighborhood through the kernel, pack into arrays.
+    """Resolve one neighborhood block per process class, pack into arrays.
 
-    Equivalent in coverage to :meth:`TransitionKernel.precompute` (and
-    subject to the same ``max_entries`` budget) but the result is flat
-    NumPy storage instead of per-process dicts, so lookups vectorize over
-    whole trial batches.  Raises :class:`ModelError` when the neighborhood
-    product space exceeds the budget.
+    Equivalent in coverage to :meth:`TransitionKernel.precompute` but
+    the result is flat NumPy storage instead of per-process dicts, so
+    lookups vectorize over whole trial batches.  Processes of one
+    :func:`process_classes` class resolve every neighborhood
+    identically, so the block (and its action rows) is resolved through
+    the class's first member and stored once; every member's
+    ``key_offset`` points at it.  Raises :class:`ModelError` when the
+    class blocks together exceed ``max_entries``.
 
     Default-parameter calls (``encoding=None``, default budget) are
     memoized on the kernel: the tables are immutable after compilation,
@@ -524,21 +612,44 @@ def compile_tables(
             return cached
     if encoding is None:
         encoding = StateEncoding(kernel)
-    total = kernel.num_neighborhoods()
-    if total > max_entries:
-        raise ModelError(
-            f"neighborhood space has {total} entries, budget is"
-            f" {max_entries}; use the scalar kernel instead"
-        )
     system = kernel.system
     topology = system.topology
     num_processes = system.num_processes
     neighbors = [tuple(topology.neighbors(p)) for p in system.processes]
     width = 1 + max(len(nbrs) for nbrs in neighbors)
+    process_class = process_classes(system)
+    num_classes = int(process_class.max()) + 1
+    representatives = np.unique(process_class, return_index=True)[1].tolist()
+
+    # Block sizes as Python ints: a huge neighborhood space must raise
+    # the budget error, not overflow int64.
+    sizes = encoding.sizes.tolist()
+    block_sizes = []
+    for process in representatives:
+        size = sizes[process]
+        for neighbor in neighbors[process]:
+            size *= sizes[neighbor]
+        block_sizes.append(size)
+    total = sum(block_sizes)
+    if total > max_entries:
+        raise ModelError(
+            f"class tables have {total} entries ({num_classes} process"
+            f" classes), budget is {max_entries}; use the scalar kernel"
+            " instead"
+        )
+    class_offset = np.cumsum([0, *block_sizes])
 
     neighbor_index = np.zeros((num_processes, width), dtype=np.int64)
     neighbor_weight = np.zeros((num_processes, width), dtype=np.int64)
-    key_offset = np.zeros(num_processes, dtype=np.int64)
+    for process in range(num_processes):
+        members = (process, *neighbors[process])
+        # Mixed-radix weights: the member listed first varies slowest.
+        weight = 1
+        for position in range(len(members) - 1, -1, -1):
+            neighbor_index[process, position] = members[position]
+            neighbor_weight[process, position] = weight
+            weight *= sizes[members[position]]
+    key_offset = class_offset[process_class].astype(np.int64)
 
     enabled_flat = np.zeros(total, dtype=bool)
     action_count = np.zeros(total, dtype=np.int64)
@@ -551,41 +662,32 @@ def compile_tables(
     # no affine outcome at all store None.
     row_affine: list[tuple | None] = []
 
-    offset = 0
-    for process in range(num_processes):
+    # Normalized cumulative rows by raw probability vector: few distinct
+    # coin distributions recur across all action rows.
+    cum_of: dict[tuple[float, ...], tuple[float, ...]] = {}
+    for class_id, process in enumerate(representatives):
         members = (process, *neighbors[process])
-        sizes = [encoding.num_local_states(q) for q in members]
-        # Mixed-radix weights: the member listed first varies slowest.
-        weight = 1
-        for position in range(len(members) - 1, -1, -1):
-            neighbor_index[process, position] = members[position]
-            neighbor_weight[process, position] = weight
-            weight *= sizes[position]
-        key_offset[process] = offset
-
-        for flat, member_codes in enumerate(
-            product(*(range(size) for size in sizes))
+        for index, key in enumerate(
+            product(*(encoding.local_states(q) for q in members)),
+            start=int(class_offset[class_id]),
         ):
-            key = tuple(
-                encoding.decode_local(member, code)
-                for member, code in zip(members, member_codes)
-            )
             entry = kernel.neighborhood_entry(process, key)
-            index = offset + flat
             enabled_flat[index] = bool(entry.actions)
             action_count[index] = len(entry.actions)
             action_base[index] = len(row_cums) if entry.actions else 0
             for _, outcomes in entry.actions:
-                probabilities = np.array(
-                    [probability for probability, _ in outcomes], dtype=float
-                )
-                cum = np.cumsum(probabilities / probabilities.sum())
-                cum[-1] = 1.0  # make the inverse-CDF draw exhaustive
-                row_cums.append(tuple(cum))
                 # The raw (pre-normalization) probabilities feed the chain
                 # builder, which must reproduce the scalar oracle's branch
                 # weights exactly, not modulo a normalizing division.
-                row_probs.append(tuple(float(p) for p in probabilities))
+                probabilities = tuple(float(p) for p, _ in outcomes)
+                cum = cum_of.get(probabilities)
+                if cum is None:
+                    raw = np.array(probabilities)
+                    cumulative = np.cumsum(raw / raw.sum())
+                    cumulative[-1] = 1.0  # make the inverse-CDF draw exhaustive
+                    cum = cum_of[probabilities] = tuple(cumulative)
+                row_cums.append(cum)
+                row_probs.append(probabilities)
                 terms = tuple(
                     affine_terms(probability) for probability, _ in outcomes
                 )
@@ -596,7 +698,6 @@ def compile_tables(
                         for _, state in outcomes
                     )
                 )
-        offset += int(np.prod([np.int64(s) for s in sizes]))
 
     width_out = max((len(row) for row in row_cums), default=1)
     outcome_cum = np.full((max(len(row_cums), 1), width_out), 2.0)
@@ -662,6 +763,7 @@ def compile_tables(
         outcome_cum=outcome_cum,
         outcome_code=outcome_code,
         outcome_prob=outcome_prob,
+        process_class=process_class,
         param_names=param_names,
         outcome_prob_const=outcome_prob_const,
         outcome_prob_coeff=outcome_prob_coeff,

@@ -55,7 +55,11 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Default cap on precomputed table entries (guards ``precompute``).
+#: Default cap on table entries.  :meth:`TransitionKernel.precompute`
+#: compares it with the per-process neighborhood space
+#: (:meth:`~TransitionKernel.num_neighborhoods`);
+#: :func:`repro.core.encoding.compile_tables` compares it with the class
+#: entries it actually stores, one block per process class.
 DEFAULT_TABLE_BUDGET = 1_000_000
 
 
@@ -203,9 +207,9 @@ class TransitionKernel:
 
         This is the public face of the memo tables: the table compiler
         (:func:`repro.core.encoding.compile_tables`) drives it to
-        enumerate whole neighborhood product spaces without
-        materializing full configurations, and custom analyses can probe
-        individual neighborhoods the same way.
+        enumerate the neighborhood product space of one member per
+        process class without materializing full configurations, and
+        custom analyses can probe individual neighborhoods the same way.
         """
         table = self._tables[process]
         entry = table.get(key)

@@ -116,6 +116,10 @@ class System:
         """The algorithm's guarded actions."""
         return self._actions
 
+    def constants(self, process: int) -> Mapping[str, Any]:
+        """Per-process constants of ``process`` (read-only inputs)."""
+        return self._constants[process]
+
     def variable_names(self) -> tuple[str, ...]:
         """Shared variable names (identical across processes)."""
         return self._layouts[0].names

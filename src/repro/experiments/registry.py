@@ -221,9 +221,9 @@ PRESETS: dict[str, tuple[str, dict]] = {
             "engine": "fused",
         },
     ),
-    # "auto", not "fused": the N = 40 Dijkstra point's neighborhood
-    # space exceeds the table budget, so it falls back to the scalar
-    # oracle while N = 20/30 fuse — a demand would raise instead.
+    # "auto": every Dijkstra point fits the table budget (N = 40 stores
+    # 320,000 class entries) and fuses; a point that ever outgrew the
+    # budget would fall back to the scalar oracle instead of raising.
     "Q3-large": (
         "Q3",
         {

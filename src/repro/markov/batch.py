@@ -310,9 +310,9 @@ class BatchEngine:
     Mirrors the kernel-sharing contract of
     :class:`~repro.markov.montecarlo.MonteCarloRunner`: compile once per
     (algorithm, topology), then every sweep point's batch is pure array
-    work.  Compilation enumerates the full neighborhood product space, so
-    it is subject to the same ``max_entries`` budget as
-    :meth:`TransitionKernel.precompute`.
+    work.  Compilation enumerates the neighborhood product space of each
+    process class, and ``max_entries`` bounds those class entries (see
+    :func:`~repro.core.encoding.compile_tables`).
     """
 
     def __init__(

@@ -248,7 +248,7 @@ class MarkovChain:
         vectorized :class:`~repro.markov.batch.BatchLegitimacy` strategy,
         which is evaluated in one shot over the whole state-code matrix
         (``EnabledCountLegitimacy`` marks 500k states in a few gathers).
-        Systems whose neighborhood space exceeds the table-compilation
+        Systems whose class tables exceed the table-compilation
         budget fall back to a kernel walk for the enabled matrix — like
         every other ``"auto"`` tier, over-budget tables degrade, never
         fail.

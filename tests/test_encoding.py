@@ -100,7 +100,8 @@ class TestCompiledTables:
         kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
         tables = compile_tables(kernel, encoding)
-        assert tables.num_entries == kernel.num_neighborhoods()
+        assert tables.num_entries == sum(_class_block_sizes(system, tables))
+        assert tables.num_entries <= kernel.num_neighborhoods()
         configurations = random_configurations(system, RandomSource(11), 30)
         codes = encoding.encode_batch(configurations)
         enabled = tables.enabled(tables.pack(codes))
@@ -157,21 +158,43 @@ class TestCompiledTables:
             compile_tables(kernel, max_entries=1)
 
 
+def neighborhood_size(system, process):
+    """Size of one process's neighborhood product space."""
+    size = system.layouts[process].num_states
+    for neighbor in system.topology.neighbors(process):
+        size *= system.layouts[neighbor].num_states
+    return size
+
+
+def _class_block_sizes(system, tables):
+    """Block size of each process class, from its first member."""
+    first_members = np.unique(tables.process_class, return_index=True)[1]
+    return [neighborhood_size(system, p) for p in first_members.tolist()]
+
+
 def test_mixed_radix_packing_covers_all_keys():
-    """Packed keys of the full configuration space hit every table entry
-    of every process (the mixed-radix layout has no holes/collisions)."""
-    system = make_token_ring_system(4)
-    kernel = TransitionKernel(system)
-    encoding = StateEncoding(system)
-    tables = compile_tables(kernel, encoding)
-    codes = encoding.encode_batch(list(system.all_configurations()))
-    keys = tables.pack(codes)
-    for process in system.processes:
-        start = int(tables.key_offset[process])
-        stop = (
-            int(tables.key_offset[process + 1])
-            if process + 1 < system.num_processes
-            else tables.num_entries
-        )
-        seen = set(int(k) for k in keys[:, process])
-        assert seen == set(range(start, stop))
+    """Packed keys of the full configuration space cover every class
+    block exactly: each process's keys are its class's whole block, and
+    the blocks tile the table with no holes or collisions."""
+    for system in (make_token_ring_system(6), make_dijkstra_system(6)):
+        kernel = TransitionKernel(system)
+        encoding = StateEncoding(system)
+        tables = compile_tables(kernel, encoding)
+        codes = encoding.encode_batch(list(system.all_configurations()))
+        keys = tables.pack(codes)
+        classes = tables.process_class
+        sizes = _class_block_sizes(system, tables)
+        blocks = {}
+        for process in system.processes:
+            start = int(tables.key_offset[process])
+            block = (start, start + sizes[classes[process]])
+            assert np.array_equal(
+                np.unique(keys[:, process]), np.arange(*block)
+            )
+            assert blocks.setdefault(int(classes[process]), block) == block
+        # Sorted class blocks abut from 0 to num_entries: no holes, no
+        # overlaps.
+        bounds = sorted(blocks.values())
+        assert bounds[0][0] == 0 and bounds[-1][1] == tables.num_entries
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert len(blocks) < system.num_processes
