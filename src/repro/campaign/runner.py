@@ -40,13 +40,14 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.campaign.points import (
     CampaignSelection,
     ShardSpec,
     build_sweep_spec,
     expand_selection,
+    family_parts,
 )
 from repro.errors import CampaignError
 from repro.random_source import RandomSource
@@ -193,12 +194,41 @@ def _read_manifest(root: pathlib.Path) -> dict:
 # supervision
 # ----------------------------------------------------------------------
 def _spawn_context():
-    """Fork where the platform has it (cheap, inherits compiled
-    tables); the default context otherwise."""
+    """Fork where the platform has it (cheap, and the workers inherit
+    the tables :func:`_warm_tables` compiled, copy-on-write); the
+    default context otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
+
+
+def _warm_tables(shards: Iterable[ShardSpec]) -> None:
+    """Compile, through the process-wide table cache, every system that
+    at least two of ``shards`` run, so forked workers share one
+    compilation instead of compiling a copy each.  A system only one
+    shard runs still compiles in its worker, so warming never costs a
+    campaign time; a system whose warm-up fails is left uncached and
+    its shards run exactly as they would cold."""
+    from repro.core.encoding import tables_for
+    from repro.store.columnar import system_cache_key
+
+    points: dict[int, list[dict]] = {}
+    for shard in shards:
+        points.setdefault(shard.meta["point"], []).append(shard.meta)
+    systems: dict[str, list] = {}  # cache key → [system, shard count]
+    for metas in points.values():
+        meta = metas[0]
+        system = family_parts(meta["family"], meta["params"])["system"]
+        key = system_cache_key(system)
+        if key is not None:
+            systems.setdefault(key, [system, 0])[1] += len(metas)
+    for system, count in systems.values():
+        if count >= 2:
+            try:
+                tables_for(system)
+            except Exception:  # the workers meet it as they would cold
+                pass
 
 
 @dataclass
@@ -261,6 +291,8 @@ def run_campaign(
     degraded = config.sequential
     worker_deaths = 0
     context = _spawn_context()
+    if not degraded and context.get_start_method() == "fork":
+        _warm_tables(shard for shard, _ in pending)
     # Deterministic jitter stream: supervision timing must not consult
     # global randomness (and shard bytes never depend on it anyway).
     jitter_rng = RandomSource(selection.seed).spawn(0x5EED)

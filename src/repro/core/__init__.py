@@ -25,13 +25,14 @@ lives in ``docs/architecture.md``):
   :func:`~repro.core.encoding.compile_tables` are the scale tier: local
   states intern to dense integer codes, configurations become NumPy
   ``uint32`` vectors, and the kernel's neighborhood tables compile into
-  flat gather arrays, so whole Monte-Carlo batches advance in lockstep
-  as ``(trials × processes)`` code matrices
-  (:class:`repro.markov.batch.BatchEngine`, driven through
-  ``MonteCarloRunner(engine="auto"|"batch")``).  The batch tier
-  reproduces the scalar engines' sampling *distributions* — not their
-  random streams — and ``engine="scalar"`` remains the per-trial
-  equivalence oracle.
+  flat gather arrays — compiled once per system content and shared
+  process-wide through :func:`~repro.core.encoding.tables_for` — so
+  whole Monte-Carlo batches advance in lockstep as ``(trials ×
+  processes)`` code matrices (:class:`repro.markov.batch.BatchEngine`,
+  driven through ``MonteCarloRunner(engine="auto"|"batch")``).  The
+  batch tier reproduces the scalar engines' sampling *distributions* —
+  not their random streams — and ``engine="scalar"`` remains the
+  per-trial equivalence oracle.
 * :mod:`repro.stabilization.sharding` explores over the same compiled
   tables: ``StateSpace.explore`` expands blocks of the frontier in code
   space over the immutable
@@ -65,6 +66,7 @@ from repro.core.encoding import (
     CompiledKernelTables,
     StateEncoding,
     compile_tables,
+    tables_for,
 )
 from repro.core.kernel import NeighborhoodEntry, TransitionKernel
 from repro.core.parametric import (
@@ -104,6 +106,7 @@ __all__ = [
     "StateEncoding",
     "CompiledKernelTables",
     "compile_tables",
+    "tables_for",
     "CoinParameter",
     "AffineProbability",
     "MAX_COIN_PARAMETERS",

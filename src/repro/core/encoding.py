@@ -23,17 +23,22 @@ step a handful of integer gathers:
   inverse-CDF sampling, raw probability for the exact chain builder,
   post-state code).  Class members share the block through their
   ``key_offset``, so a ring of identical processes compiles one block,
-  not one per process.
+  not one per process;
+* :func:`tables_for` / :data:`TABLE_CACHE` — the one process-wide cache
+  in front of :func:`compile_tables`, keyed by system content
+  (:func:`repro.store.columnar.system_cache_key`): exploration, chains,
+  MDPs, parametric chains and Monte-Carlo all read one compilation per
+  system, and forked workers inherit it.
 
 Division of labor (see :mod:`repro.core`): ``System`` = semantics,
 ``TransitionKernel`` = speed, encoding/batch = scale.  Three engines
 build on these tables: the lockstep Monte-Carlo batch engine
 (:mod:`repro.markov.batch`), the sharded state-space explorer
 (:mod:`repro.stabilization.sharding`), and the compiled chain builder
-(:mod:`repro.markov.builder`) — the arrays are read-only after
-compilation, so one compiled table serves any number of concurrent
-batches and ships to exploration worker processes for free (one pickle,
-or copy-on-write under ``fork``).
+(:mod:`repro.markov.builder`) — the arrays are read-only
+(``writeable=False``) from compilation on, so one compiled table serves
+any number of concurrent batches and consumers and ships to worker
+processes for free (one pickle, or copy-on-write under ``fork``).
 """
 
 from __future__ import annotations
@@ -54,14 +59,18 @@ from repro.core.parametric import (
 )
 from repro.core.system import System
 from repro.errors import ModelError
+from repro.lru import SignatureLRU
+from repro.store.columnar import canonical_constants, system_cache_key
 
 __all__ = [
     "StateEncoding",
     "CompiledKernelTables",
     "ExpansionContext",
+    "TABLE_CACHE",
     "compile_tables",
     "expansion_context",
     "process_classes",
+    "tables_for",
 ]
 
 #: Code dtype: local state spaces are tiny, 32 bits is generous.
@@ -109,6 +118,7 @@ class StateEncoding:
         self._sizes = np.array(
             [len(states) for states in self._states], dtype=np.int64
         )
+        self._sizes.flags.writeable = False
 
     # ------------------------------------------------------------------
     # sizes
@@ -220,9 +230,11 @@ class CompiledKernelTables:
     * ``sample(...)`` — two full-shape uniform draws, then, at the movers
       only: action choice, inverse-CDF outcome, post-state codes.
 
-    All arrays are immutable after :func:`compile_tables`; the only state
-    is precomputed structure, so one compiled table serves any number of
-    concurrent batches.
+    Every array is read-only (``writeable=False``) from construction
+    on; the only state is precomputed structure, so one compiled table
+    serves any number of concurrent batches and consumers, and a
+    consumer that writes in place fails loudly instead of corrupting
+    the others.
     """
 
     __slots__ = (
@@ -276,6 +288,15 @@ class CompiledKernelTables:
         self.outcome_prob_coeff = outcome_prob_coeff
         self.process_class = process_class
         self.num_entries = int(enabled_flat.shape[0])
+        for name in self.__slots__:
+            array = getattr(self, name, None)
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @property
+    def num_classes(self) -> int:
+        """Number of process classes (one neighborhood block each)."""
+        return int(self.process_class.max()) + 1
 
     # ------------------------------------------------------------------
     # parametric outcome probabilities
@@ -378,7 +399,7 @@ class CompiledKernelTables:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledKernelTables(entries={self.num_entries},"
-            f" classes={int(self.process_class.max()) + 1},"
+            f" classes={self.num_classes},"
             f" action_rows={self.outcome_cum.shape[0]})"
         )
 
@@ -434,6 +455,10 @@ class ExpansionContext:
         self.deterministic = bool(
             (tables.action_count <= 1).all() and (self.arity == 1).all()
         )
+        # Shared with every consumer of the tables: read-only like them.
+        for array in (self.arity, self.first_outcome, self.weights_row):
+            if array is not None:
+                array.flags.writeable = False
 
     # The per-row tuples cost a Python loop over every action row, so
     # they are built on first use: the lockstep loop's super-step
@@ -518,7 +543,7 @@ class ExpansionContext:
 
 
 def _strict(value: object) -> object:
-    """Type-strict hashable stand-in for a domain value or constant.
+    """Type-strict hashable stand-in for a layout's domain values.
 
     Python's ``0 == False == 0.0`` would merge values an algorithm can
     tell apart, so every leaf carries its type (floats their exact bit
@@ -546,7 +571,9 @@ def process_classes(system: System | TransitionKernel) -> np.ndarray:
     identically (equal layouts intern equal codes in
     :class:`StateEncoding`), so :func:`compile_tables` stores one
     neighborhood block per class.  Layouts and constants compare
-    type-strictly; a process with an unhashable constant is its own
+    type-strictly, constants by
+    :func:`~repro.store.columnar.canonical_constants` (the cache key's
+    rule); a process whose constants have no canonical form is its own
     class.
     """
     topology = system.topology
@@ -570,12 +597,9 @@ def process_classes(system: System | TransitionKernel) -> np.ndarray:
             ),
         )
         try:
-            constants = frozenset(
-                (name, _strict(value))
-                for name, value in system.constants(process).items()
-            )
+            constants = canonical_constants(system.constants(process))
             class_id = interned.setdefault((view_key, constants), num_classes)
-        except TypeError:  # unhashable constant: a class of its own
+        except TypeError:  # no canonical form: a class of its own
             class_id = num_classes
         if class_id == num_classes:
             num_classes += 1
@@ -583,9 +607,17 @@ def process_classes(system: System | TransitionKernel) -> np.ndarray:
     return classes
 
 
+def _check_budget(total: int, num_classes: int, max_entries: int) -> None:
+    if total > max_entries:
+        raise ModelError(
+            f"class tables have {total} entries ({num_classes} process"
+            f" classes), budget is {max_entries}; use the scalar kernel"
+            " instead"
+        )
+
+
 def compile_tables(
     kernel: TransitionKernel,
-    encoding: StateEncoding | None = None,
     max_entries: int = DEFAULT_TABLE_BUDGET,
 ) -> CompiledKernelTables:
     """Resolve one neighborhood block per process class, pack into arrays.
@@ -599,19 +631,13 @@ def compile_tables(
     ``key_offset`` points at it.  Raises :class:`ModelError` when the
     class blocks together exceed ``max_entries``.
 
-    Default-parameter calls (``encoding=None``, default budget) are
-    memoized on the kernel: the tables are immutable after compilation,
-    so every consumer sharing a kernel — chain builds under several
-    distributions, sharded exploration, vectorized marks — shares one
-    compilation.  An explicit ``encoding`` or budget bypasses the memo.
+    This is the compiler itself and always compiles.  Library consumers
+    call :func:`tables_for`, the process-wide cache in front of it, so
+    every consumer of one system — chain builds under several
+    distributions, exploration, MDPs, vectorized marks, Monte-Carlo
+    engines, forked campaign workers — shares one compilation.
     """
-    default_call = encoding is None and max_entries == DEFAULT_TABLE_BUDGET
-    if default_call:
-        cached = getattr(kernel, "_compiled_tables_memo", None)
-        if cached is not None:
-            return cached
-    if encoding is None:
-        encoding = StateEncoding(kernel)
+    encoding = StateEncoding(kernel)
     system = kernel.system
     topology = system.topology
     num_processes = system.num_processes
@@ -631,12 +657,7 @@ def compile_tables(
             size *= sizes[neighbor]
         block_sizes.append(size)
     total = sum(block_sizes)
-    if total > max_entries:
-        raise ModelError(
-            f"class tables have {total} entries ({num_classes} process"
-            f" classes), budget is {max_entries}; use the scalar kernel"
-            " instead"
-        )
+    _check_budget(total, num_classes, max_entries)
     class_offset = np.cumsum([0, *block_sizes])
 
     neighbor_index = np.zeros((num_processes, width), dtype=np.int64)
@@ -752,7 +773,7 @@ def compile_tables(
                         coefficient
                     )
 
-    tables = CompiledKernelTables(
+    return CompiledKernelTables(
         encoding=encoding,
         neighbor_index=neighbor_index,
         neighbor_weight=neighbor_weight,
@@ -768,8 +789,47 @@ def compile_tables(
         outcome_prob_const=outcome_prob_const,
         outcome_prob_coeff=outcome_prob_coeff,
     )
-    if default_call:
-        kernel._compiled_tables_memo = tables
+
+
+#: Entry bound of :data:`TABLE_CACHE`, sized from measured traffic: a
+#: registry pass touches 188 distinct systems, campaign-66 touches 6.
+TABLE_CACHE_SIZE = 256
+
+#: The process-wide compiled-table cache behind :func:`tables_for`.
+TABLE_CACHE = SignatureLRU("tables", TABLE_CACHE_SIZE)
+
+
+def tables_for(
+    source: TransitionKernel | System,
+    max_entries: int = DEFAULT_TABLE_BUDGET,
+) -> CompiledKernelTables:
+    """The compiled tables of ``source``'s system, shared process-wide.
+
+    The one table cache: keyed by system content
+    (:func:`repro.store.columnar.system_cache_key`), so value-equal
+    systems built independently — by the explorer, the chain builder,
+    the MDP, a sweep runner, a serving tenant — share one
+    :func:`compile_tables` run; single-flight across threads, LRU-bounded
+    at :data:`TABLE_CACHE_SIZE` systems.
+    A hit opens no compilation and still enforces ``max_entries``,
+    raising the same :class:`ModelError` a compilation would; a failed
+    compilation caches nothing.  A system without a content address
+    (a constant with no canonical form) compiles on every call.
+    Encodings of one system are interchangeable (see
+    :class:`StateEncoding`), so callers use ``tables.encoding``.
+
+    ``source`` is a kernel or a system; a system's kernel is built only
+    on a miss.
+    """
+    system = source.system if isinstance(source, TransitionKernel) else source
+
+    def build() -> CompiledKernelTables:
+        kernel = TransitionKernel(system) if source is system else source
+        return compile_tables(kernel, max_entries)
+
+    key = system_cache_key(system)
+    tables = build() if key is None else TABLE_CACHE.get_or_build(key, build)
+    _check_budget(tables.num_entries, tables.num_classes, max_entries)
     return tables
 
 

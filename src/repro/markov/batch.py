@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import StateEncoding, compile_tables
+from repro.core.encoding import StateEncoding, tables_for
 from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.errors import MarkovError
 from repro.markov.superstep import SuperstepPlan
@@ -309,10 +309,11 @@ class BatchEngine:
 
     Mirrors the kernel-sharing contract of
     :class:`~repro.markov.montecarlo.MonteCarloRunner`: compile once per
-    (algorithm, topology), then every sweep point's batch is pure array
-    work.  Compilation enumerates the neighborhood product space of each
-    process class, and ``max_entries`` bounds those class entries (see
-    :func:`~repro.core.encoding.compile_tables`).
+    system, then every sweep point's batch is pure array work.  The
+    tables come from the process-wide cache
+    (:func:`~repro.core.encoding.tables_for`), and ``encoding`` is
+    theirs; ``max_entries`` bounds the class entries even on a cache
+    hit (see :func:`~repro.core.encoding.compile_tables`).
     """
 
     def __init__(
@@ -321,8 +322,8 @@ class BatchEngine:
         max_entries: int = DEFAULT_TABLE_BUDGET,
     ) -> None:
         self.kernel = kernel
-        self.encoding = StateEncoding(kernel)
-        self.tables = compile_tables(kernel, self.encoding, max_entries)
+        self.tables = tables_for(kernel, max_entries)
+        self.encoding = self.tables.encoding
 
     def run(
         self,

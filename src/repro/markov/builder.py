@@ -61,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import ExpansionContext, compile_tables
+from repro.core.encoding import ExpansionContext, tables_for
 from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
@@ -329,10 +329,8 @@ def _compile_chain_context(
                 " (use_kernel=True)"
             )
         return None
-    if kernel is None:
-        kernel = TransitionKernel(system)
     try:
-        tables = compile_tables(kernel)
+        tables = tables_for(system if kernel is None else kernel)
     except ModelError as error:
         if require:
             raise MarkovError(

@@ -296,12 +296,9 @@ class MarkovChain:
 
     def _compiled_tables(self) -> "CompiledKernelTables":
         if self._tables is None:
-            from repro.core.encoding import compile_tables
-            from repro.core.kernel import TransitionKernel
+            from repro.core.encoding import tables_for
 
-            self._tables = compile_tables(
-                TransitionKernel(self.system), self.encoding
-            )
+            self._tables = tables_for(self.system)
         return self._tables
 
     def _enabled_matrix_scalar(self) -> np.ndarray:

@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import compile_tables
+from repro.core.encoding import tables_for
 from repro.core.kernel import TransitionKernel
 from repro.core.system import System
 from repro.errors import MarkovError
@@ -315,9 +315,7 @@ def build_mdp(
             f"configuration space has {total} states, budget is"
             f" {max_states}"
         )
-    if kernel is None:
-        kernel = TransitionKernel(system)
-    tables = compile_tables(kernel)
+    tables = tables_for(system if kernel is None else kernel)
     context = _ChainContext(
         tables, _DaemonChoices(daemon, max_enabled), positional=True
     )

@@ -25,8 +25,8 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   overhead once for the whole sweep instead of once per point;
 * **points of different N** within a group run as block-scheduled
   sub-batches — one fused matrix per system, executed back to back over
-  cached kernels/tables (table compilation is memoized per system for
-  the runner's lifetime, never repeated per point);
+  cached kernels/tables (tables come from the process-wide table cache,
+  :func:`repro.core.encoding.tables_for`, never compiled per point);
 * a point that cannot take the fused path (no vectorized sampler
   strategy, neighborhood tables over the compilation budget) falls back
   to the **per-point scalar oracle** under ``engine="auto"`` — and
@@ -46,8 +46,6 @@ PR 2 batch engine).
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,6 +56,7 @@ from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.core.simulate import SchedulerSampler
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
+from repro.lru import SignatureLRU
 from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
@@ -197,10 +196,6 @@ def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
 #: used entry instead of leaking one compilation per tenant forever.
 DEFAULT_SYSTEM_CACHE = 64
 
-#: Bound on the id → signature-key memo (a pure recompute cache, safe
-#: to drop at any size thanks to its weakref guards).
-_KEY_MEMO_LIMIT = 1024
-
 
 @dataclass
 class _SystemEntry:
@@ -233,12 +228,14 @@ class SweepRunner:
     Construct once per sweep, call :meth:`run` with the full point list;
     grouping, fusion, table caching, and per-point fallback are handled
     here so experiment runners never touch the execution tiers directly.
-    Kernels and compiled tables are cached per system *signature*
-    (:func:`repro.store.columnar.system_cache_key`) under an LRU bound
-    of ``cache_size`` entries, so repeated :meth:`run` calls (or mixed
-    fused/fallback plans) never recompile — and value-equal systems
-    built independently (different tenants of the serving tier) share
-    one compilation and fuse into one code matrix.
+    Kernels, batch engines and runners are cached per system
+    *signature* (:func:`repro.store.columnar.system_cache_key`) in a
+    :class:`~repro.lru.SignatureLRU` of ``cache_size`` entries, and the
+    compiled tables under them come from the process-wide table cache,
+    so repeated :meth:`run` calls (or mixed fused/fallback plans) never
+    recompile — and value-equal systems built independently (different
+    tenants of the serving tier) share one compilation and fuse into
+    one code matrix.
 
     ``engine`` sets the execution policy:
 
@@ -286,46 +283,30 @@ class SweepRunner:
         # one entry per tenant forever (``cache_size=None`` disables
         # eviction).
         self.cache_size = cache_size
-        self.evictions = 0
-        self._systems: OrderedDict[str, _SystemEntry] = OrderedDict()
-        # Memoized key computation: id → (weakref guard, key).  The
-        # weakref guard makes this memo immune to the very id-reuse
-        # hazard the signature keying removes — a recycled id whose
-        # weakref is dead (or points elsewhere) recomputes.
-        self._key_memo: OrderedDict[
-            int, tuple[weakref.ref, str]
-        ] = OrderedDict()
+        self._systems = SignatureLRU("systems", cache_size)
 
     # ------------------------------------------------------------------
     # shared per-system state
     # ------------------------------------------------------------------
-    def _cache_key(self, system: System) -> str:
-        memo = self._key_memo.get(id(system))
-        if memo is not None and memo[0]() is system:
-            return memo[1]
+    @staticmethod
+    def _cache_key(system: System) -> object:
+        """The system's content key; a system without one (a constant
+        with no canonical form) is keyed by the object itself, which the
+        entry then keeps alive, so its id cannot be recycled."""
         key = system_cache_key(system)
-        self._key_memo[id(system)] = (weakref.ref(system), key)
-        while len(self._key_memo) > _KEY_MEMO_LIMIT:
-            self._key_memo.popitem(last=False)
-        return key
+        return ("object", system) if key is None else key
 
     def _entry_for(self, system: System) -> _SystemEntry:
         """The (created-on-demand, LRU-refreshed) cache entry whose
         signature matches ``system``."""
-        key = self._cache_key(system)
-        entry = self._systems.get(key)
-        if entry is None:
-            entry = _SystemEntry(system=system)
-            self._systems[key] = entry
-            if (
-                self.cache_size is not None
-                and len(self._systems) > self.cache_size
-            ):
-                self._systems.popitem(last=False)
-                self.evictions += 1
-        else:
-            self._systems.move_to_end(key)
-        return entry
+        return self._systems.get_or_build(
+            self._cache_key(system), lambda: _SystemEntry(system=system)
+        )
+
+    @property
+    def evictions(self) -> int:
+        """Entries the LRU bound has dropped so far."""
+        return self._systems.evictions
 
     @property
     def cached_systems(self) -> int:

@@ -11,14 +11,15 @@ admission window.  Responses stay bit-identical to a sequential
 ``SweepRunner`` run of the same batch — fusion buys throughput, not
 different numbers.
 
-Layering: :mod:`~repro.serving.cache` (signature-keyed LRU primitive) →
-:mod:`~repro.serving.resolver` (JSON payloads → executable specs via the
-campaign family registry) → :mod:`~repro.serving.jobs` (admission queue
-and dispatcher) → :mod:`~repro.serving.service` (transport-independent
-facade) → :mod:`~repro.serving.http` (ThreadingHTTPServer shim).
+Layering: :class:`~repro.lru.SignatureLRU` (the library's
+signature-keyed LRU primitive) → :mod:`~repro.serving.resolver` (JSON
+payloads → executable specs via the campaign family registry) →
+:mod:`~repro.serving.jobs` (admission queue and dispatcher) →
+:mod:`~repro.serving.service` (transport-independent facade) →
+:mod:`~repro.serving.http` (ThreadingHTTPServer shim).
 """
 
-from repro.serving.cache import SignatureLRU
+from repro.lru import SignatureLRU
 from repro.serving.http import SweepHTTPServer, make_server, serve
 from repro.serving.jobs import AdmissionDispatcher, Job, result_payload
 from repro.serving.resolver import (

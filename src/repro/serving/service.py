@@ -9,7 +9,7 @@ over it, and the tests drive it directly.  One service owns:
   Monte-Carlo runners warm for the life of the process;
 * one :class:`~repro.serving.jobs.AdmissionDispatcher` that coalesces
   concurrent tenants' sweep submissions into fused batches;
-* :class:`~repro.serving.cache.SignatureLRU` caches for the exact-tier
+* :class:`~repro.lru.SignatureLRU` caches for the exact-tier
   artifacts — built chains (which retain their LU factorizations),
   probabilistic verdicts, :class:`~repro.markov.parametric.ParametricChain`
   structures, registry experiment results, and campaign-store reports.
@@ -31,9 +31,10 @@ import pathlib
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.encoding import TABLE_CACHE
 from repro.errors import ExperimentError, ReproError, ServingError
 from repro.markov.sweep_engine import DEFAULT_SYSTEM_CACHE, SweepRunner
-from repro.serving.cache import SignatureLRU
+from repro.lru import SignatureLRU
 from repro.serving.jobs import AdmissionDispatcher, Job
 from repro.serving.resolver import (
     parametric_parts,
@@ -63,6 +64,16 @@ def _canonical(value) -> str:
 
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+
+
+def _system_key(system) -> str:
+    """``system``'s content key for the exact-tier caches.  Registry
+    families always have one (their constants are plain ints and
+    bools), so a key-less system here is a resolver bug."""
+    key = system_cache_key(system)
+    if key is None:
+        raise ReproError(f"{system!r} has no content address to cache by")
+    return key
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ class SweepService:
         system = parts["system"]
         distribution = parts["distribution"]
         chain_key = _digest(
-            system_cache_key(system),
+            _system_key(system),
             _distribution_key(distribution),
             str(self.config.max_states),
         )
@@ -237,7 +248,7 @@ class SweepService:
             return pchain, target
 
         structure_key = _digest(
-            system_cache_key(parts["system"]), "parametric-sync"
+            _system_key(parts["system"]), "parametric-sync"
         )
         pchain, target = self.parametric.get_or_build(structure_key, build)
         names = [coin.name for coin in pchain.parameters]
@@ -323,6 +334,7 @@ class SweepService:
                     self.parametric,
                     self.experiments,
                     self.reports,
+                    TABLE_CACHE,
                 )
             ],
         }

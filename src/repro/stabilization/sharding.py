@@ -51,7 +51,7 @@ from repro.core.configuration import Configuration
 from repro.core.encoding import (
     CompiledKernelTables,
     ExpansionContext,
-    compile_tables,
+    tables_for,
 )
 from repro.core.kernel import TransitionKernel
 from repro.core.system import System
@@ -633,10 +633,8 @@ def explore_sharded(
             f"configuration space has {system.num_configurations()} states,"
             f" budget is {max_configurations}"
         )
-    if kernel is None:
-        kernel = TransitionKernel(system)
     try:
-        tables = compile_tables(kernel)
+        tables = tables_for(system if kernel is None else kernel)
     except ModelError:
         # Neighborhood space over the compilation budget: the tables
         # cannot represent this system; take the dict walk.

@@ -51,6 +51,7 @@ import hashlib
 import json
 import pathlib
 import struct
+import weakref
 from typing import Mapping
 
 import numpy as np
@@ -152,10 +153,9 @@ def system_signature(system) -> dict:
     ``algorithm_params`` (the algorithm instance's scalar attributes —
     ring size, counter modulus, coin biases) and ``topology_sha256``
     (the ordered adjacency lists) make the signature *semantically
-    discriminating*: two systems share a signature only when they share
-    guarded-command behavior, which is what lets a long-lived process
-    (the serving tier) key kernels, compiled tables, and chains by
-    signature instead of by object identity.
+    discriminating* up to per-process constants, which it leaves out:
+    it is part of every campaign shard key and must not change.  The
+    cache key, :func:`system_cache_key`, adds the constants.
     """
     domains = [
         [
@@ -183,18 +183,82 @@ def system_signature(system) -> dict:
     }
 
 
-def system_cache_key(system) -> str:
-    """Content-address of one system's *semantics*: sha256 over the
-    canonical :func:`system_signature` JSON.
+def _strict_json(value):
+    """Type-strict JSON form of one constant value: every leaf carries
+    its exact type (``0``, ``False`` and ``0.0`` differ), floats their
+    bit pattern (``0.0`` and ``-0.0`` differ), tuples and frozensets
+    recurse.  Any other value — lists, subclasses, arbitrary objects —
+    has no canonical form and raises ``TypeError``."""
+    kind = type(value)
+    if kind is tuple:
+        return ["tuple", [_strict_json(item) for item in value]]
+    if kind is frozenset:
+        items = [_strict_json(item) for item in value]
+        return ["frozenset", sorted(items, key=_canonical_json)]
+    if kind is float:
+        return ["float", value.hex()]
+    if kind in (bool, int, str, type(None)):
+        return [kind.__name__, value]
+    raise TypeError(f"constant of type {kind.__name__} has no canonical form")
 
-    This is the key the warm caches use — :class:`SweepRunner`'s
+
+def canonical_constants(constants: Mapping) -> str:
+    """Canonical JSON of one process's constants, compared type-strictly
+    (see :func:`_strict_json`); ``TypeError`` when a value has none.
+
+    The one definition of "equal constants": process classing
+    (:func:`repro.core.encoding.process_classes`) and the cache key
+    (:func:`system_cache_key`) both use it, so two processes share a
+    class exactly when their constants would share a key.
+    """
+    return _canonical_json(
+        {name: _strict_json(value) for name, value in constants.items()}
+    )
+
+
+#: Live system → its cache key.  Weak keys: an entry dies with its
+#: system, so a recycled object id can never inherit a stale key.
+_CACHE_KEYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def system_cache_key(system) -> str | None:
+    """Content-address of one system's *semantics*, or ``None``.
+
+    sha256 over the canonical :func:`system_signature` JSON plus every
+    process's :func:`canonical_constants` — the signature
+    keeps only the algorithm's scalar attributes, so two systems that
+    differ only in constants (``0`` versus ``False``, say) share a
+    signature but never a cache key.  A system with a constant that has
+    no canonical form gets ``None``: it has no content address and is
+    not cached.  Every registry family has plain int/bool constants, so
+    its systems always have a key; the serving tier relies on that.
+
+    This is the key the warm caches use — the process-wide compiled-table
+    cache (:func:`repro.core.encoding.tables_for`), :class:`SweepRunner`'s
     kernel/engine/runner entries and the serving tier's chain and
     parametric-chain caches — so cache hits survive garbage collection
     and object-identity reuse, and value-equal systems built by
-    different tenants share one compilation."""
-    return hashlib.sha256(
-        _canonical_json(system_signature(system)).encode()
-    ).hexdigest()
+    different tenants share one compilation.  Memoized per live system
+    object."""
+    try:
+        return _CACHE_KEYS[system]
+    except KeyError:
+        pass
+    try:
+        constants = [
+            canonical_constants(system.constants(process))
+            for process in range(system.num_processes)
+        ]
+    except TypeError:
+        key = None
+    else:
+        payload = {
+            "signature": system_signature(system),
+            "constants": constants,
+        }
+        key = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    _CACHE_KEYS[system] = key
+    return key
 
 
 def sampler_signature(sampler) -> list:

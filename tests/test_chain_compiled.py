@@ -331,7 +331,7 @@ def test_compiled_engine_over_table_budget(monkeypatch, ring5_system):
 
         raise ModelError("neighborhood space over budget (forced)")
 
-    monkeypatch.setattr(builder_module, "compile_tables", refuse)
+    monkeypatch.setattr(builder_module, "tables_for", refuse)
     with pytest.raises(MarkovError):
         build_chain(
             ring5_system,
@@ -461,7 +461,7 @@ def test_vectorized_mark_over_table_budget(monkeypatch, ring5_system):
 
         raise ModelError("neighborhood space over budget (forced)")
 
-    monkeypatch.setattr(encoding_module, "compile_tables", refuse)
+    monkeypatch.setattr(encoding_module, "tables_for", refuse)
     spec = TokenCirculationSpec()
     np.testing.assert_array_equal(
         chain.mark(EnabledCountLegitimacy(1)), chain.mark(spec.legitimate)

@@ -164,7 +164,7 @@ def assert_matches_reference(system):
     """Class tables == per-process reference at every ``(p, i)``."""
     kernel = TransitionKernel(system)
     encoding = StateEncoding(system)
-    tables = compile_tables(kernel, encoding)
+    tables = compile_tables(kernel)
     reference = per_process_tables(kernel, encoding)
     assert np.array_equal(tables.neighbor_index, reference.neighbor_index)
     assert np.array_equal(tables.neighbor_weight, reference.neighbor_weight)

@@ -99,7 +99,7 @@ class TestCompiledTables:
     def test_enabled_matches_system(self, name, system):
         kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel, encoding)
+        tables = compile_tables(kernel)
         assert tables.num_entries == sum(_class_block_sizes(system, tables))
         assert tables.num_entries <= kernel.num_neighborhoods()
         configurations = random_configurations(system, RandomSource(11), 30)
@@ -115,7 +115,7 @@ class TestCompiledTables:
         """Action counts and outcome rows reproduce the kernel entries."""
         kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel, encoding)
+        tables = compile_tables(kernel)
         configurations = random_configurations(system, RandomSource(13), 15)
         codes = encoding.encode_batch(configurations)
         keys = tables.pack(codes)
@@ -179,7 +179,7 @@ def test_mixed_radix_packing_covers_all_keys():
     for system in (make_token_ring_system(6), make_dijkstra_system(6)):
         kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel, encoding)
+        tables = compile_tables(kernel)
         codes = encoding.encode_batch(list(system.all_configurations()))
         keys = tables.pack(codes)
         classes = tables.process_class

@@ -235,7 +235,7 @@ def test_uncompilable_tables_raise_like_compiled_engine(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise ModelError("neighborhood space over budget (forced)")
 
-    monkeypatch.setattr(builder_module, "compile_tables", refuse)
+    monkeypatch.setattr(builder_module, "tables_for", refuse)
     system = make_herman_random_bit_system(5)
     with pytest.raises(MarkovError):
         build_chain(

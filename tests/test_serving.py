@@ -19,7 +19,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ReproError, ServingError
 from repro.markov.sweep_engine import SweepRunner
 from repro.serving import (
     MAX_POINTS_PER_REQUEST,
@@ -379,6 +379,17 @@ class TestWarmCaches:
         assert stats["parametric"]["hits"] == 1
         assert stats["parametric"]["misses"] == 1
 
+    def test_keyless_system_fails_loudly(self, service, monkeypatch):
+        import repro.serving.service as service_module
+
+        monkeypatch.setattr(service_module, "system_cache_key", lambda s: None)
+        with pytest.raises(ReproError, match="no content address"):
+            service.verdict("Q3", 4)
+        with pytest.raises(ReproError, match="no content address"):
+            service.bias_sweep(
+                {"family": "herman-random-bit", "n": 5, "biases": [0.5]}
+            )
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -552,6 +563,8 @@ class TestHTTP:
         assert status == 200
         stats = {cache["name"]: cache for cache in caches["lru"]}
         assert stats["verdicts"]["hits"] >= 1
+        # The process-wide compiled-table cache is listed with them.
+        assert stats["tables"]["entries"] >= 1
 
     def test_bias_sweep_endpoint(self, server):
         status, body = http_post(
