@@ -31,14 +31,13 @@ conformance-registry system).
 
 For parameter sweeps, :meth:`ParametricChain.expected_times` bypasses
 chain construction entirely: the transient block's sparsity pattern is
-also parameter-independent, so the hitting solver picks its
-factorization from that structure once
-(:func:`~repro.markov.hitting.dense_structure`, the policy every
-transient solve shares) and reuses the plan for every point.  Dense
-blocks scatter into a preallocated ``I − Q``; sparse blocks compute a
-reverse Cuthill–McKee ordering and the permuted CSC assembly plan once,
-so per point only the numeric factorization runs.  Each point is one
-residual-checked :class:`~repro.markov.hitting.TransientFactor`.
+also parameter-independent, so the hitting solver builds its
+:class:`~repro.markov.hitting.TransientPlan` — the strongly connected
+super-blocks of ``I − Q``, each with the factorization
+:func:`~repro.markov.hitting.dense_structure` picks and its assembly
+plan — once per target, the plan every transient solve shares.  Per
+point only the numeric factorizations and the block forward
+substitution run, and the whole solve's residual is checked.
 ``benchmarks/bench_parametric_sweep.py`` measures the resulting speedup
 over rebuilding the chain per point on a 64-point bias grid.
 """
@@ -48,14 +47,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.core.configuration import Configuration
 from repro.core.kernel import TransitionKernel
 from repro.core.parametric import CoinParameter
 from repro.core.system import System
-from repro.errors import MarkovError
+from repro.errors import MarkovError, ModelError
 from repro.markov.builder import (
     DEFAULT_MAX_STATES,
     _ChainContext,
@@ -65,8 +62,12 @@ from repro.markov.builder import (
     _edge_probs,
     _expand,
 )
-from repro.markov.chain import MarkovChain, concat_ranges
-from repro.markov.hitting import TransientFactor, dense_structure
+from repro.markov.chain import ROW_SUM_TOLERANCE, MarkovChain
+from repro.markov.hitting import (
+    TransientFactor,
+    TransientPlan,
+    backward_closure,
+)
 from repro.schedulers.distributions import SchedulerDistribution
 
 __all__ = ["ParametricChain", "build_parametric_chain"]
@@ -77,10 +78,9 @@ class _HittingStructure:
 
     Everything here depends only on the chain's sparsity pattern and the
     target mask — never on a parameter point: the transient index set,
-    the ``I − Q`` scatter plan, and (sparse path) the reverse
-    Cuthill–McKee ordering plus the permuted CSC assembly, i.e. the
-    symbolic half of the LU work.  :meth:`solve` then does only numeric
-    work per point.
+    the CSR slots of ``Q`` and its :class:`~repro.markov.hitting.TransientPlan`
+    (strongly connected super-blocks and their assembly plans).
+    :meth:`solve` then does only numeric work per point.
     """
 
     def __init__(
@@ -91,23 +91,10 @@ class _HittingStructure:
     ) -> None:
         n = target.shape[0]
         self.target = target
-        # Backward closure over the structural support (edge probabilities
-        # are strictly positive on the open parameter box, so structural
-        # reachability equals probabilistic reachability at every point).
-        support = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(n, n)
-        )
-        transpose = support.T.tocsr()
-        t_indptr, t_indices = transpose.indptr, transpose.indices
-        reached = np.array(target, dtype=bool)
-        frontier = np.flatnonzero(target)
-        while frontier.size:
-            predecessors = t_indices[
-                concat_ranges(t_indptr[frontier], t_indptr[frontier + 1])
-            ]
-            fresh = np.unique(predecessors[~reached[predecessors]])
-            reached[fresh] = True
-            frontier = fresh
+        # Edge probabilities are strictly positive on the open parameter
+        # box, so structural reachability equals probabilistic
+        # reachability at every point.
+        reached = backward_closure(indices, indptr, target)
         if not reached.all():
             raise MarkovError(
                 f"{int((~reached).sum())} states cannot reach the target"
@@ -128,86 +115,23 @@ class _HittingStructure:
             np.arange(n, dtype=np.int64), np.diff(indptr)
         )
         inside = ~target[row_of_entry] & ~target[indices]
-        #: CSR data slots that land in the transient Q block.
+        #: CSR data slots that land in the transient Q block, in the CSR
+        #: order of Q itself (transient positions keep the state order).
         self.entry_sel = np.flatnonzero(inside)
-        q_rows = position[row_of_entry[self.entry_sel]]
-        q_cols = position[indices[self.entry_sel]]
-
-        self.dense = dense_structure(m, q_rows.shape[0])
-        if self.dense:
-            self.q_rows = q_rows
-            self.q_cols = q_cols
-            return
-
-        # Sparse path: symmetric RCM on the |I − Q| pattern, computed
-        # once; per point SuperLU factors the pre-permuted matrix in its
-        # NATURAL order, skipping an ordering phase of its own.
-        pattern = sparse.csr_matrix(
-            (
-                np.ones(q_rows.shape[0] + m),
-                (
-                    np.concatenate([q_rows, np.arange(m)]),
-                    np.concatenate([q_cols, np.arange(m)]),
-                ),
-            ),
-            shape=(m, m),
-        )
-        perm = np.asarray(
-            reverse_cuthill_mckee(
-                (pattern + pattern.T).tocsr(), symmetric_mode=True
-            ),
-            dtype=np.int64,
-        )
-        pos = np.empty(m, dtype=np.int64)
-        pos[perm] = np.arange(m, dtype=np.int64)
-        self._pos = pos
-        # Assembly plan: stacked (Q entries, then unit diagonal) in
-        # permuted coordinates, deduplicated into CSC order once.
-        rows_p = np.concatenate([pos[q_rows], np.arange(m, dtype=np.int64)])
-        cols_p = np.concatenate([pos[q_cols], np.arange(m, dtype=np.int64)])
-        keys = cols_p * np.int64(m) + rows_p
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        boundaries = np.diff(keys_sorted) != 0
-        group_starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
-        group_of_input = np.zeros(keys_sorted.shape[0], dtype=np.int64)
-        group_of_input[1:] = np.cumsum(boundaries)
-        unique_keys = keys_sorted[group_starts]
-        self._assembly_order = order
-        self._assembly_group = group_of_input
-        self._csc_indices = (unique_keys % m).astype(np.int32)
-        csc_indptr = np.zeros(m + 1, dtype=np.int32)
+        q_indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(
-            np.bincount(unique_keys // m, minlength=m), out=csc_indptr[1:]
+            np.bincount(position[row_of_entry[self.entry_sel]], minlength=m),
+            out=q_indptr[1:],
         )
-        self._csc_indptr = csc_indptr
-        self._num_slots = group_starts.shape[0]
+        self.plan = TransientPlan(position[indices[self.entry_sel]], q_indptr)
 
     def solve(self, data: np.ndarray) -> np.ndarray:
         """Expected hitting times for one instantiated ``data`` vector."""
-        n = self.target.shape[0]
-        times = np.zeros(n, dtype=float)
-        m = self.num_transient
-        if m == 0:
+        times = np.zeros(self.target.shape[0], dtype=float)
+        if self.num_transient == 0:
             return times
-        q_data = data[self.entry_sel]
-        ones = np.ones(m, dtype=float)
-        if self.dense:
-            a = np.zeros((m, m), dtype=float)
-            a[self.q_rows, self.q_cols] = -q_data
-            a[np.arange(m), np.arange(m)] += 1.0
-            t = TransientFactor(a).solve(ones)
-        else:
-            values = np.concatenate([-q_data, ones])
-            slot_data = np.zeros(self._num_slots, dtype=float)
-            np.add.at(
-                slot_data, self._assembly_group, values[self._assembly_order]
-            )
-            matrix = sparse.csc_matrix(
-                (slot_data, self._csc_indices, self._csc_indptr),
-                shape=(m, m),
-            )
-            t = TransientFactor(matrix).solve(ones)[self._pos]
+        factor = TransientFactor(self.plan, data[self.entry_sel])
+        t = factor.solve(np.ones(self.num_transient, dtype=float))
         times[self.transient_ids] = np.maximum(t, 0.0)
         return times
 
@@ -354,8 +278,37 @@ class ParametricChain:
     def data_vector(
         self, assignment: Mapping[str, float] | None = None
     ) -> np.ndarray:
-        """The CSR ``data`` vector at one assignment (frozen structure)."""
-        return self._plan.accumulate(self.edge_probs(assignment))
+        """The CSR ``data`` vector at one assignment (frozen structure).
+
+        The seam under :meth:`instantiate`, :meth:`expected_times` and
+        :meth:`hitting_sweep`: raises :class:`ModelError` on a coin name
+        the chain does not use, and :class:`MarkovError` when the
+        assignment is no probability point of this chain — a negative
+        slot, or a row whose mass is off one by more than
+        :data:`~repro.markov.chain.ROW_SUM_TOLERANCE`.
+        """
+        if assignment is not None:
+            unknown = sorted(set(assignment) - set(self.param_names))
+            if unknown:
+                raise ModelError(
+                    f"unknown coin parameters {unknown}; the chain uses"
+                    f" {list(self.param_names)}"
+                )
+        data = self._plan.accumulate(self.edge_probs(assignment))
+        if data.size:
+            mass = np.add.reduceat(data, self.indptr[:-1])
+            low, drift = data.min(), np.abs(mass - 1.0).max()
+            if low < 0.0 or drift > ROW_SUM_TOLERANCE:
+                problem = (
+                    f"a negative transition probability ({low:.4g})"
+                    if low < 0.0
+                    else f"a row mass off one by {drift:.3g}"
+                )
+                raise MarkovError(
+                    f"coin assignment {dict(assignment or {})} gives"
+                    f" {problem}"
+                )
+        return data
 
     def data_bounds(
         self, lows: Mapping[str, float], highs: Mapping[str, float]

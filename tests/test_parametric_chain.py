@@ -253,6 +253,47 @@ def test_unknown_parameter_rejected():
         pchain.data_vector({"q": 0.5})
 
 
+def test_extra_parameter_rejected():
+    pchain = ParametricChain(
+        make_herman_speed_reducer_system(3), SynchronousDistribution()
+    )
+    with pytest.raises(ModelError, match="zz"):
+        pchain.data_vector({"p": 0.5, "q": 0.5, "zz": 3})
+
+
+@pytest.mark.parametrize(
+    "build,assignment",
+    [
+        # p > 1: the complement coin 1 − p is negative.
+        (make_herman_speed_reducer_system, {"p": 1.7, "q": 0.5}),
+        # Every coin inside (0, 1), but the hold coin 1 − q − r < 0.
+        (make_herman_speed_reducer2_system, {"p": 0.5, "q": 0.9, "r": 0.9}),
+    ],
+    ids=["p-above-one", "q-plus-r-above-one"],
+)
+def test_negative_probability_assignment_rejected(build, assignment):
+    pchain = ParametricChain(build(3), SynchronousDistribution())
+    target = pchain.mark(HermanSingleTokenSpec().legitimate)
+    with pytest.raises(MarkovError, match="negative transition probability"):
+        pchain.hitting_sweep([assignment], target)
+    with pytest.raises(MarkovError, match=repr(assignment["p"])):
+        pchain.expected_times(assignment, target)
+    with pytest.raises(MarkovError):
+        pchain.instantiate(assignment)
+
+
+def test_row_mass_off_one_rejected(monkeypatch):
+    pchain = ParametricChain(
+        make_herman_random_bit_system(3), SynchronousDistribution()
+    )
+    real = pchain.edge_probs
+    monkeypatch.setattr(
+        pchain, "edge_probs", lambda assignment: 0.9 * real(assignment)
+    )
+    with pytest.raises(MarkovError, match="row mass off one"):
+        pchain.data_vector({"p": 0.5})
+
+
 def test_max_states_guard():
     with pytest.raises(MarkovError):
         ParametricChain(
