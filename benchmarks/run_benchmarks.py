@@ -8,7 +8,7 @@ Runs ``bench_infrastructure.py``, ``bench_batch_engine.py``,
 ``bench_serving_fusion.py`` through pytest-benchmark and appends a
 condensed, machine-readable record to ``benchmarks/BENCH_kernel.json``
 so the performance trajectory of the execution engine (state-space
-exploration — sequential and sharded — chain building and hitting
+exploration, chain building and hitting
 solves, simulation throughput, batch Monte-Carlo throughput, fused
 multi-point sweeps, fault-injection overhead, MDP value iteration,
 rank-space super-stepping, multi-tenant serving fusion) is tracked

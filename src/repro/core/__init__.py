@@ -1,7 +1,7 @@
 """Core guarded-command framework: the paper's Section 2 model.
 
 Execution-engine architecture — **System = semantics, Kernel = speed,
-Encoding/Batch = scale, Sharding = parallel scale** (the full guide
+Encoding/Batch = scale, one expander = exact analysis** (the full guide
 lives in ``docs/architecture.md``):
 
 * :class:`~repro.core.system.System` is the readable, validating
@@ -33,15 +33,14 @@ lives in ``docs/architecture.md``):
   batch tier reproduces the scalar engines' sampling *distributions* —
   not their random streams — and ``engine="scalar"`` remains the
   per-trial equivalence oracle.
-* :mod:`repro.stabilization.sharding` explores over the same compiled
-  tables: ``StateSpace.explore`` expands blocks of the frontier in code
-  space over the immutable
-  :class:`~repro.core.encoding.CompiledKernelTables`, in-process or,
-  with ``shards=N | "auto"``, across worker processes, and merges the
-  results into the canonical id space.  Unlike the batch tier's
-  distribution-level equivalence, compiled exploration is
-  **bit-for-bit** identical to the FIFO dict walk for every shard
-  count — the dict walk is the oracle.
+* :func:`repro.markov.builder.build_chain`'s code-space expander reads
+  the same compiled tables: configurations are mixed-radix ranks over
+  the immutable :class:`~repro.core.encoding.CompiledKernelTables`, and
+  chains, parametric chains, MDPs and
+  :meth:`~repro.stabilization.statespace.StateSpace.explore` are views of
+  its expansion.  Unlike the batch tier's distribution-level
+  equivalence, compiled exploration is **bit-for-bit** identical to the
+  FIFO dict walk — the dict walk is the oracle.
 """
 
 from repro.core.actions import (

@@ -33,12 +33,13 @@ step a handful of integer gathers:
 Division of labor (see :mod:`repro.core`): ``System`` = semantics,
 ``TransitionKernel`` = speed, encoding/batch = scale.  Three engines
 build on these tables: the lockstep Monte-Carlo batch engine
-(:mod:`repro.markov.batch`), the sharded state-space explorer
-(:mod:`repro.stabilization.sharding`), and the compiled chain builder
-(:mod:`repro.markov.builder`) — the arrays are read-only
-(``writeable=False``) from compilation on, so one compiled table serves
-any number of concurrent batches and consumers and ships to worker
-processes for free (one pickle, or copy-on-write under ``fork``).
+(:mod:`repro.markov.batch`), rank-space super-stepping
+(:mod:`repro.markov.superstep`), and the compiled chain builder
+(:mod:`repro.markov.builder`), whose expander the state-space explorer
+reads as a view — the arrays are read-only (``writeable=False``) from
+compilation on, so one compiled table serves any number of concurrent
+batches and consumers and ships to worker processes for free (one
+pickle, or copy-on-write under ``fork``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ from repro.core.parametric import (
 from repro.core.system import System
 from repro.errors import ModelError
 from repro.lru import SignatureLRU
-from repro.store.columnar import canonical_constants, system_cache_key
+from repro.store.columnar import (
+    canonical_constants,
+    canonical_layout,
+    system_cache_key,
+)
 
 __all__ = [
     "StateEncoding",
@@ -85,7 +90,7 @@ class StateEncoding:
     proxying one), it maps process ``p``'s local state to an integer in
     ``[0, |S_p|)`` and a whole configuration to a ``uint32`` vector —
     the representation the batch engine advances in lockstep and the
-    sharded explorer ranks into canonical state ids.
+    chain builder's expander ranks into canonical state ids.
 
     Codes enumerate each process's local-state space in domain-product
     order (first variable varies slowest), matching the order used by
@@ -407,13 +412,14 @@ class CompiledKernelTables:
 class ExpansionContext:
     """Read-only lookups derived from one set of compiled kernel tables.
 
-    The wire-format substrate shared by every code-space expander: the
-    sharded explorer's workers (:mod:`repro.stabilization.sharding`) and
-    the compiled chain builder (:mod:`repro.markov.builder`) both rank
-    configurations mixed-radix over the :class:`StateEncoding`, gather
-    enabledness per slice, and compute successors as ``source rank +
-    Σ (new code − old code) · weight``.  Everything here is deterministic
-    structure, so every consumer derives identical expansions.
+    The substrate of the one code-space expander
+    (:func:`repro.markov.builder._expand`, read by chains, parametric
+    chains, MDPs and the state-space explorer) and of rank-space
+    super-stepping (:mod:`repro.markov.superstep`): configurations rank
+    mixed-radix over the :class:`StateEncoding`, enabledness is gathered
+    per block, and successors are ``source rank + Σ (new code − old
+    code) · weight``.  Everything here is deterministic structure, so
+    every consumer derives identical expansions.
     """
 
     def __init__(self, tables: CompiledKernelTables) -> None:
@@ -542,24 +548,6 @@ class ExpansionContext:
         return ranks + delta, enabled.sum(axis=1)
 
 
-def _strict(value: object) -> object:
-    """Type-strict hashable stand-in for a layout's domain values.
-
-    Python's ``0 == False == 0.0`` would merge values an algorithm can
-    tell apart, so every leaf carries its type (floats their exact bit
-    pattern, which keeps ``0.0`` and ``-0.0`` apart), recursing into
-    tuples and frozensets.  Unhashable leaves pass through and make the
-    whole key unhashable.
-    """
-    if isinstance(value, tuple):
-        return (type(value), tuple(_strict(item) for item in value))
-    if isinstance(value, frozenset):
-        return (type(value), frozenset(_strict(item) for item in value))
-    if isinstance(value, float):
-        return (type(value), value.hex())
-    return (type(value), value)
-
-
 def process_classes(system: System | TransitionKernel) -> np.ndarray:
     """Class id of every process, shape ``(N,)``, in first-seen order.
 
@@ -571,16 +559,19 @@ def process_classes(system: System | TransitionKernel) -> np.ndarray:
     identically (equal layouts intern equal codes in
     :class:`StateEncoding`), so :func:`compile_tables` stores one
     neighborhood block per class.  Layouts and constants compare
-    type-strictly, constants by
+    type-strictly by one canonical form: layouts by
+    :func:`~repro.store.columnar.canonical_layout`, constants by
     :func:`~repro.store.columnar.canonical_constants` (the cache key's
-    rule); a process whose constants have no canonical form is its own
-    class.
+    rule).  A process whose layout or constants have no canonical form
+    is its own class.
     """
     topology = system.topology
-    layout_keys = [
-        tuple((spec.name, _strict(spec.domain)) for spec in layout.specs)
-        for layout in system.layouts
-    ]
+    layout_keys: list[object] = []
+    for layout in system.layouts:
+        try:
+            layout_keys.append(canonical_layout(layout))
+        except TypeError:  # equal to no other process's layout
+            layout_keys.append(object())
     classes = np.empty(system.num_processes, dtype=np.int64)
     interned: dict[object, int] = {}
     num_classes = 0
@@ -837,9 +828,8 @@ def expansion_context(tables: CompiledKernelTables) -> ExpansionContext:
     """Memoized :class:`ExpansionContext` for one set of compiled tables.
 
     The context is pure derived structure, so every consumer sharing a
-    table object (the lockstep super-stepping planner, chain builders,
-    sharded exploration) can share one instance; the memo lives on the
-    tables so it dies with them.
+    table object (the lockstep super-stepping planner) can share one
+    instance; the memo lives on the tables so it dies with them.
     """
     cached = getattr(tables, "_expansion_memo", None)
     if cached is None:

@@ -19,15 +19,10 @@ Subcommands::
                          under an admission window; see
                          :mod:`repro.serving`)
 
-``run``, ``run-all``, and ``report`` accept ``--shards N`` (or
-``--shards auto``): every exhaustive state-space exploration inside the
-selected experiments is then partitioned across that many worker
-processes (see :mod:`repro.stabilization.sharding`).  Results are
-identical for any shard count; only wall-clock changes.
-
-They also accept ``--fused`` / ``--no-fused``: whether multi-point
-Monte-Carlo sweeps fuse into one code matrix per system group (see
-:mod:`repro.markov.sweep_engine`; fusion is the default).
+``run``, ``run-all``, and ``report`` accept ``--fused`` /
+``--no-fused``: whether multi-point Monte-Carlo sweeps fuse into one
+code matrix per system group (see :mod:`repro.markov.sweep_engine`;
+fusion is the default).
 ``--no-fused`` restores the per-point engines — useful when comparing
 against the seeded per-point oracle.
 """
@@ -50,36 +45,8 @@ from repro.experiments.registry import (
     run_preset,
 )
 from repro.markov.sweep_engine import set_default_fusion
-from repro.stabilization.sharding import set_default_shards
 
 __all__ = ["main", "build_parser"]
-
-
-def _shards_value(raw: str) -> "int | str":
-    """Parse ``--shards``: a positive int or the literal ``auto``."""
-    if raw == "auto":
-        return raw
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {raw!r}"
-        )
-    return value
-
-
-def _add_shards_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_shards_value,
-        default=None,
-        metavar="N|auto",
-        help="partition state-space explorations across N worker"
-        " processes ('auto' = available CPUs, capped at 8); results are"
-        " identical for any value",
-    )
 
 
 def _add_fused_flag(parser: argparse.ArgumentParser) -> None:
@@ -115,14 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run selected experiments")
     run_parser.add_argument("ids", nargs="+", metavar="ID")
-    _add_shards_flag(run_parser)
     _add_fused_flag(run_parser)
 
     run_all_parser = sub.add_parser("run-all", help="run every experiment")
     run_all_parser.add_argument(
         "--fast", action="store_true", help="shrink heavy parameters"
     )
-    _add_shards_flag(run_all_parser)
     _add_fused_flag(run_all_parser)
 
     report_parser = sub.add_parser(
@@ -132,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "-o", "--output", default="EXPERIMENTS.generated.md"
     )
-    _add_shards_flag(report_parser)
     _add_fused_flag(report_parser)
 
     campaign_parser = sub.add_parser(
@@ -313,12 +277,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "shards", None) is not None:
-        resolved = set_default_shards(args.shards)
-        if resolved > 1:
-            print(f"(explorations sharded across {resolved} workers)")
-        else:
-            print("(explorations running sequentially: 1 shard resolved)")
     if getattr(args, "fused", None) is not None:
         set_default_fusion(args.fused)
         if args.fused:

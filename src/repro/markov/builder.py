@@ -29,14 +29,17 @@ chain, selected via ``engine=``:
   (deterministic or coin-flip outcomes alike) is a whole-block array
   expression driven by one subset plan per enabled count.  Multi-action
   cells, custom distributions and subclasses take an order-exact scalar
-  replay of the oracle's subset and branch enumeration.  Three views
+  replay of the oracle's subset and branch enumeration.  Four views
   read the chunks through :func:`_expand`: this module evaluates each
   block right away as ``weight · Π atoms / action_choices`` and
   deduplicates the edges into the CSR arrays
   :class:`~repro.markov.chain.MarkovChain` stores natively;
   :class:`~repro.markov.parametric.ParametricChain` keeps the atoms;
   :func:`~repro.markov.mdp.build_mdp` groups edges into actions by
-  (source, choice).
+  (source, choice); and
+  :meth:`~repro.stabilization.statespace.StateSpace.explore` takes a
+  scheduler relation as a plan at weight one and keeps only the
+  support, each edge labelled with its activation mask.
 * ``"scalar"`` — the pre-existing dict-walk over the memoized
   :class:`~repro.core.kernel.TransitionKernel` (or the reference
   :class:`System` with ``use_kernel=False``): the bit-for-bit oracle the
@@ -73,6 +76,7 @@ from repro.schedulers.distributions import (
     SchedulerDistribution,
     SynchronousDistribution,
 )
+from repro.schedulers.relations import SchedulerRelation
 
 __all__ = ["build_chain", "CHAIN_ENGINES", "DEFAULT_MAX_STATES"]
 
@@ -162,9 +166,12 @@ def _build_scalar(
     kernel: TransitionKernel | None,
     use_kernel: bool,
 ) -> MarkovChain:
-    seeds: Iterable[Configuration] = (
-        system.all_configurations() if initial is None else initial
-    )
+    if initial is None:
+        seeds: Iterable[Configuration] = system.all_configurations()
+    else:
+        seeds = list(initial)
+        for seed in seeds:
+            system.check_configuration(seed)
 
     states: list[Configuration] = []
     index: dict[Configuration, int] = {}
@@ -240,20 +247,72 @@ def _row(
 _TERMINAL_PLAN = ((1.0, ()),)
 
 
+class _PlanTable(NamedTuple):
+    """The positional plans of one set of enabled counts, stacked.
+
+    Row ``first_row[k] + j`` is subset ``j`` of the plan over ``k``
+    positions, its membership padded with ``False`` to the largest count.
+    """
+
+    #: ``(R,)`` subset weights.
+    weights: np.ndarray
+    #: ``(kmax, R)`` membership, position-major.
+    members: np.ndarray
+    #: ``(kmax + 1,)`` first row of each count's plan.
+    first_row: np.ndarray
+    #: ``(kmax + 1,)`` subsets in each count's plan (0 when absent).
+    num_subsets: np.ndarray
+
+
+class _PlanCache:
+    """Positional plans of one plan object, as arrays.
+
+    Per enabled count (:meth:`_ChainContext.subset_plan`) and stacked
+    per set of enabled counts (:meth:`_ChainContext.plan_table`).  One
+    builder run owns one; runs under equal positional plans may share
+    one, as the state-space explorer does per relation.
+    """
+
+    def __init__(self) -> None:
+        # Terminal sources (k = 0): one self-loop of probability 1.
+        self.by_count: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            0: (np.ones(1), np.zeros((1, 0), dtype=bool))
+        }
+        self.tables: dict[tuple[int, ...], _PlanTable] = {}
+
+
+class _RelationPlan:
+    """A scheduler relation as a plan: every allowed subset at weight one.
+
+    The plan of the state-space explorer and of an MDP's daemon family.
+    """
+
+    def __init__(self, relation: SchedulerRelation) -> None:
+        self.relation = relation
+
+    def weighted_subsets(
+        self, enabled: Sequence[int]
+    ) -> list[tuple[float, tuple[int, ...]]]:
+        return [(1.0, subset) for subset in self.relation.subsets(enabled)]
+
+
 class _ChainContext(ExpansionContext):
     """Expansion lookups plus the probability structure of one builder run.
 
-    Extends the sharded explorer's :class:`ExpansionContext` (which
-    already carries the per-action outcome codes) with the plan — an
-    object whose ``weighted_subsets(enabled)`` lists the daemon choices
-    of a sorted enabled tuple with their weights: a scheduler
-    distribution for a chain, a daemon family at weight one for an MDP.
-    Plans are enumerated once per build: per enabled tuple for the
-    scalar replay (``plan_cache``), and per enabled count for the array
-    layer (:meth:`subset_plan`).  ``positional`` says whether a plan
-    depends only on positions in the sorted enabled tuple (by default:
-    the exact built-in distribution types; a subclass may redefine
-    ``weighted_subsets``); only then does the array layer run.
+    Extends :class:`ExpansionContext` (which already carries the
+    per-action outcome codes) with the plan — an object whose
+    ``weighted_subsets(enabled)`` lists the daemon choices of a sorted
+    enabled tuple with their weights: a scheduler distribution for a
+    chain, a daemon family at weight one for an MDP, a scheduler
+    relation at weight one for the state-space explorer.  Plans are
+    enumerated once per build: per enabled tuple for the scalar replay
+    (``plan_cache``), and per enabled count for the array layer
+    (:meth:`subset_plan`, kept in a :class:`_PlanCache`).  ``positional``
+    says whether a plan depends only on positions in the sorted enabled
+    tuple (by default: the exact built-in distribution types; a subclass
+    may redefine ``weighted_subsets``); only then does the array layer
+    run.  ``probabilities=False`` tells the array layer that no view
+    reads edge probabilities, so it skips subset weights and atoms.
 
     Wire atoms index :attr:`atom_values`: the raveled outcome
     probability table plus one padding slot, :attr:`pad_atom`, of
@@ -265,6 +324,8 @@ class _ChainContext(ExpansionContext):
         tables,
         distribution: SchedulerDistribution,
         positional: bool | None = None,
+        probabilities: bool = True,
+        plans: _PlanCache | None = None,
     ) -> None:
         super().__init__(tables)
         self.distribution = distribution
@@ -273,13 +334,11 @@ class _ChainContext(ExpansionContext):
             if positional is None
             else positional
         )
+        self.probabilities = probabilities
         self.plan_cache: dict[
             tuple[int, ...], list[tuple[float, tuple[int, ...]]]
         ] = {}
-        # Terminal sources (k = 0): one self-loop of probability 1.
-        self._subset_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            0: (np.ones(1), np.zeros((1, 0), dtype=bool))
-        }
+        self.plans = _PlanCache() if plans is None else plans
         self.pad_atom = tables.outcome_prob.size
         self.atom_values = np.append(tables.outcome_prob.ravel(), 1.0)
 
@@ -293,7 +352,7 @@ class _ChainContext(ExpansionContext):
         ``i``-th process.  Enumerating raises the plan's own
         ``max_enabled`` :class:`SchedulerError`, as the replay would.
         """
-        plan = self._subset_plans.get(k)
+        plan = self.plans.by_count.get(k)
         if plan is None:
             subsets = [
                 (weight, subset)
@@ -306,8 +365,44 @@ class _ChainContext(ExpansionContext):
             for row, (_, subset) in enumerate(subsets):
                 members[row, list(subset)] = True
             plan = (np.array([weight for weight, _ in subsets]), members)
-            self._subset_plans[k] = plan
+            self.plans.by_count[k] = plan
         return plan
+
+    def plan_table(self, enabled_counts: np.ndarray) -> _PlanTable:
+        """The stacked plans of a block's enabled counts.
+
+        Counts are enumerated in order of first appearance, so any
+        ``max_enabled`` error comes up in the replay's order.
+        """
+        key = tuple(np.flatnonzero(np.bincount(enabled_counts)).tolist())
+        table = self.plans.tables.get(key)
+        if table is None:
+            counts_seen, first = np.unique(enabled_counts, return_index=True)
+            for k in counts_seen[np.argsort(first)].tolist():
+                self.subset_plan(k)
+            kmax = key[-1]
+            first_row = np.zeros(kmax + 1, dtype=np.int64)
+            num_subsets = np.zeros(kmax + 1, dtype=np.int64)
+            weights = []
+            members = []
+            rows = 0
+            for k in key:
+                plan_weights, plan_members = self.plans.by_count[k]
+                first_row[k] = rows
+                num_subsets[k] = plan_weights.shape[0]
+                rows += plan_weights.shape[0]
+                weights.append(plan_weights)
+                members.append(
+                    np.pad(plan_members, ((0, 0), (0, kmax - k)))
+                )
+            table = _PlanTable(
+                np.concatenate(weights),
+                np.ascontiguousarray(np.concatenate(members).T),
+                first_row,
+                num_subsets,
+            )
+            self.plans.tables[key] = table
+        return table
 
 
 def _compile_chain_context(
@@ -345,7 +440,9 @@ class _WireChunk(NamedTuple):
 
     Edges are grouped by source in block order; within a source they
     follow the plan, then the branch enumeration of
-    :func:`repro.core.system.compose_weighted_targets`.
+    :func:`repro.core.system.compose_weighted_targets`.  The array layer
+    leaves ``weight``, ``divisor`` and ``atoms`` at ``None`` for a
+    context that reads no probabilities.
     """
 
     #: ``(B,)`` edges per source.
@@ -362,6 +459,8 @@ class _WireChunk(NamedTuple):
     #: ``(E, k)`` outcome atoms, indices into the context's
     #: ``atom_values``.
     atoms: np.ndarray
+    #: ``(B, N)`` enabledness of each source's processes.
+    enabled: np.ndarray
 
 
 def _edge_probs(
@@ -526,7 +625,34 @@ def _expand_block(
         np.fromiter(edge_weights, dtype=float, count=num_edges),
         np.fromiter(edge_divisors, dtype=float, count=num_edges),
         atoms,
+        enabled_matrix,
     )
+
+
+def _enabled_cells(
+    enabled_matrix: np.ndarray, enabled_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per enabled cell, row-major: its source, its process, and its
+    position among the source's sorted enabled processes."""
+    cell_source, process = np.nonzero(enabled_matrix)
+    position = np.arange(process.shape[0]) - (
+        np.cumsum(enabled_counts) - enabled_counts
+    )[cell_source]
+    return cell_source, process, position
+
+
+def _count_groups(
+    enabled_counts: np.ndarray,
+) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """Sources sorted by enabled count, and each count's slice of them."""
+    order = np.argsort(enabled_counts, kind="stable")
+    stop = 0
+    groups = []
+    for k, size in enumerate(np.bincount(enabled_counts).tolist()):
+        if size:
+            groups.append((k, slice(stop, stop + size)))
+            stop += size
+    return order, groups
 
 
 def _array_edges(
@@ -539,106 +665,138 @@ def _array_edges(
 ) -> _WireChunk:
     """The array layer: one block with one action per enabled cell.
 
-    Sources are grouped by enabled count ``k`` in order of first
-    appearance, so plans — and any ``max_enabled`` error — come up in the
-    replay's order.  Within a group every (source, subset) pair emits
-    ``Π arity`` edges over its members, in source, then plan, then
-    :func:`itertools.product` order (first member slowest), with the
-    outcome digits read mixed-radix off the edge's index in its pair.  A
-    target is the rank plus each mover's ``(new code − old code) ·
-    weight``; position ``i``'s atom is its action row's outcome slot,
-    or the padding atom when position ``i`` is not in the subset.  The
-    divisor is 1, as every mover has one action.
+    Every source's plan comes from the block's :class:`_PlanTable`, with
+    position ``i`` standing for the source's ``i``-th enabled process.
+    Every (source, subset) pair emits ``Π arity`` edges over its
+    members, in source, then plan, then :func:`itertools.product` order
+    (first member slowest), with the outcome digits read mixed-radix off
+    the edge's index in its pair.  A target is the rank plus each
+    mover's ``(new code − old code) · weight``; position ``i``'s atom is
+    its action row's outcome slot, or the padding atom when position
+    ``i`` is not in the subset.  The divisor is 1, as every mover has
+    one action.  A context without :attr:`~_ChainContext.probabilities`
+    gets ``None`` for the weights, divisors and atoms.
     """
     tables = context.tables
     width = tables.outcome_cum.shape[1]
     pad = context.pad_atom
     num_sources = enabled_matrix.shape[0]
-    rank_array = np.fromiter(ranks, dtype=np.int64, count=num_sources)
-    enabled_cols = np.nonzero(enabled_matrix)[1]
-    col_starts = np.cumsum(enabled_counts) - enabled_counts
-    counts_seen, first = np.unique(enabled_counts, return_index=True)
+    plan = context.plan_table(enabled_counts)
+    kmax = plan.members.shape[0]
+    rank_array = (
+        np.arange(ranks.start, ranks.stop, dtype=np.int64)
+        if isinstance(ranks, range)
+        else np.fromiter(ranks, dtype=np.int64, count=num_sources)
+    )
 
-    # Pass 1, per enabled-count group: the plan, the movers and the
-    # edges each (source, subset) pair emits.  The per-source edge counts
-    # place every group's edges in block order for pass 2.
-    groups = []
-    edge_counts = np.empty(num_sources, dtype=np.int64)
-    for k in counts_seen[np.argsort(first)].tolist():
-        weights, members = context.subset_plan(k)
-        sources = np.flatnonzero(enabled_counts == k)
-        movers = enabled_cols[col_starts[sources, None] + np.arange(k)]
-        action_rows = bases_matrix[sources[:, None], movers]
-        arity = context.arity[action_rows]
-        # Per pair and position, the radix: the mover's arity if it is a
-        # member, else 1.  A pair emits the product of its radices — one
-        # edge when the group's moves are deterministic.
-        if (arity == 1).all():
-            radix = None
-            pair_edges = np.ones(sources.shape[0] * weights.shape[0], np.int64)
-        else:
-            radix = np.where(members, arity[:, None, :], 1).reshape(-1, k).T
-            pair_edges = radix.prod(axis=0)
-        edge_counts[sources] = pair_edges.reshape(
-            sources.shape[0], -1
-        ).sum(axis=1)
-        groups.append(
-            (k, weights, members, sources, movers, action_rows, radix, pair_edges)
+    cell_source, movers, position = _enabled_cells(
+        enabled_matrix, enabled_counts
+    )
+    cell_rows = bases_matrix[cell_source, movers]
+    old = codes[cell_source, movers].astype(np.int64)
+    arity = context.arity[cell_rows]
+
+    # The (source, subset) pairs, source-major in plan order.
+    pair_counts = plan.num_subsets[enabled_counts]
+    pair_starts = np.cumsum(pair_counts) - pair_counts
+    num_pairs = int(pair_counts.sum())
+    probabilities = context.probabilities
+
+    if (arity == 1).all():
+        # One edge per pair.  Per enabled count, the targets are the
+        # ranks plus the movers' solo deltas times the plan's membership.
+        solo = np.zeros((num_sources, kmax), dtype=np.int64)
+        solo[cell_source, position] = (
+            context.first_outcome[cell_rows] - old
+        ) * context.weights_row[movers]
+        targets = np.empty(num_pairs, dtype=np.int64)
+        choice = np.empty(num_pairs, dtype=np.int64)
+        order, groups = _count_groups(enabled_counts)
+        solo = solo[order]
+        first_slot = pair_starts[order]
+        sorted_ranks = rank_array[order]
+        for k, group in groups:
+            members = context.subset_plan(k)[1]
+            subsets = np.arange(members.shape[0])
+            slots = first_slot[group, None] + subsets
+            targets[slots] = (
+                sorted_ranks[group, None] + solo[group, :k] @ members.T
+            )
+            choice[slots] = subsets
+        if not probabilities:
+            return _WireChunk(
+                pair_counts, choice, targets, None, None, None,
+                enabled_matrix,
+            )
+        pair_source = np.repeat(np.arange(num_sources), pair_counts)
+        pair_row = plan.first_row[enabled_counts][pair_source] + choice
+        action_rows = np.zeros((kmax, num_sources), dtype=np.int64)
+        action_rows[position, cell_source] = cell_rows * width
+        # Position-major, so each position's atoms are one contiguous row.
+        atoms = np.empty((kmax, targets.shape[0]), dtype=np.int64)
+        for column in range(kmax):
+            atoms[column] = np.where(
+                plan.members[column][pair_row],
+                action_rows[column][pair_source],
+                pad,
+            )
+        return _WireChunk(
+            pair_counts, choice, targets, plan.weights[pair_row],
+            np.ones(num_pairs), atoms.T, enabled_matrix,
         )
 
-    edge_starts = np.cumsum(edge_counts) - edge_counts
-    num_edges = int(edge_counts.sum())
-    choice = np.empty(num_edges, dtype=np.int64)
-    targets = np.empty(num_edges, dtype=np.int64)
-    weight = np.empty(num_edges, dtype=float)
-    # Position-major, so each position's atoms are one contiguous row.
-    atoms = np.empty((int(counts_seen.max()), num_edges), dtype=np.int64)
-    for (
-        k, weights, members, sources, movers, action_rows, radix, pair_edges
-    ) in groups:
-        pair = np.repeat(np.arange(pair_edges.shape[0]), pair_edges)
-        source, subset = np.divmod(pair, weights.shape[0])
-        group_counts = edge_counts[sources]
-        slots = np.arange(pair.shape[0]) + np.repeat(
-            edge_starts[sources] - (np.cumsum(group_counts) - group_counts),
-            group_counts,
+    # Per position and source, the rank delta and atom of each outcome,
+    # plus a padding slot (delta 0, the padding atom) that a position
+    # outside the subset reads: ``row + digit``, or ``row + width``.
+    delta = np.zeros((kmax, num_sources, width + 1), dtype=np.int64)
+    delta[position, cell_source, :width] = (
+        tables.outcome_code[cell_rows].astype(np.int64) - old[:, None]
+    ) * context.weights_row[movers, None]
+    if probabilities:
+        atom_table = np.full((kmax, num_sources, width + 1), pad)
+        atom_table[position, cell_source, :width] = (
+            cell_rows[:, None] * width + np.arange(width)
         )
-        # Rank delta and atom per (position, source, outcome slot), plus
-        # a padding slot (delta 0, the padding atom) for "this position
-        # does not move", flattened per position so one edge reads slot
-        # ``row + digit`` of its position's tables, or ``row + width``.
-        old = codes[sources[:, None], movers].astype(np.int64).T
-        delta = np.zeros((k, sources.shape[0], width + 1), dtype=np.int64)
-        delta[:, :, :width] = (
-            tables.outcome_code[action_rows.T].astype(np.int64)
-            - old[..., None]
-        ) * context.weights_row[movers.T][..., None]
-        atom_table = np.full((k, sources.shape[0], width + 1), pad)
-        atom_table[:, :, :width] = action_rows.T[..., None] * width + np.arange(
-            width
+    # Per position and pair, the radix: the mover's arity if it is a
+    # member, else 1.  A pair emits the product of its radices.
+    cell_arity = np.ones((kmax, num_sources), dtype=np.int64)
+    cell_arity[position, cell_source] = arity
+    pair_source = np.repeat(np.arange(num_sources), pair_counts)
+    pair_subset = np.arange(num_pairs) - pair_starts[pair_source]
+    pair_row = plan.first_row[enabled_counts][pair_source] + pair_subset
+    radix = np.where(
+        plan.members[:, pair_row], cell_arity[:, pair_source], 1
+    )
+    pair_edges = radix.prod(axis=0)
+    edge_bounds = np.concatenate(([0], np.cumsum(pair_edges)))
+    edge_counts = (
+        edge_bounds[pair_starts + pair_counts] - edge_bounds[pair_starts]
+    )
+    pair_of_edge = np.repeat(np.arange(pair_edges.shape[0]), pair_edges)
+    local = np.arange(pair_of_edge.shape[0]) - edge_bounds[pair_of_edge]
+    source = pair_source[pair_of_edge]
+    edge_row = pair_row[pair_of_edge]
+    row = source * (width + 1)
+    targets = rank_array[source]
+    if probabilities:
+        atoms = np.empty((kmax, targets.shape[0]), dtype=np.int64)
+    # Mixed-radix digits of the edge's index in its pair, first member
+    # slowest, so they peel off from the last position.
+    for column in reversed(range(kmax)):
+        local, digit = np.divmod(local, radix[column][pair_of_edge])
+        slot = row + np.where(plan.members[column][edge_row], digit, width)
+        targets += delta[column].reshape(-1)[slot]
+        if probabilities:
+            atoms[column] = atom_table[column].reshape(-1)[slot]
+    if not probabilities:
+        return _WireChunk(
+            edge_counts, pair_subset[pair_of_edge], targets, None, None,
+            None, enabled_matrix,
         )
-        row = source * (width + 1)
-        offset = np.where(members, 0, width).T
-        target = rank_array[sources][source]
-        # Mixed-radix digits of the edge's index in its pair, first
-        # member slowest, so they peel off from the last position.
-        if radix is not None:
-            local = np.arange(pair.shape[0]) - (
-                np.cumsum(pair_edges) - pair_edges
-            )[pair]
-        for position in reversed(range(k)):
-            slot = row + offset[position][subset]
-            if radix is not None:
-                local, digit = np.divmod(local, radix[position][pair])
-                slot += digit
-            target += delta[position].reshape(-1)[slot]
-            atoms[position, slots] = atom_table[position].reshape(-1)[slot]
-        atoms[k:, slots] = pad
-        choice[slots] = subset
-        targets[slots] = target
-        weight[slots] = weights[subset]
     return _WireChunk(
-        edge_counts, choice, targets, weight, np.ones(num_edges), atoms.T
+        edge_counts, pair_subset[pair_of_edge], targets,
+        plan.weights[edge_row], np.ones(targets.shape[0]), atoms.T,
+        enabled_matrix,
     )
 
 
@@ -716,6 +874,7 @@ def _expand(
     initial: list[Configuration] | None,
     max_states: int,
     view: Callable[[_WireChunk], object],
+    overflow: Callable[[], Exception] | None = None,
 ) -> tuple[list[Configuration], np.ndarray | None, np.ndarray, np.ndarray, list]:
     """Expand a state set block by block and hand each chunk to ``view``.
 
@@ -725,7 +884,9 @@ def _expand(
     edge order) — the exact order the scalar FIFO builder discovers
     them — so state ids come out identical to the oracle's.  ``view``
     keeps what its caller needs of each chunk, so at most one block of
-    symbolic edges is alive at a time.
+    symbolic edges is alive at a time.  Interning more than
+    ``max_states`` states raises ``overflow()`` (default: the chain
+    builder's :class:`MarkovError`).
 
     Returns the states, their code matrix (``None`` when empty), the
     edge count per state, the flat target ids and the kept views in
@@ -761,6 +922,8 @@ def _expand(
         if state_id is not None:
             return state_id
         if len(rank_of_id) >= max_states:
+            if overflow is not None:
+                raise overflow()
             raise MarkovError(f"chain exceeded {max_states} states")
         state_id = len(rank_of_id)
         rank_to_id[rank] = state_id

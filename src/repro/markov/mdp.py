@@ -37,8 +37,9 @@ Wire format (flat CSR, two levels)::
 
 The MDP is the third view of the chain builder's one expander
 (:func:`repro.markov.builder._expand`): its plan is the daemon family's
-choices (:func:`~repro.schedulers.distributions.daemon_action_subsets`,
-each at weight one), edges are grouped into actions by (source,
+scheduler relation, every subset at weight one (the choices of
+:func:`~repro.schedulers.distributions.daemon_action_subsets`, in the
+same order), edges are grouped into actions by (source,
 choice), evaluated with the chain's expression ``1.0 · Π atoms /
 action_choices``, and zero-probability edges are dropped.  States are
 full-space mixed-radix enumeration ranks — identical ids to
@@ -53,7 +54,7 @@ always well-formed).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,8 +70,9 @@ from repro.markov.builder import (
     _DedupPlan,
     _edge_probs,
     _expand,
+    _RelationPlan,
 )
-from repro.schedulers.distributions import daemon_action_subsets
+from repro.schedulers.relations import DistributedRelation, relation_by_name
 
 __all__ = [
     "MDP_DAEMONS",
@@ -264,29 +266,6 @@ class MarkovDecisionProcess:
         )
 
 
-class _DaemonChoices:
-    """A daemon family as the expander's plan: every choice at weight one.
-
-    :func:`daemon_action_subsets` depends only on positions in the
-    sorted enabled tuple, so the builder's array layer takes this plan
-    like a built-in distribution.
-    """
-
-    def __init__(self, daemon: str, max_enabled: int) -> None:
-        self.daemon = daemon
-        self.max_enabled = max_enabled
-
-    def weighted_subsets(
-        self, enabled: Sequence[int]
-    ) -> list[tuple[float, tuple[int, ...]]]:
-        return [
-            (1.0, subset)
-            for subset in daemon_action_subsets(
-                self.daemon, enabled, self.max_enabled
-            )
-        ]
-
-
 def build_mdp(
     system: System,
     daemon: str = "distributed",
@@ -316,9 +295,12 @@ def build_mdp(
             f" {max_states}"
         )
     tables = tables_for(system if kernel is None else kernel)
-    context = _ChainContext(
-        tables, _DaemonChoices(daemon, max_enabled), positional=True
+    relation = (
+        DistributedRelation(max_enabled)
+        if daemon == "distributed"
+        else relation_by_name(daemon)
     )
+    context = _ChainContext(tables, _RelationPlan(relation), positional=True)
     if not context.int64_safe:
         raise MarkovError(
             "configuration ranks exceed int64; the MDP tier requires"

@@ -32,12 +32,6 @@ from repro.stabilization.profile import (
     ConvergenceProfile,
     convergence_profile,
 )
-from repro.stabilization.sharding import (
-    explore_sharded,
-    get_default_shards,
-    resolve_shards,
-    set_default_shards,
-)
 from repro.stabilization.specification import (
     PredicateSpecification,
     Specification,
@@ -82,10 +76,6 @@ __all__ = [
     "LabeledEdge",
     "subset_to_mask",
     "mask_to_subset",
-    "explore_sharded",
-    "resolve_shards",
-    "set_default_shards",
-    "get_default_shards",
     "converging_execution",
     "synchronous_lasso",
     "synchronous_successor",

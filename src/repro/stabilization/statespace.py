@@ -12,18 +12,21 @@ edge per outcome in its support.
 
 Two explorers produce the same digraph (see ``docs/architecture.md``):
 
-* the **compiled explorer** (:mod:`repro.stabilization.sharding`) — the
-  default at every shard count: configurations are mixed-radix ranks
-  over the compiled NumPy kernel tables, deterministic blocks under the
-  central, synchronous and distributed daemons expand as whole-block
-  array expressions, and ``shards > 1`` partitions the frontier across
-  worker processes;
+* the **support view** of the chain builder's one expander
+  (:func:`repro.markov.builder._expand`) — the default: the relation
+  is the expander's plan with every allowed subset at weight one, so
+  the explored edges are exactly the support of the Markov chain of any
+  randomized scheduler over the same subsets.  Configurations are
+  mixed-radix ranks over the compiled NumPy kernel tables, and blocks
+  whose enabled cells each have one action expand as whole-block array
+  expressions under the central, synchronous and distributed
+  relations;
 * the **dict walk** below — a FIFO walk that resolves guards and
   outcomes through the neighborhood-memoized
   :class:`~repro.core.kernel.TransitionKernel` (or the reference
   :class:`~repro.core.system.System` with ``use_kernel=False``).  It is
   the fallback for systems the compiled tables cannot represent and the
-  oracle the compiled explorer is tested against.
+  oracle the support view is tested against.
 """
 
 from __future__ import annotations
@@ -31,11 +34,27 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.configuration import Configuration
+from repro.core.encoding import CompiledKernelTables, tables_for
 from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
-from repro.errors import StateSpaceError
-from repro.schedulers.relations import SchedulerRelation
+from repro.errors import ModelError, StateSpaceError
+from repro.markov.builder import (
+    _ChainContext,
+    _count_groups,
+    _enabled_cells,
+    _expand,
+    _PlanCache,
+    _RelationPlan,
+)
+from repro.schedulers.relations import (
+    CentralRelation,
+    DistributedRelation,
+    SchedulerRelation,
+    SynchronousRelation,
+)
 
 __all__ = ["StateSpace", "LabeledEdge", "subset_to_mask", "mask_to_subset"]
 
@@ -44,6 +63,22 @@ LabeledEdge = tuple[int, int]
 
 #: Default exploration budget; theorem checks stay far below this.
 DEFAULT_MAX_CONFIGURATIONS = 2_000_000
+
+#: Activation bitmasks are int64 in the support view; systems with more
+#: processes take the dict walk (whose budget they exceed anyway).
+MAX_MASKED_PROCESSES = 62
+
+#: Relations whose subsets depend only on positions in the sorted enabled
+#: tuple (exact types: a subclass may redefine ``subsets``).
+_POSITIONAL_RELATIONS = (
+    CentralRelation,
+    SynchronousRelation,
+    DistributedRelation,
+)
+
+#: Positional plans, shared by every exploration under an equal relation
+#: (keyed by its type and instance state).
+_SHARED_PLANS: dict[tuple, _PlanCache] = {}
 
 
 def subset_to_mask(subset: Iterable[int]) -> int:
@@ -62,6 +97,15 @@ def mask_to_subset(mask: int) -> tuple[int, ...]:
         subset.append(low.bit_length() - 1)
         mask ^= low
     return tuple(subset)
+
+
+def _check_space_budget(system: System, max_configurations: int) -> None:
+    space_size = system.num_configurations()
+    if space_size > max_configurations:
+        raise StateSpaceError(
+            f"configuration space has {space_size} states,"
+            f" budget is {max_configurations}"
+        )
 
 
 class StateSpace:
@@ -94,55 +138,40 @@ class StateSpace:
         relation: SchedulerRelation,
         initial: Iterable[Configuration] | None = None,
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        action_mode: str = "all",
         kernel: TransitionKernel | None = None,
         use_kernel: bool = True,
-        shards: int | str | None = None,
     ) -> "StateSpace":
         """Breadth-first exploration from ``initial`` (default: all of C).
 
         With the default initial set the explored graph is the complete
         transition system; with a restricted initial set it is the
         reachable fragment (used e.g. for transformed systems whose full
-        space is large).
+        space is large).  Explicit seeds must be configurations of
+        ``system`` (:class:`~repro.errors.ModelError` otherwise).
 
-        Guards and outcome statements resolve through a
-        :class:`~repro.core.kernel.TransitionKernel` by default, so they
-        run once per distinct local neighborhood rather than once per
-        configuration; pass ``kernel`` to reuse existing memo tables or
-        ``use_kernel=False`` for the reference :class:`System` path.
-
-        ``shards`` selects how the compiled explorer
-        (:func:`repro.stabilization.sharding.explore_sharded`) runs:
-        ``1`` expands in-process; an int ``> 1`` partitions the frontier
-        across that many worker processes; ``"auto"`` sizes the pool from
-        the available CPUs; ``None`` (the default) uses the process-wide
-        default — 1 unless raised via
-        :func:`repro.stabilization.sharding.set_default_shards` or the
-        ``--shards`` CLI flag.  Every value yields an identical
-        :class:`StateSpace` (same ids, edges, and enabled tuples);
-        systems the compiled tables cannot represent fall back to the
-        dict walk.  ``use_kernel=False`` runs the dict walk over the
-        reference :class:`System` path regardless of ``shards``.
+        The digraph is the support view of the chain builder's expander
+        over the compiled kernel tables (see the module docstring), with
+        the same ids, edges and enabled tuples as the dict walk.  Systems
+        the tables cannot represent (neighborhood space over the
+        compilation budget, or more than :data:`MAX_MASKED_PROCESSES`
+        processes) take the dict walk, through ``kernel`` when given;
+        ``use_kernel=False`` runs the dict walk over the reference
+        :class:`System` path.
         """
-        if use_kernel:
-            from repro.stabilization.sharding import (
-                explore_sharded,
-                resolve_shards,
-            )
-
-            return explore_sharded(
-                system,
-                relation,
-                initial,
-                max_configurations,
-                action_mode,
-                kernel,
-                resolve_shards(shards),
-            )
+        seeds = None if initial is None else list(initial)
+        if use_kernel and system.num_processes <= MAX_MASKED_PROCESSES:
+            if seeds is None:
+                _check_space_budget(system, max_configurations)
+            try:
+                tables = tables_for(system if kernel is None else kernel)
+            except ModelError:
+                pass  # over the compilation budget: take the dict walk
+            else:
+                return _support_view(
+                    system, relation, seeds, max_configurations, tables
+                )
         return cls._explore_walk(
-            system, relation, initial, max_configurations, action_mode,
-            kernel, use_kernel=False,
+            system, relation, seeds, max_configurations, kernel, use_kernel
         )
 
     @classmethod
@@ -152,11 +181,10 @@ class StateSpace:
         relation: SchedulerRelation,
         initial: Iterable[Configuration] | None = None,
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        action_mode: str = "all",
         kernel: TransitionKernel | None = None,
         use_kernel: bool = True,
     ) -> "StateSpace":
-        """The FIFO dict walk: the compiled explorer's fallback and oracle.
+        """The FIFO dict walk: the support view's fallback and oracle.
 
         Interns configurations in discovery order and resolves each
         source's guards once per local neighborhood (through ``kernel``,
@@ -164,17 +192,14 @@ class StateSpace:
         subset step composes from those solo resolutions (atomic reads).
         """
         if initial is None:
-            space_size = system.num_configurations()
-            if space_size > max_configurations:
-                raise StateSpaceError(
-                    f"configuration space has {space_size} states,"
-                    f" budget is {max_configurations}"
-                )
+            _check_space_budget(system, max_configurations)
             seeds: Iterator[Configuration] | list[Configuration] = (
                 system.all_configurations()
             )
         else:
             seeds = list(initial)
+            for seed in seeds:
+                system.check_configuration(seed)
 
         configurations: list[Configuration] = []
         index: dict[Configuration, int] = {}
@@ -226,7 +251,7 @@ class StateSpace:
                         mask = subset_to_mask(subset)
                         mask_cache[subset] = mask
                     for _, target in compose_weighted_targets(
-                        source, subset, resolved, action_mode
+                        source, subset, resolved
                     ):
                         target_id = intern(target)
                         edge = (mask, target_id)
@@ -327,3 +352,163 @@ class StateSpace:
             f"StateSpace(configs={self.num_configurations},"
             f" edges={self.num_edges}, relation={self.relation.name!r})"
         )
+
+
+# ----------------------------------------------------------------------
+# the support view of the chain builder's expander
+# ----------------------------------------------------------------------
+def _activation_masks(
+    context, chunk
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One chunk's enabled sets and edge masks, as bitmasks, and its edge
+    choices — ``None`` when its edges are its (source, choice) pairs,
+    one each, which leaves nothing to dedup.
+
+    An edge's mask is the plan membership of its ``choice`` mapped onto
+    its source's sorted enabled processes: per enabled count, the
+    processes' bits times the plan's membership matrix for a positional
+    plan, the source's own replayed subsets otherwise.  A terminal
+    source's self-loop gets mask 0.
+    """
+    enabled = chunk.enabled
+    enabled_bits = enabled @ (
+        np.int64(1) << np.arange(enabled.shape[1], dtype=np.int64)
+    )
+    if context.positional:
+        # One mask per (source, subset) pair; an edge reads its pair's
+        # (edges are the pairs when every move is deterministic).
+        enabled_counts = enabled.sum(axis=1, dtype=np.int64)
+        plan = context.plan_table(enabled_counts)
+        cell_source, process, position = _enabled_cells(
+            enabled, enabled_counts
+        )
+        bits = np.zeros((enabled.shape[0], plan.members.shape[0]), np.int64)
+        bits[cell_source, position] = np.int64(1) << process.astype(np.int64)
+        pair_counts = plan.num_subsets[enabled_counts]
+        pair_starts = np.cumsum(pair_counts) - pair_counts
+        pair_masks = np.empty(int(pair_counts.sum()), dtype=np.int64)
+        order, groups = _count_groups(enabled_counts)
+        bits = bits[order]
+        first_slot = pair_starts[order]
+        for k, group in groups:
+            members = context.subset_plan(k)[1]
+            slots = first_slot[group, None] + np.arange(members.shape[0])
+            pair_masks[slots] = bits[group, :k] @ members.T
+        if np.array_equal(pair_counts, chunk.counts):
+            return enabled_bits, pair_masks, None
+        pair = np.repeat(pair_starts, chunk.counts) + chunk.choice
+        return enabled_bits, pair_masks[pair], chunk.choice
+    # The replay cached each enabled tuple's plan (none for terminals).
+    plan_masks: dict[int, list[int]] = {}
+    per_source = []
+    for bits_of_source in enabled_bits.tolist():
+        table = plan_masks.get(bits_of_source)
+        if table is None:
+            subsets = context.plan_cache.get(mask_to_subset(bits_of_source))
+            table = [0] if subsets is None else [
+                subset_to_mask(subset) for _, subset in subsets
+            ]
+            plan_masks[bits_of_source] = table
+        per_source.append(table)
+    source = np.repeat(np.arange(enabled.shape[0]), chunk.counts)
+    masks = np.fromiter(
+        (
+            per_source[edge_source][edge_choice]
+            for edge_source, edge_choice in zip(
+                source.tolist(), chunk.choice.tolist()
+            )
+        ),
+        dtype=np.int64,
+        count=source.shape[0],
+    )
+    return enabled_bits, masks, chunk.choice
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _support_view(
+    system: System,
+    relation: SchedulerRelation,
+    seeds: list[Configuration] | None,
+    max_configurations: int,
+    tables: CompiledKernelTables,
+) -> StateSpace:
+    """``StateSpace.explore`` as a view of the chain builder's expander.
+
+    Keeps each chunk's daemon choice, turns it into activation masks,
+    drops the terminal sources' self-loops and dedups edges keep-first
+    within each (source, choice) — the dict walk's (mask, target) dedup,
+    as distinct subsets have distinct masks.
+    """
+    plans = None
+    if type(relation) in _POSITIONAL_RELATIONS:
+        key = (type(relation), *sorted(vars(relation).items()))
+        plans = _SHARED_PLANS.get(key)
+        if plans is None:
+            plans = _SHARED_PLANS[key] = _PlanCache()
+    context = _ChainContext(
+        tables,
+        _RelationPlan(relation),
+        positional=plans is not None,
+        probabilities=False,
+        plans=plans,
+    )
+    configurations, _, counts, targets, kept = _expand(
+        system,
+        context,
+        seeds,
+        max_configurations,
+        lambda chunk: _activation_masks(context, chunk),
+        overflow=lambda: StateSpaceError(
+            f"exploration exceeded {max_configurations} configurations"
+        ),
+    )
+    if not kept:  # no seeds
+        return StateSpace(system, relation, [], {}, [], [])
+    enabled_bits, masks = (
+        _joined([part[index] for part in kept]) for index in (0, 1)
+    )
+
+    # A terminal source's one edge is the expander's self-loop: keep none.
+    kept_counts = np.where(enabled_bits != 0, counts, 0)
+    if any(part[2] is not None for part in kept):
+        # Keep-first dedup of targets within each (source, choice) run;
+        # distinct stand-in choices give a chunk of pairs one-edge runs.
+        choice = _joined(
+            [
+                np.arange(part[1].shape[0]) if part[2] is None else part[2]
+                for part in kept
+            ]
+        )
+        source = np.repeat(np.arange(len(configurations)), counts)
+        fresh = np.ones(source.shape[0], dtype=bool)
+        fresh[1:] = (source[1:] != source[:-1]) | (choice[1:] != choice[:-1])
+        run = np.cumsum(fresh) - 1
+        order = np.lexsort((targets, run))
+        repeated = (run[order][1:] == run[order][:-1]) & (
+            targets[order][1:] == targets[order][:-1]
+        )
+        keep = enabled_bits[source] != 0
+        keep[order[1:][repeated]] = False
+        masks = masks[keep]
+        targets = targets[keep]
+        counts = kept_counts = np.bincount(
+            source[keep], minlength=len(configurations)
+        )
+
+    pairs = list(zip(masks.tolist(), targets.tolist()))
+    starts = (np.cumsum(counts) - counts).tolist()
+    edges = [
+        pairs[start : start + count]
+        for start, count in zip(starts, kept_counts.tolist())
+    ]
+    distinct, inverse = np.unique(enabled_bits, return_inverse=True)
+    subsets = [mask_to_subset(bits) for bits in distinct.tolist()]
+    enabled = [subsets[i] for i in inverse.tolist()]
+    index = {
+        configuration: state_id
+        for state_id, configuration in enumerate(configurations)
+    }
+    return StateSpace(system, relation, configurations, index, edges, enabled)

@@ -216,6 +216,17 @@ def canonical_constants(constants: Mapping) -> str:
     )
 
 
+def canonical_layout(layout) -> str:
+    """Canonical JSON of one variable layout — each variable's name and
+    domain, compared type-strictly (see :func:`_strict_json`);
+    ``TypeError`` when a domain value has none.  Process classing
+    (:func:`repro.core.encoding.process_classes`) compares layouts by it.
+    """
+    return _canonical_json(
+        [[spec.name, _strict_json(spec.domain)] for spec in layout.specs]
+    )
+
+
 #: Live system → its cache key.  Weak keys: an entry dies with its
 #: system, so a recycled object id can never inherit a stale key.
 _CACHE_KEYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

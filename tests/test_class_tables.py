@@ -300,6 +300,17 @@ def test_layouts_compare_type_strictly():
     assert_matches_reference(system)
 
 
+class _Level(int):
+    """An int subclass: equal to its int, but with no canonical form."""
+
+
+def test_domain_without_canonical_form_is_its_own_class():
+    levels = (_Level(0), _Level(1))
+    system = _echo_system([0, 0], domains=[levels, levels])
+    assert process_classes(system).tolist() == [0, 1]
+    assert_matches_reference(system)
+
+
 class _NeighborDegreeProbe(Algorithm):
     """Flips its bit when its first neighbor has degree 3."""
 

@@ -16,8 +16,9 @@ every execution tier against its oracle:
 * **One lockstep loop**: a one-point fused sweep against
   ``BatchEngine.run`` / ``run_with_fault`` on every cell, with and
   without a fault — bit-for-bit, final generator state included.
-* **Exact analysis**: compiled-vs-scalar chain building bit-equality
-  and sharded-vs-sequential exploration bit-equality over the same
+* **Exact analysis**: compiled-vs-scalar chain building bit-equality,
+  compiled-vs-dict-walk exploration bit-equality, and the explored
+  digraph as the support of the randomized chain, over the same
   registry systems.
 
 This module replaces the need for future per-PR ad-hoc equivalence
@@ -60,7 +61,11 @@ from repro.schedulers.distributions import (
     DistributedRandomizedDistribution,
     SynchronousDistribution,
 )
-from repro.schedulers.relations import CentralRelation, SynchronousRelation
+from repro.schedulers.relations import (
+    CentralRelation,
+    DistributedRelation,
+    SynchronousRelation,
+)
 from repro.stabilization.faults import compile_fault
 from repro.stabilization.statespace import StateSpace
 
@@ -365,7 +370,7 @@ def test_fused_equals_batch_engine_under_fault(
 
 
 # ----------------------------------------------------------------------
-# exact tier: compiled chains and sharded exploration, bit-equality
+# exact tier: compiled chains and exploration, bit-equality
 # ----------------------------------------------------------------------
 #: Registry systems with full spaces small enough for exact analysis.
 CHAIN_SYSTEMS = (
@@ -410,15 +415,41 @@ def test_sharded_exploration_bit_equal_to_sequential(
     system_name, relation_key, make_relation
 ):
     system = conformance_system(system_name)
-    # The dict walk is the oracle of both compiled strategies: in-process
-    # (shards=1) and the worker pool.
+    # The dict walk is the oracle of the compiled explorer.
     walk = StateSpace._explore_walk(system, make_relation())
-    for shards in (1, 2):
-        compiled = StateSpace.explore(system, make_relation(), shards=shards)
-        assert walk.configurations == compiled.configurations
-        assert walk.index == compiled.index
-        assert walk.edges == compiled.edges
-        assert walk.enabled == compiled.enabled
+    compiled = StateSpace.explore(system, make_relation())
+    assert walk.configurations == compiled.configurations
+    assert walk.index == compiled.index
+    assert walk.edges == compiled.edges
+    assert walk.enabled == compiled.enabled
+
+
+CHAIN_RELATIONS = {
+    "central": CentralRelation,
+    "synchronous": SynchronousRelation,
+    "distributed": DistributedRelation,
+}
+
+
+@pytest.mark.parametrize("relation_key", sorted(CHAIN_RELATIONS))
+@pytest.mark.parametrize("system_name", CHAIN_SYSTEMS)
+def test_explored_support_equals_chain_support(system_name, relation_key):
+    """The explored digraph is the support of the randomized chain over
+    the same subsets — what carries weak stabilization over to
+    probabilistic self-stabilization.  Terminal states differ only by
+    the chain's self-loop."""
+    system = conformance_system(system_name)
+    space = StateSpace.explore(system, CHAIN_RELATIONS[relation_key]())
+    chain = build_chain(system, CHAIN_DISTRIBUTIONS[relation_key]())
+    assert chain.states == space.configurations
+    data, indices, indptr = chain.transition_arrays()
+    for source, outgoing in enumerate(space.edges):
+        row = slice(indptr[source], indptr[source + 1])
+        support = set(indices[row][data[row] > 0.0].tolist())
+        if space.is_terminal(source):
+            assert outgoing == [] and support == {source}
+        else:
+            assert {target for _, target in outgoing} == support
 
 
 def test_matrix_covers_required_axes():

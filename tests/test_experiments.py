@@ -154,30 +154,6 @@ class TestCli:
         assert main(["run", "FIG1"]) == 0
         assert "1/1 experiments passed" in capsys.readouterr().out
 
-    def test_run_command_sharded(self, capsys):
-        from repro.stabilization.sharding import (
-            get_default_shards,
-            set_default_shards,
-        )
-
-        original = get_default_shards()
-        try:
-            assert main(["run", "FIG1", "--shards", "2"]) == 0
-            output = capsys.readouterr().out
-            assert "sharded across 2 workers" in output
-            assert "1/1 experiments passed" in output
-        finally:
-            set_default_shards(original)
-
-    def test_shards_flag_rejects_bad_values(self, capsys):
-        parser = build_parser()
-        assert parser.parse_args(["run", "FIG1", "--shards", "auto"]).shards == "auto"
-        assert parser.parse_args(["run", "FIG1", "--shards", "3"]).shards == 3
-        for bad in ("0", "-1", "many"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["run", "FIG1", "--shards", bad])
-            assert "positive integer or 'auto'" in capsys.readouterr().err
-
     def test_report_command(self, tmp_path, capsys, monkeypatch):
         # run a single cheap experiment by monkeypatching the registry run
         from repro.experiments import registry

@@ -1,26 +1,31 @@
 """The compiled explorer is bit-for-bit identical to the dict-walk oracle.
 
-The contract (see ``docs/architecture.md``): for every shard count,
-``StateSpace.explore`` must produce the *same* canonical state space as
-the FIFO dict walk (``StateSpace._explore_walk``) — configurations,
-interned ids, edge lists (order included), enabled tuples — and
-therefore identical downstream verdicts, on every topology family the
-registry uses (rings, trees/chains, stars) and for deterministic as well
-as probabilistic systems.
+The contract (see ``docs/architecture.md``): ``StateSpace.explore`` — the
+support view of the chain builder's one expander — must produce the
+*same* canonical state space as the FIFO dict walk
+(``StateSpace._explore_walk``) — configurations, interned ids, edge lists
+(order included), enabled tuples — and therefore identical downstream
+verdicts, on every topology family the registry uses (rings,
+trees/chains, stars) and for deterministic as well as probabilistic
+systems, however the rank space is cut into expansion blocks.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.dijkstra_ring import make_dijkstra_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
 )
 from repro.algorithms.two_process import make_two_process_system
-from repro.errors import SchedulerError, StateSpaceError
+from repro.errors import ModelError, SchedulerError, StateSpaceError
 from repro.graphs.generators import figure3_chain, path, star
+from repro.markov import builder
+from repro.markov.builder import build_chain
+from repro.schedulers.distributions import CentralRandomizedDistribution
 from repro.schedulers.relations import (
     CentralRelation,
     DistributedRelation,
@@ -30,9 +35,6 @@ from repro.stabilization import (
     StateSpace,
     classify,
     convergence_profile,
-    get_default_shards,
-    resolve_shards,
-    set_default_shards,
 )
 from repro.transformer.coin_toss import make_transformed_system
 
@@ -45,14 +47,14 @@ def assert_identical(space_a: StateSpace, space_b: StateSpace) -> None:
     assert space_a.enabled == space_b.enabled
 
 
-def explore_pair(system, relation, shards, **kwargs):
+def explore_pair(system, relation, **kwargs):
     oracle = StateSpace._explore_walk(system, relation, **kwargs)
-    sharded = StateSpace.explore(system, relation, shards=shards, **kwargs)
-    return oracle, sharded
+    compiled = StateSpace.explore(system, relation, **kwargs)
+    return oracle, compiled
 
 
 # ----------------------------------------------------------------------
-# ring / tree / star topologies, all relations
+# ring / tree / star topologies, all relations, small expansion blocks
 # ----------------------------------------------------------------------
 TOPOLOGY_CASES = [
     pytest.param(lambda: make_token_ring_system(5), id="ring5-token"),
@@ -72,18 +74,19 @@ RELATIONS = [
 
 @pytest.mark.parametrize("make_system", TOPOLOGY_CASES)
 @pytest.mark.parametrize("make_relation", RELATIONS)
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("block", [2, 4])
 def test_sharded_identical_across_topologies(
-    make_system, make_relation, shards
+    make_system, make_relation, block, monkeypatch
 ):
-    oracle, sharded = explore_pair(
-        make_system(), make_relation(), shards=shards
-    )
-    assert_identical(oracle, sharded)
+    """The full space cut into blocks of ``block`` ranks: every block
+    boundary must leave ids, edges and enabled tuples unchanged."""
+    monkeypatch.setattr(builder, "_CHAIN_BLOCK", block)
+    oracle, compiled = explore_pair(make_system(), make_relation())
+    assert_identical(oracle, compiled)
 
 
 # ----------------------------------------------------------------------
-# the in-process compiled explorer (shards=1) and its distributed layer
+# the array layer and the per-source replay
 # ----------------------------------------------------------------------
 DISTRIBUTED_CASES = [
     *(
@@ -107,17 +110,15 @@ DISTRIBUTED_CASES = [
 
 @pytest.fixture
 def distributed_layer_calls(monkeypatch):
-    """Count calls into the vectorized distributed-daemon layer."""
-    from repro.stabilization import sharding
-
+    """Count the sources expanded by the builder's array layer."""
     calls = []
-    original = sharding._distributed_edges
+    original = builder._array_edges
 
-    def counting(*args):
-        calls.append(args[1].shape[0])
-        return original(*args)
+    def counting(context, codes, *args):
+        calls.append(codes.shape[0])
+        return original(context, codes, *args)
 
-    monkeypatch.setattr(sharding, "_distributed_edges", counting)
+    monkeypatch.setattr(builder, "_array_edges", counting)
     return calls
 
 
@@ -127,17 +128,15 @@ def distributed_layer_calls(monkeypatch):
 def test_compiled_explorer_matches_dict_walk(
     make_system, make_relation, mode, distributed_layer_calls
 ):
-    """``shards=1`` runs the compiled explorer in-process; under the
-    distributed daemon deterministic blocks take the vectorized layer."""
+    """Blocks of one-action cells under the three built-in relations
+    take the array layer."""
     system = make_system()
     relation = make_relation()
     initial = None if mode == "full" else [next(system.all_configurations())]
     oracle = StateSpace._explore_walk(system, relation, initial)
-    compiled = StateSpace.explore(system, relation, initial, shards=1)
+    compiled = StateSpace.explore(system, relation, initial)
     assert_identical(oracle, compiled)
-    assert bool(distributed_layer_calls) == (
-        type(relation) is DistributedRelation
-    )
+    assert distributed_layer_calls
 
 
 def test_distributed_layer_enforces_max_enabled():
@@ -147,8 +146,13 @@ def test_distributed_layer_enforces_max_enabled():
     with pytest.raises(SchedulerError) as walk_error:
         StateSpace._explore_walk(system, relation)
     with pytest.raises(SchedulerError) as compiled_error:
-        StateSpace.explore(system, relation, shards=1)
+        StateSpace.explore(system, relation)
     assert str(compiled_error.value) == str(walk_error.value)
+    # The default relation's plans are shared between explorations; a
+    # tighter budget must not read them.
+    StateSpace.explore(system, DistributedRelation())
+    with pytest.raises(SchedulerError):
+        StateSpace.explore(system, relation)
 
 
 def test_distributed_subclass_takes_the_replay(distributed_layer_calls):
@@ -164,55 +168,48 @@ def test_distributed_subclass_takes_the_replay(distributed_layer_calls):
     system = make_token_ring_system(5)
     relation = SmallestFirst()
     oracle = StateSpace._explore_walk(system, relation)
-    compiled = StateSpace.explore(system, relation, shards=1)
+    compiled = StateSpace.explore(system, relation)
     assert_identical(oracle, compiled)
     assert distributed_layer_calls == []
     assert compiled.edges != StateSpace.explore(
-        system, DistributedRelation(), shards=1
+        system, DistributedRelation()
     ).edges
 
 
 def test_sharded_identical_probabilistic_two_process():
-    """Multi-outcome (probabilistic) actions take the scalar replay path."""
+    """Multi-outcome (probabilistic) actions: edges dedup keep-first."""
     system = make_two_process_system()
     for relation in (
         CentralRelation(),
         DistributedRelation(),
         SynchronousRelation(),
     ):
-        oracle, sharded = explore_pair(system, relation, shards=3)
-        assert_identical(oracle, sharded)
+        oracle, compiled = explore_pair(system, relation)
+        assert_identical(oracle, compiled)
 
 
 def test_sharded_identical_transformed_ring():
     """The coin-toss transformer mixes deterministic and coin actions."""
     system = make_transformed_system(make_token_ring_system(5))
     for relation in (CentralRelation(), SynchronousRelation()):
-        oracle, sharded = explore_pair(system, relation, shards=4)
-        assert_identical(oracle, sharded)
+        oracle, compiled = explore_pair(system, relation)
+        assert_identical(oracle, compiled)
 
 
-def test_sharded_identical_action_mode_first():
-    oracle, sharded = explore_pair(
-        make_two_process_system(),
-        SynchronousRelation(),
-        shards=2,
-        action_mode="first",
-    )
-    assert_identical(oracle, sharded)
-
-
-def test_sharded_rejects_unknown_action_mode():
-    """The compiled explorer must not relax the dict walk's validation."""
-    from repro.errors import ModelError
-
-    with pytest.raises(ModelError):
-        StateSpace.explore(
-            make_token_ring_system(5),
-            CentralRelation(),
-            action_mode="bogus",
-            shards=2,
-        )
+@pytest.mark.parametrize("mode", ["full", "frontier"])
+def test_ring9_crosses_block_boundaries(mode):
+    """Dijkstra's ring of 9 with K = 3 has 19,683 configurations: more
+    than two 8192-rank blocks.  In frontier mode every configuration is a
+    seed, in reverse enumeration order, so ids are not ranks and the
+    first BFS level spans three blocks."""
+    system = make_dijkstra_system(9, k=3)
+    assert system.num_configurations() > 2 * builder._CHAIN_BLOCK
+    initial = None
+    if mode == "frontier":
+        initial = list(system.all_configurations())[::-1]
+    for relation in (CentralRelation(), SynchronousRelation()):
+        oracle, compiled = explore_pair(system, relation, initial=initial)
+        assert_identical(oracle, compiled)
 
 
 # ----------------------------------------------------------------------
@@ -221,46 +218,22 @@ def test_sharded_rejects_unknown_action_mode():
 def test_sharded_identical_restricted_initial():
     system = make_token_ring_system(6)
     seeds = [next(system.all_configurations())]
-    oracle = StateSpace._explore_walk(system, CentralRelation(), seeds)
-    sharded = StateSpace.explore(
-        system, CentralRelation(), initial=seeds, shards=4
-    )
-    assert_identical(oracle, sharded)
-    # The fragment really is a fragment (regression guard: the sharded
+    oracle, compiled = explore_pair(system, CentralRelation(), initial=seeds)
+    assert_identical(oracle, compiled)
+    # The fragment really is a fragment (regression guard: the compiled
     # path must not silently explore the full space).
     assert oracle.num_configurations < system.num_configurations()
-
-
-def test_sharded_restricted_worker_pool_path(monkeypatch):
-    """Force the frontier-mode pool dispatch (levels > threshold).
-
-    The default ``MIN_FRONTIER_FOR_WORKERS`` keeps small test frontiers
-    in-process; shrinking it makes every BFS level round-trip through
-    real worker processes, covering the chunking/pickling/merge path.
-    """
-    from repro.stabilization import sharding
-
-    monkeypatch.setattr(sharding, "MIN_FRONTIER_FOR_WORKERS", 2)
-    system = make_token_ring_system(6)
-    seeds = [next(system.all_configurations())]
-    for relation in (CentralRelation(), DistributedRelation()):
-        oracle = StateSpace._explore_walk(system, relation, seeds)
-        sharded = StateSpace.explore(
-            system, relation, initial=seeds, shards=3
-        )
-        assert_identical(oracle, sharded)
 
 
 def test_sharded_restricted_budget_enforced():
     system = make_token_ring_system(6)
     seeds = [next(system.all_configurations())]
-    with pytest.raises(StateSpaceError):
+    with pytest.raises(StateSpaceError, match="exploration exceeded 10"):
         StateSpace.explore(
             system,
             CentralRelation(),
             initial=seeds,
             max_configurations=10,
-            shards=4,
         )
 
 
@@ -270,8 +243,34 @@ def test_sharded_full_budget_enforced():
             make_token_ring_system(6),
             CentralRelation(),
             max_configurations=100,
-            shards=4,
         )
+
+
+MALFORMED_SEEDS = [
+    pytest.param(((99,),) * 4, id="out-of-domain"),
+    pytest.param(((0,),) * 3, id="too-short"),
+]
+
+
+@pytest.mark.parametrize("seed", MALFORMED_SEEDS)
+def test_malformed_seeds_rejected_by_every_path(seed):
+    """Every explorer and chain engine checks explicit seeds."""
+    system = make_token_ring_system(4)
+    for use_kernel in (True, False):
+        with pytest.raises(ModelError):
+            StateSpace.explore(
+                system, CentralRelation(), [seed], use_kernel=use_kernel
+            )
+    with pytest.raises(ModelError):
+        StateSpace._explore_walk(system, CentralRelation(), [seed])
+    for engine in ("compiled", "scalar"):
+        with pytest.raises(ModelError):
+            build_chain(
+                system,
+                CentralRandomizedDistribution(),
+                initial=[seed],
+                engine=engine,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -292,152 +291,23 @@ def test_sharded_identical_downstream_verdicts():
         ),
     ]
     for system, spec, relation in cases:
-        oracle, sharded = explore_pair(system, relation, shards=4)
+        oracle, compiled = explore_pair(system, relation)
         mask_oracle = oracle.legitimate_mask(spec.legitimate)
-        mask_sharded = sharded.legitimate_mask(spec.legitimate)
-        assert mask_oracle == mask_sharded
+        mask_compiled = compiled.legitimate_mask(spec.legitimate)
+        assert mask_oracle == mask_compiled
         verdict_oracle = classify(system, spec, relation, space=oracle)
-        verdict_sharded = classify(system, spec, relation, space=sharded)
-        assert verdict_oracle == verdict_sharded
+        verdict_compiled = classify(system, spec, relation, space=compiled)
+        assert verdict_oracle == verdict_compiled
         assert convergence_profile(
             oracle, mask_oracle
-        ) == convergence_profile(sharded, mask_sharded)
-
-
-# ----------------------------------------------------------------------
-# shard-count plumbing
-# ----------------------------------------------------------------------
-def test_resolve_shards_values():
-    assert resolve_shards(1) == 1
-    assert resolve_shards(7) == 7
-    assert resolve_shards("auto") >= 1
-    assert resolve_shards(None) == get_default_shards()
-    with pytest.raises(StateSpaceError):
-        resolve_shards(0)
-    with pytest.raises(StateSpaceError):
-        resolve_shards(-2)
-    with pytest.raises(StateSpaceError):
-        resolve_shards("many")
-
-
-def test_default_shards_round_trip():
-    original = get_default_shards()
-    try:
-        assert set_default_shards(3) == 3
-        assert get_default_shards() == 3
-        system = make_token_ring_system(5)
-        implicit = StateSpace.explore(system, CentralRelation())
-        explicit = StateSpace.explore(system, CentralRelation(), shards=1)
-        assert_identical(implicit, explicit)
-    finally:
-        set_default_shards(original)
-
-
-def test_shards_auto_explores():
-    system = make_token_ring_system(5)
-    oracle = StateSpace._explore_walk(system, CentralRelation())
-    auto = StateSpace.explore(system, CentralRelation(), shards="auto")
-    assert_identical(oracle, auto)
+        ) == convergence_profile(compiled, mask_compiled)
 
 
 def test_use_kernel_false_still_oracle():
-    """The reference-path escape hatch ignores sharding entirely."""
+    """The reference-path escape hatch runs the dict walk."""
     system = make_token_ring_system(5)
     reference = StateSpace.explore(
-        system, CentralRelation(), use_kernel=False, shards=4
+        system, CentralRelation(), use_kernel=False
     )
     oracle = StateSpace._explore_walk(system, CentralRelation())
     assert_identical(reference, oracle)
-
-
-# ----------------------------------------------------------------------
-# pool hardening: worker death, hangs, and the in-process fallback
-# ----------------------------------------------------------------------
-def _raise_in_worker(chunk):
-    raise ValueError("injected worker failure")
-
-
-def _hang_in_worker(chunk):
-    import time
-
-    time.sleep(60)
-
-
-def _die_in_worker(chunk):
-    import os
-    import signal
-
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _make_supervised_pool(task, fallback):
-    from repro.core.encoding import compile_tables
-    from repro.core.kernel import TransitionKernel
-    from repro.stabilization import sharding
-
-    tables = compile_tables(TransitionKernel(make_token_ring_system(4)))
-    return sharding._SupervisedPool(
-        2, tables, CentralRelation(), "all", task, fallback
-    )
-
-
-def test_supervised_pool_retries_once_then_falls_back():
-    calls: list[list] = []
-
-    def fallback(chunks):
-        calls.append(list(chunks))
-        return ["fallback"] * len(chunks)
-
-    pool = _make_supervised_pool(_raise_in_worker, fallback)
-    try:
-        with pytest.warns(RuntimeWarning) as record:
-            assert pool.map([1, 2]) == ["fallback", "fallback"]
-        messages = [str(warning.message) for warning in record]
-        assert any("retrying the batch" in message for message in messages)
-        assert any("falling back" in message for message in messages)
-        assert pool.broken
-        # Once written off, every later batch skips straight to the
-        # in-process fallback — no fresh pools, no fresh warnings.
-        assert pool.map([3]) == ["fallback"]
-        assert calls == [[1, 2], [3]]
-    finally:
-        pool.close()
-
-
-@pytest.mark.parametrize(
-    "task", [_hang_in_worker, _die_in_worker], ids=["hung", "sigkilled"]
-)
-def test_supervised_pool_survives_lost_tasks(task, monkeypatch):
-    """A killed or hung worker loses its task; the wall-clock budget on
-    ``map_async(...).get`` turns that into a supervisable failure
-    instead of the infinite wait a bare ``Pool.map`` would give."""
-    from repro.stabilization import sharding
-
-    monkeypatch.setattr(sharding, "POOL_TASK_TIMEOUT", 0.2)
-    pool = _make_supervised_pool(task, lambda chunks: list(chunks))
-    try:
-        with pytest.warns(RuntimeWarning) as record:
-            assert pool.map([1, 2]) == [1, 2]
-        assert any(
-            "falling back" in str(warning.message) for warning in record
-        )
-        assert pool.broken
-    finally:
-        pool.close()
-
-
-def test_exploration_result_survives_broken_pool(monkeypatch):
-    """End to end: with the pool timing out every batch, sharded
-    exploration degrades to in-process expansion and still produces the
-    oracle's exact state space."""
-    from repro.stabilization import sharding
-
-    monkeypatch.setattr(sharding, "POOL_TASK_TIMEOUT", 0.0001)
-    system = make_token_ring_system(9)  # 512 configs: takes the pool path
-    oracle = StateSpace._explore_walk(system, CentralRelation())
-    with pytest.warns(RuntimeWarning) as record:
-        survived = StateSpace.explore(system, CentralRelation(), shards=2)
-    assert any(
-        "falling back" in str(warning.message) for warning in record
-    )
-    assert_identical(oracle, survived)
