@@ -64,7 +64,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import ExpansionContext, tables_for
+from repro.core.encoding import expansion_context, tables_for
 from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
@@ -296,15 +296,16 @@ class _RelationPlan:
         return [(1.0, subset) for subset in self.relation.subsets(enabled)]
 
 
-class _ChainContext(ExpansionContext):
+class _ChainContext:
     """Expansion lookups plus the probability structure of one builder run.
 
-    Extends :class:`ExpansionContext` (which already carries the
-    per-action outcome codes) with the plan — an object whose
-    ``weighted_subsets(enabled)`` lists the daemon choices of a sorted
-    enabled tuple with their weights: a scheduler distribution for a
-    chain, a daemon family at weight one for an MDP, a scheduler
-    relation at weight one for the state-space explorer.  Plans are
+    Reads every :class:`~repro.core.encoding.ExpansionContext` lookup
+    (ranks, arity, outcome codes, ...) from the tables' shared memo
+    (:func:`~repro.core.encoding.expansion_context`) and adds the plan
+    — an object whose ``weighted_subsets(enabled)`` lists the daemon
+    choices of a sorted enabled tuple with their weights: a scheduler
+    distribution for a chain, a daemon family at weight one for an MDP,
+    a scheduler relation at weight one for the state-space explorer.  Plans are
     enumerated once per build: per enabled tuple for the scalar replay
     (``plan_cache``), and per enabled count for the array layer
     (:meth:`subset_plan`, kept in a :class:`_PlanCache`).  ``positional``
@@ -327,7 +328,8 @@ class _ChainContext(ExpansionContext):
         probabilities: bool = True,
         plans: _PlanCache | None = None,
     ) -> None:
-        super().__init__(tables)
+        self.expansion = expansion_context(tables)
+        self.tables = tables
         self.distribution = distribution
         self.positional = (
             type(distribution) in _POSITIONAL_DISTRIBUTIONS
@@ -341,6 +343,10 @@ class _ChainContext(ExpansionContext):
         self.plans = _PlanCache() if plans is None else plans
         self.pad_atom = tables.outcome_prob.size
         self.atom_values = np.append(tables.outcome_prob.ravel(), 1.0)
+
+    def __getattr__(self, name: str):
+        # Only called for names not set here: the expansion lookups.
+        return getattr(self.expansion, name)
 
     def subset_plan(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The plan over positions ``range(k)``, as arrays.

@@ -227,13 +227,6 @@ class MarkovChain:
             return float(self._data[position])
         return 0.0
 
-    def support_adjacency(self) -> list[list[int]]:
-        """Digraph of positive-probability transitions."""
-        return [
-            self._indices[start:stop].tolist()
-            for start, stop in zip(self._indptr[:-1], self._indptr[1:])
-        ]
-
     # ------------------------------------------------------------------
     # predicate marking
     # ------------------------------------------------------------------

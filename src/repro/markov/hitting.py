@@ -16,7 +16,10 @@ All three consume the chain's CSR arrays directly — the backward
 closure (:func:`backward_closure`) is a sparse-transpose BFS over
 ``(indices, indptr)``, and the transient-submatrix solves slice the
 cached scipy matrix with fancy indexing (:func:`_transient_solve`) — no
-per-state Python dict walking.
+per-state Python dict walking.  The BFS and the strongly connected
+components (:func:`strong_components`) are the package's only ones:
+the explored digraph's convergence checks and witnesses
+(:mod:`repro.stabilization.convergence`) read them too.
 
 Every transient solve in the package — these three and the parametric
 sweeps of :mod:`repro.markov.parametric` — goes through one
@@ -55,6 +58,7 @@ __all__ = [
     "HittingSummary",
     "hitting_summary",
     "backward_closure",
+    "strong_components",
     "TransientPlan",
     "TransientFactor",
     "dense_structure",
@@ -93,32 +97,52 @@ def dense_structure(m: int, nnz: int) -> bool:
     return m <= DENSE_MAX_STATES or nnz > DENSE_MIN_DENSITY * m * m
 
 
+def _pattern(indices: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
+    """The ``m × m`` support digraph of the CSR pattern ``(indices,
+    indptr)`` as a scipy matrix (duplicate entries allowed)."""
+    m = indptr.shape[0] - 1
+    return sparse.csr_matrix(
+        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
+        shape=(m, m),
+    )
+
+
 def backward_closure(
     indices: np.ndarray, indptr: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
-    """States that can reach the target in the support digraph of the
-    CSR pattern ``(indices, indptr)``.
+    """BFS level of every state in the support digraph of the CSR
+    pattern ``(indices, indptr)``: the length of its shortest path into
+    the target, ``-1`` where no path exists.
 
-    A multi-source BFS over the *transposed* support — predecessors of
+    The states that can reach the target are ``level >= 0``.  A
+    multi-source BFS over the *transposed* support — predecessors of
     each frontier are one fancy-indexed gather into the transpose's CSR
     arrays per level.
     """
-    n = target.shape[0]
-    transpose = sparse.csr_matrix(
-        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
-        shape=(n, n),
-    ).T.tocsr()
+    transpose = _pattern(indices, indptr).T.tocsr()
     t_indptr, t_indices = transpose.indptr, transpose.indices
-    reached = np.array(target, dtype=bool)
+    level = np.full(target.shape[0], -1, dtype=np.int64)
     frontier = np.flatnonzero(target)
+    depth = 0
     while frontier.size:
+        level[frontier] = depth
         predecessors = t_indices[
             concat_ranges(t_indptr[frontier], t_indptr[frontier + 1])
         ]
-        fresh = np.unique(predecessors[~reached[predecessors]])
-        reached[fresh] = True
-        frontier = fresh
-    return reached
+        frontier = np.unique(predecessors[level[predecessors] < 0])
+        depth += 1
+    return level
+
+
+def strong_components(
+    indices: np.ndarray, indptr: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """The strongly connected components of the CSR pattern ``(indices,
+    indptr)``: their count and each state's component label (scipy's
+    ``connected_components``)."""
+    return connected_components(
+        _pattern(indices, indptr), directed=True, connection="strong"
+    )
 
 
 def _super_blocks(
@@ -143,14 +167,7 @@ def _super_blocks(
     single = (np.arange(m), np.array([0, m]))
     if m <= DENSE_MAX_STATES:
         return single
-    count, labels = connected_components(
-        sparse.csr_matrix(
-            (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
-            shape=(m, m),
-        ),
-        directed=True,
-        connection="strong",
-    )
+    count, labels = strong_components(indices, indptr)
     if count == 1 or not (labels[indices] <= labels[rows]).all():
         return single
     sizes = np.bincount(labels, minlength=count)
@@ -392,7 +409,7 @@ def absorption_probabilities(
     result[target] = 1.0
 
     _, indices, indptr = chain.transition_arrays()
-    can_reach = backward_closure(indices, indptr, target)
+    can_reach = backward_closure(indices, indptr, target) >= 0
     transient = ~target & can_reach
     if not transient.any():
         return result

@@ -37,9 +37,8 @@ Wire format (flat CSR, two levels)::
 
 The MDP is the third view of the chain builder's one expander
 (:func:`repro.markov.builder._expand`): its plan is the daemon family's
-scheduler relation, every subset at weight one (the choices of
-:func:`~repro.schedulers.distributions.daemon_action_subsets`, in the
-same order), edges are grouped into actions by (source,
+scheduler relation, every subset at weight one (the relation's
+``subsets``, in its order), edges are grouped into actions by (source,
 choice), evaluated with the chain's expression ``1.0 · Π atoms /
 action_choices``, and zero-probability edges are dropped.  States are
 full-space mixed-radix enumeration ranks — identical ids to
@@ -276,7 +275,7 @@ def build_mdp(
     """Build the full-space MDP of ``system`` under a daemon family.
 
     ``daemon`` selects the adversary's choice space per configuration
-    (see :func:`repro.schedulers.distributions.daemon_action_subsets`):
+    (the subsets of the scheduler relation of that name):
     ``"central"`` activates one enabled process, ``"distributed"`` any
     non-empty enabled subset, ``"synchronous"`` has no choice (useful
     for pinning the solvers against the synchronous chain).  Below the

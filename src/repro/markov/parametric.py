@@ -94,7 +94,7 @@ class _HittingStructure:
         # Edge probabilities are strictly positive on the open parameter
         # box, so structural reachability equals probabilistic
         # reachability at every point.
-        reached = backward_closure(indices, indptr, target)
+        reached = backward_closure(indices, indptr, target) >= 0
         if not reached.all():
             raise MarkovError(
                 f"{int((~reached).sum())} states cannot reach the target"

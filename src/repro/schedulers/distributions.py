@@ -27,8 +27,6 @@ __all__ = [
     "CentralRandomizedDistribution",
     "DistributedRandomizedDistribution",
     "BernoulliDistribution",
-    "DAEMON_FAMILIES",
-    "daemon_action_subsets",
     "distribution_by_name",
 ]
 
@@ -160,52 +158,6 @@ class BernoulliDistribution(SchedulerDistribution):
             total = 1.0 - q**k
             result = [(w / total, members) for w, members in result]
         return result
-
-
-#: Daemon families for *adversarial* (MDP) analysis: the same subset
-#: spaces as the randomized distributions above, but enumerated as the
-#: daemon's nondeterministic *choices* rather than weighted draws — the
-#: strategy space of :mod:`repro.markov.mdp`.
-DAEMON_FAMILIES = ("central", "distributed", "synchronous")
-
-
-def daemon_action_subsets(
-    daemon: str, enabled: Sequence[int], max_enabled: int = 16
-) -> list[tuple[int, ...]]:
-    """The activation subsets a daemon may choose from ``enabled``.
-
-    * ``"central"`` — any single enabled process (enabled singletons);
-    * ``"distributed"`` — any non-empty subset of the enabled processes
-      (the ``2^k − 1`` enumeration, subject to ``max_enabled``);
-    * ``"synchronous"`` — exactly the all-enabled subset (a degenerate
-      daemon with no choice, useful for pinning MDP solvers against the
-      synchronous chain).
-
-    A randomized scheduler distribution over the same family is one
-    probabilistic strategy inside this choice space, which is what makes
-    the MDP min/max values bracket the chain's expected values.
-    """
-    if not enabled:
-        raise SchedulerError("no enabled process: terminal configuration")
-    ordered = tuple(sorted(enabled))
-    if daemon == "central":
-        return [(process,) for process in ordered]
-    if daemon == "synchronous":
-        return [ordered]
-    if daemon == "distributed":
-        k = len(ordered)
-        if k > max_enabled:
-            raise SchedulerError(
-                f"{k} enabled processes exceed the enumeration budget"
-                f" ({max_enabled})"
-            )
-        return [
-            tuple(ordered[i] for i in range(k) if mask >> i & 1)
-            for mask in range(1, 2**k)
-        ]
-    raise SchedulerError(
-        f"unknown daemon family {daemon!r}; known: {DAEMON_FAMILIES}"
-    )
 
 
 _DISTRIBUTIONS = {

@@ -17,7 +17,6 @@ from repro.stabilization.faults import (
 )
 from repro.stabilization.convergence import (
     CertainConvergenceReport,
-    backward_reachable,
     certain_convergence,
     possible_convergence,
     shortest_distances_to_legitimate,
@@ -64,7 +63,6 @@ __all__ = [
     "ClosureViolation",
     "check_strong_closure",
     "CertainConvergenceReport",
-    "backward_reachable",
     "certain_convergence",
     "possible_convergence",
     "shortest_distances_to_legitimate",

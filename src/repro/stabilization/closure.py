@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.stabilization.statespace import StateSpace
 
 __all__ = ["ClosureViolation", "check_strong_closure"]
@@ -27,12 +29,16 @@ class ClosureViolation:
 def check_strong_closure(
     space: StateSpace, legitimate: Sequence[bool]
 ) -> list[ClosureViolation]:
-    """All edges leaving ``L``; empty list means strong closure holds."""
-    violations: list[ClosureViolation] = []
-    for source, outgoing in enumerate(space.edges):
-        if not legitimate[source]:
-            continue
-        for mask, target in outgoing:
-            if not legitimate[target]:
-                violations.append(ClosureViolation(source, target, mask))
-    return violations
+    """All edges leaving ``L``, in edge order; empty list means strong
+    closure holds."""
+    inside = np.asarray(legitimate, dtype=bool)
+    sources, targets = space.sources, space.targets
+    escaping = np.flatnonzero(inside[sources] & ~inside[targets])
+    return [
+        ClosureViolation(source, target, mask)
+        for source, target, mask in zip(
+            sources[escaping].tolist(),
+            targets[escaping].tolist(),
+            space.masks[escaping].tolist(),
+        )
+    ]

@@ -8,19 +8,33 @@
   transient configurations ``C \\ L`` contains no terminal configuration
   and no cycle (any transient cycle yields an infinite execution avoiding
   ``L``, and with ``I = C`` that execution is admissible).
-* **SCC machinery** (Tarjan, iterative) shared with the witness search.
+* **Distance to L**: the length of the shortest path into ``L``.
+
+Every check reads the state space's CSR arrays through the package's one
+backward BFS (:func:`repro.markov.hitting.backward_closure`, whose BFS
+levels are the distances to ``L``) and its one SCC helper
+(:func:`repro.markov.hitting.strong_components`, scipy's
+``connected_components``) — the two the hitting solvers use.
+
+:func:`strongly_connected_components` (Tarjan, iterative) is kept for
+one caller, :func:`repro.stabilization.witnesses.find_strongly_fair_lasso`:
+its Theorem 6 witness follows Tarjan's component and member order (the
+registry pins its 1920-step cycle on the 6-ring; the same search in
+ascending-id member order finds a 1416-step one).  The tests use it as
+the SCC helper's oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from repro.markov.hitting import backward_closure, strong_components
 from repro.stabilization.statespace import StateSpace
 
 __all__ = [
-    "backward_reachable",
     "possible_convergence",
     "certain_convergence",
     "CertainConvergenceReport",
@@ -30,32 +44,15 @@ __all__ = [
 ]
 
 
-def backward_reachable(
-    space: StateSpace, targets: Sequence[bool]
-) -> list[bool]:
-    """Configurations from which some path reaches a target configuration."""
-    reverse = space.reverse_adjacency()
-    reached = list(targets)
-    queue: deque[int] = deque(
-        config_id for config_id, hit in enumerate(targets) if hit
-    )
-    while queue:
-        current = queue.popleft()
-        for predecessor in reverse[current]:
-            if not reached[predecessor]:
-                reached[predecessor] = True
-                queue.append(predecessor)
-    return reached
-
-
 def possible_convergence(
     space: StateSpace, legitimate: Sequence[bool]
 ) -> tuple[bool, list[int]]:
     """Whether every configuration can reach ``L``; also the stranded ids."""
-    if not any(legitimate):
+    target = np.asarray(legitimate, dtype=bool)
+    if not target.any():
         return False, list(range(space.num_configurations))
-    reached = backward_reachable(space, legitimate)
-    stranded = [i for i, ok in enumerate(reached) if not ok]
+    level = backward_closure(space.targets, space.indptr, target)
+    stranded = np.flatnonzero(level < 0).tolist()
     return not stranded, stranded
 
 
@@ -121,23 +118,23 @@ def strongly_connected_components(
 def transient_cycles_exist(
     space: StateSpace, legitimate: Sequence[bool]
 ) -> bool:
-    """Whether the ``C \\ L``-induced subgraph contains any cycle."""
-    adjacency: list[list[int]] = [[] for _ in range(space.num_configurations)]
-    for source, outgoing in enumerate(space.edges):
-        if legitimate[source]:
-            continue
-        for _, target in outgoing:
-            if not legitimate[target]:
-                adjacency[source].append(target)
-    for component in strongly_connected_components(adjacency):
-        if len(component) > 1:
-            if not legitimate[component[0]]:
-                return True
-        else:
-            node = component[0]
-            if not legitimate[node] and node in adjacency[node]:
-                return True
-    return False
+    """Whether the ``C \\ L``-induced subgraph contains any cycle.
+
+    A cycle is a transient self-loop or a strong component of two or
+    more states; ``L``'s states are isolated in the subgraph, so the
+    latter exist iff there are fewer components than states.
+    """
+    transient = ~np.asarray(legitimate, dtype=bool)
+    sources, targets = space.sources, space.targets
+    inner = transient[sources] & transient[targets]
+    sources, targets = sources[inner], targets[inner]
+    if (sources == targets).any():
+        return True
+    n = space.num_configurations
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    count, _ = strong_components(targets, indptr)
+    return count < n
 
 
 @dataclass(frozen=True)
@@ -158,10 +155,9 @@ def certain_convergence(
     finite execution that never converges) or (b) the transient subgraph
     has a cycle (an infinite execution avoiding ``L``).
     """
+    outside = ~np.asarray(legitimate, dtype=bool)
     terminal_outside = tuple(
-        config_id
-        for config_id in space.terminal_ids()
-        if not legitimate[config_id]
+        np.flatnonzero((space.enabled_bits == 0) & outside).tolist()
     )
     has_cycle = transient_cycles_exist(space, legitimate)
     return CertainConvergenceReport(
@@ -180,17 +176,5 @@ def shortest_distances_to_legitimate(
     This is the optimistic ("friendly scheduler") convergence time that
     weak stabilization promises.
     """
-    reverse = space.reverse_adjacency()
-    distance = [-1] * space.num_configurations
-    queue: deque[int] = deque()
-    for config_id, ok in enumerate(legitimate):
-        if ok:
-            distance[config_id] = 0
-            queue.append(config_id)
-    while queue:
-        current = queue.popleft()
-        for predecessor in reverse[current]:
-            if distance[predecessor] == -1:
-                distance[predecessor] = distance[current] + 1
-                queue.append(predecessor)
-    return distance
+    target = np.asarray(legitimate, dtype=bool)
+    return backward_closure(space.targets, space.indptr, target).tolist()

@@ -10,6 +10,13 @@ edge labelled with the *activation bitmask* of the processes that moved
 Edges follow possibility semantics: a probabilistic action contributes one
 edge per outcome in its support.
 
+The digraph is stored as CSR arrays — ``indptr``, ``targets``,
+``masks`` and per-configuration ``enabled_bits`` — which the
+convergence checks and witnesses read directly (one backward BFS and
+one SCC call, :mod:`repro.stabilization.convergence`).  The per-source
+``edges`` lists and ``enabled`` tuples are lazy views for callers that
+want them.
+
 Two explorers produce the same digraph (see ``docs/architecture.md``):
 
 * the **support view** of the chain builder's one expander
@@ -32,7 +39,8 @@ Two explorers produce the same digraph (see ``docs/architecture.md``):
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,8 +72,9 @@ LabeledEdge = tuple[int, int]
 #: Default exploration budget; theorem checks stay far below this.
 DEFAULT_MAX_CONFIGURATIONS = 2_000_000
 
-#: Activation bitmasks are int64 in the support view; systems with more
-#: processes take the dict walk (whose budget they exceed anyway).
+#: Activation and enabled bitmasks are int64 up to this many processes;
+#: systems with more take the dict walk, whose masks are then Python
+#: ints (``dtype=object``).
 MAX_MASKED_PROCESSES = 62
 
 #: Relations whose subsets depend only on positions in the sorted enabled
@@ -109,7 +118,17 @@ def _check_space_budget(system: System, max_configurations: int) -> None:
 
 
 class StateSpace:
-    """The explored digraph of a system under a scheduler relation."""
+    """The explored digraph of a system under a scheduler relation.
+
+    Edges are stored as CSR arrays: those of configuration ``i`` sit at
+    positions ``indptr[i]:indptr[i + 1]`` of ``targets`` (target ids)
+    and ``masks`` (activation bitmasks), in exploration order.
+    ``enabled_bits[i]`` is the bitmask of the processes enabled at
+    ``i`` (0 at a terminal configuration, which has no edges).  Masks
+    are int64 for up to :data:`MAX_MASKED_PROCESSES` processes and
+    Python ints (``dtype=object``) above.  ``edges`` and ``enabled``
+    are lazy list views of these arrays.
+    """
 
     def __init__(
         self,
@@ -117,16 +136,21 @@ class StateSpace:
         relation: SchedulerRelation,
         configurations: list[Configuration],
         index: dict[Configuration, int],
-        edges: list[list[LabeledEdge]],
-        enabled: list[tuple[int, ...]],
+        indptr: np.ndarray,
+        targets: np.ndarray,
+        masks: np.ndarray,
+        enabled_bits: np.ndarray,
     ) -> None:
         self.system = system
         self.relation = relation
         self.configurations = configurations
         self.index = index
-        self.edges = edges
-        self.enabled = enabled
-        self._reverse: list[list[int]] | None = None
+        self.indptr = indptr
+        self.targets = targets
+        self.masks = masks
+        self.enabled_bits = enabled_bits
+        self._edges: list[list[LabeledEdge]] | None = None
+        self._enabled: list[tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -190,6 +214,7 @@ class StateSpace:
         source's guards once per local neighborhood (through ``kernel``,
         or the reference :class:`System` with ``use_kernel=False``); every
         subset step composes from those solo resolutions (atomic reads).
+        The edges are packed into the CSR arrays once, at the end.
         """
         if initial is None:
             _check_space_budget(system, max_configurations)
@@ -224,8 +249,10 @@ class StateSpace:
             intern(seed)
 
         engine = resolve_engine(system, kernel, use_kernel)
-        edges: list[list[LabeledEdge]] = []
-        enabled_lists: list[tuple[int, ...]] = []
+        ends: list[int] = [0]
+        masks: list[int] = []
+        targets: list[int] = []
+        enabled_bits: list[int] = []
         # Subset tuples repeat across configurations sharing an enabled
         # set; cache their bitmasks instead of re-walking the bits.
         mask_cache: dict[tuple[int, ...], int] = {}
@@ -241,8 +268,7 @@ class StateSpace:
             # reads).
             resolved = engine.resolved_actions(source)
             enabled = tuple(sorted(resolved))
-            enabled_lists.append(enabled)
-            outgoing: list[LabeledEdge] = []
+            enabled_bits.append(subset_to_mask(enabled))
             seen: set[LabeledEdge] = set()
             if enabled:
                 for subset in relation.subsets(enabled):
@@ -257,10 +283,26 @@ class StateSpace:
                         edge = (mask, target_id)
                         if edge not in seen:
                             seen.add(edge)
-                            outgoing.append(edge)
-            edges.append(outgoing)
+                            masks.append(mask)
+                            targets.append(target_id)
+            ends.append(len(targets))
 
-        return cls(system, relation, configurations, index, edges, enabled_lists)
+        # Bitmasks of more processes than int64 holds stay Python ints.
+        bits = (
+            np.int64
+            if system.num_processes <= MAX_MASKED_PROCESSES
+            else object
+        )
+        return cls(
+            system,
+            relation,
+            configurations,
+            index,
+            np.array(ends, dtype=np.int64),
+            np.array(targets, dtype=np.int64),
+            np.array(masks, dtype=bits),
+            np.array(enabled_bits, dtype=bits),
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -273,7 +315,41 @@ class StateSpace:
     @property
     def num_edges(self) -> int:
         """Number of labelled edges."""
-        return sum(len(outgoing) for outgoing in self.edges)
+        return int(self.targets.shape[0])
+
+    @property
+    def edges(self) -> list[list[LabeledEdge]]:
+        """Per-source ``(mask, target)`` list view (lazy).
+
+        Materialized on first access only; the convergence checks and
+        witnesses read the CSR arrays.
+        """
+        if self._edges is None:
+            pairs = list(zip(self.masks.tolist(), self.targets.tolist()))
+            bounds = self.indptr.tolist()
+            self._edges = [
+                pairs[start:stop] for start, stop in zip(bounds, bounds[1:])
+            ]
+        return self._edges
+
+    @property
+    def enabled(self) -> list[tuple[int, ...]]:
+        """Per-configuration sorted enabled processes (lazy view of
+        ``enabled_bits``)."""
+        if self._enabled is None:
+            distinct, inverse = np.unique(
+                self.enabled_bits, return_inverse=True
+            )
+            subsets = [mask_to_subset(bits) for bits in distinct.tolist()]
+            self._enabled = [subsets[i] for i in inverse.tolist()]
+        return self._enabled
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """``(E,)`` source id of each edge."""
+        return np.repeat(
+            np.arange(self.num_configurations), np.diff(self.indptr)
+        )
 
     def id_of(self, configuration: Configuration) -> int:
         """Dense id of a configuration (must have been explored)."""
@@ -286,31 +362,16 @@ class StateSpace:
 
     def successors(self, config_id: int) -> list[int]:
         """Target ids of all outgoing edges (possibly with duplicates)."""
-        return [target for _, target in self.edges[config_id]]
+        start, stop = self.indptr[config_id], self.indptr[config_id + 1]
+        return self.targets[start:stop].tolist()
 
     def is_terminal(self, config_id: int) -> bool:
         """No enabled process."""
-        return not self.enabled[config_id]
+        return not self.enabled_bits[config_id]
 
     def terminal_ids(self) -> list[int]:
         """All terminal configuration ids."""
-        return [
-            config_id
-            for config_id in range(self.num_configurations)
-            if self.is_terminal(config_id)
-        ]
-
-    def reverse_adjacency(self) -> list[list[int]]:
-        """Predecessor lists (computed lazily, cached)."""
-        if self._reverse is None:
-            reverse: list[list[int]] = [
-                [] for _ in range(self.num_configurations)
-            ]
-            for source, outgoing in enumerate(self.edges):
-                for _, target in outgoing:
-                    reverse[target].append(source)
-            self._reverse = reverse
-        return self._reverse
+        return np.flatnonzero(self.enabled_bits == 0).tolist()
 
     def legitimate_mask(
         self, predicate
@@ -320,31 +381,6 @@ class StateSpace:
         return [
             predicate(self.system, configuration)
             for configuration in self.configurations
-        ]
-
-    def find_edge(
-        self, source_id: int, target_id: int
-    ) -> LabeledEdge | None:
-        """Some edge from ``source_id`` to ``target_id`` (or ``None``)."""
-        for edge in self.edges[source_id]:
-            if edge[1] == target_id:
-                return edge
-        return None
-
-    def induced_edges(
-        self, keep: Sequence[bool]
-    ) -> list[list[LabeledEdge]]:
-        """Outgoing edges restricted to configurations with ``keep`` true
-        on both endpoints (others get empty lists)."""
-        return [
-            [
-                (mask, target)
-                for mask, target in outgoing
-                if keep[source] and keep[target]
-            ]
-            if keep[source]
-            else []
-            for source, outgoing in enumerate(self.edges)
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -440,7 +476,8 @@ def _support_view(
     Keeps each chunk's daemon choice, turns it into activation masks,
     drops the terminal sources' self-loops and dedups edges keep-first
     within each (source, choice) — the dict walk's (mask, target) dedup,
-    as distinct subsets have distinct masks.
+    as distinct subsets have distinct masks.  The expander's arrays,
+    filtered, are the state space's CSR arrays.
     """
     plans = None
     if type(relation) in _POSITIONAL_RELATIONS:
@@ -465,14 +502,20 @@ def _support_view(
             f"exploration exceeded {max_configurations} configurations"
         ),
     )
+    n = len(configurations)
     if not kept:  # no seeds
-        return StateSpace(system, relation, [], {}, [], [])
+        empty = np.zeros(0, dtype=np.int64)
+        return StateSpace(
+            system, relation, [], {}, np.zeros(1, dtype=np.int64),
+            empty, empty, empty,
+        )
     enabled_bits, masks = (
         _joined([part[index] for part in kept]) for index in (0, 1)
     )
 
     # A terminal source's one edge is the expander's self-loop: keep none.
-    kept_counts = np.where(enabled_bits != 0, counts, 0)
+    source = np.repeat(np.arange(n), counts)
+    keep = enabled_bits[source] != 0
     if any(part[2] is not None for part in kept):
         # Keep-first dedup of targets within each (source, choice) run;
         # distinct stand-in choices give a chunk of pairs one-edge runs.
@@ -482,7 +525,6 @@ def _support_view(
                 for part in kept
             ]
         )
-        source = np.repeat(np.arange(len(configurations)), counts)
         fresh = np.ones(source.shape[0], dtype=bool)
         fresh[1:] = (source[1:] != source[:-1]) | (choice[1:] != choice[:-1])
         run = np.cumsum(fresh) - 1
@@ -490,25 +532,15 @@ def _support_view(
         repeated = (run[order][1:] == run[order][:-1]) & (
             targets[order][1:] == targets[order][:-1]
         )
-        keep = enabled_bits[source] != 0
         keep[order[1:][repeated]] = False
-        masks = masks[keep]
-        targets = targets[keep]
-        counts = kept_counts = np.bincount(
-            source[keep], minlength=len(configurations)
-        )
 
-    pairs = list(zip(masks.tolist(), targets.tolist()))
-    starts = (np.cumsum(counts) - counts).tolist()
-    edges = [
-        pairs[start : start + count]
-        for start, count in zip(starts, kept_counts.tolist())
-    ]
-    distinct, inverse = np.unique(enabled_bits, return_inverse=True)
-    subsets = [mask_to_subset(bits) for bits in distinct.tolist()]
-    enabled = [subsets[i] for i in inverse.tolist()]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source[keep], minlength=n), out=indptr[1:])
     index = {
         configuration: state_id
         for state_id, configuration in enumerate(configurations)
     }
-    return StateSpace(system, relation, configurations, index, edges, enabled)
+    return StateSpace(
+        system, relation, configurations, index, indptr,
+        targets[keep], masks[keep], enabled_bits,
+    )

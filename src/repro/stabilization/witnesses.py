@@ -22,14 +22,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.configuration import Configuration
 from repro.core.system import System
 from repro.core.trace import Lasso, Step, Trace
 from repro.errors import StateSpaceError
-from repro.stabilization.convergence import (
-    shortest_distances_to_legitimate,
-    strongly_connected_components,
-)
+from repro.markov.hitting import backward_closure, strong_components
+from repro.stabilization.convergence import strongly_connected_components
 from repro.stabilization.statespace import (
     LabeledEdge,
     StateSpace,
@@ -75,10 +75,13 @@ def converging_execution(
     """A shortest execution from ``start_id`` into ``L``.
 
     Follows the BFS distance field greedily: from every transient
-    configuration, take any edge that decreases the distance to ``L``.
-    Raises :class:`StateSpaceError` if the start is stranded.
+    configuration, take the first edge of its CSR row that decreases the
+    distance to ``L``.  Raises :class:`StateSpaceError` if the start is
+    stranded.
     """
-    distances = shortest_distances_to_legitimate(space, legitimate)
+    distances = backward_closure(
+        space.targets, space.indptr, np.asarray(legitimate, dtype=bool)
+    )
     if distances[start_id] == -1:
         raise StateSpaceError(
             f"configuration id {start_id} cannot reach the legitimate set"
@@ -87,28 +90,23 @@ def converging_execution(
     trace = Trace.starting_at(space.configurations[start_id])
     current = start_id
     while not legitimate[current]:
-        edge = _descending_edge(space, distances, current)
-        mask, target = edge
+        start = space.indptr[current]
+        below = distances[space.targets[start : space.indptr[current + 1]]]
+        # BFS levels guarantee a descending edge from every reached
+        # transient configuration.
+        edge = start + np.flatnonzero(
+            (below >= 0) & (below < distances[current])
+        )[0]
+        target = int(space.targets[edge])
         step = recover_step(
             system,
             space.configurations[current],
-            mask,
+            int(space.masks[edge]),
             space.configurations[target],
         )
         trace.append(step, space.configurations[target])
         current = target
     return trace
-
-
-def _descending_edge(
-    space: StateSpace, distances: Sequence[int], source: int
-) -> LabeledEdge:
-    for mask, target in space.edges[source]:
-        if distances[target] != -1 and distances[target] < distances[source]:
-            return (mask, target)
-    raise StateSpaceError(
-        "inconsistent distance field"
-    )  # pragma: no cover - BFS guarantees a descending edge
 
 
 def synchronous_successor(
@@ -193,17 +191,21 @@ def find_strongly_fair_lasso(
     Returns ``None`` when no transient SCC qualifies — evidence (over the
     explored space) that every strongly fair execution converges.
     """
+    outside = ~np.asarray(legitimate, dtype=bool)
+    sources, targets = space.sources, space.targets
+    inner = np.flatnonzero(outside[sources] & outside[targets])
     n = space.num_configurations
     transient_edges: list[list[LabeledEdge]] = [[] for _ in range(n)]
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for source, outgoing in enumerate(space.edges):
-        if legitimate[source]:
-            continue
-        for mask, target in outgoing:
-            if not legitimate[target]:
-                transient_edges[source].append((mask, target))
-                adjacency[source].append(target)
+    for source, mask, target in zip(
+        sources[inner].tolist(),
+        space.masks[inner].tolist(),
+        targets[inner].tolist(),
+    ):
+        transient_edges[source].append((mask, target))
+        adjacency[source].append(target)
 
+    enabled_bits = space.enabled_bits.tolist()
     for component in strongly_connected_components(adjacency):
         members = set(component)
         if legitimate[component[0]]:
@@ -216,13 +218,13 @@ def find_strongly_fair_lasso(
         ]
         if not internal:
             continue
-        ever_enabled: set[int] = set()
+        ever_enabled = 0
         for member in component:
-            ever_enabled.update(space.enabled[member])
-        acting: set[int] = set()
+            ever_enabled |= enabled_bits[member]
+        acting = 0
         for _, mask, _ in internal:
-            acting.update(mask_to_subset(mask))
-        if not ever_enabled <= acting:
+            acting |= mask
+        if ever_enabled & ~acting:
             continue
         walk = _closed_walk_covering_edges(component, internal)
         return _lasso_from_walk(space, walk)
@@ -318,26 +320,19 @@ def find_gouda_witnesses(
     closed under *all* transitions, i.e. a union of terminal SCCs; if all
     terminal SCCs intersect ``L`` (and ``L`` is closed), every Gouda-fair
     execution converges.  A non-empty result refutes weak stabilization
-    too — each witness is a trap that cannot reach ``L``.
+    too — each witness is a trap that cannot reach ``L``.  Witnesses
+    list their members in ascending order and come sorted by their
+    smallest member.
     """
-    adjacency: list[list[int]] = [
-        [target for _, target in outgoing] for outgoing in space.edges
-    ]
-    component_of = [0] * space.num_configurations
-    components = strongly_connected_components(adjacency)
-    for component_id, component in enumerate(components):
-        for member in component:
-            component_of[member] = component_id
-
-    witnesses: list[list[int]] = []
-    for component_id, component in enumerate(components):
-        if any(legitimate[member] for member in component):
-            continue
-        escapes = any(
-            component_of[target] != component_id
-            for member in component
-            for target in adjacency[member]
-        )
-        if not escapes:
-            witnesses.append(sorted(component))
-    return witnesses
+    count, labels = strong_components(space.targets, space.indptr)
+    sources = space.sources
+    crossing = labels[sources] != labels[space.targets]
+    # Components with an escaping edge or a legitimate member are no trap.
+    open_component = np.zeros(count, dtype=bool)
+    open_component[labels[sources[crossing]]] = True
+    open_component[labels[np.asarray(legitimate, dtype=bool)]] = True
+    trapped = np.flatnonzero(~open_component[labels])
+    witnesses: dict[int, list[int]] = {}
+    for member, label in zip(trapped.tolist(), labels[trapped].tolist()):
+        witnesses.setdefault(label, []).append(member)
+    return list(witnesses.values())

@@ -27,10 +27,7 @@ from repro.markov.hitting import (
     expected_hitting_times,
 )
 from repro.markov.mdp import MDP_DAEMONS, MDP_OBJECTIVES, build_mdp
-from repro.schedulers.distributions import (
-    SynchronousDistribution,
-    daemon_action_subsets,
-)
+from repro.schedulers.distributions import SynchronousDistribution
 from repro.stabilization.adversarial import (
     best_case_convergence,
     daemon_bracket,
@@ -120,10 +117,26 @@ def test_mdp_states_align_with_chain_states():
 # ----------------------------------------------------------------------
 # scalar oracle: the exact wire arrays, rebuilt from the kernel
 # ----------------------------------------------------------------------
+def _daemon_subsets(daemon, enabled):
+    """The daemon's choices from a sorted enabled tuple, enumerated here
+    so the oracle does not read the scheduler relations it checks:
+    enabled singletons (central), the all-enabled subset (synchronous),
+    or every non-empty subset in bitmask order (distributed)."""
+    if daemon == "central":
+        return [(process,) for process in enabled]
+    if daemon == "synchronous":
+        return [enabled]
+    k = len(enabled)
+    return [
+        tuple(enabled[i] for i in range(k) if mask >> i & 1)
+        for mask in range(1, 2**k)
+    ]
+
+
 def _scalar_mdp(system, daemon):
     """The MDP's four wire arrays from :class:`TransitionKernel` alone.
 
-    One action per :func:`daemon_action_subsets` subset (a terminal
+    One action per :func:`_daemon_subsets` subset (a terminal
     configuration gets one self-loop action), each edge ``branch /
     action_choices`` with zero-probability branches dropped, duplicate
     targets summed in dict (emission) order, edges sorted by target.
@@ -141,7 +154,7 @@ def _scalar_mdp(system, daemon):
             targets.append(state_id)
             probs.append(1.0)
             continue
-        subsets = daemon_action_subsets(daemon, enabled)
+        subsets = _daemon_subsets(daemon, enabled)
         action_counts.append(len(subsets))
         for subset in subsets:
             action_choices = 1

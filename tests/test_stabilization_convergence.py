@@ -1,5 +1,6 @@
 """Unit tests for closure and convergence analysis."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms.token_ring import (
@@ -10,8 +11,8 @@ from repro.algorithms.token_ring import (
 from repro.algorithms.two_process import BothTrueSpec
 from repro.schedulers.relations import CentralRelation, DistributedRelation
 from repro.stabilization.closure import check_strong_closure
+from repro.markov.hitting import backward_closure
 from repro.stabilization.convergence import (
-    backward_reachable,
     certain_convergence,
     possible_convergence,
     shortest_distances_to_legitimate,
@@ -104,7 +105,9 @@ class TestPossibleConvergence:
             config == ((False,), (False,))
             for config in space.configurations
         ]
-        reached = backward_reachable(space, target)
+        reached = backward_closure(
+            space.targets, space.indptr, np.array(target)
+        ) >= 0
         # (T,T) is terminal and never reaches (F,F)
         assert not reached[space.id_of(((True,), (True,)))]
         assert reached[space.id_of(((True,), (False,)))]
@@ -148,6 +151,21 @@ class TestCertainConvergence:
         legitimate = space.legitimate_mask(BothTrueSpec().legitimate)
         assert transient_cycles_exist(space, legitimate)
         assert not transient_cycles_exist(space, [True] * 4)
+
+    def test_transient_self_loop_is_a_cycle(self, two_process_system):
+        # 0 ⟲ and 0 → 1: with L = {1} the self-loop alone is the cycle.
+        space = StateSpace(
+            two_process_system,
+            DistributedRelation(),
+            [((False,), (False,)), ((True,), (True,))],
+            {},
+            indptr=np.array([0, 2, 2]),
+            targets=np.array([0, 1]),
+            masks=np.array([1, 3]),
+            enabled_bits=np.array([3, 0]),
+        )
+        assert transient_cycles_exist(space, [False, True])
+        assert not transient_cycles_exist(space, [True, True])
 
 
 class TestDistances:

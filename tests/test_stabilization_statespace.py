@@ -95,32 +95,9 @@ class TestQueries:
     def space(self, ring5_system):
         return StateSpace.explore(ring5_system, CentralRelation())
 
-    def test_reverse_adjacency_consistent(self, space):
-        reverse = space.reverse_adjacency()
-        forward_count = sum(len(edges) for edges in space.edges)
-        reverse_count = sum(len(preds) for preds in reverse)
-        assert forward_count == reverse_count
-
     def test_legitimate_mask(self, space, ring5_system):
         mask = space.legitimate_mask(TokenCirculationSpec().legitimate)
         assert sum(mask) == 10  # |L| = N * m_N = 5 * 2
-
-    def test_find_edge(self, space):
-        source = next(
-            i for i in range(space.num_configurations) if space.edges[i]
-        )
-        mask, target = space.edges[source][0]
-        assert space.find_edge(source, target) is not None
-        assert space.find_edge(source, source) is None or True
-
-    def test_induced_edges(self, space, ring5_system):
-        legitimate = space.legitimate_mask(
-            TokenCirculationSpec().legitimate
-        )
-        induced = space.induced_edges(legitimate)
-        for source, edges in enumerate(induced):
-            for _, target in edges:
-                assert legitimate[source] and legitimate[target]
 
     def test_repr(self, space):
         assert "StateSpace" in repr(space)

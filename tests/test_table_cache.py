@@ -35,9 +35,12 @@ from repro.errors import ModelError
 from repro.lru import SignatureLRU
 from repro.markov.batch import BatchEngine, EnabledCountLegitimacy
 from repro.markov.builder import build_chain
+from repro.markov.mdp import build_mdp
 from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
 from repro.schedulers.distributions import CentralRandomizedDistribution
+from repro.schedulers.relations import CentralRelation
 from repro.schedulers.samplers import CentralRandomizedSampler
+from repro.stabilization import StateSpace
 from repro.store.columnar import (
     canonical_constants,
     system_cache_key,
@@ -181,6 +184,26 @@ def test_racing_threads_compile_once(monkeypatch, compile_calls):
 # ----------------------------------------------------------------------
 #: ``TestClassBudget``'s system (test_class_tables.py).
 BUDGET_SYSTEM = make_dijkstra_system(6)
+
+
+def test_expanders_share_the_tables_expansion_context(monkeypatch):
+    """Explorations, chains and MDPs of one system read the tables'
+    memoized :class:`ExpansionContext` instead of deriving their own."""
+    constructed = []
+    real_init = encoding_module.ExpansionContext.__init__
+
+    def counting(self, tables):
+        constructed.append(tables)
+        real_init(self, tables)
+
+    monkeypatch.setattr(encoding_module.ExpansionContext, "__init__", counting)
+    TABLE_CACHE.clear()
+    system = make_token_ring_system(5)
+    for _ in range(5):
+        StateSpace.explore(system, CentralRelation())
+    build_chain(system, CentralRandomizedDistribution())
+    build_mdp(system, daemon="central")
+    assert constructed == [tables_for(system)]
 
 
 def test_hit_under_smaller_budget_raises_the_compile_error():

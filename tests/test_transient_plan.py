@@ -166,12 +166,14 @@ def test_non_topological_labels_fall_back_to_one_super_block(monkeypatch):
 
 
 def test_backward_closure_follows_edges_backwards():
+    # BFS levels into the target; -1 = unreached.
     # 0 → 1 → 2 (target), 3 → 3, 4 → 0.
     indices = np.array([1, 2, 2, 3, 0])
     indptr = np.array([0, 1, 2, 3, 4, 5])
     target = np.array([False, False, True, False, False])
-    reached = backward_closure(indices, indptr, target)
-    assert reached.tolist() == [True, True, True, False, True]
+    level = backward_closure(indices, indptr, target)
+    assert level.tolist() == [2, 1, 0, -1, 3]
+    assert (level >= 0).tolist() == [True, True, True, False, True]
 
 
 def test_one_plan_serves_every_point():
