@@ -3,7 +3,7 @@
 The trajectory pair to watch is ``montecarlo_ring30_1000trials_scalar``
 vs ``..._batch``: the same 1000-trial sweep point (Algorithm 1 on a
 30-ring, distributed randomized scheduler) through the per-trial scalar
-kernel path and through the lockstep code-matrix engine.  The acceptance
+``System`` path and through the lockstep code-matrix engine.  The acceptance
 bar for PR 2 is a ≥ 5× mean speedup.  ``q1_preset_n40_batch`` proves a
 previously out-of-budget large-N experiment preset completes under the
 harness.  ``trans_ring50_sync_1000trials_batch`` is a per-step coin-flip
@@ -48,7 +48,7 @@ def _ring30_estimate(engine: str):
 
 
 def test_montecarlo_ring30_1000trials_scalar(benchmark):
-    """PR 1 baseline: per-trial loop on the shared kernel."""
+    """Baseline: per-trial scalar loop over the system."""
     result = benchmark.pedantic(
         lambda: _ring30_estimate("scalar"), rounds=2, iterations=1
     )

@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.algorithms.token_ring import make_token_ring_system
-from repro.core.kernel import TransitionKernel
 from repro.markov.batch import (
     BatchEngine,
     EnabledCountLegitimacy,
@@ -42,7 +41,7 @@ OVERHEAD_BUDGET = 0.05
 NEVER_LEGITIMATE = EnabledCountLegitimacy(0)
 
 _SYSTEM = make_token_ring_system(RING_SIZE)
-_ENGINE = BatchEngine(TransitionKernel(_SYSTEM))
+_ENGINE = BatchEngine(_SYSTEM)
 _STRATEGY = batch_strategy_for(CentralRandomizedSampler())
 _FAULT = compile_fault(
     FaultPlan(processes=2, step=0, mode="random", seed=9), _SYSTEM, TRIALS

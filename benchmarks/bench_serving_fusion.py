@@ -5,7 +5,7 @@ each run one Q1-style point (trans(Algorithm 1) on a 12-ring, 120
 trials — the same workload as ``bench_sweep_fusion``).  The
 per-request baseline is the *pre-serving* pattern: every client builds
 its own :class:`~repro.markov.sweep_engine.SweepRunner` and executes
-its point alone — a fresh kernel compilation and a per-point lockstep
+its point alone — a fresh table compilation and a per-point lockstep
 loop per request, which is what eight independent CLI invocations pay
 (minus process startup; nothing survives between requests).  The
 fused case submits the same eight points to one live

@@ -14,7 +14,6 @@ beaten), so it runs a single round.
 """
 
 from repro.algorithms.token_ring import make_token_ring_system
-from repro.core.kernel import TransitionKernel
 from repro.markov import superstep
 from repro.markov.batch import (
     BatchEngine,
@@ -34,7 +33,7 @@ INITIALS = 64
 
 def _point(seed=2026):
     system = make_token_ring_system(30)
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     strategy = batch_strategy_for(SynchronousSampler())
     legitimacy = compile_legitimacy(EnabledCountLegitimacy(1))
     initials = random_configurations(

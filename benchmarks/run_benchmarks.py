@@ -149,7 +149,6 @@ def collect_step_profile() -> dict:
     script = (
         "import json;"
         "from repro.algorithms.token_ring import make_token_ring_system;"
-        "from repro.core.kernel import TransitionKernel;"
         "from repro.markov.batch import (BatchEngine,"
         " EnabledCountLegitimacy, batch_strategy_for, compile_legitimacy,"
         " encode_initials);"
@@ -157,7 +156,7 @@ def collect_step_profile() -> dict:
         "from repro.random_source import RandomSource;"
         "from repro.schedulers.samplers import CentralRandomizedSampler;"
         "system = make_token_ring_system(9);"
-        "engine = BatchEngine(TransitionKernel(system));"
+        "engine = BatchEngine(system);"
         "codes = encode_initials(engine.encoding,"
         " random_configurations(system, RandomSource(8), 32), 4000);"
         "result = engine.run(batch_strategy_for("

@@ -1,38 +1,36 @@
 """Core guarded-command framework: the paper's Section 2 model.
 
-Execution-engine architecture — **System = semantics, Kernel = speed,
-Encoding/Batch = scale, one expander = exact analysis** (the full guide
+Execution-engine architecture — **System = semantics and oracle,
+compiled tables = speed, one expander = exact analysis** (the full guide
 lives in ``docs/architecture.md``):
 
 * :class:`~repro.core.system.System` is the readable, validating
   reference implementation of the step semantics: every guard and outcome
   statement runs against a freshly built
   :class:`~repro.core.view.View` of the pre-step configuration.  It is
-  the single source of truth for what a step *means*.
-* :class:`~repro.core.kernel.TransitionKernel` is the hot-path engine:
-  because the locally-shared-memory model guarantees a process's enabled
-  actions and post-states depend only on its own and its neighbors'
-  local states, the kernel memoizes resolved transitions per distinct
-  local neighborhood (with an optional fully-precomputed table mode) and
-  transparently proxies everything else to the system.  Exploration
-  (:meth:`repro.stabilization.statespace.StateSpace.explore`), chain
-  building (:func:`repro.markov.builder.build_chain`) and simulation
-  (:func:`repro.core.simulate.run` / :func:`~repro.core.simulate.run_until`)
-  all drive a kernel by default and accept ``use_kernel=False`` to fall
-  back to the reference path; both paths produce identical results and
-  consume identical random streams.
+  the single source of truth for what a step *means*, the scalar oracle
+  every fast path is tested against, and the fallback for systems whose
+  tables do not fit the compilation budget.  The scalar paths read it
+  directly: simulation (:func:`repro.core.simulate.run` /
+  :func:`~repro.core.simulate.run_until`), the scalar Monte-Carlo
+  engine, the chain builder's ``engine="scalar"`` and the explorer's
+  FIFO dict walk.
 * :class:`~repro.core.encoding.StateEncoding` and
-  :func:`~repro.core.encoding.compile_tables` are the scale tier: local
-  states intern to dense integer codes, configurations become NumPy
-  ``uint32`` vectors, and the kernel's neighborhood tables compile into
-  flat gather arrays — compiled once per system content and shared
-  process-wide through :func:`~repro.core.encoding.tables_for` — so
-  whole Monte-Carlo batches advance in lockstep as ``(trials ×
-  processes)`` code matrices (:class:`repro.markov.batch.BatchEngine`,
-  driven through ``MonteCarloRunner(engine="auto"|"batch")``).  The
-  batch tier reproduces the scalar engines' sampling *distributions* —
-  not their random streams — and ``engine="scalar"`` remains the
-  per-trial equivalence oracle.
+  :func:`~repro.core.encoding.compile_tables` are the fast path.  The
+  locally-shared-memory model makes a process's enabled actions and
+  post-states a function of its own and its neighbors' local states, so
+  :meth:`~repro.core.system.System.resolve_neighborhood` runs once per
+  neighborhood of one member per process class; local states intern to
+  dense integer codes, configurations become NumPy ``uint32`` vectors,
+  and the resolutions pack into flat gather arrays —
+  compiled once per system content and shared process-wide through
+  :func:`~repro.core.encoding.tables_for` — so whole Monte-Carlo batches
+  advance in lockstep as ``(trials × processes)`` code matrices
+  (:class:`repro.markov.batch.BatchEngine`, driven through
+  ``MonteCarloRunner(engine="auto"|"batch")``).  The batch tier
+  reproduces the scalar engine's sampling *distributions* — not its
+  random streams — and ``engine="scalar"`` remains the per-trial
+  equivalence oracle.
 * :func:`repro.markov.builder.build_chain`'s code-space expander reads
   the same compiled tables: configurations are mixed-radix ranks over
   the immutable :class:`~repro.core.encoding.CompiledKernelTables`, and
@@ -40,7 +38,7 @@ lives in ``docs/architecture.md``):
   :meth:`~repro.stabilization.statespace.StateSpace.explore` are views of
   its expansion.  Unlike the batch tier's distribution-level
   equivalence, compiled exploration is **bit-for-bit** identical to the
-  FIFO dict walk — the dict walk is the oracle.
+  FIFO dict walk over ``System`` — the dict walk is the oracle.
 """
 
 from repro.core.actions import (
@@ -67,7 +65,6 @@ from repro.core.encoding import (
     compile_tables,
     tables_for,
 )
-from repro.core.kernel import NeighborhoodEntry, TransitionKernel
 from repro.core.parametric import (
     MAX_COIN_PARAMETERS,
     AffineProbability,
@@ -100,8 +97,6 @@ __all__ = [
     "count_configurations",
     "configuration_as_dicts",
     "configuration_from_dicts",
-    "NeighborhoodEntry",
-    "TransitionKernel",
     "StateEncoding",
     "CompiledKernelTables",
     "compile_tables",

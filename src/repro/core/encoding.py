@@ -1,24 +1,24 @@
-"""Dense integer state encoding — the scale tier of the execution stack.
+"""Dense integer state encoding — the fast path of the execution stack.
 
-The kernel (:mod:`repro.core.kernel`) already reduces guard/outcome
-evaluation to one dict probe per local neighborhood; this module removes
-the remaining per-process Python work by interning every local state to a
-small integer *code* and compiling the kernel's per-neighborhood tables
-into flat NumPy arrays.  A configuration becomes a ``uint32`` vector, a
-Monte-Carlo batch a ``(trials × processes)`` code matrix, and a simulation
-step a handful of integer gathers:
+In the locally-shared-memory model (Section 2) a process's enabled
+actions and post-states are a function of its own and its neighbors'
+local states, so every neighborhood can be resolved once, ahead of
+time, through :meth:`repro.core.system.System.resolve_neighborhood`.
+This module interns every local state to a small integer *code* and
+packs those resolutions into flat NumPy arrays.  A configuration becomes
+a ``uint32`` vector, a Monte-Carlo batch a ``(trials × processes)`` code
+matrix, and a simulation step a handful of integer gathers:
 
 * :class:`StateEncoding` — the bijection ``local state ⟷ code`` per
   process (codes follow the deterministic domain-product order that
-  :func:`repro.core.configuration.enumerate_configurations` and
-  :meth:`repro.core.kernel.TransitionKernel.precompute` already use);
+  :func:`repro.core.configuration.enumerate_configurations` uses);
 * :func:`process_classes` — the classes of look-alike processes: two
   processes whose local views observe the same layouts, constants,
   degrees and ``my_index_at`` numbering run the anonymous program on
   identical inputs;
 * :class:`CompiledKernelTables` / :func:`compile_tables` — every
   neighborhood of one member per process class resolved once through
-  the kernel and packed into mixed-radix-indexed arrays: enabled bit,
+  the system and packed into mixed-radix-indexed arrays: enabled bit,
   action count, and per-action outcome rows (cumulative probability for
   inverse-CDF sampling, raw probability for the exact chain builder,
   post-state code).  Class members share the block through their
@@ -30,9 +30,9 @@ step a handful of integer gathers:
   MDPs, parametric chains and Monte-Carlo all read one compilation per
   system, and forked workers inherit it.
 
-Division of labor (see :mod:`repro.core`): ``System`` = semantics,
-``TransitionKernel`` = speed, encoding/batch = scale.  Three engines
-build on these tables: the lockstep Monte-Carlo batch engine
+Division of labor (see :mod:`repro.core`): ``System`` = semantics and
+scalar oracle, compiled tables = speed.  Three engines build on these
+tables: the lockstep Monte-Carlo batch engine
 (:mod:`repro.markov.batch`), rank-space super-stepping
 (:mod:`repro.markov.superstep`), and the compiled chain builder
 (:mod:`repro.markov.builder`), whose expander the state-space explorer
@@ -51,7 +51,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration, LocalState
-from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.core.parametric import (
     MAX_COIN_PARAMETERS,
     affine_array_bounds,
@@ -68,6 +67,7 @@ from repro.store.columnar import (
 )
 
 __all__ = [
+    "DEFAULT_TABLE_BUDGET",
     "StateEncoding",
     "CompiledKernelTables",
     "ExpansionContext",
@@ -81,21 +81,24 @@ __all__ = [
 #: Code dtype: local state spaces are tiny, 32 bits is generous.
 CODE_DTYPE = np.uint32
 
+#: Default cap on the class entries :func:`compile_tables` stores.
+DEFAULT_TABLE_BUDGET = 1_000_000
+
 
 class StateEncoding:
     """Interning of per-process local states to dense integer codes.
 
     The bijection ``local state ⟷ code`` underpinning every array-based
-    tier: built from a :class:`~repro.core.system.System` (or a kernel
-    proxying one), it maps process ``p``'s local state to an integer in
-    ``[0, |S_p|)`` and a whole configuration to a ``uint32`` vector —
-    the representation the batch engine advances in lockstep and the
-    chain builder's expander ranks into canonical state ids.
+    tier: built from a :class:`~repro.core.system.System`, it maps
+    process ``p``'s local state to an integer in ``[0, |S_p|)`` and a
+    whole configuration to a ``uint32`` vector — the representation the
+    batch engine advances in lockstep and the chain builder's expander
+    ranks into canonical state ids.
 
     Codes enumerate each process's local-state space in domain-product
     order (first variable varies slowest), matching the order used by
-    configuration enumeration and kernel precomputation, so code ``c`` of
-    process ``p`` *is* the mixed-radix rank of its local state — and the
+    configuration enumeration, so code ``c`` of process ``p`` *is* the
+    mixed-radix rank of its local state — and the
     mixed-radix rank of a full code vector (process 0 slowest) is the
     configuration's position in
     :func:`~repro.core.configuration.enumerate_configurations` order.
@@ -106,7 +109,7 @@ class StateEncoding:
 
     __slots__ = ("_states", "_codes", "_sizes", "num_processes")
 
-    def __init__(self, system: System | TransitionKernel) -> None:
+    def __init__(self, system: System) -> None:
         layouts = system.layouts
         self.num_processes = len(layouts)
         self._states: list[list[LocalState]] = [
@@ -218,7 +221,7 @@ class StateEncoding:
 
 
 class CompiledKernelTables:
-    """The kernel's neighborhood tables as flat NumPy gather targets.
+    """Every resolved neighborhood as flat NumPy gather targets.
 
     Per process ``p`` with neighbors ``(q_0, ..., q_{d-1})`` the packed
     neighborhood key is the mixed-radix integer
@@ -374,7 +377,7 @@ class CompiledKernelTables:
         """One lockstep step: sample movers' actions/outcomes, commit.
 
         Matches the scalar sampling semantics of
-        :meth:`repro.core.kernel.TransitionKernel.sample_step` in
+        :meth:`repro.core.system.System.sample_step` in
         distribution: a uniform choice among the neighborhood's enabled
         actions, then an inverse-CDF draw from that action's outcome
         distribution.  ``movers`` must be a subset of the enabled cells.
@@ -410,7 +413,7 @@ class CompiledKernelTables:
 
 
 class ExpansionContext:
-    """Read-only lookups derived from one set of compiled kernel tables.
+    """Read-only lookups derived from one set of compiled tables.
 
     The substrate of the one code-space expander
     (:func:`repro.markov.builder._expand`, read by chains, parametric
@@ -548,7 +551,7 @@ class ExpansionContext:
         return ranks + delta, enabled.sum(axis=1)
 
 
-def process_classes(system: System | TransitionKernel) -> np.ndarray:
+def process_classes(system: System) -> np.ndarray:
     """Class id of every process, shape ``(N,)``, in first-seen order.
 
     Two processes share a class when they agree on everything a
@@ -602,25 +605,24 @@ def _check_budget(total: int, num_classes: int, max_entries: int) -> None:
     if total > max_entries:
         raise ModelError(
             f"class tables have {total} entries ({num_classes} process"
-            f" classes), budget is {max_entries}; use the scalar kernel"
-            " instead"
+            f" classes), budget is {max_entries}; use the scalar"
+            " System path instead"
         )
 
 
 def compile_tables(
-    kernel: TransitionKernel,
+    system: System,
     max_entries: int = DEFAULT_TABLE_BUDGET,
 ) -> CompiledKernelTables:
     """Resolve one neighborhood block per process class, pack into arrays.
 
-    Equivalent in coverage to :meth:`TransitionKernel.precompute` but
-    the result is flat NumPy storage instead of per-process dicts, so
-    lookups vectorize over whole trial batches.  Processes of one
-    :func:`process_classes` class resolve every neighborhood
-    identically, so the block (and its action rows) is resolved through
-    the class's first member and stored once; every member's
-    ``key_offset`` points at it.  Raises :class:`ModelError` when the
-    class blocks together exceed ``max_entries``.
+    Every entry is one :meth:`System.resolve_neighborhood` call, stored
+    as flat NumPy rows so lookups vectorize over whole trial batches.
+    Processes of one :func:`process_classes` class resolve every
+    neighborhood identically, so the block (and its action rows) is
+    resolved through the class's first member and stored once; every
+    member's ``key_offset`` points at it.  Raises :class:`ModelError`
+    when the class blocks together exceed ``max_entries``.
 
     This is the compiler itself and always compiles.  Library consumers
     call :func:`tables_for`, the process-wide cache in front of it, so
@@ -628,8 +630,7 @@ def compile_tables(
     distributions, exploration, MDPs, vectorized marks, Monte-Carlo
     engines, forked campaign workers — shares one compilation.
     """
-    encoding = StateEncoding(kernel)
-    system = kernel.system
+    encoding = StateEncoding(system)
     topology = system.topology
     num_processes = system.num_processes
     neighbors = [tuple(topology.neighbors(p)) for p in system.processes]
@@ -683,11 +684,11 @@ def compile_tables(
             product(*(encoding.local_states(q) for q in members)),
             start=int(class_offset[class_id]),
         ):
-            entry = kernel.neighborhood_entry(process, key)
-            enabled_flat[index] = bool(entry.actions)
-            action_count[index] = len(entry.actions)
-            action_base[index] = len(row_cums) if entry.actions else 0
-            for _, outcomes in entry.actions:
+            actions = system.resolve_neighborhood(process, key)
+            enabled_flat[index] = bool(actions)
+            action_count[index] = len(actions)
+            action_base[index] = len(row_cums) if actions else 0
+            for _, outcomes in actions:
                 # The raw (pre-normalization) probabilities feed the chain
                 # builder, which must reproduce the scalar oracle's branch
                 # weights exactly, not modulo a normalizing division.
@@ -791,10 +792,10 @@ TABLE_CACHE = SignatureLRU("tables", TABLE_CACHE_SIZE)
 
 
 def tables_for(
-    source: TransitionKernel | System,
+    system: System,
     max_entries: int = DEFAULT_TABLE_BUDGET,
 ) -> CompiledKernelTables:
-    """The compiled tables of ``source``'s system, shared process-wide.
+    """The compiled tables of ``system``, shared process-wide.
 
     The one table cache: keyed by system content
     (:func:`repro.store.columnar.system_cache_key`), so value-equal
@@ -808,15 +809,10 @@ def tables_for(
     (a constant with no canonical form) compiles on every call.
     Encodings of one system are interchangeable (see
     :class:`StateEncoding`), so callers use ``tables.encoding``.
-
-    ``source`` is a kernel or a system; a system's kernel is built only
-    on a miss.
     """
-    system = source.system if isinstance(source, TransitionKernel) else source
 
     def build() -> CompiledKernelTables:
-        kernel = TransitionKernel(system) if source is system else source
-        return compile_tables(kernel, max_entries)
+        return compile_tables(system, max_entries)
 
     key = system_cache_key(system)
     tables = build() if key is None else TABLE_CACHE.get_or_build(key, build)

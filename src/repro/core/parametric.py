@@ -1,6 +1,6 @@
 """Affine-in-parameter coin probabilities — the parametric-chain substrate.
 
-The compiled execution stack (kernel tables → chain builder → hitting
+The compiled execution stack (compiled tables → chain builder → hitting
 solvers) works on concrete ``float`` probabilities.  This module lets an
 algorithm declare named *coin parameters* and build outcome
 probabilities that are **affine** in those parameters::
@@ -11,7 +11,7 @@ probabilities that are **affine** in those parameters::
 
 :class:`AffineProbability` is a ``float`` subclass: its numeric value is
 the affine form evaluated at the construction-time assignment, so every
-existing consumer (``Outcome`` validation, kernel memoization,
+existing consumer (``Outcome`` validation, ``System`` resolution,
 ``compile_tables``, Monte-Carlo sampling) sees an ordinary concrete
 probability and behaves bit-identically.  The symbolic form
 ``constant + Σ coefficient·θ`` rides along and is harvested by

@@ -6,15 +6,14 @@ processes, performs the atomic step (sampling action outcomes through the
 given :class:`~repro.random_source.RandomSource`), and records a
 :class:`~repro.core.trace.Trace`.
 
-By default each run drives a :class:`~repro.core.kernel.TransitionKernel`
-wrapped around the system, so guards and outcome statements execute once
-per distinct local neighborhood instead of once per step; pass an existing
-``kernel`` to share its memo tables across many runs (Monte-Carlo sweeps),
-or ``use_kernel=False`` to execute through the reference
-:class:`~repro.core.system.System` semantics directly.  Both paths consume
-identical random streams, so traces are bit-for-bit reproducible across
-them.  ``record=False`` switches the trace to compact mode (O(1) memory;
-only the initial/final configurations and the step count survive).
+Runs execute through the reference :class:`~repro.core.system.System`
+semantics: this is the scalar oracle the lockstep batch engine
+(:mod:`repro.markov.batch`) is checked against, not a fast path.  Each
+run keeps one cursor that re-derives enabledness only for the movers and
+their neighbors after a step, and consumes exactly the random stream of
+:meth:`System.sample_step`.  ``record=False`` switches the trace to
+compact mode (O(1) memory; only the initial/final configurations and the
+step count survive).
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from repro.core.configuration import Configuration
-from repro.core.kernel import (
-    Engine,
-    KernelCursor,
-    TransitionKernel,
-    resolve_engine,
-)
-from repro.core.system import System
+from repro.core.system import Move, System
 from repro.core.trace import Step, Trace
 from repro.errors import SchedulerError
 from repro.random_source import RandomSource
@@ -37,16 +30,11 @@ __all__ = ["SchedulerSampler", "run", "run_until", "SimulationResult"]
 
 
 class SchedulerSampler(Protocol):
-    """Strategy choosing which enabled processes move in each step.
-
-    ``system`` may be the :class:`System` itself or a
-    :class:`~repro.core.kernel.TransitionKernel` proxying it — samplers
-    that query enabledness get the memoized fast path automatically.
-    """
+    """Strategy choosing which enabled processes move in each step."""
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -78,28 +66,49 @@ class SimulationResult:
         )
 
 
-class _SystemCursor:
-    """Reference-semantics twin of :class:`KernelCursor` (full rescans)."""
+class Cursor:
+    """Execution state of one simulated run over a :class:`System`.
 
-    __slots__ = ("_system", "configuration", "enabled")
+    A step changes only the movers' local states, so only the movers and
+    their neighbors can change enabledness; :meth:`advance` re-derives
+    just those flags.  ``enabled`` always equals
+    ``system.enabled_processes(configuration)``, and each step consumes
+    the random stream of :meth:`System.sample_step`.
+    """
+
+    __slots__ = ("_system", "_flags", "configuration", "enabled")
 
     def __init__(self, system: System, configuration: Configuration) -> None:
         self._system = system
+        self.reset(configuration)
+
+    def reset(self, configuration: Configuration) -> None:
+        """Re-anchor the cursor at ``configuration`` (full rescan)."""
+        is_enabled = self._system.is_enabled
         self.configuration = configuration
-        self.enabled = system.enabled_processes(configuration)
-
-    def advance(self, subset: Sequence[int], rng: RandomSource):
-        self.configuration, moves = self._system.sample_step(
-            self.configuration, subset, rng
+        self._flags = [
+            is_enabled(configuration, p) for p in self._system.processes
+        ]
+        self.enabled = tuple(
+            p for p, enabled in enumerate(self._flags) if enabled
         )
-        self.enabled = self._system.enabled_processes(self.configuration)
+
+    def advance(
+        self, subset: Sequence[int], rng: RandomSource
+    ) -> tuple[Move, ...]:
+        """Sample one step from the current configuration and update."""
+        system = self._system
+        target, moves = system.sample_step(self.configuration, subset, rng)
+        neighbors = system.topology.neighbors
+        dirty = set(subset)
+        for process in subset:
+            dirty.update(neighbors(process))
+        flags = self._flags
+        for process in dirty:
+            flags[process] = system.is_enabled(target, process)
+        self.configuration = target
+        self.enabled = tuple(p for p, enabled in enumerate(flags) if enabled)
         return moves
-
-
-def _cursor(engine: Engine, initial: Configuration):
-    if isinstance(engine, TransitionKernel):
-        return KernelCursor(engine, initial)
-    return _SystemCursor(engine, initial)
 
 
 def run(
@@ -108,20 +117,22 @@ def run(
     initial: Configuration,
     max_steps: int,
     rng: RandomSource,
-    kernel: TransitionKernel | None = None,
-    use_kernel: bool = True,
     record: bool = True,
 ) -> Trace:
-    """Execute up to ``max_steps`` steps (stops early at terminal configs)."""
-    engine = resolve_engine(system, kernel, use_kernel)
+    """Execute up to ``max_steps`` steps (stops early at terminal configs).
+
+    ``initial`` must be a configuration of ``system``
+    (:class:`~repro.errors.ModelError` otherwise).
+    """
+    system.check_configuration(initial)
     trace = Trace.starting_at(initial, keep_configurations=record)
-    cursor = _cursor(engine, initial)
+    cursor = Cursor(system, initial)
     for _ in range(max_steps):
         enabled = cursor.enabled
         if not enabled:
             break
         subset = list(
-            sampler.choose(engine, cursor.configuration, enabled, rng)
+            sampler.choose(system, cursor.configuration, enabled, rng)
         )
         _validate_subset(subset, enabled)
         moves = cursor.advance(subset, rng)
@@ -136,21 +147,20 @@ def run_until(
     stop: Callable[[Configuration], bool],
     max_steps: int,
     rng: RandomSource,
-    kernel: TransitionKernel | None = None,
-    use_kernel: bool = True,
     record: bool = True,
 ) -> SimulationResult:
     """Execute until ``stop(configuration)`` holds or budgets run out.
 
     The predicate is also checked on the initial configuration, matching
     the convention that stabilization time from a legitimate configuration
-    is zero.
+    is zero.  ``initial`` must be a configuration of ``system``
+    (:class:`~repro.errors.ModelError` otherwise).
     """
-    engine = resolve_engine(system, kernel, use_kernel)
+    system.check_configuration(initial)
     trace = Trace.starting_at(initial, keep_configurations=record)
     if stop(initial):
         return SimulationResult(trace, converged=True, hit_terminal=False)
-    cursor = _cursor(engine, initial)
+    cursor = Cursor(system, initial)
     for _ in range(max_steps):
         enabled = cursor.enabled
         if not enabled:
@@ -160,7 +170,7 @@ def run_until(
                 hit_terminal=True,
             )
         subset = list(
-            sampler.choose(engine, cursor.configuration, enabled, rng)
+            sampler.choose(system, cursor.configuration, enabled, rng)
         )
         _validate_subset(subset, enabled)
         moves = cursor.advance(subset, rng)

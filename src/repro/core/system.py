@@ -204,6 +204,37 @@ class System:
             resolved.append((outcome.probability, writer.staged_state()))
         return resolved
 
+    def resolve_neighborhood(
+        self, process: int, key: Sequence[LocalState]
+    ) -> tuple[tuple[Action, tuple[tuple[float, LocalState], ...]], ...]:
+        """Enabled actions of ``process`` with resolved outcomes, from
+        its local neighborhood alone.
+
+        ``key`` is ``(own state, neighbor states...)`` with neighbor
+        states in :meth:`Topology.neighbors` order.  In the
+        locally-shared-memory model (Section 2) a process's moves are a
+        function of exactly these states, so the result holds in every
+        configuration that agrees with ``key`` on the neighborhood.  The
+        statements run on a partial configuration with ``None``
+        everywhere else, so a read outside the neighborhood fails
+        loudly.  :func:`repro.core.encoding.compile_tables` calls this
+        once per class-block entry.
+        """
+        states: list[LocalState | None] = [None] * self.num_processes
+        states[process] = key[0]
+        for neighbor, state in zip(self._topology.neighbors(process), key[1:]):
+            states[neighbor] = state
+        configuration: Configuration = tuple(states)  # type: ignore[assignment]
+        probe = self.view(configuration, process, writable=False)
+        return tuple(
+            (
+                action,
+                tuple(self.outcome_states(configuration, process, action)),
+            )
+            for action in self._actions
+            if action.enabled(probe)
+        )
+
     def step(
         self,
         configuration: Configuration,

@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="LRU bound on cached system compilations (kernels, lockstep"
-        " tables, runners); default 64",
+        help="LRU bound on cached system compilations (lockstep engines,"
+        " runners); default 64",
     )
     return parser
 

@@ -103,7 +103,7 @@ def run_q1(
 
     rng = RandomSource(seed)
     # All Monte-Carlo points run through one SweepRunner: same-system
-    # points fuse into one code matrix, and kernels/compiled tables are
+    # points fuse into one code matrix, and compiled tables are
     # cached per ring size across the whole sweep.
     mc_points = []
     for n in monte_carlo_sizes:

@@ -77,7 +77,7 @@ def run_q2(
 
     rng = RandomSource(seed)
     # One SweepRunner fuses all Monte-Carlo tree points (block-scheduled
-    # per size) over cached kernels/compiled tables.
+    # per size) over cached compiled tables.
     mc_points = []
     diameters = []
     for n in monte_carlo_sizes:

@@ -2,7 +2,7 @@
 
 Every expensive artifact the library keeps warm — compiled neighborhood
 tables (:func:`repro.core.encoding.tables_for`), a sweep runner's
-per-system kernels and engines, and the serving tier's chains, verdicts,
+per-system engines and runners, and the serving tier's chains, verdicts,
 parametric structures, experiment results and campaign-store reports —
 lives in a :class:`SignatureLRU` keyed by a *canonical content
 signature* (see :func:`repro.store.columnar.system_cache_key`), never by

@@ -14,7 +14,7 @@ presets affordable.
 The engine reproduces the scalar path's *distributions*, not its random
 streams: action choice is uniform over the neighborhood's enabled actions
 and outcomes follow the resolved probability rows, exactly as
-:meth:`repro.core.kernel.TransitionKernel.sample_step`, but the draws come
+:meth:`repro.core.system.System.sample_step`, but the draws come
 from a NumPy generator.  ``engine="scalar"`` in
 :class:`repro.markov.montecarlo.MonteCarloRunner` keeps the loop-per-trial
 path as the equivalence oracle; the statistical agreement of the two
@@ -58,8 +58,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import StateEncoding, tables_for
-from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
+from repro.core.encoding import (
+    DEFAULT_TABLE_BUDGET,
+    StateEncoding,
+    tables_for,
+)
+from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.superstep import SuperstepPlan
 from repro.schedulers.samplers import (
@@ -307,9 +311,8 @@ class BatchRunResult:
 class BatchEngine:
     """Compiled encoding + tables for one system, reusable across runs.
 
-    Mirrors the kernel-sharing contract of
-    :class:`~repro.markov.montecarlo.MonteCarloRunner`: compile once per
-    system, then every sweep point's batch is pure array work.  The
+    Compile once per system, then every sweep point's batch is pure
+    array work.  The
     tables come from the process-wide cache
     (:func:`~repro.core.encoding.tables_for`), and ``encoding`` is
     theirs; ``max_entries`` bounds the class entries even on a cache
@@ -318,11 +321,11 @@ class BatchEngine:
 
     def __init__(
         self,
-        kernel: TransitionKernel,
+        system: System,
         max_entries: int = DEFAULT_TABLE_BUDGET,
     ) -> None:
-        self.kernel = kernel
-        self.tables = tables_for(kernel, max_entries)
+        self.system = system
+        self.tables = tables_for(system, max_entries)
         self.encoding = self.tables.encoding
 
     def run(

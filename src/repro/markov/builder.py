@@ -40,11 +40,10 @@ chain, selected via ``engine=``:
   :meth:`~repro.stabilization.statespace.StateSpace.explore` takes a
   scheduler relation as a plan at weight one and keeps only the
   support, each edge labelled with its activation mask.
-* ``"scalar"`` — the pre-existing dict-walk over the memoized
-  :class:`~repro.core.kernel.TransitionKernel` (or the reference
-  :class:`System` with ``use_kernel=False``): the bit-for-bit oracle the
-  compiled path is tested against (``tests/test_chain_compiled.py``).
-* ``"auto"`` (default) — compiled whenever the kernel tables fit the
+* ``"scalar"`` — a dict walk over the reference :class:`System`: the
+  bit-for-bit oracle the compiled path is tested against
+  (``tests/test_chain_compiled.py``).
+* ``"auto"`` (default) — compiled whenever the class tables fit the
   compilation budget, scalar otherwise; mirroring
   :class:`~repro.markov.montecarlo.MonteCarloRunner`'s engine knob.
 
@@ -65,7 +64,6 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import expansion_context, tables_for
-from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
 from repro.markov.chain import MarkovChain, concat_ranges
@@ -106,8 +104,6 @@ def build_chain(
     distribution: SchedulerDistribution,
     initial: Iterable[Configuration] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
-    use_kernel: bool = True,
     engine: str = "auto",
 ) -> MarkovChain:
     """Build the Markov chain of ``system`` under ``distribution``.
@@ -119,11 +115,9 @@ def build_chain(
     ``engine`` selects the execution path (see the module docstring):
     ``"compiled"`` demands the vectorized wire-format builder (raising
     :class:`MarkovError` when the system cannot take it), ``"scalar"``
-    forces the dict-walk oracle — exactly the pre-compiled-tier behavior —
-    and ``"auto"`` picks compiled when possible.  Pass ``kernel`` to share
-    resolution tables across several chains of the same system, or
-    ``use_kernel=False`` for the reference :class:`System` path (implies
-    scalar).
+    forces the dict-walk oracle over :class:`System` — exactly the
+    pre-compiled-tier behavior — and ``"auto"`` picks compiled when
+    possible.
     """
     if engine not in CHAIN_ENGINES:
         raise MarkovError(
@@ -139,8 +133,7 @@ def build_chain(
 
     if engine != "scalar":
         context = _compile_chain_context(
-            system, distribution, kernel, use_kernel,
-            require=engine == "compiled",
+            system, distribution, require=engine == "compiled"
         )
         if context is not None:
             return _build_compiled(
@@ -150,9 +143,7 @@ def build_chain(
                 max_states,
             )
 
-    return _build_scalar(
-        system, distribution, initial, max_states, kernel, use_kernel
-    )
+    return _build_scalar(system, distribution, initial, max_states)
 
 
 # ----------------------------------------------------------------------
@@ -163,8 +154,6 @@ def _build_scalar(
     distribution: SchedulerDistribution,
     initial: Iterable[Configuration] | None,
     max_states: int,
-    kernel: TransitionKernel | None,
-    use_kernel: bool,
 ) -> MarkovChain:
     if initial is None:
         seeds: Iterable[Configuration] = system.all_configurations()
@@ -192,28 +181,27 @@ def _build_scalar(
     for seed in seeds:
         intern(seed)
 
-    engine = resolve_engine(system, kernel, use_kernel)
     rows: list[dict[int, float]] = []
     processed = 0
     while queue:
         state_id = queue.popleft()
         assert state_id == processed
         processed += 1
-        rows.append(_row(engine, distribution, states[state_id], intern))
+        rows.append(_row(system, distribution, states[state_id], intern))
 
     return MarkovChain(system, states, rows, distribution.name)
 
 
 def _row(
-    engine: System | TransitionKernel,
+    system: System,
     distribution: SchedulerDistribution,
     configuration: Configuration,
     intern,
 ) -> dict[int, float]:
-    # Resolve guards/outcomes once per local neighborhood; every weighted
-    # subset composes from the same per-process solo resolutions
-    # (pre-step reads).
-    resolved = engine.resolved_actions(configuration)
+    # Resolve guards/outcomes once per process; every weighted subset
+    # composes from the same per-process solo resolutions (pre-step
+    # reads).
+    resolved = system.resolved_actions(configuration)
     enabled = tuple(sorted(resolved))
     row: dict[int, float] = {}
     if not enabled:
@@ -414,24 +402,15 @@ class _ChainContext:
 def _compile_chain_context(
     system: System,
     distribution: SchedulerDistribution,
-    kernel: TransitionKernel | None,
-    use_kernel: bool,
     require: bool,
 ) -> _ChainContext | None:
     """Tables + context for the compiled path, or ``None`` → scalar.
 
-    ``require=True`` (``engine="compiled"``) turns every fallback reason
-    into a :class:`MarkovError` instead.
+    ``require=True`` (``engine="compiled"``) turns the over-budget
+    fallback into a :class:`MarkovError` instead.
     """
-    if not use_kernel:
-        if require:
-            raise MarkovError(
-                "engine='compiled' requires the kernel path"
-                " (use_kernel=True)"
-            )
-        return None
     try:
-        tables = tables_for(system if kernel is None else kernel)
+        tables = tables_for(system)
     except ModelError as error:
         if require:
             raise MarkovError(

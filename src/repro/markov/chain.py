@@ -242,9 +242,9 @@ class MarkovChain:
         which is evaluated in one shot over the whole state-code matrix
         (``EnabledCountLegitimacy`` marks 500k states in a few gathers).
         Systems whose class tables exceed the table-compilation
-        budget fall back to a kernel walk for the enabled matrix — like
-        every other ``"auto"`` tier, over-budget tables degrade, never
-        fail.
+        budget fall back to a walk over the system for the enabled
+        matrix — like every other ``"auto"`` tier, over-budget tables
+        degrade, never fail.
         """
         from repro.errors import ModelError
         from repro.markov.batch import BatchLegitimacy
@@ -295,17 +295,12 @@ class MarkovChain:
         return self._tables
 
     def _enabled_matrix_scalar(self) -> np.ndarray:
-        """``(num_states, N)`` enabled matrix via the kernel (the
+        """``(num_states, N)`` enabled matrix via the system (the
         over-table-budget fallback for vectorized marks)."""
-        from repro.core.kernel import TransitionKernel
-
-        kernel = TransitionKernel(self.system)
-        enabled = np.zeros(
-            (self.num_states, self.system.num_processes), dtype=bool
-        )
+        system = self.system
+        enabled = np.zeros((self.num_states, system.num_processes), dtype=bool)
         for state_id, state in enumerate(self.states):
-            for process in kernel.resolved_actions(state):
-                enabled[state_id, process] = True
+            enabled[state_id, list(system.enabled_processes(state))] = True
         return enabled
 
     # ------------------------------------------------------------------

@@ -59,7 +59,6 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import tables_for
-from repro.core.kernel import TransitionKernel
 from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.batch import BatchLegitimacy
@@ -269,7 +268,6 @@ def build_mdp(
     system: System,
     daemon: str = "distributed",
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
     max_enabled: int = 16,
 ) -> MarkovDecisionProcess:
     """Build the full-space MDP of ``system`` under a daemon family.
@@ -293,7 +291,7 @@ def build_mdp(
             f"configuration space has {total} states, budget is"
             f" {max_states}"
         )
-    tables = tables_for(system if kernel is None else kernel)
+    tables = tables_for(system)
     relation = (
         DistributedRelation(max_enabled)
         if daemon == "distributed"

@@ -9,8 +9,8 @@ first holds.  Initial configurations are drawn uniformly from ``C``
 Two execution engines share this interface (selected per runner or per
 call via ``engine``):
 
-* ``"scalar"`` — one :func:`repro.core.simulate.run_until` per trial on
-  the shared :class:`~repro.core.kernel.TransitionKernel`.  Supports every
+* ``"scalar"`` — one :func:`repro.core.simulate.run_until` per trial
+  over the reference :class:`~repro.core.system.System`.  Supports every
   sampler, round counting, and is the equivalence oracle for the batch
   path.
 * ``"batch"`` — all trials advance in lockstep as a ``(trials ×
@@ -30,8 +30,12 @@ import numpy as np
 from repro.analysis.rounds import count_rounds
 from repro.analysis.stats import SummaryStats, summarize
 from repro.core.configuration import Configuration
-from repro.core.kernel import KernelCursor, TransitionKernel
-from repro.core.simulate import SchedulerSampler, _validate_subset, run_until
+from repro.core.simulate import (
+    Cursor,
+    SchedulerSampler,
+    _validate_subset,
+    run_until,
+)
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
 from repro.markov.batch import (
@@ -323,18 +327,17 @@ class MonteCarloRunner:
     The front door for stabilization-time sampling: construct one runner
     per system, then call :meth:`estimate` for a single sweep point, or
     :meth:`batch` for several sweep points on this system (sampler,
-    trial, and budget variants) — engine choice, kernel sharing, and
+    trial, and budget variants) — engine choice, table sharing, and
     legitimacy compilation are handled here so experiment runners never
     touch the execution tiers directly.  Multi-*system* sweeps belong to
     :class:`repro.markov.sweep_engine.SweepRunner`, which :meth:`batch`
     delegates to.
 
-    All trials — and all repeated :meth:`estimate` calls on the same
-    system — share one :class:`~repro.core.kernel.TransitionKernel` (and,
-    when the batch engine is used, one compiled
-    :class:`~repro.markov.batch.BatchEngine` built from it), so guard and
-    outcome statements execute once per distinct local neighborhood
-    across the *entire* batch rather than once per simulated step.
+    All repeated :meth:`estimate` calls on the same system share one
+    compiled :class:`~repro.markov.batch.BatchEngine`, whose tables come
+    from the process-wide cache, so guard and outcome statements execute
+    once per class neighborhood rather than once per simulated step.
+    The scalar engine runs every step through the system itself.
 
     ``engine`` sets the runner-wide default (overridable per call):
 
@@ -353,7 +356,6 @@ class MonteCarloRunner:
     def __init__(
         self,
         system: System,
-        kernel: TransitionKernel | None = None,
         engine: str = "auto",
         batch_engine: BatchEngine | None = None,
     ) -> None:
@@ -362,7 +364,6 @@ class MonteCarloRunner:
                 f"unknown engine {engine!r}; known: {ENGINES}"
             )
         self.system = system
-        self.kernel = kernel if kernel is not None else TransitionKernel(system)
         self.engine = engine
         # ``batch_engine`` lets a multi-system driver (SweepRunner)
         # share one compiled engine instead of recompiling here.
@@ -379,7 +380,7 @@ class MonteCarloRunner:
             if self._batch_compile_error is not None:
                 raise self._batch_compile_error
             try:
-                self._batch_engine = BatchEngine(self.kernel)
+                self._batch_engine = BatchEngine(self.system)
             except ModelError as error:
                 self._batch_compile_error = error
                 raise
@@ -430,8 +431,12 @@ class MonteCarloRunner:
         """
         if trials < 1:
             raise MarkovError("need at least one trial")
-        if initial_configurations is not None and not initial_configurations:
-            raise MarkovError("need at least one initial configuration")
+        if initial_configurations is not None:
+            if not initial_configurations:
+                raise MarkovError("need at least one initial configuration")
+            # Every engine rejects a foreign initial the same way.
+            for configuration in initial_configurations:
+                self.system.check_configuration(configuration)
         engine = engine if engine is not None else self.engine
         if engine not in ENGINES:
             raise MarkovError(
@@ -611,7 +616,6 @@ class MonteCarloRunner:
                 stop=legitimate,
                 max_steps=max_steps,
                 rng=rng,
-                kernel=self.kernel,
                 record=measure_rounds,
             )
             if result.converged:
@@ -678,7 +682,6 @@ class MonteCarloRunner:
         initials produces bit-identical per-trial outcome vectors.
         """
         system = self.system
-        kernel = self.kernel
         at_convergence = fault.at_convergence
         times = np.zeros(trials, dtype=np.int64)
         converged = np.zeros(trials, dtype=bool)
@@ -698,7 +701,7 @@ class MonteCarloRunner:
                 ]
             else:
                 initial = _draw_configuration(domains, rng)
-            cursor = KernelCursor(kernel, initial)
+            cursor = Cursor(system, initial)
             pending = True
             cur_run = 0
             step = 0
@@ -742,7 +745,7 @@ class MonteCarloRunner:
                     timed_out[trial] = True
                     break
                 subset = list(
-                    sampler.choose(kernel, configuration, enabled, rng)
+                    sampler.choose(system, configuration, enabled, rng)
                 )
                 _validate_subset(subset, enabled)
                 cursor.advance(subset, rng)
@@ -774,7 +777,7 @@ class MonteCarloRunner:
 
     def batch(self, cases: Sequence[dict]) -> list[MonteCarloResult]:
         """Run several sweep points (kwargs of :meth:`estimate`) on the
-        shared kernel, fused into one code matrix where possible.
+        shared compiled tables, fused into one code matrix where possible.
 
         Each case is one sweep point on this runner's system; fusable
         cases are routed through
@@ -852,12 +855,11 @@ class MonteCarloRunner:
             runner = SweepRunner(
                 engine="fused" if self.engine == "batch" else "auto"
             )
-            # Share this runner's kernel and compiled engine — or its
-            # cached compilation *failure*, so an over-budget system is
-            # not re-enumerated on every batch() call.
+            # Share this runner's compiled engine — or its cached
+            # compilation *failure*, so an over-budget system is not
+            # re-enumerated on every batch() call.
             runner.adopt_system(
                 self.system,
-                kernel=self.kernel,
                 batch_engine=(
                     self._batch_engine
                     if self._batch_engine is not None
@@ -880,17 +882,15 @@ def estimate_stabilization_time(
     rng: RandomSource,
     initial_configurations: Sequence[Configuration] | None = None,
     measure_rounds: bool = False,
-    kernel: TransitionKernel | None = None,
     engine: str = "auto",
     batch_legitimate: BatchLegitimacy | None = None,
     fault: FaultPlan | None = None,
 ) -> MonteCarloResult:
     """Sample stabilization times over random starts and scheduler draws.
 
-    Thin wrapper over :class:`MonteCarloRunner`: one kernel is shared by
-    all trials (pass ``kernel`` to also share it with other callers).
+    Thin wrapper over one :class:`MonteCarloRunner` call.
     """
-    return MonteCarloRunner(system, kernel).estimate(
+    return MonteCarloRunner(system).estimate(
         sampler,
         legitimate,
         trials=trials,

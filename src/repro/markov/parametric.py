@@ -49,7 +49,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.kernel import TransitionKernel
 from repro.core.parametric import CoinParameter
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
@@ -156,7 +155,6 @@ class ParametricChain:
         distribution: SchedulerDistribution,
         initial: Iterable[Configuration] | None = None,
         max_states: int = DEFAULT_MAX_STATES,
-        kernel: TransitionKernel | None = None,
     ) -> None:
         if initial is None:
             total = system.num_configurations()
@@ -166,7 +164,7 @@ class ParametricChain:
                     f" {max_states}; pass an explicit initial set"
                 )
         context = _compile_chain_context(
-            system, distribution, kernel, use_kernel=True, require=True
+            system, distribution, require=True
         )
         self.system = system
         self.distribution = distribution
@@ -424,10 +422,8 @@ def build_parametric_chain(
     distribution: SchedulerDistribution,
     initial: Iterable[Configuration] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
 ) -> ParametricChain:
     """Functional spelling of the :class:`ParametricChain` constructor."""
     return ParametricChain(
-        system, distribution, initial=initial, max_states=max_states,
-        kernel=kernel,
+        system, distribution, initial=initial, max_states=max_states
     )

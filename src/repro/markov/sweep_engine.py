@@ -10,9 +10,9 @@ code matrix per point.  :class:`SweepRunner` fuses them:
 
 * points are **grouped** by ``(algorithm, topology)`` family and, inside
   a group, by the canonical *system signature*
-  (:func:`repro.store.columnar.system_cache_key`) — the unit that owns a
-  :class:`~repro.core.kernel.TransitionKernel` and one set of
-  :class:`~repro.core.encoding.CompiledKernelTables`; value-equal
+  (:func:`repro.store.columnar.system_cache_key`) — the unit that owns
+  one set of :class:`~repro.core.encoding.CompiledKernelTables`;
+  value-equal
   systems constructed independently (concurrent tenants of the serving
   tier) therefore share one compilation *and* one fused matrix;
 * **same-system points fuse** into one ``(Σ trials × processes)`` code
@@ -25,7 +25,7 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   overhead once for the whole sweep instead of once per point;
 * **points of different N** within a group run as block-scheduled
   sub-batches — one fused matrix per system, executed back to back over
-  cached kernels/tables (tables come from the process-wide table cache,
+  cached tables (tables come from the process-wide table cache,
   :func:`repro.core.encoding.tables_for`, never compiled per point);
 * a point that cannot take the fused path (no vectorized sampler
   strategy, neighborhood tables over the compilation budget) falls back
@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
+from repro.core.encoding import DEFAULT_TABLE_BUDGET
 from repro.core.simulate import SchedulerSampler
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
@@ -190,8 +190,8 @@ def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
     return ("predicate", id(spec.legitimate))
 
 
-#: Default bound on the per-system cache (kernel + compiled engine +
-#: shared runner per distinct system *signature*).  Batch sweeps touch a
+#: Default bound on the per-system cache (compiled engine + shared
+#: runner per distinct system *signature*).  Batch sweeps touch a
 #: handful of systems; an always-on service recycles the least recently
 #: used entry instead of leaking one compilation per tenant forever.
 DEFAULT_SYSTEM_CACHE = 64
@@ -202,13 +202,12 @@ class _SystemEntry:
     """Everything cached for one system signature.
 
     ``system`` is a *strong* reference to the first system seen with
-    this signature: it anchors the kernel/engine/runner and guarantees
-    the entry can never be poisoned by interpreter id reuse (the old
-    ``id(system)``-keyed dicts could return a stale kernel once a
+    this signature: it anchors the engine/runner and guarantees the
+    entry can never be poisoned by interpreter id reuse (the old
+    ``id(system)``-keyed dicts could return a stale engine once a
     collected system's id was recycled by a value-different one)."""
 
     system: System
-    kernel: TransitionKernel | None = None
     engine: BatchEngine | ModelError | None = None
     runner: MonteCarloRunner | None = None
 
@@ -228,7 +227,7 @@ class SweepRunner:
     Construct once per sweep, call :meth:`run` with the full point list;
     grouping, fusion, table caching, and per-point fallback are handled
     here so experiment runners never touch the execution tiers directly.
-    Kernels, batch engines and runners are cached per system
+    Batch engines and runners are cached per system
     *signature* (:func:`repro.store.columnar.system_cache_key`) in a
     :class:`~repro.lru.SignatureLRU` of ``cache_size`` entries, and the
     compiled tables under them come from the process-wide table cache,
@@ -276,7 +275,7 @@ class SweepRunner:
         # Per-system cache, keyed by the canonical *content* signature
         # (:func:`repro.store.columnar.system_cache_key`), never by
         # ``id(system)``: a long-lived process recycles object ids, and
-        # an id key could hand a new system a stale kernel.  Each entry
+        # an id key could hand a new system a stale engine.  Each entry
         # holds a strong reference to its first-seen system, so
         # value-equal systems from different tenants share one
         # compilation; LRU-bounded so an always-on service cannot leak
@@ -324,36 +323,25 @@ class SweepRunner:
     def adopt_system(
         self,
         system: System,
-        kernel: TransitionKernel | None = None,
         batch_engine: BatchEngine | ModelError | None = None,
     ) -> None:
         """Seed this runner's per-system cache with externally owned
-        state — a shared kernel and a compiled batch engine (or the
-        cached :class:`ModelError` of a failed compilation), so
+        state — a compiled batch engine (or the cached
+        :class:`ModelError` of a failed compilation), so
         :class:`~repro.markov.montecarlo.MonteCarloRunner` and repeated
         sweeps never recompile what the caller already owns.  Adopted
         state is keyed by the system's signature like everything else,
         so any value-equal system benefits."""
         entry = self._entry_for(system)
-        if kernel is not None:
-            entry.kernel = kernel
         if batch_engine is not None:
             entry.engine = batch_engine
-
-    def _kernel_for(self, system: System) -> TransitionKernel:
-        entry = self._entry_for(system)
-        if entry.kernel is None:
-            entry.kernel = TransitionKernel(entry.system)
-        return entry.kernel
 
     def _batch_engine_for(self, system: System) -> BatchEngine | ModelError:
         """The compiled batch engine, or the cached compilation failure."""
         entry = self._entry_for(system)
         if entry.engine is None:
             try:
-                entry.engine = BatchEngine(
-                    self._kernel_for(entry.system), self.table_budget
-                )
+                entry.engine = BatchEngine(entry.system, self.table_budget)
             except ModelError as error:
                 entry.engine = error
         return entry.engine
@@ -363,7 +351,6 @@ class SweepRunner:
         if entry.runner is None:
             entry.runner = MonteCarloRunner(
                 entry.system,
-                kernel=self._kernel_for(entry.system),
                 batch_engine=(
                     entry.engine
                     if isinstance(entry.engine, BatchEngine)
@@ -398,7 +385,7 @@ class SweepRunner:
 
         # Group by (algorithm, topology) family, preserving first-seen
         # order; fusion blocks inside a group are keyed by the system
-        # *signature* (the owner of one kernel/table set), so value-equal
+        # *signature* (the owner of one table set), so value-equal
         # systems built by independent callers — concurrent tenants of
         # the serving tier — land in the same fused matrix.
         groups: dict[tuple[str, str], dict[str, list[int]]] = {}
@@ -419,7 +406,7 @@ class SweepRunner:
                 fused: list[tuple[int, SweepPointSpec]] = []
                 for index in indices:
                     spec = points[index]
-                    engine = self._resolve_engine(spec)
+                    engine = self._point_engine(spec)
                     if engine == "fused":
                         fused.append((index, spec))
                     else:
@@ -499,7 +486,7 @@ class SweepRunner:
                     )
             seen.append(spec)
 
-    def _resolve_engine(self, spec: SweepPointSpec) -> str:
+    def _point_engine(self, spec: SweepPointSpec) -> str:
         """The engine one point will actually run on."""
         if self.engine in ("batch", "scalar"):
             return self.engine
@@ -531,7 +518,7 @@ class SweepRunner:
         sink: TrialSink | None = None,
         keep_samples: bool = True,
     ) -> MonteCarloResult:
-        """Per-point fallback through the shared-kernel runner."""
+        """Per-point fallback through the shared per-system runner."""
         runner = self._runner_for(spec.system)
         point_sink: TrialSink | None = None
         if sink is not None:
@@ -575,7 +562,7 @@ class SweepRunner:
         per-point results and whether the block was super-stepped.
         """
         encoding = engine.encoding
-        system = engine.kernel.system
+        system = engine.system
         specs = [spec for _, spec in members]
         counts = np.array([spec.trials for spec in specs], dtype=np.int64)
 
@@ -629,7 +616,7 @@ class SweepRunner:
             ).append(member)
         for signature, group_members in signature_rows.items():
             strategy = batch_strategy_for(specs[group_members[0]].sampler)
-            assert strategy is not None  # vetted by _resolve_engine
+            assert strategy is not None  # vetted by _point_engine
             mask = np.zeros(len(specs), dtype=bool)
             mask[group_members] = True
             strategy_groups.append((strategy, mask))

@@ -5,17 +5,6 @@ randomized samplers realize Definition 6; the deterministic ones are the
 "adversaries" used to exhibit non-converging executions (round-robin,
 scripted replays, and the alternating-token adversary of Theorem 6's
 proof).
-
-**Kernel fast path.**  The ``system`` argument a sampler receives is
-whatever engine the simulation loop drives — the reference
-:class:`~repro.core.system.System` or (by default) its
-:class:`~repro.core.kernel.TransitionKernel`, which memoizes guard and
-outcome evaluation per local neighborhood and transparently proxies every
-other ``System`` attribute.  Samplers (and
-:class:`GreedySingletonSampler` priority functions) that query
-enabledness — ``is_enabled``, ``enabled_actions``,
-``enabled_processes`` — therefore hit the memo tables instead of
-re-running guards.
 """
 
 from __future__ import annotations
@@ -23,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.configuration import Configuration
-from repro.core.kernel import Engine
 from repro.core.system import System
 from repro.errors import SchedulerError
 from repro.random_source import RandomSource
@@ -47,7 +35,7 @@ class SynchronousSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -62,7 +50,7 @@ class CentralRandomizedSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -77,7 +65,7 @@ class DistributedRandomizedSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -102,7 +90,7 @@ class BernoulliSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -127,7 +115,7 @@ class RoundRobinSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -163,7 +151,7 @@ class ScriptedSampler:
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,
@@ -193,13 +181,13 @@ class GreedySingletonSampler:
 
     def __init__(
         self,
-        priority: Callable[[Engine, Configuration, int], float],
+        priority: Callable[[System, Configuration, int], float],
     ) -> None:
         self._priority = priority
 
     def choose(
         self,
-        system: Engine,
+        system: System,
         configuration: Configuration,
         enabled: Sequence[int],
         rng: RandomSource,

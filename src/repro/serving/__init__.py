@@ -1,7 +1,7 @@
 """Always-on serving tier: warm caches + multi-tenant sweep fusion.
 
 The batch tiers (experiments CLI, campaign runner) pay compilation —
-kernel tables, lockstep engines, chain LU factorizations — once per
+compiled tables, lockstep engines, chain LU factorizations — once per
 process and throw it away.  This package keeps those artifacts warm in
 a persistent process behind a stdlib HTTP server, keyed by canonical
 content signatures (never object identity), and coalesces concurrent

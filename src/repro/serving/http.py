@@ -45,7 +45,7 @@ _INDEX = """<!doctype html>
 <h1>repro sweep service</h1>
 <p>Always-on serving tier for the Devismes&ndash;Tixeuil&ndash;Yamashita
 reproduction: concurrent sweep submissions fuse into one code matrix,
-and compiled kernels, tables, chains, and LU factorizations stay warm
+and compiled tables, chains, and LU factorizations stay warm
 across requests.</p>
 <ul>
 <li>GET /api/health</li>

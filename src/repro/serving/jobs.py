@@ -115,7 +115,7 @@ class AdmissionDispatcher:
     """Single-threaded batch executor over a shared :class:`SweepRunner`.
 
     One dispatcher owns one runner — and with it the warm
-    kernel/table/runner caches — so every batch benefits from every
+    engine/runner caches — so every batch benefits from every
     previous tenant's compilations.  ``window`` is the admission delay
     in seconds; ``max_jobs`` bounds the completed-job history kept for
     status queries (oldest evicted first).

@@ -5,7 +5,7 @@ tier — the HTTP layer (:mod:`repro.serving.http`) is a thin JSON shim
 over it, and the tests drive it directly.  One service owns:
 
 * one :class:`~repro.markov.sweep_engine.SweepRunner` whose
-  signature-keyed caches hold compiled kernels, lockstep tables, and
+  signature-keyed caches hold compiled lockstep tables and
   Monte-Carlo runners warm for the life of the process;
 * one :class:`~repro.serving.jobs.AdmissionDispatcher` that coalesces
   concurrent tenants' sweep submissions into fused batches;
@@ -85,7 +85,7 @@ class ServiceConfig:
     forward to the shared :class:`SweepRunner` (a tiny ``table_budget``
     forces the per-point scalar fallback — the tests use this to cover
     the fusion-illegal path); ``system_cache`` bounds the runner's
-    per-signature kernel/table cache; the ``*_cache`` fields bound the
+    per-signature engine/runner cache; the ``*_cache`` fields bound the
     exact-tier LRUs; ``max_jobs`` bounds the job history.
     """
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernel import TransitionKernel
 from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.builder import DEFAULT_MAX_STATES
@@ -180,7 +179,6 @@ def worst_case_convergence(
     specification: Specification,
     daemon: str = "distributed",
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
     mdp: MarkovDecisionProcess | None = None,
 ) -> AdversarialVerdict:
     """Convergence under the most hostile daemon of a family.
@@ -190,7 +188,7 @@ def worst_case_convergence(
     """
     if mdp is None:
         mdp = build_mdp(
-            system, daemon=daemon, max_states=max_states, kernel=kernel
+            system, daemon=daemon, max_states=max_states
         )
     return _optimized_verdict(mdp, specification, "worst")
 
@@ -200,13 +198,12 @@ def best_case_convergence(
     specification: Specification,
     daemon: str = "distributed",
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
     mdp: MarkovDecisionProcess | None = None,
 ) -> AdversarialVerdict:
     """Convergence under the most helpful daemon of a family."""
     if mdp is None:
         mdp = build_mdp(
-            system, daemon=daemon, max_states=max_states, kernel=kernel
+            system, daemon=daemon, max_states=max_states
         )
     return _optimized_verdict(mdp, specification, "best")
 
@@ -263,7 +260,6 @@ def daemon_bracket(
     specification: Specification,
     daemon: str = "distributed",
     max_states: int = DEFAULT_MAX_STATES,
-    kernel: TransitionKernel | None = None,
 ) -> DaemonBracket:
     """The full ``[best, expected, worst]`` bracket for one system.
 
@@ -271,9 +267,7 @@ def daemon_bracket(
     PR 4 compiled chain under the family's uniform randomized daemon
     (:func:`randomized_distribution_for`).
     """
-    mdp = build_mdp(
-        system, daemon=daemon, max_states=max_states, kernel=kernel
-    )
+    mdp = build_mdp(system, daemon=daemon, max_states=max_states)
     best = _optimized_verdict(mdp, specification, "best")
     worst = _optimized_verdict(mdp, specification, "worst")
     expected = classify_probabilistic(

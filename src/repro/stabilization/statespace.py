@@ -24,16 +24,14 @@ Two explorers produce the same digraph (see ``docs/architecture.md``):
   is the expander's plan with every allowed subset at weight one, so
   the explored edges are exactly the support of the Markov chain of any
   randomized scheduler over the same subsets.  Configurations are
-  mixed-radix ranks over the compiled NumPy kernel tables, and blocks
+  mixed-radix ranks over the compiled NumPy class tables, and blocks
   whose enabled cells each have one action expand as whole-block array
   expressions under the central, synchronous and distributed
   relations;
 * the **dict walk** below — a FIFO walk that resolves guards and
-  outcomes through the neighborhood-memoized
-  :class:`~repro.core.kernel.TransitionKernel` (or the reference
-  :class:`~repro.core.system.System` with ``use_kernel=False``).  It is
-  the fallback for systems the compiled tables cannot represent and the
-  oracle the support view is tested against.
+  outcomes through the reference :class:`~repro.core.system.System`.
+  It is the fallback for systems the compiled tables cannot represent
+  and the oracle the support view is tested against.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import CompiledKernelTables, tables_for
-from repro.core.kernel import TransitionKernel, resolve_engine
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import ModelError, StateSpaceError
 from repro.markov.builder import (
@@ -162,8 +159,6 @@ class StateSpace:
         relation: SchedulerRelation,
         initial: Iterable[Configuration] | None = None,
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        kernel: TransitionKernel | None = None,
-        use_kernel: bool = True,
     ) -> "StateSpace":
         """Breadth-first exploration from ``initial`` (default: all of C).
 
@@ -174,29 +169,26 @@ class StateSpace:
         ``system`` (:class:`~repro.errors.ModelError` otherwise).
 
         The digraph is the support view of the chain builder's expander
-        over the compiled kernel tables (see the module docstring), with
+        over the compiled class tables (see the module docstring), with
         the same ids, edges and enabled tuples as the dict walk.  Systems
         the tables cannot represent (neighborhood space over the
         compilation budget, or more than :data:`MAX_MASKED_PROCESSES`
-        processes) take the dict walk, through ``kernel`` when given;
-        ``use_kernel=False`` runs the dict walk over the reference
-        :class:`System` path.
+        processes) take the dict walk (:meth:`_explore_walk`) over
+        :class:`System`.
         """
         seeds = None if initial is None else list(initial)
-        if use_kernel and system.num_processes <= MAX_MASKED_PROCESSES:
+        if system.num_processes <= MAX_MASKED_PROCESSES:
             if seeds is None:
                 _check_space_budget(system, max_configurations)
             try:
-                tables = tables_for(system if kernel is None else kernel)
+                tables = tables_for(system)
             except ModelError:
                 pass  # over the compilation budget: take the dict walk
             else:
                 return _support_view(
                     system, relation, seeds, max_configurations, tables
                 )
-        return cls._explore_walk(
-            system, relation, seeds, max_configurations, kernel, use_kernel
-        )
+        return cls._explore_walk(system, relation, seeds, max_configurations)
 
     @classmethod
     def _explore_walk(
@@ -205,15 +197,13 @@ class StateSpace:
         relation: SchedulerRelation,
         initial: Iterable[Configuration] | None = None,
         max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-        kernel: TransitionKernel | None = None,
-        use_kernel: bool = True,
     ) -> "StateSpace":
         """The FIFO dict walk: the support view's fallback and oracle.
 
         Interns configurations in discovery order and resolves each
-        source's guards once per local neighborhood (through ``kernel``,
-        or the reference :class:`System` with ``use_kernel=False``); every
-        subset step composes from those solo resolutions (atomic reads).
+        source's guards and outcomes once per process through
+        :class:`System`; every subset step composes from those solo
+        resolutions (atomic reads).
         The edges are packed into the CSR arrays once, at the end.
         """
         if initial is None:
@@ -248,7 +238,6 @@ class StateSpace:
         for seed in seeds:
             intern(seed)
 
-        engine = resolve_engine(system, kernel, use_kernel)
         ends: list[int] = [0]
         masks: list[int] = []
         targets: list[int] = []
@@ -263,10 +252,9 @@ class StateSpace:
             assert source_id == processed
             processed += 1
             source = configurations[source_id]
-            # Resolve guards/outcomes once per local neighborhood; all
-            # subset steps compose from these solo resolutions (atomic
-            # reads).
-            resolved = engine.resolved_actions(source)
+            # Resolve guards/outcomes once per process; all subset steps
+            # compose from these solo resolutions (atomic reads).
+            resolved = system.resolved_actions(source)
             enabled = tuple(sorted(resolved))
             enabled_bits.append(subset_to_mask(enabled))
             seen: set[LabeledEdge] = set()

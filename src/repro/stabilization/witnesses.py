@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.system import System
+from repro.core.system import Move, System
 from repro.core.trace import Lasso, Step, Trace
-from repro.errors import StateSpaceError
+from repro.errors import SchedulerError, StateSpaceError
 from repro.markov.hitting import backward_closure, strong_components
 from repro.stabilization.convergence import strongly_connected_components
 from repro.stabilization.statespace import (
@@ -57,14 +57,50 @@ def recover_step(
     The state space stores only (mask, target); to print or fairness-check
     a concrete execution we re-derive which actions/outcomes produce
     ``target`` when the masked subset moves.
+
+    Returns the first matching branch of :meth:`System.subset_branches`
+    without enumerating their product: branches run lexicographically by
+    action and then by outcome, movers in sorted order, and the matching
+    branches are the product of each mover's matching ``(action,
+    outcome)`` pairs, so the first one takes each mover's first pair
+    whose post-state is ``target[p]``.  Linear in the movers.
     """
     subset = mask_to_subset(mask)
-    for branch in system.subset_branches(source, subset):
-        if branch.target == target:
-            return Step(branch.moves)
-    raise StateSpaceError(
-        f"no branch of subset {subset} leads to the recorded target"
-    )
+    moved = set(subset)
+    movers = sorted(moved)
+    if not movers:
+        raise SchedulerError("scheduler chose an empty subset")
+    choices = []
+    for process in movers:
+        enabled = system.enabled_actions(source, process)
+        if not enabled:
+            raise SchedulerError(f"scheduler chose disabled process {process}")
+        choices.append((process, enabled))
+    if len(target) != len(source) or any(
+        target[q] != source[q] for q in range(len(source)) if q not in moved
+    ):
+        raise StateSpaceError(
+            f"subset {subset} cannot change the non-movers of the target"
+        )
+    moves = []
+    for process, enabled in choices:
+        move = next(
+            (
+                Move(process, action.name, index)
+                for action in enabled
+                for index, (_, state) in enumerate(
+                    system.outcome_states(source, process, action)
+                )
+                if state == target[process]
+            ),
+            None,
+        )
+        if move is None:
+            raise StateSpaceError(
+                f"no branch of subset {subset} leads to the recorded target"
+            )
+        moves.append(move)
+    return Step(tuple(moves))
 
 
 def converging_execution(

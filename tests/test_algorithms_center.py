@@ -1,5 +1,6 @@
 """Tests for BGKP center finding and the log N-bit center-leader election."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from repro.algorithms.center_leader import (
     center_leader_leaders,
     make_center_leader_system,
 )
-from repro.core.kernel import TransitionKernel
+from repro.core.encoding import expansion_context, tables_for
 from repro.errors import TopologyError
 from repro.graphs.generators import (
     broom,
@@ -33,27 +34,36 @@ from repro.stabilization.statespace import StateSpace
 from repro.stabilization.witnesses import synchronous_lasso
 
 
-#: Above this many configurations, scan with the neighborhood-memoized
-#: kernel (bit-equal to ``System`` by ``test_kernel_equivalence``) rather
+#: Above this many configurations, scan with the compiled tables
+#: (entry-for-entry equal to ``System`` by ``test_encoding``) rather
 #: than re-running every guard per configuration.
-KERNEL_SCAN_THRESHOLD = 100_000
+TABLE_SCAN_THRESHOLD = 100_000
+
+#: Configuration ranks decoded per table scan block.
+SCAN_BLOCK = 65_536
 
 
 def _terminal_configurations(system, limit=None):
-    if system.num_configurations() > KERNEL_SCAN_THRESHOLD:
-        kernel = TransitionKernel(system)
-
-        def is_terminal(configuration):
-            return not kernel.resolved_actions(configuration)
-
-    else:
-        is_terminal = system.is_terminal
     found = []
-    for configuration in system.all_configurations():
-        if is_terminal(configuration):
-            found.append(configuration)
+    total = system.num_configurations()
+    if total <= TABLE_SCAN_THRESHOLD:
+        for configuration in system.all_configurations():
+            if system.is_terminal(configuration):
+                found.append(configuration)
+                if limit and len(found) >= limit:
+                    break
+        return found
+    # Ranks follow all_configurations() order, so ``limit`` keeps the
+    # same prefix either way.
+    context = expansion_context(tables_for(system))
+    tables = context.tables
+    for start in range(0, total, SCAN_BLOCK):
+        ranks = np.arange(start, min(start + SCAN_BLOCK, total))
+        enabled = tables.enabled(tables.pack(context.codes_of_ranks(ranks)))
+        for rank in ranks[~enabled.any(axis=1)].tolist():
+            found.append(context.configuration_of_rank(rank))
             if limit and len(found) >= limit:
-                break
+                return found
     return found
 
 

@@ -23,8 +23,8 @@ from repro.algorithms.token_ring import (
 )
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
 from repro.core.encoding import compile_tables
-from repro.core.kernel import TransitionKernel
-from repro.errors import MarkovError
+from repro.core.simulate import run_until
+from repro.errors import MarkovError, ModelError
 from repro.graphs.generators import path
 from repro.markov.batch import (
     DecodingLegitimacy,
@@ -34,6 +34,7 @@ from repro.markov.batch import (
 )
 from repro.markov.montecarlo import (
     MonteCarloRunner,
+    estimate_stabilization_time,
     random_configuration,
     random_configurations,
 )
@@ -162,8 +163,6 @@ def _raw_times(system, sampler, legitimate, engine, batch_legitimate=None):
         assert outcome.converged.all()
         times = outcome.stabilization_times
     else:
-        from repro.core.simulate import run_until
-
         rng = RandomSource(888)
         for _ in range(600):
             initial = random_configuration(system, rng)
@@ -174,7 +173,6 @@ def _raw_times(system, sampler, legitimate, engine, batch_legitimate=None):
                 stop=legitimate,
                 max_steps=20_000,
                 rng=rng,
-                kernel=runner.kernel,
                 record=False,
             )
             assert result.converged
@@ -390,6 +388,116 @@ class TestBatchStructuralEquivalence:
         assert runner.batch_engine() is runner.batch_engine()
 
 
+def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
+    """The oracle escape hatch: a scalar-engine ``batch`` is bit-equal
+    to sequential estimates (same random streams)."""
+    system = make_leader_tree_system(path(6))
+    cases = [
+        dict(
+            sampler=DistributedRandomizedSampler(),
+            legitimate=system.is_terminal,
+            trials=10,
+            max_steps=10_000,
+            rng=RandomSource(31),
+        ),
+        dict(
+            sampler=SynchronousSampler(),
+            legitimate=system.is_terminal,
+            trials=10,
+            max_steps=10_000,
+            rng=RandomSource(32),
+        ),
+    ]
+    runner = MonteCarloRunner(system, engine="scalar")
+    batched = runner.batch([dict(case, rng=RandomSource(case["rng"].seed))
+                            for case in cases])
+    separate = [
+        estimate_stabilization_time(system, engine="scalar", **case)
+        for case in cases
+    ]
+    assert len(batched) == len(separate)
+    for fast, reference in zip(batched, separate):
+        assert fast == reference
+
+
+def test_montecarlo_runner_batch_fuses_through_sweep_runner():
+    """Default-engine ``batch`` routes fusable cases through the fused
+    sweep engine: full convergence, structural outcomes matching the
+    per-case estimates, input order preserved."""
+    system = make_leader_tree_system(path(6))
+    cases = [
+        dict(
+            sampler=DistributedRandomizedSampler(),
+            legitimate=system.is_terminal,
+            trials=10,
+            max_steps=10_000,
+            rng=RandomSource(31),
+        ),
+        dict(
+            sampler=DistributedRandomizedSampler(),
+            legitimate=system.is_terminal,
+            trials=12,
+            max_steps=10_000,
+            rng=RandomSource(32),
+        ),
+        # Round measurement cannot fuse: the oracle escape hatch keeps
+        # the sequential path (and its exact random stream) for it.
+        dict(
+            sampler=DistributedRandomizedSampler(),
+            legitimate=system.is_terminal,
+            trials=5,
+            max_steps=10_000,
+            rng=RandomSource(33),
+            measure_rounds=True,
+        ),
+    ]
+    runner = MonteCarloRunner(system)
+    batched = runner.batch([dict(case) for case in cases])
+    assert [result.trials for result in batched] == [10, 12, 5]
+    assert all(result.censored == 0 for result in batched)
+    assert batched[2].round_stats is not None
+    sequential = MonteCarloRunner(system).estimate(
+        **dict(cases[2], rng=RandomSource(33))
+    )
+    assert batched[2] == sequential
+
+
+#: Explicit initials of ``make_token_ring_system(4)`` that are not
+#: configurations of it.
+_FOREIGN_INITIALS = [
+    pytest.param(((17,),) * 4, id="out-of-domain"),
+    pytest.param(((0,),) * 3, id="too-short"),
+]
+
+
+@pytest.mark.parametrize("initial", _FOREIGN_INITIALS)
+@pytest.mark.parametrize("path_name", ["scalar", "batch", "run_until"])
+def test_foreign_initials_rejected_by_every_path(path_name, initial):
+    """Each engine checks explicit initials against the system once,
+    before anything runs, and rejects them the same way."""
+    system = make_token_ring_system(4)
+    with pytest.raises(ModelError):
+        if path_name == "run_until":
+            run_until(
+                system,
+                CentralRandomizedSampler(),
+                initial,
+                stop=system.is_terminal,
+                max_steps=5,
+                rng=RandomSource(0),
+            )
+        else:
+            MonteCarloRunner(system).estimate(
+                CentralRandomizedSampler(),
+                system.is_terminal,
+                trials=5,
+                max_steps=5,
+                rng=RandomSource(0),
+                initial_configurations=[initial],
+                engine=path_name,
+            )
+
+
 class TestRandomConfigurations:
     def test_matches_sequential_singles(self):
         system = make_token_ring_system(5)
@@ -440,7 +548,7 @@ def test_sample_stream_contract(name):
         if name == "two-action-ring4"
         else conformance_system(name)
     )
-    tables = compile_tables(TransitionKernel(system))
+    tables = compile_tables(system)
     sizes = tables.encoding.sizes
     rng = np.random.default_rng(2024)
     # Zero rows, a single row, zero movers, some movers, every enabled cell.
@@ -464,6 +572,6 @@ def test_sample_stream_contract(name):
 
 
 def test_two_action_fixture_exercises_the_action_choice():
-    tables = compile_tables(TransitionKernel(make_two_action_system(4)))
+    tables = compile_tables(make_two_action_system(4))
     assert tables.action_count.max() == 2
     assert (tables.action_count == 1).any()

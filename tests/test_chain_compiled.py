@@ -301,32 +301,11 @@ def test_unknown_engine_rejected(ring5_system):
     assert CHAIN_ENGINES == ("auto", "compiled", "scalar")
 
 
-def test_compiled_engine_requires_kernel(ring5_system):
-    with pytest.raises(MarkovError):
-        build_chain(
-            ring5_system,
-            CentralRandomizedDistribution(),
-            use_kernel=False,
-            engine="compiled",
-        )
-
-
-def test_auto_without_kernel_falls_back_to_scalar(ring5_system):
-    chain = build_chain(
-        ring5_system, CentralRandomizedDistribution(), use_kernel=False
-    )
-    scalar = build_chain(
-        ring5_system, CentralRandomizedDistribution(), engine="scalar"
-    )
-    assert chain.states == scalar.states
-    assert chain.rows == scalar.rows
-
-
 def test_compiled_engine_over_table_budget(monkeypatch, ring5_system):
     # Force table compilation failure to check the demand-vs-auto split.
     import repro.markov.builder as builder_module
 
-    def refuse(kernel, *args, **kwargs):
+    def refuse(system, *args, **kwargs):
         from repro.errors import ModelError
 
         raise ModelError("neighborhood space over budget (forced)")
@@ -369,19 +348,6 @@ def test_budget_errors_match_scalar(ring6_system):
             max_states=150,
             engine="compiled",
         )
-
-
-def test_shared_kernel_reused(ring5_system):
-    from repro.core.kernel import TransitionKernel
-
-    kernel = TransitionKernel(ring5_system)
-    first = build_chain(
-        ring5_system, CentralRandomizedDistribution(), kernel=kernel
-    )
-    second = build_chain(
-        ring5_system, SynchronousDistribution(), kernel=kernel
-    )
-    assert first.num_states == second.num_states == 32
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +414,7 @@ def test_vectorized_mark_matches_predicate(engine, ring5_system):
 
 
 def test_vectorized_mark_over_table_budget(monkeypatch, ring5_system):
-    """Over-budget tables degrade mark() to a kernel walk, never fail."""
+    """Over-budget tables degrade mark() to a walk over the system."""
     import repro.core.encoding as encoding_module
 
     chain = build_chain(

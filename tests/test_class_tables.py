@@ -38,7 +38,6 @@ from repro.algorithms.token_ring import make_token_ring_system
 from repro.core.actions import deterministic_action
 from repro.core.algorithm import Algorithm
 from repro.core.encoding import StateEncoding, compile_tables, process_classes
-from repro.core.kernel import TransitionKernel
 from repro.core.parametric import affine_terms
 from repro.core.system import System
 from repro.core.topology import Topology
@@ -52,7 +51,12 @@ from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
 from repro.schedulers.samplers import CentralRandomizedSampler
 from repro.transformer.coin_toss import make_transformed_system
 
-from test_encoding import ZOO, ZOO_IDS, neighborhood_size
+from test_encoding import (
+    ZOO,
+    ZOO_IDS,
+    neighborhood_size,
+    per_process_entries,
+)
 
 
 @dataclass
@@ -73,9 +77,8 @@ class ReferenceTables:
     outcome_prob_coeff: np.ndarray | None
 
 
-def per_process_tables(kernel, encoding):
-    """Resolve every neighborhood of every process through the kernel."""
-    system = kernel.system
+def per_process_tables(system, encoding):
+    """Resolve every neighborhood of every process through the system."""
     topology = system.topology
     num_processes = system.num_processes
     neighbors = [tuple(topology.neighbors(p)) for p in system.processes]
@@ -99,7 +102,7 @@ def per_process_tables(kernel, encoding):
                 encoding.decode_local(member, code)
                 for member, code in zip(members, member_codes)
             )
-            actions = kernel.neighborhood_entry(process, key).actions
+            actions = system.resolve_neighborhood(process, key)
             enabled.append(bool(actions))
             counts.append(len(actions))
             bases.append(len(rows) if actions else 0)
@@ -162,10 +165,9 @@ def per_process_tables(kernel, encoding):
 
 def assert_matches_reference(system):
     """Class tables == per-process reference at every ``(p, i)``."""
-    kernel = TransitionKernel(system)
     encoding = StateEncoding(system)
-    tables = compile_tables(kernel)
-    reference = per_process_tables(kernel, encoding)
+    tables = compile_tables(system)
+    reference = per_process_tables(system, encoding)
     assert np.array_equal(tables.neighbor_index, reference.neighbor_index)
     assert np.array_equal(tables.neighbor_weight, reference.neighbor_weight)
     sizes = [neighborhood_size(system, p) for p in system.processes]
@@ -212,7 +214,7 @@ def test_conformance_systems_match_reference(entry):
 def test_transformed_rings_match_reference(size):
     system = make_transformed_system(make_token_ring_system(size))
     tables = assert_matches_reference(system)
-    assert tables.num_entries < TransitionKernel(system).num_neighborhoods()
+    assert tables.num_entries < per_process_entries(system)
 
 
 def test_dijkstra_ring_matches_reference():
@@ -221,7 +223,7 @@ def test_dijkstra_ring_matches_reference():
     classes = tables.process_class
     # Only the bottom process carries is_bottom=True.
     assert np.count_nonzero(classes == classes[0]) == 1
-    assert tables.num_entries < TransitionKernel(system).num_neighborhoods()
+    assert tables.num_entries < per_process_entries(system)
 
 
 # ----------------------------------------------------------------------
@@ -385,9 +387,9 @@ class TestClassBudget:
     SYSTEM = make_dijkstra_system(6)
 
     def sizes(self):
-        tables = compile_tables(TransitionKernel(self.SYSTEM))
+        tables = compile_tables(self.SYSTEM)
         classes = int(tables.process_class.max()) + 1
-        per_process = TransitionKernel(self.SYSTEM).num_neighborhoods()
+        per_process = per_process_entries(self.SYSTEM)
         assert tables.num_entries < per_process
         return tables.num_entries, classes, per_process
 
@@ -415,14 +417,12 @@ class TestClassBudget:
         # 25^25 entries per class: far past int64, still a ModelError.
         system = make_coloring_system(complete(25))
         with pytest.raises(ModelError, match="budget"):
-            compile_tables(TransitionKernel(system))
+            compile_tables(system)
 
     def test_error_reports_class_entries_and_count(self):
         class_entries, classes, _ = self.sizes()
         with pytest.raises(ModelError) as error:
-            compile_tables(
-                TransitionKernel(self.SYSTEM), max_entries=class_entries - 1
-            )
+            compile_tables(self.SYSTEM, max_entries=class_entries - 1)
         message = str(error.value)
         assert f"{class_entries} entries" in message
         assert f"{classes} process classes" in message

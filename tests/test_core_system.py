@@ -9,9 +9,11 @@ from repro.core.algorithm import Algorithm
 from repro.core.system import Branch, Move, System
 from repro.core.topology import Topology
 from repro.core.variables import VariableLayout, VarSpec
-from repro.errors import ModelError, SchedulerError
+from repro.errors import MarkovError, ModelError, SchedulerError
 from repro.graphs.generators import path
+from repro.markov.montecarlo import MonteCarloRunner
 from repro.random_source import RandomSource
+from repro.schedulers.samplers import CentralRandomizedSampler
 
 
 class _Flip(Algorithm):
@@ -234,3 +236,28 @@ class TestValidation:
 
         with pytest.raises(ModelError):
             System(NoActions(), Topology(path(2)))
+
+
+def test_system_rejects_disabled_and_empty_subsets():
+    system = make_token_ring_system(4)
+    configuration = next(system.all_configurations())
+    disabled = [
+        p
+        for p in system.processes
+        if not system.is_enabled(configuration, p)
+    ]
+    rng = RandomSource(0)
+    with pytest.raises(SchedulerError):
+        system.sample_step(configuration, [], rng)
+    if disabled:
+        with pytest.raises(SchedulerError):
+            system.sample_step(configuration, [disabled[0]], rng)
+    with pytest.raises(MarkovError):
+        MonteCarloRunner(system).estimate(
+            CentralRandomizedSampler(),
+            system.is_terminal,
+            trials=1,
+            max_steps=10,
+            rng=rng,
+            initial_configurations=[],
+        )

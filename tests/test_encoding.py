@@ -2,7 +2,7 @@
 
 Every seed algorithm's configurations must survive ``encode → decode``
 exactly, and the compiled flat NumPy tables must agree entry-by-entry
-with the kernel they were compiled from: enabled bits, action counts,
+with the system they were compiled from: enabled bits, action counts,
 and outcome codes/probabilities.
 """
 
@@ -17,7 +17,6 @@ from repro.algorithms.randomized_coloring import (
 )
 from repro.algorithms.token_ring import make_token_ring_system
 from repro.core.encoding import StateEncoding, compile_tables
-from repro.core.kernel import TransitionKernel
 from repro.errors import ModelError
 from repro.graphs.generators import path, random_tree, ring, star
 from repro.markov.montecarlo import random_configurations
@@ -97,11 +96,10 @@ class TestEncodingRoundTrip:
 @pytest.mark.parametrize("name,system", ZOO, ids=ZOO_IDS)
 class TestCompiledTables:
     def test_enabled_matches_system(self, name, system):
-        kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel)
+        tables = compile_tables(system)
         assert tables.num_entries == sum(_class_block_sizes(system, tables))
-        assert tables.num_entries <= kernel.num_neighborhoods()
+        assert tables.num_entries <= per_process_entries(system)
         configurations = random_configurations(system, RandomSource(11), 30)
         codes = encoding.encode_batch(configurations)
         enabled = tables.enabled(tables.pack(codes))
@@ -112,15 +110,14 @@ class TestCompiledTables:
             )
 
     def test_action_rows_match_kernel(self, name, system):
-        """Action counts and outcome rows reproduce the kernel entries."""
-        kernel = TransitionKernel(system)
+        """Action counts and outcome rows reproduce System's resolution."""
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel)
+        tables = compile_tables(system)
         configurations = random_configurations(system, RandomSource(13), 15)
         codes = encoding.encode_batch(configurations)
         keys = tables.pack(codes)
         for row, configuration in enumerate(configurations):
-            resolved = kernel.resolved_actions(configuration)
+            resolved = system.resolved_actions(configuration)
             for process in system.processes:
                 key = int(keys[row, process])
                 actions = resolved.get(process, ())
@@ -153,9 +150,8 @@ class TestCompiledTables:
                     ).all()
 
     def test_budget_enforced(self, name, system):
-        kernel = TransitionKernel(system)
         with pytest.raises(ModelError):
-            compile_tables(kernel, max_entries=1)
+            compile_tables(system, max_entries=1)
 
 
 def neighborhood_size(system, process):
@@ -164,6 +160,11 @@ def neighborhood_size(system, process):
     for neighbor in system.topology.neighbors(process):
         size *= system.layouts[neighbor].num_states
     return size
+
+
+def per_process_entries(system):
+    """Entries of one neighborhood table per process (no class sharing)."""
+    return sum(neighborhood_size(system, p) for p in system.processes)
 
 
 def _class_block_sizes(system, tables):
@@ -177,9 +178,8 @@ def test_mixed_radix_packing_covers_all_keys():
     block exactly: each process's keys are its class's whole block, and
     the blocks tile the table with no holes or collisions."""
     for system in (make_token_ring_system(6), make_dijkstra_system(6)):
-        kernel = TransitionKernel(system)
         encoding = StateEncoding(system)
-        tables = compile_tables(kernel)
+        tables = compile_tables(system)
         codes = encoding.encode_batch(list(system.all_configurations()))
         keys = tables.pack(codes)
         classes = tables.process_class

@@ -41,7 +41,6 @@ from conformance_registry import (
     ks_bound,
     ks_statistic,
 )
-from repro.core.kernel import TransitionKernel
 from repro.markov import superstep
 from repro.markov.batch import (
     BatchEngine,
@@ -276,7 +275,7 @@ def _assert_fused_is_batch_engine(
     (fused,) = emitted
     (fused_generator,) = generators
 
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     if spec.initial_configurations is not None:
         codes = encode_initials(
             engine.encoding, spec.initial_configurations, spec.trials

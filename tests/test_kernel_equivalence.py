@@ -1,19 +1,21 @@
-"""Seeded property tests: the kernel is bit-for-bit the System semantics.
+"""Seeded property tests: the compiled kernel tables' source of truth.
 
-The :class:`~repro.core.kernel.TransitionKernel` memoizes guard/outcome
-resolution per local neighborhood; these tests assert that every fast
-path — ``enabled_processes``, ``enabled_actions``, ``resolved_actions``,
+:func:`repro.core.encoding.compile_tables` builds every table entry from
+:meth:`System.resolve_neighborhood`, and the scalar oracle paths
+(:class:`repro.core.simulate.Cursor`, the explorer's dict walk, the
+chain builder's ``engine="scalar"``) read :class:`System` directly.
+These tests assert that each of them is bit-for-bit the full-configuration
+semantics — ``enabled_processes``, ``enabled_actions``, ``outcome_states``,
 ``sample_step``, whole sampled traces, state-space exploration, and chain
-building — produces results identical to the reference :class:`System`
-path across deterministic and probabilistic algorithms on assorted
+building — across deterministic and probabilistic algorithms on assorted
 topologies and seeds.
 
 Israeli–Jalfon is deliberately absent from the system zoo: it is modeled
 directly as a Markov process on token-position sets (see the substitution
 note in :mod:`repro.algorithms.israeli_jalfon`), not as a guarded-command
-``System``, so there is no kernel path to compare.  The probabilistic
-slots are covered by Herman's ring, randomized coloring, and the
-coin-toss-transformed token ring instead.
+``System``, so there is no neighborhood resolution to compare.  The
+probabilistic slots are covered by Herman's ring, randomized coloring,
+and the coin-toss-transformed token ring instead.
 """
 
 import pytest
@@ -24,13 +26,13 @@ from repro.algorithms.randomized_coloring import (
     make_randomized_coloring_system,
 )
 from repro.algorithms.token_ring import make_token_ring_system
-from repro.core.kernel import KernelCursor, TransitionKernel
-from repro.core.simulate import run, run_until
-from repro.errors import MarkovError, ModelError, SchedulerError
+from repro.core.encoding import compile_tables
+from repro.core.simulate import Cursor, run, run_until
+from repro.core.system import System
+from repro.errors import ModelError
 from repro.graphs.generators import path, random_tree, ring, star
 from repro.markov.builder import build_chain
 from repro.markov.montecarlo import (
-    MonteCarloRunner,
     estimate_stabilization_time,
     random_configuration,
 )
@@ -86,7 +88,7 @@ def _sample_configurations(system, count=40, seed=11):
 
 
 def _normalize(resolved):
-    """Comparable form of System/kernel resolved_actions output."""
+    """Comparable form of ``resolved_actions``-shaped output."""
     return {
         process: [
             (action.name, list(outcomes)) for action, outcomes in choices
@@ -95,66 +97,87 @@ def _normalize(resolved):
     }
 
 
+def _neighborhood_key(system, configuration, process):
+    return (configuration[process],) + tuple(
+        configuration[q] for q in system.topology.neighbors(process)
+    )
+
+
 @pytest.mark.parametrize("name,system", ZOO, ids=ZOO_IDS)
 class TestReadPathEquivalence:
     def test_enabled_and_resolved_match(self, name, system):
-        kernel = TransitionKernel(system)
+        """A neighborhood resolves exactly as the full configuration."""
         for configuration in _sample_configurations(system):
-            assert kernel.enabled_processes(
-                configuration
-            ) == system.enabled_processes(configuration)
-            assert _normalize(
-                kernel.resolved_actions(configuration)
-            ) == _normalize(system.resolved_actions(configuration))
+            resolved = {}
             for process in system.processes:
-                assert kernel.is_enabled(
-                    configuration, process
-                ) == system.is_enabled(configuration, process)
-                assert kernel.enabled_actions(
-                    configuration, process
+                actions = system.resolve_neighborhood(
+                    process, _neighborhood_key(system, configuration, process)
+                )
+                assert tuple(
+                    action for action, _ in actions
                 ) == system.enabled_actions(configuration, process)
+                assert bool(actions) == system.is_enabled(
+                    configuration, process
+                )
+                if actions:
+                    resolved[process] = actions
+            assert tuple(resolved) == system.enabled_processes(configuration)
+            assert _normalize(resolved) == _normalize(
+                system.resolved_actions(configuration)
+            )
 
-    def test_statements_run_once_per_neighborhood(self, name, system):
-        kernel = TransitionKernel(system)
-        configurations = _sample_configurations(system)
-        for configuration in configurations:
-            kernel.enabled_processes(configuration)
-        resolutions = kernel.resolutions
-        assert resolutions == kernel.table_size
-        # Revisiting the same configurations resolves nothing new.
-        for configuration in configurations:
-            kernel.enabled_processes(configuration)
-        assert kernel.resolutions == resolutions
+    def test_statements_run_once_per_neighborhood(
+        self, name, system, monkeypatch
+    ):
+        """Compilation resolves each stored class entry exactly once."""
+        calls = []
+        resolve = System.resolve_neighborhood
 
-    def test_precomputed_table_matches_lazy(self, name, system):
-        lazy = TransitionKernel(system)
-        table = TransitionKernel(system, precompute=True)
-        assert table.table_size == table.num_neighborhoods()
-        for configuration in _sample_configurations(system, count=15):
-            assert table.enabled_processes(
-                configuration
-            ) == lazy.enabled_processes(configuration)
-            assert _normalize(
-                table.resolved_actions(configuration)
-            ) == _normalize(lazy.resolved_actions(configuration))
+        def spy(self, process, key):
+            calls.append((process, tuple(key)))
+            return resolve(self, process, key)
+
+        monkeypatch.setattr(System, "resolve_neighborhood", spy)
+        tables = compile_tables(system)
+        assert len(calls) == tables.num_entries
+        assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("name,system", ZOO, ids=ZOO_IDS)
 def test_sample_step_consumes_identical_random_stream(name, system):
-    kernel = TransitionKernel(system)
-    rng_legacy = RandomSource(97)
-    rng_kernel = RandomSource(97)
+    """The simulator's cursor steps exactly as ``System.sample_step``."""
+    rng_step = RandomSource(97)
+    rng_cursor = RandomSource(97)
     picker = RandomSource(3)
     for configuration in _sample_configurations(system, count=20, seed=5):
         enabled = system.enabled_processes(configuration)
         if not enabled:
             continue
         subset = [p for p in enabled if picker.coin()] or [enabled[0]]
-        legacy = system.sample_step(configuration, subset, rng_legacy)
-        fast = kernel.sample_step(configuration, subset, rng_kernel)
-        assert legacy == fast
+        target, moves = system.sample_step(configuration, subset, rng_step)
+        cursor = Cursor(system, configuration)
+        assert cursor.enabled == enabled
+        assert cursor.advance(subset, rng_cursor) == moves
+        assert cursor.configuration == target
+        assert cursor.enabled == system.enabled_processes(target)
     # Both sources must be in the same state afterwards.
-    assert rng_legacy.random() == rng_kernel.random()
+    assert rng_step.random() == rng_cursor.random()
+
+
+def _reference_run(system, sampler, initial, max_steps, rng):
+    """``run`` spelled out over the full-configuration semantics."""
+    configurations = [initial]
+    steps = []
+    configuration = initial
+    for _ in range(max_steps):
+        enabled = system.enabled_processes(configuration)
+        if not enabled:
+            break
+        subset = list(sampler.choose(system, configuration, enabled, rng))
+        configuration, moves = system.sample_step(configuration, subset, rng)
+        configurations.append(configuration)
+        steps.append(moves)
+    return configurations, steps
 
 
 @pytest.mark.parametrize(
@@ -171,29 +194,23 @@ def test_sample_step_consumes_identical_random_stream(name, system):
 def test_sampled_traces_identical_across_paths(sampler_factory, seed):
     for _, system in ZOO:
         initial = random_configuration(system, RandomSource(seed + 1))
-        legacy = run(
-            system,
-            sampler_factory(),
-            initial,
-            max_steps=300,
-            rng=RandomSource(seed),
-            use_kernel=False,
+        configurations, steps = _reference_run(
+            system, sampler_factory(), initial, 300, RandomSource(seed)
         )
-        fast = run(
+        trace = run(
             system,
             sampler_factory(),
             initial,
             max_steps=300,
             rng=RandomSource(seed),
         )
-        assert legacy.configurations == fast.configurations
-        assert legacy.steps == fast.steps
+        assert trace.configurations == configurations
+        assert [step.moves for step in trace.steps] == steps
 
 
 def test_cursor_tracks_enabled_incrementally():
     system = make_token_ring_system(8)
-    kernel = TransitionKernel(system)
-    cursor = KernelCursor(kernel, next(system.all_configurations()))
+    cursor = Cursor(system, next(system.all_configurations()))
     rng = RandomSource(13)
     picker = RandomSource(14)
     for _ in range(200):
@@ -215,14 +232,12 @@ def test_statespace_exploration_identical(relation_factory):
         ("token-ring-5", make_token_ring_system(5)),
         ("herman-5", make_herman_system(5)),
     ):
-        legacy = StateSpace.explore(
-            system, relation_factory(), use_kernel=False
-        )
-        fast = StateSpace.explore(system, relation_factory())
-        assert legacy.configurations == fast.configurations
-        assert legacy.index == fast.index
-        assert legacy.edges == fast.edges
-        assert legacy.enabled == fast.enabled
+        walk = StateSpace._explore_walk(system, relation_factory())
+        compiled = StateSpace.explore(system, relation_factory())
+        assert walk.configurations == compiled.configurations
+        assert walk.index == compiled.index
+        assert walk.edges == compiled.edges
+        assert walk.enabled == compiled.enabled
 
 
 @pytest.mark.parametrize(
@@ -236,47 +251,44 @@ def test_statespace_exploration_identical(relation_factory):
 )
 def test_chain_rows_identical(distribution_factory):
     for system in (make_token_ring_system(5), make_herman_system(5)):
-        legacy = build_chain(system, distribution_factory(), use_kernel=False)
-        fast = build_chain(system, distribution_factory())
-        assert legacy.states == fast.states
-        assert legacy.rows == fast.rows
+        scalar = build_chain(system, distribution_factory(), engine="scalar")
+        compiled = build_chain(system, distribution_factory())
+        assert scalar.states == compiled.states
+        assert scalar.rows == compiled.rows
 
 
 def test_run_until_and_montecarlo_identical_across_paths():
     system = make_leader_tree_system(random_tree(9, RandomSource(3)))
     initial = random_configuration(system, RandomSource(8))
-    legacy = run_until(
+    full = run_until(
         system,
         DistributedRandomizedSampler(),
         initial,
         stop=system.is_terminal,
         max_steps=20_000,
         rng=RandomSource(6),
-        use_kernel=False,
     )
-    kernel = TransitionKernel(system)
-    fast = run_until(
+    compact = run_until(
         system,
         DistributedRandomizedSampler(),
         initial,
-        stop=kernel.is_terminal,
+        stop=system.is_terminal,
         max_steps=20_000,
         rng=RandomSource(6),
-        kernel=kernel,
         record=False,
     )
-    assert legacy.converged == fast.converged
-    assert legacy.steps_taken == fast.steps_taken
-    assert legacy.trace.final == fast.trace.final
+    assert full.converged == compact.converged
+    assert full.steps_taken == compact.steps_taken
+    assert full.trace.final == compact.trace.final
     # Compact traces retain only the endpoints and refuse
     # history-derived queries instead of answering from thin air.
-    assert len(fast.trace.configurations) <= 2
-    assert fast.trace.initial == initial
-    assert not fast.trace.has_full_history
+    assert len(compact.trace.configurations) <= 2
+    assert compact.trace.initial == initial
+    assert not compact.trace.has_full_history
     with pytest.raises(ModelError):
-        fast.trace.acting_sets()
+        compact.trace.acting_sets()
     with pytest.raises(ModelError):
-        fast.trace.visits(initial)
+        compact.trace.visits(initial)
 
     result = estimate_stabilization_time(
         system,
@@ -288,115 +300,3 @@ def test_run_until_and_montecarlo_identical_across_paths():
     )
     assert result.converged == result.trials
     assert result.stats is not None and result.stats.mean > 0
-
-
-def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
-    """The oracle escape hatch: a scalar-engine ``batch`` is bit-equal
-    to sequential estimates (same kernel, same random streams)."""
-    system = make_leader_tree_system(path(6))
-    cases = [
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(31),
-        ),
-        dict(
-            sampler=SynchronousSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(32),
-        ),
-    ]
-    runner = MonteCarloRunner(system, engine="scalar")
-    batched = runner.batch([dict(case, rng=RandomSource(case["rng"].seed))
-                            for case in cases])
-    separate = [
-        estimate_stabilization_time(system, engine="scalar", **case)
-        for case in cases
-    ]
-    assert len(batched) == len(separate)
-    for fast, reference in zip(batched, separate):
-        assert fast == reference
-    # The batch shared one kernel: its tables saturated, not re-resolved.
-    assert runner.kernel.resolutions == runner.kernel.table_size
-
-
-def test_montecarlo_runner_batch_fuses_through_sweep_runner():
-    """Default-engine ``batch`` routes fusable cases through the fused
-    sweep engine: full convergence, structural outcomes matching the
-    per-case estimates, input order preserved."""
-    system = make_leader_tree_system(path(6))
-    cases = [
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(31),
-        ),
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=12,
-            max_steps=10_000,
-            rng=RandomSource(32),
-        ),
-        # Round measurement cannot fuse: the oracle escape hatch keeps
-        # the sequential path (and its exact random stream) for it.
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=5,
-            max_steps=10_000,
-            rng=RandomSource(33),
-            measure_rounds=True,
-        ),
-    ]
-    runner = MonteCarloRunner(system)
-    batched = runner.batch([dict(case) for case in cases])
-    assert [result.trials for result in batched] == [10, 12, 5]
-    assert all(result.censored == 0 for result in batched)
-    assert batched[2].round_stats is not None
-    sequential = MonteCarloRunner(system).estimate(
-        **dict(cases[2], rng=RandomSource(33))
-    )
-    assert batched[2] == sequential
-
-
-def test_kernel_rejects_disabled_and_empty_subsets():
-    system = make_token_ring_system(4)
-    kernel = TransitionKernel(system)
-    configuration = next(system.all_configurations())
-    disabled = [
-        p
-        for p in system.processes
-        if not system.is_enabled(configuration, p)
-    ]
-    rng = RandomSource(0)
-    with pytest.raises(SchedulerError):
-        kernel.sample_step(configuration, [], rng)
-    if disabled:
-        with pytest.raises(SchedulerError):
-            kernel.sample_step(configuration, [disabled[0]], rng)
-    with pytest.raises(MarkovError):
-        MonteCarloRunner(system).estimate(
-            CentralRandomizedSampler(),
-            system.is_terminal,
-            trials=1,
-            max_steps=10,
-            rng=rng,
-            initial_configurations=[],
-        )
-
-
-def test_kernel_proxies_system_attributes():
-    system = make_token_ring_system(4)
-    kernel = TransitionKernel(system)
-    assert kernel.system is system
-    assert kernel.num_processes == system.num_processes
-    assert kernel.topology is system.topology
-    assert kernel.algorithm is system.algorithm
-    assert kernel.num_configurations() == system.num_configurations()

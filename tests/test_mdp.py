@@ -18,7 +18,6 @@ from conformance_registry import (
     conformance_system,
     make_two_action_system,
 )
-from repro.core.kernel import TransitionKernel
 from repro.core.system import compose_weighted_targets
 from repro.errors import MarkovError
 from repro.markov.builder import build_chain
@@ -115,7 +114,7 @@ def test_mdp_states_align_with_chain_states():
 
 
 # ----------------------------------------------------------------------
-# scalar oracle: the exact wire arrays, rebuilt from the kernel
+# scalar oracle: the exact wire arrays, rebuilt from the System
 # ----------------------------------------------------------------------
 def _daemon_subsets(daemon, enabled):
     """The daemon's choices from a sorted enabled tuple, enumerated here
@@ -134,19 +133,18 @@ def _daemon_subsets(daemon, enabled):
 
 
 def _scalar_mdp(system, daemon):
-    """The MDP's four wire arrays from :class:`TransitionKernel` alone.
+    """The MDP's four wire arrays from :class:`System` alone.
 
     One action per :func:`_daemon_subsets` subset (a terminal
     configuration gets one self-loop action), each edge ``branch /
     action_choices`` with zero-probability branches dropped, duplicate
     targets summed in dict (emission) order, edges sorted by target.
     """
-    kernel = TransitionKernel(system)
     states = list(system.all_configurations())
     index = {state: state_id for state_id, state in enumerate(states)}
     action_counts, edge_counts, targets, probs = [], [], [], []
     for state_id, configuration in enumerate(states):
-        resolved = kernel.resolved_actions(configuration)
+        resolved = system.resolved_actions(configuration)
         enabled = tuple(sorted(resolved))
         if not enabled:
             action_counts.append(1)

@@ -34,7 +34,6 @@ from repro.algorithms.herman_variants import (
     make_herman_speed_reducer_system,
 )
 from repro.core.encoding import compile_tables
-from repro.core.kernel import TransitionKernel
 from repro.core.parametric import (
     MAX_COIN_PARAMETERS,
     AffineProbability,
@@ -402,4 +401,4 @@ class TestAffineSubstrate:
 
         system = System(TooManyCoins(), Topology(path(2)))
         with pytest.raises(ModelError):
-            compile_tables(TransitionKernel(system))
+            compile_tables(system)

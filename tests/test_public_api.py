@@ -1,6 +1,7 @@
 """Public API surface tests: the README contracts must keep working."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -57,6 +58,42 @@ class TestSubpackageAllLists:
         ):
             module = importlib.import_module(module_name)
             assert len(module.__all__) == len(set(module.__all__))
+
+
+def _callables(value):
+    """``value`` itself when callable, plus the public methods of a class."""
+    if inspect.isclass(value):
+        yield value
+        for name, member in vars(value).items():
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if callable(member) and not name.startswith("_"):
+                yield member
+    elif callable(value):
+        yield value
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.core", "repro.markov", "repro.stabilization", "repro.schedulers"],
+)
+def test_no_kernel_knobs_in_public_callables(module_name):
+    """There is one scalar path, over ``System``: no public callable
+    takes a memo-kernel object or a switch to bypass one."""
+    module = importlib.import_module(module_name)
+    offenders = []
+    for name in module.__all__:
+        for function in _callables(getattr(module, name)):
+            try:
+                parameters = inspect.signature(function).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            offenders.extend(
+                f"{name}: {getattr(function, '__qualname__', function)}"
+                for knob in ("kernel", "use_kernel")
+                if knob in parameters
+            )
+    assert not offenders
 
 
 class TestErrorsHierarchy:

@@ -256,11 +256,8 @@ MALFORMED_SEEDS = [
 def test_malformed_seeds_rejected_by_every_path(seed):
     """Every explorer and chain engine checks explicit seeds."""
     system = make_token_ring_system(4)
-    for use_kernel in (True, False):
-        with pytest.raises(ModelError):
-            StateSpace.explore(
-                system, CentralRelation(), [seed], use_kernel=use_kernel
-            )
+    with pytest.raises(ModelError):
+        StateSpace.explore(system, CentralRelation(), [seed])
     with pytest.raises(ModelError):
         StateSpace._explore_walk(system, CentralRelation(), [seed])
     for engine in ("compiled", "scalar"):
@@ -301,13 +298,3 @@ def test_sharded_identical_downstream_verdicts():
         assert convergence_profile(
             oracle, mask_oracle
         ) == convergence_profile(compiled, mask_compiled)
-
-
-def test_use_kernel_false_still_oracle():
-    """The reference-path escape hatch runs the dict walk."""
-    system = make_token_ring_system(5)
-    reference = StateSpace.explore(
-        system, CentralRelation(), use_kernel=False
-    )
-    oracle = StateSpace._explore_walk(system, CentralRelation())
-    assert_identical(reference, oracle)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conformance_registry import make_two_action_system
+from repro.algorithms.herman_ring import make_herman_system
 from repro.algorithms.leader_tree import (
     TreeLeaderSpec,
     make_leader_tree_system,
@@ -15,8 +17,12 @@ from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
 from repro.errors import StateSpaceError
 from repro.graphs.generators import figure3_chain
 from repro.schedulers.fairness import fairness_report
-from repro.schedulers.relations import CentralRelation, DistributedRelation
-from repro.stabilization.statespace import StateSpace
+from repro.schedulers.relations import (
+    CentralRelation,
+    DistributedRelation,
+    SynchronousRelation,
+)
+from repro.stabilization.statespace import StateSpace, mask_to_subset
 from repro.stabilization.witnesses import (
     converging_execution,
     find_gouda_witnesses,
@@ -46,6 +52,37 @@ class TestRecoverStep:
                 0b01,
                 ((False,), (True,)),  # p0 moving cannot change p1
             )
+
+
+def _first_branch_moves(system, source, mask, target):
+    """The reference: scan every branch of the subset, keep the first."""
+    for branch in system.subset_branches(source, mask_to_subset(mask)):
+        if branch.target == target:
+            return branch.moves
+    return None
+
+
+@pytest.mark.parametrize(
+    "system",
+    [make_herman_system(5), make_two_action_system(4)],
+    ids=["herman-5", "two-action-ring4"],
+)
+def test_recover_step_matches_branch_scan_on_every_edge(system):
+    """Per-mover recovery returns the branch scan's first match on every
+    edge of a probabilistic synchronous space.  On the two-action ring
+    most edges are reached by several branches (two actions with
+    overlapping post-states), so the match order matters."""
+    space = StateSpace.explore(system, SynchronousRelation())
+    targets = space.targets.tolist()
+    masks = space.masks.tolist()
+    bounds = space.indptr.tolist()
+    for source_id, source in enumerate(space.configurations):
+        for edge in range(bounds[source_id], bounds[source_id + 1]):
+            target = space.configurations[targets[edge]]
+            expected = _first_branch_moves(system, source, masks[edge], target)
+            assert expected is not None
+            step = recover_step(system, source, masks[edge], target)
+            assert step.moves == expected
 
 
 class TestConvergingExecution:

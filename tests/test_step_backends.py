@@ -22,7 +22,6 @@ from conformance_registry import (
     conformance_system,
 )
 from repro.core.encoding import expansion_context
-from repro.core.kernel import TransitionKernel
 from repro.errors import ModelError
 from repro.markov import superstep
 from repro.markov.batch import (
@@ -71,7 +70,7 @@ def _batch_run(
     """
     entry = conformance_entry(system_name)
     system = conformance_system(system_name)
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS[sampler_key]())
     if legitimacy is None:
         legit = (
@@ -172,7 +171,7 @@ def test_superstep_central_single_enabled_run(monkeypatch):
     (exactly one enabled process at every reachable state), so the
     central eligibility check passes and the rank-space path runs."""
     system = conformance_system("token-ring5")
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["central"]())
     # A legitimate (single-token) configuration; an unreachable
     # legitimacy count keeps every trial alive so the run exercises the
@@ -208,7 +207,7 @@ def test_superstep_skipped_for_decoding_legitimacy(monkeypatch):
     plan must decline and the per-step body must evaluate them."""
     system = conformance_system("coloring-ring5")
     entry = conformance_entry("coloring-ring5")
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["synchronous"]())
     legitimacy = compile_legitimacy(entry.legitimate(system))  # decoding
     initials = random_configurations(system, RandomSource(11), 16)
@@ -228,7 +227,7 @@ def test_deterministic_successor_ranks_guards_stochastic_tables():
     """Herman's protocol tosses coins, so its tables are not
     deterministic and the successor-map compiler must refuse."""
     system = conformance_system("herman-ring5")
-    engine = BatchEngine(TransitionKernel(system))
+    engine = BatchEngine(system)
     context = expansion_context(engine.tables)
     assert not context.deterministic
     with pytest.raises(ModelError, match="deterministic"):
@@ -236,7 +235,7 @@ def test_deterministic_successor_ranks_guards_stochastic_tables():
 
 
 def test_expansion_context_memoized_on_tables():
-    engine = BatchEngine(TransitionKernel(conformance_system("token-ring5")))
+    engine = BatchEngine(conformance_system("token-ring5"))
     assert expansion_context(engine.tables) is expansion_context(
         engine.tables
     )
@@ -302,7 +301,7 @@ def test_fused_sweep_with_stochastic_member_declines(monkeypatch):
 # per-phase profiling counters
 # ----------------------------------------------------------------------
 def test_profile_counters_on_per_step_path():
-    engine = BatchEngine(TransitionKernel(conformance_system("token-ring5")))
+    engine = BatchEngine(conformance_system("token-ring5"))
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["central"]())
     entry = conformance_entry("token-ring5")
     initials = random_configurations(
@@ -324,9 +323,7 @@ def test_profile_counters_on_per_step_path():
 
 
 def test_profile_counters_on_superstep_path():
-    engine = BatchEngine(
-        TransitionKernel(conformance_system("coloring-ring5"))
-    )
+    engine = BatchEngine(conformance_system("coloring-ring5"))
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["synchronous"]())
     entry = conformance_entry("coloring-ring5")
     initials = random_configurations(
@@ -354,7 +351,7 @@ def test_unprofiled_run_has_no_profile():
 def test_batch_engine_run_rejects_unknown_backend():
     """There is one lockstep loop and no step-backend option: passing
     ``backend=`` is an error, not a silently ignored knob."""
-    engine = BatchEngine(TransitionKernel(conformance_system("token-ring5")))
+    engine = BatchEngine(conformance_system("token-ring5"))
     strategy = batch_strategy_for(CONFORMANCE_SAMPLERS["central"]())
     codes = encode_initials(
         engine.encoding,

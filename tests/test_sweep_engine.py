@@ -511,7 +511,7 @@ class TestSignatureKeyedCache:
     """The per-system cache is keyed by content signature, never id.
 
     The old ``id(system)``-keyed dicts could hand a value-different
-    system a stale kernel once the interpreter recycled a collected
+    system a stale engine once the interpreter recycled a collected
     system's id — routine in a long-lived serving process with LRU
     eviction.  These tests pin the replacement contract: recycled ids
     recompile, evicted entries recompile, and value-equal systems built
@@ -521,7 +521,7 @@ class TestSignatureKeyedCache:
     def test_recycled_id_gets_fresh_compilation(self):
         """Build a system, prime the cache, let the system be collected,
         then build a *value-different* system whose instance reuses the
-        freed id — it must get a fresh kernel, not the stale entry."""
+        freed id — it must get a fresh engine, not the stale entry."""
         import copy
 
         template = make_token_ring_system(6)
@@ -552,7 +552,7 @@ class TestSignatureKeyedCache:
             )
             entry = runner._entry_for(fresh)
             assert entry.system is fresh
-            assert entry.kernel is not None
+            assert entry.engine is not None
             assert results[0].samples == oracle[0].samples
             return
         pytest.skip("allocator never recycled the system id in 50 tries")

@@ -30,7 +30,6 @@ from repro.core.encoding import (
     process_classes,
     tables_for,
 )
-from repro.core.kernel import TransitionKernel
 from repro.errors import ModelError
 from repro.lru import SignatureLRU
 from repro.markov.batch import BatchEngine, EnabledCountLegitimacy
@@ -57,9 +56,9 @@ def compile_calls(monkeypatch):
     calls = []
     real = encoding_module.compile_tables
 
-    def counting(kernel, *args, **kwargs):
-        calls.append(kernel.system)
-        return real(kernel, *args, **kwargs)
+    def counting(system, *args, **kwargs):
+        calls.append(system)
+        return real(system, *args, **kwargs)
 
     monkeypatch.setattr(encoding_module, "compile_tables", counting)
     return calls
@@ -144,9 +143,9 @@ def test_equal_systems_share_one_tables_object(compile_calls):
     second = make_token_ring_system(5)
     assert first is not second
     tables = tables_for(first)
-    assert tables_for(TransitionKernel(second)) is tables
-    assert BatchEngine(TransitionKernel(second)).tables is tables
-    assert BatchEngine(TransitionKernel(second)).encoding is tables.encoding
+    assert tables_for(second) is tables
+    assert BatchEngine(second).tables is tables
+    assert BatchEngine(second).encoding is tables.encoding
     chain = build_chain(second, CentralRandomizedDistribution())
     chain.mark(EnabledCountLegitimacy(1))
     assert chain._compiled_tables() is tables
@@ -157,9 +156,9 @@ def test_racing_threads_compile_once(monkeypatch, compile_calls):
     TABLE_CACHE.clear()
     counting = encoding_module.compile_tables
 
-    def slow(kernel, *args, **kwargs):
+    def slow(system, *args, **kwargs):
         time.sleep(0.2)  # both threads are inside tables_for by now
-        return counting(kernel, *args, **kwargs)
+        return counting(system, *args, **kwargs)
 
     monkeypatch.setattr(encoding_module, "compile_tables", slow)
     barrier = threading.Barrier(2)
@@ -211,7 +210,7 @@ def test_hit_under_smaller_budget_raises_the_compile_error():
     tables = tables_for(system)
     budget = tables.num_entries - 1
     with pytest.raises(ModelError) as compiled:
-        compile_tables(TransitionKernel(system), max_entries=budget)
+        compile_tables(system, max_entries=budget)
     with pytest.raises(ModelError) as cached:
         tables_for(system, max_entries=budget)
     assert str(cached.value) == str(compiled.value)
@@ -300,7 +299,7 @@ def test_lru_bound_holds_and_evicted_tables_recompile(
     assert system_cache_key(rings[3]) not in small
     again = tables_for(make_token_ring_system(3))
     assert len(compile_calls) == 4
-    reference = compile_tables(TransitionKernel(rings[3]))
+    reference = compile_tables(rings[3])
     assert np.array_equal(again.enabled_flat, reference.enabled_flat)
     assert np.array_equal(again.outcome_code, reference.outcome_code)
 
@@ -369,10 +368,10 @@ def test_warm_campaign_workers_never_compile(tmp_path, monkeypatch):
     supervisor = os.getpid()
     real = encoding_module.compile_tables
 
-    def parent_only(kernel, *args, **kwargs):
+    def parent_only(system, *args, **kwargs):
         if os.getpid() != supervisor:
             raise RuntimeError("a forked worker compiled tables")
-        return real(kernel, *args, **kwargs)
+        return real(system, *args, **kwargs)
 
     monkeypatch.setattr(encoding_module, "compile_tables", parent_only)
     TABLE_CACHE.clear()
