@@ -30,7 +30,9 @@ from repro.core.variables import VariableLayout, VarSpec
 from repro.core.view import View
 from repro.errors import ModelError, TopologyError
 from repro.graphs.generators import ring as make_ring
+from repro.markov.batch import BatchLegitimacy, EnabledCountLegitimacy
 from repro.stabilization.specification import Specification
+from repro.stabilization.statespace import mask_to_subset
 
 __all__ = [
     "DijkstraKStateAlgorithm",
@@ -118,6 +120,10 @@ class SinglePrivilegeSpec(Specification):
     def legitimate(self, system: System, configuration: Configuration) -> bool:
         return len(privileged_processes(system, configuration)) == 1
 
+    def batch_legitimacy(self, system: System) -> BatchLegitimacy:
+        # Privileged is enabled by definition, on any system.
+        return EnabledCountLegitimacy(1)
+
     def validate_behavior(self, system, space, legitimate_ids):
         if not legitimate_ids:
             return ["no legitimate configurations"]
@@ -125,8 +131,8 @@ class SinglePrivilegeSpec(Specification):
         config_id = legitimate_ids[0]
         seen: set[int] = set()
         for _ in range(3 * system.num_processes):
-            configuration = space.configurations[config_id]
-            privileged = privileged_processes(system, configuration)
+            # The explored enabled set is the privileged set.
+            privileged = mask_to_subset(int(space.enabled_bits[config_id]))
             if len(privileged) != 1:
                 violations.append("privilege count deviated from one")
                 break

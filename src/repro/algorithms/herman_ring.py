@@ -16,6 +16,12 @@ experiment Q3.
 
 from __future__ import annotations
 
+from repro.algorithms.herman_variants import (
+    HermanRandomBitAlgorithm,
+    HermanRandomPassAlgorithm,
+    HermanSpeedReducer2Algorithm,
+    HermanSpeedReducerAlgorithm,
+)
 from repro.core.actions import Action, Outcome, deterministic_action
 from repro.core.algorithm import Algorithm
 from repro.core.configuration import Configuration
@@ -25,6 +31,7 @@ from repro.core.variables import VariableLayout, VarSpec
 from repro.core.view import View
 from repro.errors import ModelError, TopologyError
 from repro.graphs.generators import ring as make_ring
+from repro.markov.batch import ActionCountLegitimacy, BatchLegitimacy
 from repro.stabilization.specification import Specification
 
 __all__ = [
@@ -91,6 +98,18 @@ class HermanAlgorithm(Algorithm):
         )
 
 
+#: The actions whose guards together are the token predicate
+#: ``x_p = x_Pred(p)``, per Herman algorithm: ``T`` itself, or the speed
+#: reducers' ``TF``/``TR``, which split it on the gate ``y``.
+_TOKEN_ACTIONS: dict[type, tuple[str, ...]] = {
+    HermanAlgorithm: ("T",),
+    HermanRandomBitAlgorithm: ("T",),
+    HermanRandomPassAlgorithm: ("T",),
+    HermanSpeedReducerAlgorithm: ("TF", "TR"),
+    HermanSpeedReducer2Algorithm: ("TF", "TR"),
+}
+
+
 def herman_token_holders(
     system: System, configuration: Configuration
 ) -> list[int]:
@@ -104,12 +123,31 @@ def herman_token_holders(
 
 
 class HermanSingleTokenSpec(Specification):
-    """Exactly one token (the probabilistic convergence target)."""
+    """Exactly one token (the probabilistic convergence target).
+
+    Its batch form counts the cells where a token action is enabled
+    (the compiled tables' per-row action index), on the Herman
+    algorithms whose token actions' guards are the token predicate;
+    every other system gets the scalar predicate.
+    """
 
     name = "herman-single-token"
 
     def legitimate(self, system: System, configuration: Configuration) -> bool:
         return len(herman_token_holders(system, configuration)) == 1
+
+    def batch_legitimacy(self, system: System) -> BatchLegitimacy | None:
+        names = _TOKEN_ACTIONS.get(type(system.algorithm))
+        if names is None:
+            return None
+        return ActionCountLegitimacy(
+            [
+                position
+                for position, action in enumerate(system.actions)
+                if action.name in names
+            ],
+            1,
+        )
 
 
 def make_herman_system(ring_size: int) -> System:

@@ -25,9 +25,12 @@ one process with ``Par = ⊥`` and every other process's parent path
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.actions import Action, deterministic_action
 from repro.core.algorithm import Algorithm
 from repro.core.configuration import Configuration
+from repro.core.encoding import StateEncoding
 from repro.core.system import System
 from repro.core.topology import Topology
 from repro.core.variables import BOTTOM, VariableLayout, VarSpec
@@ -36,6 +39,7 @@ from repro.errors import ModelError, TopologyError
 from repro.graphs.graph import Graph
 from repro.graphs.generators import figure2_tree
 from repro.graphs.properties import is_tree
+from repro.markov.batch import BatchLegitimacy
 from repro.stabilization.specification import Specification
 
 __all__ = [
@@ -45,6 +49,7 @@ __all__ = [
     "leaders",
     "root_of",
     "satisfies_lc",
+    "ParentPointers",
     "figure2_initial_configuration",
     "figure2_system",
 ]
@@ -167,6 +172,80 @@ def satisfies_lc(system: System, configuration: Configuration) -> bool:
     )
 
 
+class ParentPointers:
+    """``Par`` as global process ids over code matrices: the arrays behind
+    :class:`TreeLeaderSpec`'s batch form.
+
+    Built only for Algorithm 2 on a tree (:meth:`of`), where Definition
+    12's parent path always ends (Remark 2).
+    """
+
+    def __init__(self, system: System) -> None:
+        # Code c of process p is the c-th local state of its
+        # StateEncoding; every encoding of one system agrees on it.
+        encoding = StateEncoding(system)
+        topology = system.topology
+        self._table = np.full(
+            (system.num_processes, int(encoding.sizes.max())), -1, np.int64
+        )
+        for process, layout in enumerate(system.layouts):
+            slot = layout.slot("Par")
+            for code, state in enumerate(encoding.local_states(process)):
+                if state[slot] is not BOTTOM:
+                    self._table[process, code] = topology.neighbor(
+                        process, state[slot]
+                    )
+
+    @classmethod
+    def of(cls, system: System) -> "ParentPointers | None":
+        """Pointers of Algorithm 2 on a tree, else ``None``."""
+        if type(system.algorithm) is not LeaderTreeAlgorithm or not is_tree(
+            system.topology.graph
+        ):
+            return None
+        return cls(system)
+
+    def parents(self, codes: np.ndarray) -> np.ndarray:
+        """``(S, N)`` parent of every process, ``-1`` where ``Par = ⊥``."""
+        table = self._table
+        return table[np.arange(table.shape[0]), codes.astype(np.int64)]
+
+    def roots(self, parents: np.ndarray) -> np.ndarray:
+        """``(S, N)`` ``Root(p)`` of every process (Definition 12).
+
+        One step of ``root_of`` moves a process to its parent unless it
+        is a leader or forms a mutual pair with its parent; pointer
+        jumping composes that step with itself until every process sits
+        at its root — on a tree, at most ``⌈log₂ N⌉ + 1`` rounds.
+        """
+        own = np.broadcast_to(np.arange(parents.shape[1]), parents.shape)
+        parent = np.where(parents < 0, own, parents)
+        grandparent = np.take_along_axis(parents, parent, axis=1)
+        stop = (parents < 0) | (grandparent == own)
+        step = np.where(stop, own, parent)
+        while True:
+            jumped = np.take_along_axis(step, step, axis=1)
+            if np.array_equal(jumped, step):
+                return step
+            step = jumped
+
+
+class _LegitimateConfigurations(BatchLegitimacy):
+    """Definition 13's ``LC`` over a code matrix: exactly one leader, and
+    every process's root is the same (hence the leader, its own root)."""
+
+    __slots__ = ("_pointers",)
+
+    def __init__(self, pointers: ParentPointers) -> None:
+        self._pointers = pointers
+
+    def evaluate(self, codes, enabled, engine):
+        parents = self._pointers.parents(codes)
+        roots = self._pointers.roots(parents)
+        one_leader = (parents < 0).sum(axis=1) == 1
+        return one_leader & (roots == roots[:, :1]).all(axis=1)
+
+
 class TreeLeaderSpec(Specification):
     """Definition 5 via ``LC``: one leader, everyone oriented toward it.
 
@@ -180,14 +259,18 @@ class TreeLeaderSpec(Specification):
     def legitimate(self, system: System, configuration: Configuration) -> bool:
         return satisfies_lc(system, configuration)
 
+    def batch_legitimacy(self, system: System) -> BatchLegitimacy | None:
+        # LC computed from the Par codes, never as "terminal": that
+        # equivalence is Lemma 10, which THM4 verifies through this form.
+        pointers = ParentPointers.of(system)
+        return None if pointers is None else _LegitimateConfigurations(pointers)
+
     def validate_behavior(self, system, space, legitimate_ids):
-        violations: list[str] = []
-        for config_id in legitimate_ids:
-            if not space.is_terminal(config_id):
-                violations.append(
-                    f"legitimate configuration {config_id} is not terminal"
-                )
-        return violations
+        ids = np.asarray(legitimate_ids, dtype=np.int64)
+        return [
+            f"legitimate configuration {config_id} is not terminal"
+            for config_id in ids[space.enabled_bits[ids] != 0].tolist()
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -34,8 +34,9 @@ from repro.core.view import View
 from repro.errors import ModelError, TopologyError
 from repro.graphs.generators import ring as make_ring
 from repro.algorithms.number_theory import smallest_non_divisor
+from repro.markov.batch import BatchLegitimacy, EnabledCountLegitimacy
 from repro.stabilization.specification import Specification
-from repro.stabilization.statespace import StateSpace
+from repro.stabilization.statespace import StateSpace, mask_to_subset
 
 __all__ = [
     "TokenRingAlgorithm",
@@ -146,15 +147,30 @@ class TokenCirculationSpec(Specification):
     def legitimate(self, system: System, configuration: Configuration) -> bool:
         return count_tokens(system, configuration) == 1
 
+    def batch_legitimacy(self, system: System) -> BatchLegitimacy | None:
+        # Token(p) is the guard of Algorithm 1's one action, so there
+        # "one token" is "one enabled process" by definition.
+        if type(system.algorithm) is TokenRingAlgorithm:
+            return EnabledCountLegitimacy(1)
+        return None
+
     def validate_behavior(self, system, space: StateSpace, legitimate_ids):
         violations: list[str] = []
         topology = system.topology
         if not isinstance(topology, OrientedRing):  # pragma: no cover
             return ["token circulation spec needs an oriented ring"]
+        if type(system.algorithm) is TokenRingAlgorithm:
+            # Token holders are the enabled processes (the action's guard).
+            def holders(config_id: int) -> tuple[int, ...]:
+                return mask_to_subset(int(space.enabled_bits[config_id]))
+        else:
+            def holders(config_id: int) -> tuple[int, ...]:
+                return tuple(
+                    token_holders(system, space.configurations[config_id])
+                )
         legitimate_set = set(legitimate_ids)
         for config_id in legitimate_ids:
-            configuration = space.configurations[config_id]
-            holder = token_holders(system, configuration)[0]
+            holder = holders(config_id)[0]
             successors = set(space.successors(config_id))
             if len(successors) != 1:
                 violations.append(
@@ -168,9 +184,7 @@ class TokenCirculationSpec(Specification):
                     f"legitimate config {config_id} escapes L"
                 )
                 continue
-            next_holder = token_holders(
-                system, space.configurations[target_id]
-            )[0]
+            next_holder = holders(target_id)[0]
             if next_holder != topology.successor(holder):
                 violations.append(
                     f"token jumped from {holder} to {next_holder}"
@@ -182,8 +196,7 @@ class TokenCirculationSpec(Specification):
             config_id = legitimate_ids[0]
             seen_holders: set[int] = set()
             for _ in range(system.num_processes):
-                configuration = space.configurations[config_id]
-                seen_holders.add(token_holders(system, configuration)[0])
+                seen_holders.add(holders(config_id)[0])
                 (config_id,) = set(space.successors(config_id))
             if seen_holders != set(system.processes):
                 violations.append(

@@ -44,6 +44,7 @@ pickle, or copy-on-write under ``fork``).
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import product
 from typing import Sequence
@@ -238,6 +239,10 @@ class CompiledKernelTables:
     * ``sample(...)`` — two full-shape uniform draws, then, at the movers
       only: action choice, inverse-CDF outcome, post-state codes.
 
+    ``action_index`` records, per action row, the row's position in
+    ``System.actions``, so a predicate over *which* action is enabled
+    (:meth:`entries_with_action`) reads the tables too.
+
     Every array is read-only (``writeable=False``) from construction
     on; the only state is precomputed structure, so one compiled table
     serves any number of concurrent batches and consumers, and a
@@ -256,6 +261,7 @@ class CompiledKernelTables:
         "outcome_cum",
         "outcome_code",
         "outcome_prob",
+        "action_index",
         "param_names",
         "outcome_prob_const",
         "outcome_prob_coeff",
@@ -276,6 +282,7 @@ class CompiledKernelTables:
         outcome_cum: np.ndarray,
         outcome_code: np.ndarray,
         outcome_prob: np.ndarray,
+        action_index: np.ndarray,
         process_class: np.ndarray,
         param_names: tuple[str, ...] = (),
         outcome_prob_const: np.ndarray | None = None,
@@ -291,6 +298,7 @@ class CompiledKernelTables:
         self.outcome_cum = outcome_cum
         self.outcome_code = outcome_code
         self.outcome_prob = outcome_prob
+        self.action_index = action_index
         self.param_names = param_names
         self.outcome_prob_const = outcome_prob_const
         self.outcome_prob_coeff = outcome_prob_coeff
@@ -404,6 +412,20 @@ class CompiledKernelTables:
         stepped.reshape(-1)[cells] = self.outcome_code[rows, outcome]
         return stepped
 
+    def entries_with_action(self, actions: Sequence[int]) -> np.ndarray:
+        """Per entry: whether one of ``actions`` is enabled there.
+
+        ``actions`` are positions in :attr:`System.actions
+        <repro.core.system.System.actions>`; gather the result with
+        packed keys for the cells where one of them is enabled.
+        """
+        rows = int(self.action_count.sum())
+        row_entry = np.repeat(np.arange(self.num_entries), self.action_count)
+        hit = np.isin(self.action_index[:rows], np.asarray(actions))
+        result = np.zeros(self.num_entries, dtype=bool)
+        result[row_entry[hit]] = True
+        return result
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledKernelTables(entries={self.num_entries},"
@@ -504,6 +526,12 @@ class ExpansionContext:
             ):
                 matrix[row, process] = (rank // weight) % size
         return matrix
+
+    def all_codes(self) -> np.ndarray:
+        """``(|C|, N)`` code matrix of every configuration, rank order
+        (:func:`~repro.core.configuration.enumerate_configurations`
+        order)."""
+        return self.codes_of_ranks(np.arange(math.prod(self.sizes)))
 
     def rank_of(self, codes: Sequence[int] | np.ndarray) -> int:
         """Mixed-radix configuration rank of one code vector."""
@@ -670,6 +698,7 @@ def compile_tables(
     row_cums: list[tuple[float, ...]] = []
     row_codes: list[tuple[int, ...]] = []
     row_probs: list[tuple[float, ...]] = []
+    row_actions: list[int] = []
     # Per action row: one (constant, coefficients) term per outcome when
     # the probability is affine in coin parameters, else None.  Rows with
     # no affine outcome at all store None.
@@ -678,6 +707,10 @@ def compile_tables(
     # Normalized cumulative rows by raw probability vector: few distinct
     # coin distributions recur across all action rows.
     cum_of: dict[tuple[float, ...], tuple[float, ...]] = {}
+    # By identity: two equal actions still sit at distinct positions.
+    position_of_action = {
+        id(action): position for position, action in enumerate(system.actions)
+    }
     for class_id, process in enumerate(representatives):
         members = (process, *neighbors[process])
         for index, key in enumerate(
@@ -688,7 +721,8 @@ def compile_tables(
             enabled_flat[index] = bool(actions)
             action_count[index] = len(actions)
             action_base[index] = len(row_cums) if actions else 0
-            for _, outcomes in actions:
+            for action, outcomes in actions:
+                row_actions.append(position_of_action[id(action)])
                 # The raw (pre-normalization) probabilities feed the chain
                 # builder, which must reproduce the scalar oracle's branch
                 # weights exactly, not modulo a normalizing division.
@@ -722,6 +756,8 @@ def compile_tables(
         outcome_cum[row, : len(cums)] = cums
         outcome_code[row, : len(codes)] = codes
         outcome_prob[row, : len(probs)] = probs
+    action_index = np.zeros(outcome_cum.shape[0], dtype=np.int64)
+    action_index[: len(row_actions)] = row_actions
 
     # Harvest affine coin-parameter forms (see repro.core.parametric):
     # constants default to the concrete probabilities, so non-affine
@@ -776,6 +812,7 @@ def compile_tables(
         outcome_cum=outcome_cum,
         outcome_code=outcome_code,
         outcome_prob=outcome_prob,
+        action_index=action_index,
         process_class=process_class,
         param_names=param_names,
         outcome_prob_const=outcome_prob_const,

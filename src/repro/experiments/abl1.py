@@ -70,7 +70,7 @@ def run_abl1(
             chain = lumped_synchronous_transformed_chain(
                 base_system, win_probability=bias
             )
-            summary = hitting_summary(chain, chain.mark(spec.legitimate))
+            summary = hitting_summary(chain, chain.mark(spec))
             all_converge = (
                 all_converge and summary.converges_with_probability_one
             )

@@ -75,7 +75,7 @@ def run_alg3(engine: str = "auto") -> ExperimentResult:
     ):
         chain = build_chain(transformed, distribution, engine=engine)
         absorption = absorption_probabilities(
-            chain, chain.mark(tspec.legitimate)
+            chain, chain.mark(tspec)
         )
         min_absorption = float(np.min(absorption))
         absorptions[name] = min_absorption

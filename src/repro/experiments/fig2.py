@@ -58,7 +58,7 @@ def run_fig2() -> ExperimentResult:
     # |subset| = 1, so a central witness proves possible convergence under
     # the paper's distributed scheduler while exploring far fewer edges.
     space = StateSpace.explore(system, CentralRelation())
-    legitimate = space.legitimate_mask(TreeLeaderSpec().legitimate)
+    legitimate = space.legitimate_mask(TreeLeaderSpec())
     witness = converging_execution(
         space, legitimate, space.id_of(initial)
     )

@@ -95,7 +95,7 @@ def run_opt1(
                 SynchronousDistribution(),
                 max_states=max_states,
             )
-            target = pchain.mark(spec.legitimate)
+            target = pchain.mark(spec)
             result = synthesize_optimal_bias(
                 pchain,
                 target,

@@ -59,7 +59,7 @@ def run_q2(
     for label, graph in exact_cases:
         system = make_leader_tree_system(graph)
         lumped = lumped_synchronous_transformed_chain(system)
-        summary = hitting_summary(lumped, lumped.mark(spec.legitimate))
+        summary = hitting_summary(lumped, lumped.mark(spec))
         all_converge = (
             all_converge and summary.converges_with_probability_one
         )

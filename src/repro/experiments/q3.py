@@ -82,7 +82,7 @@ def run_q3(
             system, SynchronousDistribution(), engine=chain_engine
         )
         summary = hitting_summary(
-            chain, chain.mark(HermanSingleTokenSpec().legitimate)
+            chain, chain.mark(HermanSingleTokenSpec())
         )
         herman_means[n] = summary.mean_expected_steps
         rows.append(
@@ -124,7 +124,7 @@ def run_q3(
             system, engine=chain_engine
         )
         summary = hitting_summary(
-            lumped, lumped.mark(TokenCirculationSpec().legitimate)
+            lumped, lumped.mark(TokenCirculationSpec())
         )
         trans_means[n] = summary.mean_expected_steps
         rows.append(

@@ -51,7 +51,7 @@ def _transformed_mean(base_system, spec, engine: str = "auto") -> float:
     from repro.markov.hitting import hitting_summary
 
     lumped = lumped_synchronous_transformed_chain(base_system, engine=engine)
-    summary = hitting_summary(lumped, lumped.mark(spec.legitimate))
+    summary = hitting_summary(lumped, lumped.mark(spec))
     assert summary.converges_with_probability_one
     return summary.mean_expected_steps
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 from repro.algorithms.number_theory import smallest_non_divisor
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
-    count_tokens,
     make_token_ring_system,
 )
+from repro.core.encoding import expansion_context, tables_for
+from repro.core.system import System
 from repro.experiments.base import ExperimentResult
 from repro.schedulers.relations import DistributedRelation
 from repro.stabilization.classify import classify
@@ -24,6 +25,18 @@ from repro.stabilization.profile import convergence_profile
 from repro.stabilization.statespace import StateSpace
 
 EXPERIMENT_ID = "THM2"
+
+
+def _lemma4_holds(system: System) -> bool:
+    """Every configuration holds a token.
+
+    ``Token(p)`` is the guard of Algorithm 1's one action, so "some
+    token" is "some enabled process": one gather over the code matrix
+    of every configuration.
+    """
+    tables = tables_for(system)
+    codes = expansion_context(tables).all_codes()
+    return bool(tables.enabled(tables.pack(codes)).any(axis=1).all())
 
 
 def run_thm2(
@@ -34,10 +47,7 @@ def run_thm2(
     all_pass = True
     for n in ring_sizes:
         system = make_token_ring_system(n)
-        lemma4 = all(
-            count_tokens(system, configuration) >= 1
-            for configuration in system.all_configurations()
-        )
+        lemma4 = _lemma4_holds(system)
         space = StateSpace.explore(system, DistributedRelation())
         verdict = classify(
             system,
@@ -47,7 +57,7 @@ def run_thm2(
         )
         profile = convergence_profile(
             space,
-            space.legitimate_mask(TokenCirculationSpec().legitimate),
+            space.legitimate_mask(TokenCirculationSpec()),
         )
         ok = (
             lemma4

@@ -12,54 +12,58 @@ Figure 2 tree), together with the supporting lemmas:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.leader_tree import (
+    ParentPointers,
     TreeLeaderSpec,
-    leaders,
     make_leader_tree_system,
-    satisfies_lc,
 )
+from repro.core.encoding import expansion_context, tables_for
 from repro.experiments.base import ExperimentResult
 from repro.graphs.generators import figure2_tree, spider, star
 from repro.graphs.graph import Graph
 from repro.graphs.prufer import all_labeled_trees
+from repro.markov.batch import MarkContext
 from repro.schedulers.relations import CentralRelation, DistributedRelation
 from repro.stabilization.classify import classify
 
 EXPERIMENT_ID = "THM4"
 
 
-def _lemma7_holds(system) -> bool:
-    """No-leader configurations always enable an A1."""
-    for configuration in system.all_configurations():
-        if leaders(system, configuration):
-            continue
-        if not any(
-            action.name == "A1"
-            for p in system.processes
-            for action in system.enabled_actions(configuration, p)
-        ):
-            return False
-    return True
+def _lemmas_hold(system) -> tuple[bool, bool]:
+    """Lemmas 7 and 10 on every configuration, over the compiled tables.
 
-
-def _lemma10_holds(system) -> bool:
-    """LC ⟺ terminal on the full configuration space."""
-    for configuration in system.all_configurations():
-        if satisfies_lc(system, configuration) != system.is_terminal(
-            configuration
-        ):
-            return False
-    return True
+    Lemma 7: where no process has ``Par = ⊥``, some ``A1`` is enabled
+    (read from the tables' per-row action index).  Lemma 10: ``LC``
+    (computed from the ``Par`` codes) holds exactly where no process is
+    enabled.
+    """
+    tables = tables_for(system)
+    codes = expansion_context(tables).all_codes()
+    keys = tables.pack(codes)
+    parents = ParentPointers.of(system).parents(codes)
+    a1 = [
+        position
+        for position, action in enumerate(system.actions)
+        if action.name == "A1"
+    ]
+    leaderless = (parents >= 0).all(axis=1)
+    some_a1 = tables.entries_with_action(a1)[keys].any(axis=1)
+    lemma7 = bool(some_a1[leaderless].all())
+    enabled = tables.enabled(keys)
+    legitimate = TreeLeaderSpec().batch_legitimacy(system).evaluate(
+        codes, enabled, MarkContext(tables.encoding, tables)
+    )
+    lemma10 = bool(np.array_equal(legitimate, ~enabled.any(axis=1)))
+    return lemma7, lemma10
 
 
 def _check_tree(graph: Graph, relation) -> dict:
     system = make_leader_tree_system(graph)
     verdict = classify(system, TreeLeaderSpec(), relation)
-    return {
-        "verdict": verdict,
-        "lemma7": _lemma7_holds(system),
-        "lemma10": _lemma10_holds(system),
-    }
+    lemma7, lemma10 = _lemmas_hold(system)
+    return {"verdict": verdict, "lemma7": lemma7, "lemma10": lemma10}
 
 
 def run_thm4(exhaustive_max_nodes: int = 5) -> ExperimentResult:

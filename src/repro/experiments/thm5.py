@@ -77,7 +77,7 @@ def run_thm5() -> ExperimentResult:
     all_pass = True
     for label, system, spec, relation, expect_converges in _cases():
         space = StateSpace.explore(system, relation)
-        legitimate = space.legitimate_mask(spec.legitimate)
+        legitimate = space.legitimate_mask(spec)
         possible, _ = possible_convergence(space, legitimate)
         witnesses = find_gouda_witnesses(space, legitimate)
         gouda_converges = not witnesses

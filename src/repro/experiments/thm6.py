@@ -78,7 +78,7 @@ def run_thm6() -> ExperimentResult:
 
     # (2) automated SCC-based search over the full state space
     space = StateSpace.explore(system, relation)
-    legitimate = space.legitimate_mask(spec.legitimate)
+    legitimate = space.legitimate_mask(spec)
     found = find_strongly_fair_lasso(space, legitimate)
     found_report = (
         fairness_report(system, found, relation) if found else None

@@ -94,11 +94,11 @@ def run_thm7(engine: str = "auto") -> ExperimentResult:
     for label, system, spec in _cases():
         for sched_label, relation, distribution in schedulers:
             space = StateSpace.explore(system, relation)
-            legitimate = space.legitimate_mask(spec.legitimate)
+            legitimate = space.legitimate_mask(spec)
             possible, _ = possible_convergence(space, legitimate)
             chain = build_chain(system, distribution, engine=engine)
             absorption = absorption_probabilities(
-                chain, chain.mark(spec.legitimate)
+                chain, chain.mark(spec)
             )
             min_absorption = float(np.min(absorption))
             prob_one = min_absorption >= 1.0 - ABSORPTION_TOLERANCE

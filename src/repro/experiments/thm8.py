@@ -82,20 +82,20 @@ def run_thm8(engine: str = "auto") -> ExperimentResult:
         spec = TransformedSpec(base_spec, base_system)
 
         space = StateSpace.explore(transformed, SynchronousRelation())
-        legitimate = space.legitimate_mask(spec.legitimate)
+        legitimate = space.legitimate_mask(spec)
         closure_ok = not check_strong_closure(space, legitimate)
         possible, _ = possible_convergence(space, legitimate)
 
         chain = build_chain(
             transformed, SynchronousDistribution(), engine=engine
         )
-        summary = hitting_summary(chain, chain.mark(spec.legitimate))
+        summary = hitting_summary(chain, chain.mark(spec))
 
         lumped = lumped_synchronous_transformed_chain(
             base_system, engine=engine
         )
         lumped_summary = hitting_summary(
-            lumped, lumped.mark(base_spec.legitimate)
+            lumped, lumped.mark(base_spec)
         )
         lumping_agrees = bool(
             np.isclose(

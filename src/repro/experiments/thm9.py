@@ -67,11 +67,11 @@ def run_thm9(engine: str = "auto") -> ExperimentResult:
             transformed, distribution, engine=engine
         )
         transformed_summary = hitting_summary(
-            transformed_chain, transformed_chain.mark(spec.legitimate)
+            transformed_chain, transformed_chain.mark(spec)
         )
         base_chain = build_chain(base_system, distribution, engine=engine)
         base_summary = hitting_summary(
-            base_chain, base_chain.mark(base_spec.legitimate)
+            base_chain, base_chain.mark(base_spec)
         )
         ok = (
             transformed_summary.converges_with_probability_one

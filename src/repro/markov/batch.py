@@ -30,10 +30,22 @@ strategy:
   Dijkstra's ring (privilege ⇔ enabled), and leader election on trees
   (``LC ⇔ terminal``, Lemma 10) — all preserved by the coin-toss
   transformer because ``Trans(A)`` keeps the guard ``G_A``.
+* :class:`ActionCountLegitimacy` — ``legitimate(γ)`` ⇔ exactly ``k``
+  processes have one of the named actions enabled (Herman's token is
+  the enabled ``T`` action); one gather into
+  :meth:`~repro.core.encoding.CompiledKernelTables.entries_with_action`.
 * :class:`DecodingLegitimacy` — fallback for arbitrary predicates:
   decodes each active row (memoized per code vector) and calls the Python
   predicate.  Correct for everything, slower, still leaves the stepping
   itself vectorized.
+
+A :class:`~repro.stabilization.specification.Specification` may carry
+one of these as its exact batch form
+(:meth:`~repro.stabilization.specification.Specification.batch_legitimacy`);
+:func:`mark_states` — the one helper behind ``StateSpace.legitimate_mask``
+and the chains' and MDPs' ``mark`` — evaluates it over a state code
+matrix and falls back to the scalar predicate when there is no form or
+the tables do not fit.
 
 **One lockstep loop.**  :meth:`BatchEngine.lockstep` is the only step
 loop of the lockstep tiers: it advances a code matrix whose rows carry
@@ -53,18 +65,19 @@ only where that body runs.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import (
     DEFAULT_TABLE_BUDGET,
+    CompiledKernelTables,
     StateEncoding,
     tables_for,
 )
 from repro.core.system import System
-from repro.errors import MarkovError
+from repro.errors import MarkovError, ModelError
 from repro.markov.superstep import SuperstepPlan
 from repro.schedulers.samplers import (
     BernoulliSampler,
@@ -73,11 +86,17 @@ from repro.schedulers.samplers import (
     SynchronousSampler,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stabilization.specification import Specification
+
 __all__ = [
     "BatchLegitimacy",
     "EnabledCountLegitimacy",
+    "ActionCountLegitimacy",
     "DecodingLegitimacy",
+    "MarkContext",
     "compile_legitimacy",
+    "mark_states",
     "BatchSamplerStrategy",
     "batch_strategy_for",
     "register_batch_sampler",
@@ -110,9 +129,15 @@ class BatchLegitimacy:
 class EnabledCountLegitimacy(BatchLegitimacy):
     """``legitimate(γ) ⇔ |Enabled(γ)| = count`` — gather-free.
 
-    The caller asserts the equivalence (it is a property of the algorithm
-    and specification, e.g. Lemma 10 for Algorithm 2); the engine only
-    counts true bits in the enabled matrix it already computed.
+    The engine only counts true bits in the enabled matrix it already
+    computed.  As a specification's batch form it is exact by
+    definition where legitimacy *is* an enabled count: Dijkstra's
+    privilege is enabledness on any system, and Algorithm 1's token
+    predicate is its one action's guard.  Where the equivalence is a
+    theorem instead (Lemma 10's ``LC`` ⇔ terminal for Algorithm 2) it
+    is no specification's form — the experiment verifying the theorem
+    must not assume it — and a batch tier that passes it explicitly
+    (Q2's ``EnabledCountLegitimacy(0)``) relies on that verification.
     """
 
     __slots__ = ("count",)
@@ -124,6 +149,28 @@ class EnabledCountLegitimacy(BatchLegitimacy):
 
     def evaluate(self, codes, enabled, engine):
         return enabled.sum(axis=1) == self.count
+
+
+class ActionCountLegitimacy(BatchLegitimacy):
+    """``legitimate(γ)`` ⇔ exactly ``count`` processes have one of
+    ``actions`` (positions in ``System.actions``) enabled.
+
+    Reads the compiled tables' per-row action index through
+    ``engine.tables`` (:meth:`~repro.core.encoding.CompiledKernelTables.entries_with_action`).
+    """
+
+    __slots__ = ("actions", "count")
+
+    def __init__(self, actions: Sequence[int], count: int) -> None:
+        if count < 0:
+            raise MarkovError("action count must be non-negative")
+        self.actions = tuple(actions)
+        self.count = count
+
+    def evaluate(self, codes, enabled, engine):
+        tables = engine.tables
+        cells = tables.entries_with_action(self.actions)[tables.pack(codes)]
+        return cells.sum(axis=1) == self.count
 
 
 class DecodingLegitimacy(BatchLegitimacy):
@@ -164,6 +211,84 @@ def compile_legitimacy(
     if isinstance(legitimate, BatchLegitimacy):
         return legitimate
     return DecodingLegitimacy(legitimate)
+
+
+class MarkContext:
+    """The ``engine`` a :class:`BatchLegitimacy` reads outside a running
+    :class:`BatchEngine`: the encoding, and the tables (``None`` on the
+    over-budget fallback)."""
+
+    __slots__ = ("encoding", "tables")
+
+    def __init__(
+        self,
+        encoding: StateEncoding,
+        tables: CompiledKernelTables | None,
+    ) -> None:
+        self.encoding = encoding
+        self.tables = tables
+
+
+def mark_states(
+    predicate: (
+        "Specification | BatchLegitimacy"
+        " | Callable[[System, Configuration], bool]"
+    ),
+    system: System,
+    states: Sequence[Configuration],
+    codes: Callable[[], np.ndarray],
+    tables: Callable[[], CompiledKernelTables] | None,
+    scalar_enabled: Callable[[], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Boolean legitimacy of every state, over the code matrix when it can.
+
+    ``predicate`` is a specification (anything with
+    ``legitimate(system, configuration)``), a :class:`BatchLegitimacy`
+    or a scalar ``predicate(system, configuration)``.  A specification's
+    exact batch form
+    (:meth:`~repro.stabilization.specification.Specification.batch_legitimacy`)
+    and an explicit strategy are evaluated in one shot over
+    ``codes()``, the states' ``(S, N)`` code matrix, with the enabled
+    matrix gathered from ``tables()``.  A specification falls back to
+    its scalar predicate when it has no form, ``tables`` is ``None`` or
+    ``tables()`` raises :class:`~repro.errors.ModelError` (over the
+    compilation budget); an explicit strategy then takes its enabled
+    matrix from ``scalar_enabled()``, a walk over the system.
+    """
+    if isinstance(predicate, BatchLegitimacy):
+        form, scalar = predicate, None
+    elif hasattr(predicate, "legitimate"):  # a specification, duck-typed
+        batch_form = getattr(predicate, "batch_legitimacy", None)
+        form = None if batch_form is None else batch_form(system)
+        scalar = predicate.legitimate
+    else:
+        form, scalar = None, predicate
+    compiled = None
+    if form is not None and tables is not None:
+        try:
+            compiled = tables()
+        except ModelError:
+            if scalar is None and scalar_enabled is None:
+                raise
+    if compiled is not None:
+        state_codes = codes()
+        enabled = compiled.enabled_flat[compiled.pack(state_codes)]
+        context = MarkContext(compiled.encoding, compiled)
+    elif scalar is not None:
+        return np.fromiter(
+            (bool(scalar(system, state)) for state in states),
+            dtype=bool,
+            count=len(states),
+        )
+    elif scalar_enabled is not None:
+        state_codes = codes()
+        enabled = scalar_enabled()
+        context = MarkContext(StateEncoding(system), None)
+    else:
+        raise MarkovError(
+            "a batch legitimacy needs the states' compiled tables"
+        )
+    return np.asarray(form.evaluate(state_codes, enabled, context), dtype=bool)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.errors import MarkovError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.encoding import CompiledKernelTables, StateEncoding
     from repro.markov.batch import BatchLegitimacy
+    from repro.stabilization.specification import Specification
 
 __all__ = ["MarkovChain", "ROW_SUM_TOLERANCE", "concat_ranges"]
 
@@ -232,46 +233,40 @@ class MarkovChain:
     # ------------------------------------------------------------------
     def mark(
         self,
-        predicate: "Callable[[System, Configuration], bool] | BatchLegitimacy",
+        predicate: (
+            "Specification | BatchLegitimacy"
+            " | Callable[[System, Configuration], bool]"
+        ),
     ) -> np.ndarray:
         """Boolean array evaluating a predicate on every state.
 
-        Accepts either the legacy scalar form — a callable
-        ``predicate(system, configuration)`` applied per state — or a
-        vectorized :class:`~repro.markov.batch.BatchLegitimacy` strategy,
-        which is evaluated in one shot over the whole state-code matrix
+        Accepts a :class:`~repro.stabilization.specification.Specification`
+        (its exact batch form when it has one, else its scalar
+        predicate), a vectorized
+        :class:`~repro.markov.batch.BatchLegitimacy` strategy, or a
+        scalar ``predicate(system, configuration)`` applied per state —
+        see :func:`repro.markov.batch.mark_states`.  Batch forms run in
+        one shot over the whole state-code matrix
         (``EnabledCountLegitimacy`` marks 500k states in a few gathers).
-        Systems whose class tables exceed the table-compilation
-        budget fall back to a walk over the system for the enabled
-        matrix — like every other ``"auto"`` tier, over-budget tables
-        degrade, never fail.
+        Systems whose class tables exceed the table-compilation budget
+        fall back to the scalar predicate, and an explicit strategy to a
+        walk over the system for the enabled matrix — like every other
+        ``"auto"`` tier, over-budget tables degrade, never fail.
         """
-        from repro.errors import ModelError
-        from repro.markov.batch import BatchLegitimacy
+        from repro.markov.batch import mark_states
 
-        if isinstance(predicate, BatchLegitimacy):
-            codes = self.state_codes()
-            try:
-                tables = self._compiled_tables()
-            except ModelError:
-                enabled = self._enabled_matrix_scalar()
-            else:
-                enabled = tables.enabled_flat[tables.pack(codes)]
-            return np.asarray(
-                predicate.evaluate(codes, enabled, self), dtype=bool
-            )
-        return np.array(
-            [predicate(self.system, state) for state in self.states],
-            dtype=bool,
+        return mark_states(
+            predicate,
+            self.system,
+            self.states,
+            self.state_codes,
+            self._compiled_tables,
+            self._enabled_matrix_scalar,
         )
 
     @property
     def encoding(self) -> "StateEncoding":
-        """The chain's :class:`StateEncoding` (built on first use).
-
-        Also the attribute :class:`~repro.markov.batch.DecodingLegitimacy`
-        reads when :meth:`mark` passes the chain as evaluation context.
-        """
+        """The chain's :class:`StateEncoding` (built on first use)."""
         if self._encoding is None:
             if self._tables is not None:
                 self._encoding = self._tables.encoding

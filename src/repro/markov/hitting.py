@@ -117,10 +117,15 @@ def backward_closure(
     The states that can reach the target are ``level >= 0``.  A
     multi-source BFS over the *transposed* support — predecessors of
     each frontier are one fancy-indexed gather into the transpose's CSR
-    arrays per level.
+    arrays per level.  The transpose is one stable argsort of the
+    targets plus a bincount, without a scipy round trip.
     """
-    transpose = _pattern(indices, indptr).T.tocsr()
-    t_indptr, t_indices = transpose.indptr, transpose.indices
+    m = indptr.shape[0] - 1
+    t_indices = np.repeat(np.arange(m), np.diff(indptr))[
+        np.argsort(indices, kind="stable")
+    ]
+    t_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=m), out=t_indptr[1:])
     level = np.full(target.shape[0], -1, dtype=np.int64)
     frontier = np.flatnonzero(target)
     depth = 0

@@ -53,7 +53,7 @@ always well-formed).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from repro.core.configuration import Configuration
 from repro.core.encoding import tables_for
 from repro.core.system import System
 from repro.errors import MarkovError
-from repro.markov.batch import BatchLegitimacy
+from repro.markov.batch import BatchLegitimacy, mark_states
 from repro.markov.builder import (
     DEFAULT_MAX_STATES,
     _ChainContext,
@@ -71,6 +71,9 @@ from repro.markov.builder import (
     _RelationPlan,
 )
 from repro.schedulers.relations import DistributedRelation, relation_by_name
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stabilization.specification import Specification
 
 __all__ = [
     "MDP_DAEMONS",
@@ -153,25 +156,23 @@ class MarkovDecisionProcess:
     def mark(
         self,
         predicate: (
-            "Callable[[System, Configuration], bool] | BatchLegitimacy"
+            "Specification | BatchLegitimacy"
+            " | Callable[[System, Configuration], bool]"
         ),
     ) -> np.ndarray:
         """Boolean array evaluating a predicate on every state.
 
-        Same contract as :meth:`repro.markov.chain.MarkovChain.mark`:
-        either a scalar ``predicate(system, configuration)`` or a
-        vectorized :class:`~repro.markov.batch.BatchLegitimacy`.
+        Same contract as :meth:`repro.markov.chain.MarkovChain.mark`: a
+        specification, a vectorized
+        :class:`~repro.markov.batch.BatchLegitimacy` or a scalar
+        ``predicate(system, configuration)``.
         """
-        if isinstance(predicate, BatchLegitimacy):
-            tables = self._tables
-            codes = self._codes
-            enabled = tables.enabled_flat[tables.pack(codes)]
-            return np.asarray(
-                predicate.evaluate(codes, enabled, self), dtype=bool
-            )
-        return np.array(
-            [predicate(self.system, state) for state in self.states],
-            dtype=bool,
+        return mark_states(
+            predicate,
+            self.system,
+            self.states,
+            self.state_codes,
+            lambda: self._tables,
         )
 
     # ------------------------------------------------------------------

@@ -244,7 +244,7 @@ class SweepService:
                 SynchronousDistribution(),
                 max_states=self.config.max_states,
             )
-            target = pchain.mark(parts["specification"].legitimate)
+            target = pchain.mark(parts["specification"])
             return pchain, target
 
         structure_key = _digest(

@@ -147,7 +147,7 @@ def _optimized_verdict(
     # The adversary optimizes reachability the other way round from the
     # expected time: the worst daemon *minimizes* reach probability.
     reach_direction = "min" if objective == "worst" else "max"
-    legitimate = mdp.mark(specification.legitimate)
+    legitimate = mdp.mark(specification)
     if legitimate.any():
         reach = mdp.reachability(legitimate, reach_direction)
         min_reach = float(reach.min())

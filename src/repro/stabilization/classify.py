@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.configuration import Configuration
 from repro.core.system import System
 from repro.errors import StateSpaceError
@@ -117,11 +119,11 @@ def classify(
     elif space.system is not system:
         raise StateSpaceError("provided space belongs to a different system")
 
-    legitimate = space.legitimate_mask(specification.legitimate)
+    legitimate = space.legitimate_mask(specification)
     closure_violations = check_strong_closure(space, legitimate)
     possible, stranded = possible_convergence(space, legitimate)
     certain = certain_convergence(space, legitimate)
-    legitimate_ids = [i for i, ok in enumerate(legitimate) if ok]
+    legitimate_ids = np.flatnonzero(legitimate).tolist()
     behavior = tuple(
         specification.validate_behavior(system, space, legitimate_ids)
     )

@@ -101,7 +101,7 @@ def classify_probabilistic(
             max_states=max_states,
             engine=engine,
         )
-    legitimate = chain.mark(specification.legitimate)
+    legitimate = chain.mark(specification)
 
     # Closure over the support: count (legitimate state, illegitimate
     # successor) edges — one gather over the CSR slices of the

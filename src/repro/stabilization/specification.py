@@ -8,7 +8,9 @@ configurations plus behavioral conditions on executions that start in ``L``
 
 * :meth:`legitimate` — membership in ``L``;
 * :meth:`validate_behavior` — optional extra checks run on the
-  ``L``-induced portion of an explored state space (defaults to nothing).
+  ``L``-induced portion of an explored state space (defaults to nothing);
+* :meth:`batch_legitimacy` — optionally, the same membership as one
+  array expression over a state code matrix (defaults to none).
 
 Concrete problem specs live next to their algorithms in
 :mod:`repro.algorithms`.
@@ -23,6 +25,7 @@ from repro.core.configuration import Configuration
 from repro.core.system import System
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.markov.batch import BatchLegitimacy
     from repro.stabilization.statespace import StateSpace
 
 __all__ = ["Specification", "PredicateSpecification"]
@@ -52,15 +55,18 @@ class Specification(ABC):
         """
         return []
 
-    def legitimate_ids(
-        self, system: System, space: "StateSpace"
-    ) -> list[int]:
-        """Ids of the legitimate configurations inside an explored space."""
-        return [
-            index
-            for index, configuration in enumerate(space.configurations)
-            if self.legitimate(system, configuration)
-        ]
+    def batch_legitimacy(self, system: System) -> "BatchLegitimacy | None":
+        """The exact batch form of :meth:`legitimate` on ``system``, or
+        ``None`` (the default: callers use the scalar predicate).
+
+        A form must agree with :meth:`legitimate` on every configuration
+        of ``system`` *by definition* — the predicate rewritten over codes
+        and tables — never by a theorem about the algorithm, because the
+        experiments that verify such theorems mark through it.  A
+        specification whose predicate is only known on some algorithms
+        returns ``None`` on every other system.
+        """
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

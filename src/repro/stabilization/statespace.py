@@ -46,6 +46,7 @@ from repro.core.configuration import Configuration
 from repro.core.encoding import CompiledKernelTables, tables_for
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import ModelError, StateSpaceError
+from repro.markov.batch import mark_states
 from repro.markov.builder import (
     _ChainContext,
     _count_groups,
@@ -124,7 +125,10 @@ class StateSpace:
     ``i`` (0 at a terminal configuration, which has no edges).  Masks
     are int64 for up to :data:`MAX_MASKED_PROCESSES` processes and
     Python ints (``dtype=object``) above.  ``edges`` and ``enabled``
-    are lazy list views of these arrays.
+    are lazy list views of these arrays.  The support view also keeps
+    the configurations' ``(S, N)`` code matrix and the compiled
+    ``tables`` it was expanded over (both ``None`` after the dict
+    walk), which :meth:`legitimate_mask` evaluates batch forms on.
     """
 
     def __init__(
@@ -137,6 +141,8 @@ class StateSpace:
         targets: np.ndarray,
         masks: np.ndarray,
         enabled_bits: np.ndarray,
+        codes: np.ndarray | None = None,
+        tables: CompiledKernelTables | None = None,
     ) -> None:
         self.system = system
         self.relation = relation
@@ -146,6 +152,8 @@ class StateSpace:
         self.targets = targets
         self.masks = masks
         self.enabled_bits = enabled_bits
+        self.codes = codes
+        self.tables = tables
         self._edges: list[list[LabeledEdge]] | None = None
         self._enabled: list[tuple[int, ...]] | None = None
 
@@ -361,15 +369,24 @@ class StateSpace:
         """All terminal configuration ids."""
         return np.flatnonzero(self.enabled_bits == 0).tolist()
 
-    def legitimate_mask(
-        self, predicate
-    ) -> list[bool]:
-        """Evaluate a ``(system, configuration) -> bool`` predicate on all
-        explored configurations."""
-        return [
-            predicate(self.system, configuration)
-            for configuration in self.configurations
-        ]
+    def legitimate_mask(self, predicate) -> list[bool]:
+        """Legitimacy of every explored configuration.
+
+        ``predicate`` is a
+        :class:`~repro.stabilization.specification.Specification`, a
+        :class:`~repro.markov.batch.BatchLegitimacy` or a scalar
+        ``predicate(system, configuration)``, evaluated by
+        :func:`repro.markov.batch.mark_states`: a batch form runs over
+        the kept code matrix, and a specification on a dict-walk space
+        (no tables) falls back to its scalar predicate.
+        """
+        return mark_states(
+            predicate,
+            self.system,
+            self.configurations,
+            lambda: self.codes,
+            None if self.tables is None else lambda: self.tables,
+        ).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -480,7 +497,7 @@ def _support_view(
         probabilities=False,
         plans=plans,
     )
-    configurations, _, counts, targets, kept = _expand(
+    configurations, codes, counts, targets, kept = _expand(
         system,
         context,
         seeds,
@@ -530,5 +547,5 @@ def _support_view(
     }
     return StateSpace(
         system, relation, configurations, index, indptr,
-        targets[keep], masks[keep], enabled_bits,
+        targets[keep], masks[keep], enabled_bits, codes, tables,
     )

@@ -8,6 +8,8 @@ two-sample Kolmogorov–Smirnov bound, plus matching structural outcomes
 (censoring counts, terminal retirement) that are seed-independent.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from conformance_registry import (
     CONFORMANCE_SYSTEMS,
     conformance_system,
     make_two_action_system,
+)
+from repro.algorithms.herman_ring import (
+    HermanSingleTokenSpec,
+    make_herman_system,
 )
 from repro.algorithms.leader_tree import make_leader_tree_system
 from repro.algorithms.token_ring import (
@@ -390,34 +396,65 @@ class TestBatchStructuralEquivalence:
 
 def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
     """The oracle escape hatch: a scalar-engine ``batch`` is bit-equal
-    to sequential estimates (same random streams)."""
-    system = make_leader_tree_system(path(6))
-    cases = [
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(31),
+    to sequential estimates (same random streams) — on converging runs
+    under both daemons, and on a censored synchronous run (the leader
+    path never converges synchronously), whose timeouts are compared
+    too."""
+    tree = make_leader_tree_system(path(6))
+    herman = make_herman_system(5)
+    groups = [
+        (
+            tree,
+            [
+                dict(
+                    sampler=DistributedRandomizedSampler(),
+                    legitimate=tree.is_terminal,
+                    trials=10,
+                    max_steps=10_000,
+                    rng=RandomSource(31),
+                ),
+                dict(
+                    sampler=SynchronousSampler(),
+                    legitimate=tree.is_terminal,
+                    trials=10,
+                    max_steps=200,
+                    rng=RandomSource(32),
+                ),
+            ],
         ),
-        dict(
-            sampler=SynchronousSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(32),
+        (
+            herman,
+            [
+                dict(
+                    sampler=SynchronousSampler(),
+                    legitimate=partial(
+                        HermanSingleTokenSpec().legitimate, herman
+                    ),
+                    trials=10,
+                    max_steps=10_000,
+                    rng=RandomSource(33),
+                ),
+            ],
         ),
     ]
-    runner = MonteCarloRunner(system, engine="scalar")
-    batched = runner.batch([dict(case, rng=RandomSource(case["rng"].seed))
-                            for case in cases])
-    separate = [
-        estimate_stabilization_time(system, engine="scalar", **case)
-        for case in cases
-    ]
-    assert len(batched) == len(separate)
-    for fast, reference in zip(batched, separate):
-        assert fast == reference
+    outcomes = []
+    for system, cases in groups:
+        runner = MonteCarloRunner(system, engine="scalar")
+        batched = runner.batch(
+            [dict(case, rng=RandomSource(case["rng"].seed)) for case in cases]
+        )
+        separate = [
+            estimate_stabilization_time(system, engine="scalar", **case)
+            for case in cases
+        ]
+        assert len(batched) == len(separate)
+        for fast, reference in zip(batched, separate):
+            assert fast == reference
+        outcomes.extend(batched)
+    distributed, censored, herman_sync = outcomes
+    assert distributed.converged == 10
+    assert censored.converged == 0 and censored.timed_out == 10
+    assert herman_sync.converged == 10
 
 
 def test_montecarlo_runner_batch_fuses_through_sweep_runner():
