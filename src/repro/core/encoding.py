@@ -45,7 +45,6 @@ pickle, or copy-on-write under ``fork``).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -460,9 +459,9 @@ class ExpansionContext:
             weights[process] = weights[process + 1] * int(sizes[process + 1])
         self.config_weights = weights
         self.sizes = [int(size) for size in sizes]
-        # Ranks fit int64 ⇒ the vectorized emission layers and array wire
-        # format are safe; astronomically large spaces (only reachable
-        # through explicit initial sets) stay on Python ints.
+        # Ranks fit int64 ⇒ the array layer and rank arithmetic are
+        # safe; astronomically large spaces (only reachable through
+        # explicit initial sets) take the dict walks over System.
         space_size = 1
         for size in self.sizes:
             space_size *= size
@@ -491,40 +490,20 @@ class ExpansionContext:
             if array is not None:
                 array.flags.writeable = False
 
-    # The per-row tuples cost a Python loop over every action row, so
-    # they are built on first use: the lockstep loop's super-step
-    # eligibility check reads only the vectorized fields above.
-    @cached_property
-    def outcome_codes(self) -> tuple[tuple[int, ...], ...]:
-        """Outcome codes per action row, trimmed to the row's arity."""
-        return tuple(
-            tuple(int(code) for code in self.tables.outcome_code[row, :count])
-            for row, count in enumerate(self.arity.tolist())
-        )
-
     def codes_of_ranks(self, ranks: Sequence[int]) -> np.ndarray:
-        """``(M, N)`` code matrix of configuration ranks (mixed radix)."""
-        if self.int64_safe:
-            if isinstance(ranks, np.ndarray):
-                rank_array = ranks.astype(np.int64, copy=False)
-            else:
-                rank_array = np.fromiter(
-                    ranks, dtype=np.int64, count=len(ranks)
-                )
-            matrix = np.empty(
-                (len(rank_array), self.num_processes), dtype=CODE_DTYPE
-            )
-            for process, (weight, size) in enumerate(
-                zip(self.config_weights, self.sizes)
-            ):
-                matrix[:, process] = (rank_array // weight) % size
-            return matrix
-        matrix = np.empty((len(ranks), self.num_processes), dtype=CODE_DTYPE)
-        for row, rank in enumerate(ranks):
-            for process, (weight, size) in enumerate(
-                zip(self.config_weights, self.sizes)
-            ):
-                matrix[row, process] = (rank // weight) % size
+        """``(M, N)`` code matrix of configuration ranks (mixed radix;
+        :attr:`int64_safe` tables only)."""
+        if isinstance(ranks, np.ndarray):
+            rank_array = ranks.astype(np.int64, copy=False)
+        else:
+            rank_array = np.fromiter(ranks, dtype=np.int64, count=len(ranks))
+        matrix = np.empty(
+            (len(rank_array), self.num_processes), dtype=CODE_DTYPE
+        )
+        for process, (weight, size) in enumerate(
+            zip(self.config_weights, self.sizes)
+        ):
+            matrix[:, process] = (rank_array // weight) % size
         return matrix
 
     def all_codes(self) -> np.ndarray:

@@ -177,7 +177,12 @@ def run_until(
         trace.append(Step(moves) if record else None, cursor.configuration)
         if stop(cursor.configuration):
             return SimulationResult(trace, converged=True, hit_terminal=False)
-    return SimulationResult(trace, converged=False, hit_terminal=False)
+    # The budget ran out.  A run whose last step reached a terminal
+    # configuration is terminal all the same: the lockstep and fault
+    # loops check terminality before the budget.
+    return SimulationResult(
+        trace, converged=False, hit_terminal=not cursor.enabled
+    )
 
 
 def _validate_subset(subset: Sequence[int], enabled: Sequence[int]) -> None:

@@ -22,34 +22,37 @@ chain, selected via ``engine=``:
   count per source, then per edge its daemon choice (the subset's
   position in the plan), target rank, subset weight, ``action_choices``
   divisor and outcome atoms (slots of the raveled outcome-probability
-  table, plus one padding slot of exactly ``1.0``).  Under a positional
-  plan — the four built-in distributions (central-randomized,
-  synchronous, distributed-randomized, Bernoulli) or an MDP's daemon
-  family — every block whose enabled cells each have one action
-  (deterministic or coin-flip outcomes alike) is a whole-block array
-  expression driven by one subset plan per enabled count.  Multi-action
-  cells, custom distributions and subclasses take an order-exact scalar
-  replay of the oracle's subset and branch enumeration.  Four views
-  read the chunks through :func:`_expand`: this module evaluates each
-  block right away as ``weight · Π atoms / action_choices`` and
-  deduplicates the edges into the CSR arrays
-  :class:`~repro.markov.chain.MarkovChain` stores natively;
-  :class:`~repro.markov.parametric.ParametricChain` keeps the atoms;
-  :func:`~repro.markov.mdp.build_mdp` groups edges into actions by
-  (source, choice); and
+  table, plus one padding slot of exactly ``1.0``).  The plan — one of
+  the four built-in distribution types (central-randomized,
+  synchronous, distributed-randomized, Bernoulli) or an MDP's or the
+  explorer's scheduler relation — depends only on positions in the
+  sorted enabled tuple, so every block is one whole-block array
+  expression (:func:`_array_edges`) driven by one subset plan per
+  enabled count: each (source, subset) pair expands into its movers'
+  action assignments, and each assignment into its outcome
+  combinations.  Four views read the chunks through :func:`_expand`:
+  this module evaluates each block right away as
+  ``weight · Π atoms / action_choices`` and deduplicates the edges into
+  the CSR arrays :class:`~repro.markov.chain.MarkovChain` stores
+  natively; :class:`~repro.markov.parametric.ParametricChain` keeps the
+  atoms; :func:`~repro.markov.mdp.build_mdp` groups edges into actions
+  by (source, choice); and
   :meth:`~repro.stabilization.statespace.StateSpace.explore` takes a
   scheduler relation as a plan at weight one and keeps only the
   support, each edge labelled with its activation mask.
 * ``"scalar"`` — a dict walk over the reference :class:`System`: the
   bit-for-bit oracle the compiled path is tested against
   (``tests/test_chain_compiled.py``).
-* ``"auto"`` (default) — compiled whenever the class tables fit the
-  compilation budget, scalar otherwise; mirroring
+* ``"auto"`` (default) — compiled whenever it can run, scalar otherwise:
+  the scalar walk takes distributions that are not one of the built-in
+  types (a subclass may redefine ``weighted_subsets``), class tables
+  over the compilation budget and rank spaces beyond int64; mirroring
   :class:`~repro.markov.montecarlo.MonteCarloRunner`'s engine knob.
 
 Every engine builds the identical chain: same states in the same order,
 same transition support, bit-identical row probabilities (the array
-layer multiplies each edge's factors in the replay's order, and
+layer emits each row's edges in the oracle's order and multiplies each
+edge's factors in the oracle's order, and
 ``tests/test_chain_compiled.py`` pins both against each other with
 ``np.array_equal``).
 """
@@ -57,7 +60,6 @@ layer multiplies each edge's factors in the replay's order, and
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -231,10 +233,6 @@ def _row(
 # ----------------------------------------------------------------------
 # compiled wire-format path
 # ----------------------------------------------------------------------
-#: The plan of a terminal source (no enabled process): one self-loop.
-_TERMINAL_PLAN = ((1.0, ()),)
-
-
 class _PlanTable(NamedTuple):
     """The positional plans of one set of enabled counts, stacked.
 
@@ -288,20 +286,20 @@ class _ChainContext:
     """Expansion lookups plus the probability structure of one builder run.
 
     Reads every :class:`~repro.core.encoding.ExpansionContext` lookup
-    (ranks, arity, outcome codes, ...) from the tables' shared memo
+    (ranks, arity, first outcomes, ...) from the tables' shared memo
     (:func:`~repro.core.encoding.expansion_context`) and adds the plan
     — an object whose ``weighted_subsets(enabled)`` lists the daemon
     choices of a sorted enabled tuple with their weights: a scheduler
     distribution for a chain, a daemon family at weight one for an MDP,
-    a scheduler relation at weight one for the state-space explorer.  Plans are
-    enumerated once per build: per enabled tuple for the scalar replay
-    (``plan_cache``), and per enabled count for the array layer
-    (:meth:`subset_plan`, kept in a :class:`_PlanCache`).  ``positional``
-    says whether a plan depends only on positions in the sorted enabled
-    tuple (by default: the exact built-in distribution types; a subclass
-    may redefine ``weighted_subsets``); only then does the array layer
-    run.  ``probabilities=False`` tells the array layer that no view
-    reads edge probabilities, so it skips subset weights and atoms.
+    a scheduler relation at weight one for the state-space explorer.
+    The plan must be positional — depend only on positions in the
+    sorted enabled tuple, as the exact built-in distribution and
+    relation types do — and the tables' rank space must fit int64:
+    callers check both before building a context, and take the dict
+    walk otherwise.  The plan is enumerated once per enabled count
+    (:meth:`subset_plan`, kept in a :class:`_PlanCache`).
+    ``probabilities=False`` tells the array layer that no view reads
+    edge probabilities, so it skips subset weights, divisors and atoms.
 
     Wire atoms index :attr:`atom_values`: the raveled outcome
     probability table plus one padding slot, :attr:`pad_atom`, of
@@ -312,22 +310,13 @@ class _ChainContext:
         self,
         tables,
         distribution: SchedulerDistribution,
-        positional: bool | None = None,
         probabilities: bool = True,
         plans: _PlanCache | None = None,
     ) -> None:
         self.expansion = expansion_context(tables)
         self.tables = tables
         self.distribution = distribution
-        self.positional = (
-            type(distribution) in _POSITIONAL_DISTRIBUTIONS
-            if positional is None
-            else positional
-        )
         self.probabilities = probabilities
-        self.plan_cache: dict[
-            tuple[int, ...], list[tuple[float, tuple[int, ...]]]
-        ] = {}
         self.plans = _PlanCache() if plans is None else plans
         self.pad_atom = tables.outcome_prob.size
         self.atom_values = np.append(tables.outcome_prob.ravel(), 1.0)
@@ -344,7 +333,8 @@ class _ChainContext:
         For a positional plan this is the plan of every sorted enabled
         tuple of length ``k``, with position ``i`` standing for its
         ``i``-th process.  Enumerating raises the plan's own
-        ``max_enabled`` :class:`SchedulerError`, as the replay would.
+        ``max_enabled`` :class:`SchedulerError`, as the dict walk
+        would.
         """
         plan = self.plans.by_count.get(k)
         if plan is None:
@@ -366,7 +356,7 @@ class _ChainContext:
         """The stacked plans of a block's enabled counts.
 
         Counts are enumerated in order of first appearance, so any
-        ``max_enabled`` error comes up in the replay's order.
+        ``max_enabled`` error comes up in the dict walk's order.
         """
         key = tuple(np.flatnonzero(np.bincount(enabled_counts)).tolist())
         table = self.plans.tables.get(key)
@@ -406,25 +396,40 @@ def _compile_chain_context(
 ) -> _ChainContext | None:
     """Tables + context for the compiled path, or ``None`` → scalar.
 
-    ``require=True`` (``engine="compiled"``) turns the over-budget
-    fallback into a :class:`MarkovError` instead.
+    The compiled path needs an exact built-in distribution type (a
+    subclass may redefine ``weighted_subsets``), class tables within the
+    compilation budget and an int64 rank space.  ``require=True``
+    (``engine="compiled"``) turns a fallback into a :class:`MarkovError`
+    naming the reason instead.
     """
-    try:
-        tables = tables_for(system)
-    except ModelError as error:
-        if require:
-            raise MarkovError(
-                f"engine='compiled' unavailable: {error}"
-            ) from error
-        return None
-    return _ChainContext(tables, distribution)
+    cause = None
+    if type(distribution) not in _POSITIONAL_DISTRIBUTIONS:
+        reason = (
+            f"{type(distribution).__name__} is not a built-in"
+            " distribution type"
+        )
+    else:
+        try:
+            tables = tables_for(system)
+        except ModelError as error:
+            reason, cause = str(error), error
+        else:
+            if expansion_context(tables).int64_safe:
+                return _ChainContext(tables, distribution)
+            reason = "configuration ranks exceed int64"
+    if require:
+        raise MarkovError(
+            f"engine='compiled' unavailable: {reason}"
+        ) from cause
+    return None
 
 
 class _WireChunk(NamedTuple):
     """One expanded block in the symbolic wire format.
 
     Edges are grouped by source in block order; within a source they
-    follow the plan, then the branch enumeration of
+    follow the plan, then the movers' action assignments, then their
+    outcome combinations — the enumeration of
     :func:`repro.core.system.compose_weighted_targets`.  The array layer
     leaves ``weight``, ``divisor`` and ``atoms`` at ``None`` for a
     context that reads no probabilities.
@@ -435,8 +440,8 @@ class _WireChunk(NamedTuple):
     #: ``(E,)`` each edge's daemon choice: its subset's position in the
     #: source's plan (weights ≤ 0 skipped).
     choice: np.ndarray
-    #: ``(E,)`` target ranks; a Python list when ranks exceed int64.
-    targets: "np.ndarray | list[int]"
+    #: ``(E,)`` target ranks.
+    targets: np.ndarray
     #: ``(E,)`` subset weights.
     weight: np.ndarray
     #: ``(E,)`` ``action_choices`` divisors, as floats.
@@ -472,145 +477,19 @@ def _expand_block(
     subsets in the same order, same branch enumeration as
     :func:`repro.core.system.compose_weighted_targets` — but a successor
     is ``source rank + Σ (new code − old code) · weight`` instead of
-    tuple surgery, enabledness is one gather for the whole block, and an
-    edge's probability is left as its factors (subset weight,
-    ``action_choices`` divisor, outcome atoms) for the caller's view to
-    evaluate.  Edges are emitted pre-accumulation (duplicate targets
-    within a row are summed later, in emission order, by
-    :class:`_DedupPlan`).
-
-    Blocks in which every enabled cell has exactly one action (any
-    outcome arity: deterministic moves and coin flips alike) under a
-    positional plan take :func:`_array_edges`; everything else takes
-    the per-source scalar replay.
+    tuple surgery, enabledness and action rows are one gather for the
+    whole block, and an edge's probability is left as its factors
+    (subset weight, ``action_choices`` divisor, outcome atoms) for the
+    caller's view to evaluate.  Edges are emitted pre-accumulation
+    (duplicate targets within a row are summed later, in emission
+    order, by :class:`_DedupPlan`).
     """
     tables = context.tables
     keys = tables.pack(codes)
     enabled_matrix = tables.enabled_flat[keys]
-    counts_matrix = tables.action_count[keys]
-    bases_matrix = tables.action_base[keys]
-
-    enabled_counts = enabled_matrix.sum(axis=1, dtype=np.int64)
-
-    if (
-        context.int64_safe
-        and context.positional
-        and np.array_equal(counts_matrix == 1, enabled_matrix)
-    ):
-        return _array_edges(
-            context, codes, ranks, enabled_matrix, bases_matrix,
-            enabled_counts,
-        )
-
-    # ------------------------------------------------------------------
-    # scalar replay layer: any plan, any action/outcome structure
-    # ------------------------------------------------------------------
-    distribution = context.distribution
-    width = tables.outcome_cum.shape[1]
-    counts = counts_matrix.tolist()
-    bases = bases_matrix.tolist()
-    rows = codes.tolist()
-    per_row = enabled_counts.tolist()
-    flat_enabled = np.nonzero(enabled_matrix)[1].tolist()
-    outcome_codes = context.outcome_codes
-    weights = context.config_weights
-    plan_cache = context.plan_cache
-
-    edge_counts: list[int] = []
-    edge_choice: list[int] = []
-    edge_targets: list[int] = []
-    edge_weights: list[float] = []
-    edge_divisors: list[int] = []
-    atom_counts: list[int] = []
-    flat_atoms: list[int] = []
-
-    cursor = 0
-    for index, source_rank in enumerate(ranks):
-        count = per_row[index]
-        enabled = tuple(flat_enabled[cursor : cursor + count])
-        cursor += count
-        if not enabled:
-            plan = _TERMINAL_PLAN
-        else:
-            plan = plan_cache.get(enabled)
-            if plan is None:
-                plan = distribution.weighted_subsets(enabled)
-                plan_cache[enabled] = plan
-        row = rows[index]
-        row_counts = counts[index]
-        row_bases = bases[index]
-        emitted = 0
-        choice = 0
-        for weight, subset in plan:
-            if weight <= 0.0:
-                continue
-            # An empty subset (terminal source, or a lazy daemon's empty
-            # draw) is one self-loop edge with no atoms.
-            action_choices = 1
-            for process in subset:
-                action_choices *= row_counts[process]
-            choice_lists = [
-                [
-                    (
-                        weights[process],
-                        row[process] * weights[process],
-                        action_row,
-                    )
-                    for action_row in range(
-                        row_bases[process],
-                        row_bases[process] + row_counts[process],
-                    )
-                ]
-                for process in subset
-            ]
-            for assignment in product(*choice_lists):
-                outcome_spaces = [
-                    tuple(
-                        enumerate(outcome_codes[action_row], action_row * width)
-                    )
-                    for _, _, action_row in assignment
-                ]
-                for combo in product(*outcome_spaces):
-                    target = source_rank
-                    for (config_weight, old, _), (atom, code) in zip(
-                        assignment, combo
-                    ):
-                        target += code * config_weight - old
-                        flat_atoms.append(atom)
-                    edge_targets.append(target)
-                    edge_choice.append(choice)
-                    edge_weights.append(weight)
-                    edge_divisors.append(action_choices)
-                    atom_counts.append(len(combo))
-                    emitted += 1
-            choice += 1
-        edge_counts.append(emitted)
-
-    num_edges = len(edge_targets)
-    lengths = np.fromiter(atom_counts, dtype=np.int64, count=num_edges)
-    atoms = np.full(
-        (num_edges, int(lengths.max(initial=0))),
-        context.pad_atom,
-        dtype=np.int64,
-    )
-    atoms[
-        np.repeat(np.arange(num_edges), lengths),
-        concat_ranges(np.zeros(num_edges, dtype=np.int64), lengths),
-    ] = flat_atoms
-    if context.int64_safe:
-        targets: np.ndarray | list[int] = np.fromiter(
-            edge_targets, dtype=np.int64, count=num_edges
-        )
-    else:
-        targets = edge_targets
-    return _WireChunk(
-        np.fromiter(edge_counts, dtype=np.int64, count=len(edge_counts)),
-        np.fromiter(edge_choice, dtype=np.int64, count=num_edges),
-        targets,
-        np.fromiter(edge_weights, dtype=float, count=num_edges),
-        np.fromiter(edge_divisors, dtype=float, count=num_edges),
-        atoms,
-        enabled_matrix,
+    return _array_edges(
+        context, codes, ranks, enabled_matrix, tables.action_count[keys],
+        tables.action_base[keys], enabled_matrix.sum(axis=1, dtype=np.int64),
     )
 
 
@@ -645,22 +524,28 @@ def _array_edges(
     codes: np.ndarray,
     ranks: Sequence[int],
     enabled_matrix: np.ndarray,
+    counts_matrix: np.ndarray,
     bases_matrix: np.ndarray,
     enabled_counts: np.ndarray,
 ) -> _WireChunk:
-    """The array layer: one block with one action per enabled cell.
+    """The array layer: one block of sources as whole-block arrays.
 
     Every source's plan comes from the block's :class:`_PlanTable`, with
     position ``i`` standing for the source's ``i``-th enabled process.
-    Every (source, subset) pair emits ``Π arity`` edges over its
-    members, in source, then plan, then :func:`itertools.product` order
-    (first member slowest), with the outcome digits read mixed-radix off
-    the edge's index in its pair.  A target is the rank plus each
-    mover's ``(new code − old code) · weight``; position ``i``'s atom is
-    its action row's outcome slot, or the padding atom when position
-    ``i`` is not in the subset.  The divisor is 1, as every mover has
-    one action.  A context without :attr:`~_ChainContext.probabilities`
-    gets ``None`` for the weights, divisors and atoms.
+    Every (source, subset) pair expands into the ``Π action_count``
+    action assignments of its members, and every assignment into the
+    ``Π arity`` outcome combinations of its chosen action rows, both in
+    :func:`itertools.product` order (first member slowest): digits read
+    mixed-radix off the assignment's index in its pair and off the
+    edge's index in its assignment.  A member's chosen row is its
+    ``action_base`` plus its action digit.  A target is the rank plus
+    each mover's ``(new code − old code) · weight``; position ``i``'s
+    atom is its chosen row's outcome slot, or the padding atom when
+    position ``i`` is not in the subset; the divisor is the pair's
+    ``Π action_count``.  A block without a multi-action cell skips the
+    assignment level: each pair is its own one assignment.  A context
+    without :attr:`~_ChainContext.probabilities` gets ``None`` for the
+    weights, divisors and atoms.
     """
     tables = context.tables
     width = tables.outcome_cum.shape[1]
@@ -678,8 +563,9 @@ def _array_edges(
         enabled_matrix, enabled_counts
     )
     cell_rows = bases_matrix[cell_source, movers]
+    cell_actions = counts_matrix[cell_source, movers]
     old = codes[cell_source, movers].astype(np.int64)
-    arity = context.arity[cell_rows]
+    multi_action = bool((cell_actions > 1).any())
 
     # The (source, subset) pairs, source-major in plan order.
     pair_counts = plan.num_subsets[enabled_counts]
@@ -687,7 +573,9 @@ def _array_edges(
     num_pairs = int(pair_counts.sum())
     probabilities = context.probabilities
 
-    if (arity == 1).all():
+    if not multi_action:
+        arity = context.arity[cell_rows]
+    if not multi_action and (arity == 1).all():
         # One edge per pair.  Per enabled count, the targets are the
         # ranks plus the movers' solo deltas times the plan's membership.
         solo = np.zeros((num_sources, kmax), dtype=np.int64)
@@ -730,58 +618,114 @@ def _array_edges(
             np.ones(num_pairs), atoms.T, enabled_matrix,
         )
 
-    # Per position and source, the rank delta and atom of each outcome,
-    # plus a padding slot (delta 0, the padding atom) that a position
-    # outside the subset reads: ``row + digit``, or ``row + width``.
-    delta = np.zeros((kmax, num_sources, width + 1), dtype=np.int64)
-    delta[position, cell_source, :width] = (
-        tables.outcome_code[cell_rows].astype(np.int64) - old[:, None]
-    ) * context.weights_row[movers, None]
-    if probabilities:
-        atom_table = np.full((kmax, num_sources, width + 1), pad)
-        atom_table[position, cell_source, :width] = (
-            cell_rows[:, None] * width + np.arange(width)
-        )
-    # Per position and pair, the radix: the mover's arity if it is a
-    # member, else 1.  A pair emits the product of its radices.
-    cell_arity = np.ones((kmax, num_sources), dtype=np.int64)
-    cell_arity[position, cell_source] = arity
     pair_source = np.repeat(np.arange(num_sources), pair_counts)
     pair_subset = np.arange(num_pairs) - pair_starts[pair_source]
     pair_row = plan.first_row[enabled_counts][pair_source] + pair_subset
-    radix = np.where(
-        plan.members[:, pair_row], cell_arity[:, pair_source], 1
-    )
-    pair_edges = radix.prod(axis=0)
-    edge_bounds = np.concatenate(([0], np.cumsum(pair_edges)))
-    edge_counts = (
-        edge_bounds[pair_starts + pair_counts] - edge_bounds[pair_starts]
-    )
-    pair_of_edge = np.repeat(np.arange(pair_edges.shape[0]), pair_edges)
-    local = np.arange(pair_of_edge.shape[0]) - edge_bounds[pair_of_edge]
-    source = pair_source[pair_of_edge]
-    edge_row = pair_row[pair_of_edge]
+    # Each (cell, action) owns one lookup row, ``source · actions +
+    # action``; with one action per cell that is the cell's source.
+    lookup = cell_source
+    num_lookups = num_sources
+    if multi_action:
+        # Per position and pair, the action radix: the mover's action
+        # count if it is a member, else 1.  A pair has the product of
+        # its radices as assignments (and as its divisor).
+        action_radix = np.ones((kmax, num_sources), dtype=np.int64)
+        action_radix[position, cell_source] = cell_actions
+        action_radix = np.where(
+            plan.members[:, pair_row], action_radix[:, pair_source], 1
+        )
+        assignments = action_radix.prod(axis=0)
+        max_actions = int(cell_actions.max())
+        cell = np.repeat(np.arange(cell_actions.shape[0]), cell_actions)
+        action = np.arange(cell.shape[0]) - (
+            np.cumsum(cell_actions) - cell_actions
+        )[cell]
+        cell_source, movers, position, old = (
+            part[cell] for part in (cell_source, movers, position, old)
+        )
+        cell_rows = cell_rows[cell] + action
+        arity = context.arity[cell_rows]
+        lookup = cell_source * max_actions + action
+        num_lookups = num_sources * max_actions
+
+    # Per position and lookup row, the rank delta and atom of each
+    # outcome, plus a padding slot (delta 0, the padding atom) that a
+    # position outside the subset reads: ``row + digit``, or
+    # ``row + width``.
+    delta = np.zeros((kmax, num_lookups, width + 1), dtype=np.int64)
+    delta[position, lookup, :width] = (
+        tables.outcome_code[cell_rows].astype(np.int64) - old[:, None]
+    ) * context.weights_row[movers, None]
+    if probabilities:
+        atom_table = np.full((kmax, num_lookups, width + 1), pad)
+        atom_table[position, lookup, :width] = (
+            cell_rows[:, None] * width + np.arange(width)
+        )
+    cell_arity = np.ones((kmax, num_lookups), dtype=np.int64)
+    cell_arity[position, lookup] = arity
+
+    if multi_action:
+        # The (pair, assignment) units, each member's lookup row read
+        # off the unit's index in its pair, first member slowest.
+        unit_bounds = np.concatenate(([0], np.cumsum(assignments)))
+        unit_pair = np.repeat(np.arange(num_pairs), assignments)
+        local = np.arange(unit_pair.shape[0]) - unit_bounds[unit_pair]
+        unit_lookup = np.empty((kmax, unit_pair.shape[0]), dtype=np.int64)
+        first_lookup = pair_source[unit_pair] * max_actions
+        for column in reversed(range(kmax)):
+            local, digit = np.divmod(local, action_radix[column][unit_pair])
+            unit_lookup[column] = first_lookup + digit
+        unit_source = pair_source[unit_pair]
+        unit_subset = pair_subset[unit_pair]
+        unit_row = pair_row[unit_pair]
+        unit_starts = unit_bounds[pair_starts]
+        unit_stops = unit_bounds[pair_starts + pair_counts]
+        cell_arity = np.take_along_axis(cell_arity, unit_lookup, axis=1)
+    else:
+        unit_source, unit_subset, unit_row = pair_source, pair_subset, pair_row
+        unit_starts, unit_stops = pair_starts, pair_starts + pair_counts
+        cell_arity = cell_arity[:, unit_source]
+
+    # Per position and unit, the outcome radix: the chosen row's arity
+    # if the position is a member, else 1.  A unit emits the product of
+    # its radices.
+    radix = np.where(plan.members[:, unit_row], cell_arity, 1)
+    unit_edges = radix.prod(axis=0)
+    edge_bounds = np.concatenate(([0], np.cumsum(unit_edges)))
+    edge_counts = edge_bounds[unit_stops] - edge_bounds[unit_starts]
+    unit_of_edge = np.repeat(np.arange(unit_edges.shape[0]), unit_edges)
+    local = np.arange(unit_of_edge.shape[0]) - edge_bounds[unit_of_edge]
+    source = unit_source[unit_of_edge]
+    edge_row = unit_row[unit_of_edge]
+    # Each position's lookup row is its source's, unless the unit's
+    # action assignment picks it (multi-action cells, below).
     row = source * (width + 1)
     targets = rank_array[source]
     if probabilities:
         atoms = np.empty((kmax, targets.shape[0]), dtype=np.int64)
-    # Mixed-radix digits of the edge's index in its pair, first member
+    # Mixed-radix digits of the edge's index in its unit, first member
     # slowest, so they peel off from the last position.
     for column in reversed(range(kmax)):
-        local, digit = np.divmod(local, radix[column][pair_of_edge])
+        local, digit = np.divmod(local, radix[column][unit_of_edge])
+        if multi_action:
+            row = unit_lookup[column][unit_of_edge] * (width + 1)
         slot = row + np.where(plan.members[column][edge_row], digit, width)
         targets += delta[column].reshape(-1)[slot]
         if probabilities:
             atoms[column] = atom_table[column].reshape(-1)[slot]
     if not probabilities:
         return _WireChunk(
-            edge_counts, pair_subset[pair_of_edge], targets, None, None,
+            edge_counts, unit_subset[unit_of_edge], targets, None, None,
             None, enabled_matrix,
         )
+    divisor = (
+        assignments[unit_pair][unit_of_edge].astype(float)
+        if multi_action
+        else np.ones(targets.shape[0])
+    )
     return _WireChunk(
-        edge_counts, pair_subset[pair_of_edge], targets,
-        plan.weights[edge_row], np.ones(targets.shape[0]), atoms.T,
-        enabled_matrix,
+        edge_counts, unit_subset[unit_of_edge], targets,
+        plan.weights[edge_row], divisor, atoms.T, enabled_matrix,
     )
 
 
@@ -888,7 +832,7 @@ def _expand(
             codes = context.codes_of_ranks(block)
             chunk = _expand_block(context, codes, block)
             counts_parts.append(chunk.counts)
-            target_parts.append(np.asarray(chunk.targets, dtype=np.int64))
+            target_parts.append(chunk.targets)
             kept.append(view(chunk))
             codes_parts.append(codes)
         states = list(system.all_configurations())
@@ -927,10 +871,7 @@ def _expand(
             chunk = _expand_block(
                 context, context.codes_of_ranks(block), block
             )
-            targets = chunk.targets
-            if isinstance(targets, np.ndarray):
-                targets = targets.tolist()
-            ids = [intern(rank) for rank in targets]
+            ids = [intern(rank) for rank in chunk.targets.tolist()]
             counts_parts.append(chunk.counts)
             target_parts.append(
                 np.fromiter(ids, dtype=np.int64, count=len(ids))

@@ -43,8 +43,8 @@ def lumped_synchronous_transformed_chain(
     :class:`repro.schedulers.distributions.SynchronousDistribution`.
     ``win_probability`` matches the transformer's coin bias (½ in the
     paper).  ``engine`` forwards to :func:`repro.markov.builder.build_chain`
-    (the Bernoulli daemon takes the compiled builder's order-exact scalar
-    replay over the compiled tables).
+    (the Bernoulli daemon takes the compiled builder's array layer over
+    the compiled tables).
     """
     daemon = BernoulliDistribution(
         probability=win_probability, include_empty=True

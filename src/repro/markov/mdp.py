@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import tables_for
+from repro.core.encoding import expansion_context, tables_for
 from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.batch import BatchLegitimacy, mark_states
@@ -298,12 +298,12 @@ def build_mdp(
         if daemon == "distributed"
         else relation_by_name(daemon)
     )
-    context = _ChainContext(tables, _RelationPlan(relation), positional=True)
-    if not context.int64_safe:
+    if not expansion_context(tables).int64_safe:
         raise MarkovError(
             "configuration ranks exceed int64; the MDP tier requires"
             " an int64-rankable configuration space"
         )
+    context = _ChainContext(tables, _RelationPlan(relation))
     num_states = int(total)
     atom_values = context.atom_values
     states, codes, counts, targets, kept = _expand(

@@ -9,8 +9,8 @@ the CSR ``data`` vector changes with the parameter point.
 
 :class:`ParametricChain` exploits that split.  It is the symbolic view
 of the compiled chain builder's one expander
-(:func:`repro.markov.builder._expand`, the same array layer and scalar
-replay ``build_chain`` evaluates): it keeps every wire edge as
+(:func:`repro.markov.builder._expand`, the same array layer
+``build_chain`` evaluates): it keeps every wire edge as
 ``(target, weight, action_choices, outcome atoms)`` — an *atom* is one
 slot of the compiled outcome table — and freezes the builder's
 stable-argsort dedup plan (:class:`repro.markov.builder._DedupPlan`)

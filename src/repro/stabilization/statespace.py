@@ -24,13 +24,13 @@ Two explorers produce the same digraph (see ``docs/architecture.md``):
   is the expander's plan with every allowed subset at weight one, so
   the explored edges are exactly the support of the Markov chain of any
   randomized scheduler over the same subsets.  Configurations are
-  mixed-radix ranks over the compiled NumPy class tables, and blocks
-  whose enabled cells each have one action expand as whole-block array
-  expressions under the central, synchronous and distributed
-  relations;
+  mixed-radix ranks over the compiled NumPy class tables, and every
+  block expands as whole-block array expressions under the central,
+  synchronous and distributed relations;
 * the **dict walk** below — a FIFO walk that resolves guards and
   outcomes through the reference :class:`~repro.core.system.System`.
-  It is the fallback for systems the compiled tables cannot represent
+  It is the fallback for other relations (a subclass may redefine
+  ``subsets``) and for systems the compiled tables cannot represent,
   and the oracle the support view is tested against.
 """
 
@@ -43,7 +43,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import CompiledKernelTables, tables_for
+from repro.core.encoding import (
+    CompiledKernelTables,
+    expansion_context,
+    tables_for,
+)
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import ModelError, StateSpaceError
 from repro.markov.batch import mark_states
@@ -178,14 +182,18 @@ class StateSpace:
 
         The digraph is the support view of the chain builder's expander
         over the compiled class tables (see the module docstring), with
-        the same ids, edges and enabled tuples as the dict walk.  Systems
-        the tables cannot represent (neighborhood space over the
-        compilation budget, or more than :data:`MAX_MASKED_PROCESSES`
-        processes) take the dict walk (:meth:`_explore_walk`) over
-        :class:`System`.
+        the same ids, edges and enabled tuples as the dict walk.
+        Relations other than the exact central, synchronous and
+        distributed types, and systems the tables cannot represent
+        (neighborhood space over the compilation budget, ranks beyond
+        int64, or more than :data:`MAX_MASKED_PROCESSES` processes),
+        take the dict walk (:meth:`_explore_walk`) over :class:`System`.
         """
         seeds = None if initial is None else list(initial)
-        if system.num_processes <= MAX_MASKED_PROCESSES:
+        if (
+            type(relation) in _POSITIONAL_RELATIONS
+            and system.num_processes <= MAX_MASKED_PROCESSES
+        ):
             if seeds is None:
                 _check_space_budget(system, max_configurations)
             try:
@@ -193,9 +201,10 @@ class StateSpace:
             except ModelError:
                 pass  # over the compilation budget: take the dict walk
             else:
-                return _support_view(
-                    system, relation, seeds, max_configurations, tables
-                )
+                if expansion_context(tables).int64_safe:
+                    return _support_view(
+                        system, relation, seeds, max_configurations, tables
+                    )
         return cls._explore_walk(system, relation, seeds, max_configurations)
 
     @classmethod
@@ -407,62 +416,34 @@ def _activation_masks(
 
     An edge's mask is the plan membership of its ``choice`` mapped onto
     its source's sorted enabled processes: per enabled count, the
-    processes' bits times the plan's membership matrix for a positional
-    plan, the source's own replayed subsets otherwise.  A terminal
+    processes' bits times the plan's membership matrix.  A terminal
     source's self-loop gets mask 0.
     """
     enabled = chunk.enabled
     enabled_bits = enabled @ (
         np.int64(1) << np.arange(enabled.shape[1], dtype=np.int64)
     )
-    if context.positional:
-        # One mask per (source, subset) pair; an edge reads its pair's
-        # (edges are the pairs when every move is deterministic).
-        enabled_counts = enabled.sum(axis=1, dtype=np.int64)
-        plan = context.plan_table(enabled_counts)
-        cell_source, process, position = _enabled_cells(
-            enabled, enabled_counts
-        )
-        bits = np.zeros((enabled.shape[0], plan.members.shape[0]), np.int64)
-        bits[cell_source, position] = np.int64(1) << process.astype(np.int64)
-        pair_counts = plan.num_subsets[enabled_counts]
-        pair_starts = np.cumsum(pair_counts) - pair_counts
-        pair_masks = np.empty(int(pair_counts.sum()), dtype=np.int64)
-        order, groups = _count_groups(enabled_counts)
-        bits = bits[order]
-        first_slot = pair_starts[order]
-        for k, group in groups:
-            members = context.subset_plan(k)[1]
-            slots = first_slot[group, None] + np.arange(members.shape[0])
-            pair_masks[slots] = bits[group, :k] @ members.T
-        if np.array_equal(pair_counts, chunk.counts):
-            return enabled_bits, pair_masks, None
-        pair = np.repeat(pair_starts, chunk.counts) + chunk.choice
-        return enabled_bits, pair_masks[pair], chunk.choice
-    # The replay cached each enabled tuple's plan (none for terminals).
-    plan_masks: dict[int, list[int]] = {}
-    per_source = []
-    for bits_of_source in enabled_bits.tolist():
-        table = plan_masks.get(bits_of_source)
-        if table is None:
-            subsets = context.plan_cache.get(mask_to_subset(bits_of_source))
-            table = [0] if subsets is None else [
-                subset_to_mask(subset) for _, subset in subsets
-            ]
-            plan_masks[bits_of_source] = table
-        per_source.append(table)
-    source = np.repeat(np.arange(enabled.shape[0]), chunk.counts)
-    masks = np.fromiter(
-        (
-            per_source[edge_source][edge_choice]
-            for edge_source, edge_choice in zip(
-                source.tolist(), chunk.choice.tolist()
-            )
-        ),
-        dtype=np.int64,
-        count=source.shape[0],
-    )
-    return enabled_bits, masks, chunk.choice
+    # One mask per (source, subset) pair; an edge reads its pair's
+    # (edges are the pairs when every move is deterministic).
+    enabled_counts = enabled.sum(axis=1, dtype=np.int64)
+    plan = context.plan_table(enabled_counts)
+    cell_source, process, position = _enabled_cells(enabled, enabled_counts)
+    bits = np.zeros((enabled.shape[0], plan.members.shape[0]), np.int64)
+    bits[cell_source, position] = np.int64(1) << process.astype(np.int64)
+    pair_counts = plan.num_subsets[enabled_counts]
+    pair_starts = np.cumsum(pair_counts) - pair_counts
+    pair_masks = np.empty(int(pair_counts.sum()), dtype=np.int64)
+    order, groups = _count_groups(enabled_counts)
+    bits = bits[order]
+    first_slot = pair_starts[order]
+    for k, group in groups:
+        members = context.subset_plan(k)[1]
+        slots = first_slot[group, None] + np.arange(members.shape[0])
+        pair_masks[slots] = bits[group, :k] @ members.T
+    if np.array_equal(pair_counts, chunk.counts):
+        return enabled_bits, pair_masks, None
+    pair = np.repeat(pair_starts, chunk.counts) + chunk.choice
+    return enabled_bits, pair_masks[pair], chunk.choice
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -484,18 +465,12 @@ def _support_view(
     as distinct subsets have distinct masks.  The expander's arrays,
     filtered, are the state space's CSR arrays.
     """
-    plans = None
-    if type(relation) in _POSITIONAL_RELATIONS:
-        key = (type(relation), *sorted(vars(relation).items()))
-        plans = _SHARED_PLANS.get(key)
-        if plans is None:
-            plans = _SHARED_PLANS[key] = _PlanCache()
+    key = (type(relation), *sorted(vars(relation).items()))
+    plans = _SHARED_PLANS.get(key)
+    if plans is None:
+        plans = _SHARED_PLANS[key] = _PlanCache()
     context = _ChainContext(
-        tables,
-        _RelationPlan(relation),
-        positional=plans is not None,
-        probabilities=False,
-        plans=plans,
+        tables, _RelationPlan(relation), probabilities=False, plans=plans
     )
     configurations, codes, counts, targets, kept = _expand(
         system,

@@ -144,6 +144,26 @@ def _scalar_attributes(obj) -> dict:
     return dict(sorted(params.items()))
 
 
+def _nested_algorithms(algorithm) -> dict:
+    """The algorithms ``algorithm`` wraps in its attributes (a
+    transform's base, say), by attribute name (private underscores
+    stripped): each one's type name, scalar parameters and, recursively,
+    its own wrapped algorithms."""
+    from repro.core.algorithm import Algorithm
+
+    return {
+        name.lstrip("_"): [
+            type(value).__name__,
+            _scalar_attributes(value),
+            _nested_algorithms(value),
+        ]
+        for name, value in sorted(
+            (getattr(algorithm, "__dict__", None) or {}).items()
+        )
+        if isinstance(value, Algorithm)
+    }
+
+
 def system_signature(system) -> dict:
     """Canonical, process-independent description of a
     :class:`~repro.core.system.System` — stable across runs and hosts
@@ -236,10 +256,13 @@ def system_cache_key(system) -> str | None:
     """Content-address of one system's *semantics*, or ``None``.
 
     sha256 over the canonical :func:`system_signature` JSON plus every
-    process's :func:`canonical_constants` — the signature
-    keeps only the algorithm's scalar attributes, so two systems that
-    differ only in constants (``0`` versus ``False``, say) share a
-    signature but never a cache key.  A system with a constant that has
+    process's :func:`canonical_constants` and the parameters of every
+    algorithm the system's algorithm wraps (:func:`_nested_algorithms`)
+    — the signature keeps only the outer algorithm's scalar attributes,
+    so two systems that differ only in constants (``0`` versus
+    ``False``, say) or in a wrapped base's parameters (a coin-toss
+    transform of two Herman biases) share a signature but never a cache
+    key.  A system with a constant that has
     no canonical form gets ``None``: it has no content address and is
     not cached.  Every registry family has plain int/bool constants, so
     its systems always have a key; the serving tier relies on that.
@@ -266,6 +289,7 @@ def system_cache_key(system) -> str | None:
         payload = {
             "signature": system_signature(system),
             "constants": constants,
+            "nested": _nested_algorithms(system.algorithm),
         }
         key = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
     _CACHE_KEYS[system] = key

@@ -34,27 +34,17 @@ from repro.stabilization.statespace import StateSpace
 from repro.stabilization.witnesses import synchronous_lasso
 
 
-#: Above this many configurations, scan with the compiled tables
-#: (entry-for-entry equal to ``System`` by ``test_encoding``) rather
-#: than re-running every guard per configuration.
-TABLE_SCAN_THRESHOLD = 100_000
-
 #: Configuration ranks decoded per table scan block.
 SCAN_BLOCK = 65_536
 
 
 def _terminal_configurations(system, limit=None):
+    """Terminal configurations in ``all_configurations()`` order, found
+    with the compiled tables (entry-for-entry equal to ``System`` by
+    ``test_encoding``) rather than by re-running every guard per
+    configuration."""
     found = []
     total = system.num_configurations()
-    if total <= TABLE_SCAN_THRESHOLD:
-        for configuration in system.all_configurations():
-            if system.is_terminal(configuration):
-                found.append(configuration)
-                if limit and len(found) >= limit:
-                    break
-        return found
-    # Ranks follow all_configurations() order, so ``limit`` keeps the
-    # same prefix either way.
     context = expansion_context(tables_for(system))
     tables = context.tables
     for start in range(0, total, SCAN_BLOCK):

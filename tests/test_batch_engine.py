@@ -343,6 +343,31 @@ class TestBatchStructuralEquivalence:
         assert batch.censored == scalar.censored == 20
         assert batch.stats is None and scalar.stats is None
 
+    def test_terminal_on_last_budgeted_step_is_not_a_timeout(self):
+        """On the path of three, every central step from all zeros ends
+        in a terminal configuration; with ``max_steps=1`` every engine
+        counts such a trial as terminal, not as timed out."""
+        system = make_leader_tree_system(path(3))
+        kwargs = dict(
+            legitimate=lambda c: False,
+            trials=8,
+            max_steps=1,
+            initial_configurations=[((0,), (0,), (0,))],
+        )
+        runner = MonteCarloRunner(system)
+        results = {
+            engine: runner.estimate(
+                CentralRandomizedSampler(),
+                rng=RandomSource(1),
+                engine=engine,
+                **kwargs,
+            )
+            for engine in ("batch", "scalar")
+        }
+        for result in results.values():
+            assert result.censored == 8
+            assert result.timed_out == 0
+
     def test_initial_configurations_cycle(self):
         """Explicit initials tile over trials exactly as the scalar path:
         legitimate starts converge at time 0 on both engines."""

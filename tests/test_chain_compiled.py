@@ -2,13 +2,15 @@
 
 The compiled wire-format builder (``build_chain(engine="compiled")``)
 must reproduce the dict-walk oracle (``engine="scalar"``) exactly: same
-state list in the same order, bit-identical CSR arrays whether a block
-takes the array layer or the scalar replay, and identical downstream verdicts
+state list in the same order, bit-identical CSR arrays (multi-action
+cells included), and identical downstream verdicts
 (``hitting_summary``, ``classify_probabilistic``) — across topologies,
 scheduler distributions, deterministic and probabilistic systems, and
-both full-space and restricted-initial modes — and which layer of the
-one expander each view (chain, ``ParametricChain``, ``build_mdp``)
-takes.  Also covers the
+both full-space and restricted-initial modes.  Every view of the one
+expander (chain, ``ParametricChain``, ``build_mdp``) takes its array
+layer; what the compiled path cannot take (custom distributions, rank
+spaces beyond int64) ``"auto"`` builds with the dict walk, and
+``"compiled"`` and ``ParametricChain`` refuse.  Also covers the
 CSR-native :class:`MarkovChain` surface: cached matrix exports, the lazy
 ``rows`` view, and vectorized ``mark`` predicates.
 """
@@ -21,10 +23,12 @@ import numpy as np
 import pytest
 
 from conformance_registry import conformance_system, make_two_action_system
+from repro.algorithms.dijkstra_ring import make_dijkstra_system
 from repro.algorithms.herman_ring import HermanSingleTokenSpec, make_herman_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import TokenCirculationSpec, make_token_ring_system
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
+from repro.core.encoding import expansion_context, tables_for
 from repro.errors import MarkovError, SchedulerError
 from repro.graphs.generators import figure3_chain, star
 from repro.markov.batch import DecodingLegitimacy, EnabledCountLegitimacy
@@ -36,6 +40,7 @@ from repro.schedulers.distributions import (
     BernoulliDistribution,
     CentralRandomizedDistribution,
     DistributedRandomizedDistribution,
+    SchedulerDistribution,
     SynchronousDistribution,
 )
 from repro.stabilization.probabilistic import classify_probabilistic
@@ -56,6 +61,11 @@ SYSTEMS = {
     # An inexact coin: products of 0.3/0.7 factors depend on their order.
     "trans(ring4, 0.3)": lambda: make_transformed_system(
         make_token_ring_system(4), 0.3
+    ),
+    # Two enabled actions per cell, each a 0.3/0.7 coin: the action
+    # assignments and the outcome combinations both expand.
+    "trans(two-action3, 0.3)": lambda: make_transformed_system(
+        make_two_action_system(3), 0.3
     ),
 }
 
@@ -112,7 +122,8 @@ def test_restricted_initial_equivalence(system_name, distribution_name):
 
 def _replay_twin(distribution):
     """The same distribution as a trivial subclass: identical subsets, but
-    not an exact built-in type, so the builder takes the scalar replay."""
+    not an exact built-in type, so ``"auto"`` replays its own subset
+    enumeration in the dict walk and ``"compiled"`` refuses it."""
     twin = copy.copy(distribution)
     twin.__class__ = type(
         f"Replay{type(distribution).__name__}", (type(distribution),), {}
@@ -120,20 +131,31 @@ def _replay_twin(distribution):
     return twin
 
 
-@pytest.fixture
-def array_layer_calls(monkeypatch):
-    """Counts the compiled blocks expanded by the array layer."""
+def _count_calls(monkeypatch, name):
+    """Counts the calls of ``repro.markov.builder.<name>``."""
     import repro.markov.builder as builder_module
 
     calls = []
-    original = builder_module._array_edges
+    original = getattr(builder_module, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(builder_module, "_array_edges", spy)
+    monkeypatch.setattr(builder_module, name, spy)
     return calls
+
+
+@pytest.fixture
+def array_layer_calls(monkeypatch):
+    """Counts the compiled blocks expanded by the array layer."""
+    return _count_calls(monkeypatch, "_array_edges")
+
+
+@pytest.fixture
+def dict_walk_calls(monkeypatch):
+    """Counts the chains built by the dict walk (``_build_scalar``)."""
+    return _count_calls(monkeypatch, "_build_scalar")
 
 
 def assert_arrays_identical(expected, actual):
@@ -150,15 +172,15 @@ def assert_arrays_identical(expected, actual):
 def test_array_layer_bit_identical_to_replay(
     system_name, distribution_name, array_layer_calls
 ):
+    """The array layer against the dict walk, and against the dict
+    walk's replay of a subclass twin's own subset enumeration."""
     system = SYSTEMS[system_name]()
     distribution = DISTRIBUTIONS[distribution_name]()
     array = build_chain(system, distribution, engine="compiled")
     assert array_layer_calls, "the exact built-in type takes the array layer"
     array_layer_calls.clear()
-    replay = build_chain(
-        system, _replay_twin(distribution), engine="compiled"
-    )
-    assert not array_layer_calls, "a subclass takes the scalar replay"
+    replay = build_chain(system, _replay_twin(distribution))
+    assert not array_layer_calls, "a subclass takes the dict walk"
     assert_arrays_identical(replay, array)
     scalar = build_chain(system, distribution, engine="scalar")
     assert_arrays_identical(scalar, array)
@@ -173,37 +195,92 @@ def test_array_layer_bit_identical_to_replay(
     ids=["distributed", "bernoulli"],
 )
 def test_max_enabled_overflow_raises_on_both_paths(distribution):
+    """The array layer raises the dict walk's ``SchedulerError``."""
     system = make_herman_system(5)
     messages = []
-    for candidate in (distribution, _replay_twin(distribution)):
+    for candidate, engine in (
+        (distribution, "compiled"),
+        (distribution, "scalar"),
+        (_replay_twin(distribution), "auto"),
+    ):
         with pytest.raises(SchedulerError) as raised:
-            build_chain(system, candidate, engine="compiled")
+            build_chain(system, candidate, engine=engine)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 @pytest.mark.parametrize("distribution_name", sorted(DISTRIBUTIONS))
-def test_multi_action_blocks_take_the_replay(
+def test_multi_action_blocks_take_the_array_layer(
     distribution_name, array_layer_calls
 ):
+    """Every block of the full space holds a two-action cell; the chain
+    and the parametric view take the array layer and equal the dict
+    walk bit for bit."""
     system = make_two_action_system(4)
     distribution = DISTRIBUTIONS[distribution_name]()
     compiled = build_chain(system, distribution, engine="compiled")
+    assert array_layer_calls
     scalar = build_chain(system, distribution, engine="scalar")
-    # Every block of the full space holds a two-action cell, in every
-    # view of the expander.
-    assert not array_layer_calls
     assert_arrays_identical(scalar, compiled)
+    array_layer_calls.clear()
     assert_arrays_identical(
         scalar, ParametricChain(system, distribution).instantiate()
     )
-    assert not array_layer_calls
+    assert array_layer_calls
 
 
 @pytest.mark.parametrize("daemon", MDP_DAEMONS)
-def test_multi_action_mdp_takes_the_replay(daemon, array_layer_calls):
+def test_multi_action_mdp_takes_the_array_layer(daemon, array_layer_calls):
+    """``tests/test_mdp.py`` pins these MDPs to its scalar oracle."""
     build_mdp(make_two_action_system(4), daemon=daemon)
-    assert not array_layer_calls
+    assert array_layer_calls
+
+
+class FirstEnabledDistribution(SchedulerDistribution):
+    """A custom distribution: the smallest enabled process moves."""
+
+    name = "first-enabled"
+
+    def weighted_subsets(self, enabled):
+        return [(1.0, (min(enabled),))]
+
+
+def test_custom_distribution_takes_the_dict_walk(
+    array_layer_calls, dict_walk_calls
+):
+    system = make_token_ring_system(4)
+    chain = build_chain(system, FirstEnabledDistribution())
+    assert dict_walk_calls and not array_layer_calls
+    assert chain.scheduler_name == "first-enabled"
+    assert all(len(row) == 1 for row in chain.rows)
+    with pytest.raises(MarkovError, match="not a built-in distribution"):
+        build_chain(system, FirstEnabledDistribution(), engine="compiled")
+    with pytest.raises(MarkovError, match="not a built-in distribution"):
+        ParametricChain(system, FirstEnabledDistribution())
+
+
+@pytest.mark.parametrize("distribution_name", sorted(DISTRIBUTIONS))
+def test_rank_space_beyond_int64_takes_the_dict_walk(
+    distribution_name, array_layer_calls, dict_walk_calls
+):
+    """Dijkstra's ring of 20 has 20^20 configurations: its ranks do not
+    fit int64, so a chain seeded at a legitimate configuration is built
+    by the dict walk, and the compiled engine refuses."""
+    system = make_dijkstra_system(20)
+    assert not expansion_context(tables_for(system)).int64_safe
+    seed = [next(system.all_configurations())]
+    distribution = DISTRIBUTIONS[distribution_name]()
+    auto = build_chain(system, distribution, initial=seed)
+    assert dict_walk_calls and not array_layer_calls
+    assert auto.num_states == 400  # the N·K legitimate configurations
+    assert_arrays_identical(
+        build_chain(system, distribution, initial=seed, engine="scalar"),
+        auto,
+    )
+    with pytest.raises(MarkovError, match="exceed int64"):
+        build_chain(system, distribution, initial=seed, engine="compiled")
+    with pytest.raises(MarkovError, match="exceed int64"):
+        ParametricChain(system, distribution, initial=seed)
 
 
 def test_parametric_and_mdp_views_take_the_array_layer(array_layer_calls):

@@ -6,14 +6,17 @@ support view of the chain builder's one expander — must produce the
 (``StateSpace._explore_walk``) — configurations, interned ids, edge lists
 (order included), enabled tuples — and therefore identical downstream
 verdicts, on every topology family the registry uses (rings,
-trees/chains, stars) and for deterministic as well as probabilistic
-systems, however the rank space is cut into expansion blocks.
+trees/chains, stars), for deterministic as well as probabilistic
+systems and for cells with two enabled actions, however the rank space
+is cut into expansion blocks.  What the support view cannot take
+(relation subclasses, rank spaces beyond int64) takes the dict walk.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from conformance_registry import make_two_action_system
 from repro.algorithms.dijkstra_ring import make_dijkstra_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import (
@@ -63,6 +66,7 @@ TOPOLOGY_CASES = [
         lambda: make_leader_tree_system(figure3_chain()), id="chain4-leader"
     ),
     pytest.param(lambda: make_leader_tree_system(star(3)), id="star3-leader"),
+    pytest.param(lambda: make_two_action_system(4), id="two-action4"),
 ]
 
 RELATIONS = [
@@ -86,9 +90,11 @@ def test_sharded_identical_across_topologies(
 
 
 # ----------------------------------------------------------------------
-# the array layer and the per-source replay
+# the array layer and the dict-walk fallback
 # ----------------------------------------------------------------------
 DISTRIBUTED_CASES = [
+    # Every block holds a cell with two enabled actions.
+    pytest.param(lambda: make_two_action_system(4), id="two-action4"),
     *(
         pytest.param(lambda n=n: make_token_ring_system(n), id=f"ring{n}")
         for n in range(3, 7)
@@ -128,8 +134,8 @@ def distributed_layer_calls(monkeypatch):
 def test_compiled_explorer_matches_dict_walk(
     make_system, make_relation, mode, distributed_layer_calls
 ):
-    """Blocks of one-action cells under the three built-in relations
-    take the array layer."""
+    """Every block under the three built-in relations takes the array
+    layer."""
     system = make_system()
     relation = make_relation()
     initial = None if mode == "full" else [next(system.all_configurations())]
@@ -155,9 +161,10 @@ def test_distributed_layer_enforces_max_enabled():
         StateSpace.explore(system, relation)
 
 
-def test_distributed_subclass_takes_the_replay(distributed_layer_calls):
+def test_distributed_subclass_takes_the_dict_walk(distributed_layer_calls):
     """A subclass may redefine ``subsets``, so only the exact type is
-    vectorized; subclasses replay their own enumeration."""
+    vectorized; subclasses take the dict walk over their own
+    enumeration."""
 
     class SmallestFirst(DistributedRelation):
         def subsets(self, enabled):
@@ -174,6 +181,20 @@ def test_distributed_subclass_takes_the_replay(distributed_layer_calls):
     assert compiled.edges != StateSpace.explore(
         system, DistributedRelation()
     ).edges
+
+
+@pytest.mark.parametrize("make_relation", RELATIONS)
+def test_rank_space_beyond_int64_takes_the_dict_walk(
+    make_relation, distributed_layer_calls
+):
+    """Dijkstra's ring of 20 has 20^20 configurations, beyond int64
+    ranks: explored from a legitimate configuration by the dict walk."""
+    system = make_dijkstra_system(20)
+    seed = [next(system.all_configurations())]
+    oracle, compiled = explore_pair(system, make_relation(), initial=seed)
+    assert_identical(oracle, compiled)
+    assert compiled.num_configurations == 400
+    assert distributed_layer_calls == []
 
 
 def test_sharded_identical_probabilistic_two_process():

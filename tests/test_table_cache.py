@@ -20,6 +20,7 @@ import pytest
 
 import repro.core.encoding as encoding_module
 from repro.algorithms.dijkstra_ring import make_dijkstra_system
+from repro.algorithms.herman_variants import make_herman_random_bit_system
 from repro.algorithms.token_ring import make_token_ring_system
 from repro.campaign import CampaignConfig, CampaignSelection, run_campaign
 from repro.core.encoding import (
@@ -45,7 +46,9 @@ from repro.store.columnar import (
     system_cache_key,
     system_signature,
 )
+from repro.transformer.coin_toss import make_transformed_system
 
+from conformance_registry import CONFORMANCE_SYSTEMS
 from test_campaign import store_bytes
 from test_class_tables import _dijkstra_point, _echo_system
 
@@ -90,6 +93,32 @@ def test_systems_differing_only_in_constants_get_distinct_keys():
     assert system_cache_key(_echo_system((0.0, 0.0))) != system_cache_key(
         _echo_system((0.0, -0.0))
     )
+
+
+def test_transforms_of_differently_biased_bases_get_distinct_tables():
+    """``Trans(·)`` keeps its base in an attribute: the base's coin bias
+    is content of the cache key (though not of the signature), so a warm
+    cache never hands one bias's tables to the other."""
+    low, high = (
+        make_transformed_system(make_herman_random_bit_system(5, bias))
+        for bias in (0.3, 0.7)
+    )
+    assert system_signature(low) == system_signature(high)
+    assert system_cache_key(low) != system_cache_key(high)
+    tables_for(low)
+    warm, fresh = tables_for(high), compile_tables(high)
+    assert np.array_equal(warm.outcome_prob, fresh.outcome_prob)
+    assert not np.array_equal(
+        tables_for(low).outcome_prob, fresh.outcome_prob
+    )
+
+
+def test_every_registry_system_has_a_distinct_key():
+    keys = [
+        system_cache_key(entry.build()) for entry in CONFORMANCE_SYSTEMS
+    ]
+    assert None not in keys
+    assert len(set(keys)) == len(keys)
 
 
 def test_sweep_of_constant_twins_matches_separate_runs():
