@@ -2,17 +2,26 @@
 
 Given a :class:`~repro.markov.parametric.ParametricChain` and a target
 set, find the coin assignment minimizing the expected hitting time *and*
-a certified box guaranteed to contain every global argmin — the native
-port of the PRISM parameter-lifting (PLA) workflow onto the compiled
-chain stack:
+a certified box guaranteed to contain every global argmin, by
+sample → bound → split over parameter boxes with a **per-slot interval
+value iteration** as the bound.  (This is not parameter lifting: the
+bound relaxes each transition slot on its own, not each state's
+parameter choice, so it cannot see that one coin drives every factor of
+an edge.)
+
+Both the samples and the bounds run on the chain's rotation quotient
+(:class:`~repro.markov.parametric._HittingStructure`): on a symmetric
+ring every state of a rotation orbit has the same hitting time and the
+same bound, so each orbit is solved once, and a chain without that
+symmetry is its own quotient with one state per orbit.
 
 * **sample** — solve the chain exactly at each candidate region's
-  center (cheap: the chain re-instantiates only its ``data`` vector and
-  reuses the cached transient-solve structure).  The best value seen is
-  the *incumbent*, an upper bound on the global minimum.
+  center (cheap: the quotient evaluates only its representatives'
+  edges and reuses the cached transient-solve structure).  The best
+  value seen is the *incumbent*, an upper bound on the global minimum.
 * **bound** — compute a certified **lower** bound of the objective over
   the whole region via interval value iteration
-  (:func:`certified_lower_bound`): per-CSR-slot probability intervals
+  (:func:`certified_lower_bound`): per-slot probability intervals
   come from the affine atom bounds, and the Bellman backup
   ``v ← 1 + Σ lo·v + (1 − Σ lo)·min v`` shifts all uncertain mass onto
   the best successor.  Starting from ``v = 0`` the iteration is
@@ -29,7 +38,9 @@ lower bounds sandwich every exactly-solved sample from below, and the
 maximum surviving width shrinks monotonically across rounds —
 ``tests/test_bias_optimizer.py`` checks exactly these properties.  The
 whole procedure is deterministic: no random sampling, only centers and
-bisection.
+bisection, and samples within :data:`_TIE_RELATIVE` of the minimum tie,
+the first one evaluated winning — so a mirror-symmetric objective
+reports the same argmin whichever way round-off breaks its tie.
 """
 
 from __future__ import annotations
@@ -53,6 +64,12 @@ __all__ = [
 #: exceeds the incumbent by more than this (guards float round-off when
 #: the incumbent's own region is bounded almost exactly).
 _PRUNE_EPSILON = 1e-9
+
+#: Samples within this relative distance of the best value are ties,
+#: and the first one evaluated is reported: round-off below it (the
+#: quotient and the full chain differ in the last few ulps) must not
+#: pick between mirror-image argmins such as ``p`` and ``1 − p``.
+_TIE_RELATIVE = 1e-12
 
 
 @dataclass
@@ -163,11 +180,12 @@ def certified_lower_bound(
 ) -> float:
     """Sound lower bound on the objective over one parameter box.
 
-    Interval value iteration with the mass-shifting backup: each CSR
-    slot contributes at least its interval low ``lo``, and the leftover
-    row mass ``1 − Σ lo`` (an upper bound on how much probability the
-    adversary — here: the unknown parameter point — can reallocate) is
-    sent to the row's minimal successor value.  Iterates from ``v = 0``
+    Interval value iteration with the mass-shifting backup, on the rows
+    and slots of the chain's rotation quotient (every state of an orbit
+    has the same bound): each slot contributes at least its interval low
+    ``lo``, and the leftover row mass ``1 − Σ lo`` (an upper bound on how
+    much probability the adversary — here: the unknown parameter point —
+    can reallocate) is sent to the row's minimal successor value.  Iterates from ``v = 0``
     are monotonically non-decreasing and every one satisfies
     ``v(s) ≤ min over the box of E[steps from s]``, so truncating at any
     iteration budget stays sound.
@@ -177,14 +195,12 @@ def certified_lower_bound(
             f"unknown objective {objective!r}; known: mean, worst"
         )
     solver = pchain._solver(target)  # validates the mask, caches closure
-    target = solver.target
-    transient = ~target
-    if not transient.any():
+    if solver.num_transient == 0:
         return 0.0
-    data_lo, _ = pchain.data_bounds(lows, highs)
-    indptr = pchain.indptr
-    indices = pchain.indices
-    starts = indptr[:-1]
+    target = solver.orbit_target
+    data_lo = solver.lower_bounds(pchain.atom_lower_bounds(lows, highs))
+    indices = solver.indices
+    starts = solver.indptr[:-1]
     row_lo_sum = np.add.reduceat(data_lo, starts)
     slack = np.maximum(1.0 - row_lo_sum, 0.0)
 
@@ -200,9 +216,7 @@ def certified_lower_bound(
         v = v_next
         if residual <= residual_tolerance * (1.0 + float(v.max())):
             break
-    if objective == "mean":
-        return float(v[transient].mean())
-    return float(v[transient].max())
+    return solver.objective_value(v, objective)
 
 
 def synthesize_optimal_bias(
@@ -296,7 +310,12 @@ def synthesize_optimal_bias(
         ]
         width_history.append(max(region.width() for region in regions))
 
-    best_assignment, best_value = min(evaluations, key=lambda item: item[1])
+    lowest = min(value for _, value in evaluations)
+    best_assignment, best_value = next(
+        (assignment, value)
+        for assignment, value in evaluations
+        if value <= lowest + _TIE_RELATIVE * abs(lowest)
+    )
     regions.sort(key=lambda region: region.lower_bound)
     certified_lows = {
         name: min(region.lows[axis] for region in regions)

@@ -75,6 +75,7 @@ __all__ = [
     "compile_tables",
     "expansion_context",
     "process_classes",
+    "ranks_fit_int64",
     "tables_for",
 ]
 
@@ -83,6 +84,19 @@ CODE_DTYPE = np.uint32
 
 #: Default cap on the class entries :func:`compile_tables` stores.
 DEFAULT_TABLE_BUDGET = 1_000_000
+
+#: Configuration spaces smaller than this rank in int64 arithmetic.
+_RANK_SPACE_LIMIT = 2**62
+
+
+def ranks_fit_int64(system: System) -> bool:
+    """Whether ``system``'s configuration ranks fit int64 arithmetic.
+
+    Known from the local-state counts alone, so the expander's callers
+    ask before compiling tables they could not use
+    (:attr:`ExpansionContext.int64_safe` says the same of a table set).
+    """
+    return system.num_configurations() < _RANK_SPACE_LIMIT
 
 
 class StateEncoding:
@@ -465,7 +479,7 @@ class ExpansionContext:
         space_size = 1
         for size in self.sizes:
             space_size *= size
-        self.int64_safe = space_size < 2**62
+        self.int64_safe = space_size < _RANK_SPACE_LIMIT
         # Real arity of each action row (rows are padded with the 2.0
         # cum-probability sentinel).
         self.arity = (tables.outcome_cum < 1.5).sum(axis=1)

@@ -65,7 +65,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import expansion_context, tables_for
+from repro.core.encoding import expansion_context, ranks_fit_int64, tables_for
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
 from repro.markov.chain import MarkovChain, concat_ranges
@@ -408,15 +408,15 @@ def _compile_chain_context(
             f"{type(distribution).__name__} is not a built-in"
             " distribution type"
         )
+    elif not ranks_fit_int64(system):
+        reason = "configuration ranks exceed int64"
     else:
         try:
             tables = tables_for(system)
         except ModelError as error:
             reason, cause = str(error), error
         else:
-            if expansion_context(tables).int64_safe:
-                return _ChainContext(tables, distribution)
-            reason = "configuration ranks exceed int64"
+            return _ChainContext(tables, distribution)
     if require:
         raise MarkovError(
             f"engine='compiled' unavailable: {reason}"

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import expansion_context, tables_for
+from repro.core.encoding import ranks_fit_int64, tables_for
 from repro.core.system import System
 from repro.errors import MarkovError
 from repro.markov.batch import BatchLegitimacy, mark_states
@@ -292,17 +292,17 @@ def build_mdp(
             f"configuration space has {total} states, budget is"
             f" {max_states}"
         )
+    if not ranks_fit_int64(system):
+        raise MarkovError(
+            "configuration ranks exceed int64; the MDP tier requires"
+            " an int64-rankable configuration space"
+        )
     tables = tables_for(system)
     relation = (
         DistributedRelation(max_enabled)
         if daemon == "distributed"
         else relation_by_name(daemon)
     )
-    if not expansion_context(tables).int64_safe:
-        raise MarkovError(
-            "configuration ranks exceed int64; the MDP tier requires"
-            " an int64-rankable configuration space"
-        )
     context = _ChainContext(tables, _RelationPlan(relation))
     num_states = int(total)
     atom_values = context.atom_values

@@ -40,15 +40,27 @@ point only the numeric factorizations and the block forward
 substitution run, and the whole solve's residual is checked.
 ``benchmarks/bench_parametric_sweep.py`` measures the resulting speedup
 over rebuilding the chain per point on a 64-point bias grid.
+
+That per-target structure solves the chain's **rotation quotient**.
+An anonymous ring's step commutes with rotating the ring (the symmetry
+argument of the paper's Theorem 3), so when rotation by one process is
+an automorphism of the symbolic chain and the target is invariant, the
+chain lumps exactly onto its rotation orbits: a Herman ring of 9 has
+512 states but 60 orbits.  Sweeps then evaluate only the orbit
+representatives' edges and factor the orbit chain; a chain without
+the symmetry is its own quotient, one state per orbit
+(:class:`_HittingStructure` records which, and why).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.configuration import Configuration
+from repro.core.encoding import expansion_context
 from repro.core.parametric import CoinParameter
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
@@ -61,7 +73,7 @@ from repro.markov.builder import (
     _edge_probs,
     _expand,
 )
-from repro.markov.chain import ROW_SUM_TOLERANCE, MarkovChain
+from repro.markov.chain import ROW_SUM_TOLERANCE, MarkovChain, concat_ranges
 from repro.markov.hitting import (
     TransientFactor,
     TransientPlan,
@@ -75,64 +87,154 @@ __all__ = ["ParametricChain", "build_parametric_chain"]
 class _HittingStructure:
     """Per-target transient-solve plan, reused across the whole sweep.
 
-    Everything here depends only on the chain's sparsity pattern and the
-    target mask — never on a parameter point: the transient index set,
-    the CSR slots of ``Q`` and its :class:`~repro.markov.hitting.TransientPlan`
-    (strongly connected super-blocks and their assembly plans).
-    :meth:`solve` then does only numeric work per point.
+    Everything here depends only on the chain's symbolic structure and
+    the target mask — never on a parameter point.  Rows and columns are
+    the chain's **rotation orbits** (:meth:`ParametricChain._rotation`):
+    when turning every configuration by one process is an automorphism
+    of the symbolic chain and the target is invariant under it, the
+    chain lumps exactly onto its orbits (the anonymity argument of the
+    paper's Theorem 3), and hitting times are constant on each orbit.
+    Otherwise every orbit is one state, and the quotient is the full
+    chain itself.  Either way one code path holds:
+
+    * each row is an orbit's representative (its minimum-rank state),
+      its wire edges the representative's, accumulated by a frozen
+      :class:`~repro.markov.builder._DedupPlan` into the full chain's
+      slots of those rows (:meth:`data`, checked like
+      :meth:`ParametricChain.data_vector`);
+    * :meth:`solve` folds those slots into orbit columns and runs one
+      residual-checked :class:`~repro.markov.hitting.TransientFactor`
+      over the transient orbits' :class:`~repro.markov.hitting.TransientPlan`.
+
+    :attr:`num_orbits` counts the rows; :attr:`declined` names why the
+    rotation was not used (``None`` when it was).
     """
 
-    def __init__(
-        self,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        target: np.ndarray,
-    ) -> None:
+    def __init__(self, chain: "ParametricChain", target: np.ndarray) -> None:
         n = target.shape[0]
-        self.target = target
+        representative, self.declined = chain._rotation
+        if self.declined is None and not np.array_equal(
+            target[representative], target
+        ):
+            self.declined = "target not invariant"
+        if self.declined is not None:
+            representative = np.arange(n, dtype=np.int64)
+        reps, orbit_of = np.unique(representative, return_inverse=True)
+        k = reps.shape[0]
+        self.num_orbits = k
+        #: Orbit of each state, and each orbit's number of states.
+        self.orbit_of = orbit_of.reshape(n)
+        self.orbit_size = np.bincount(self.orbit_of, minlength=k)
+        self.orbit_target = orbit_target = target[reps]
+
+        counts = chain._edge_counts[reps]
+        starts = (np.cumsum(chain._edge_counts) - chain._edge_counts)[reps]
+        edges = concat_ranges(starts, starts + counts)
+        self._weights = chain._edge_weights[edges]
+        self._divisors = chain._edge_divisors[edges]
+        self._atoms = chain._edge_atoms[edges]
+        self._rows = _DedupPlan(
+            k, counts, chain._edge_targets[edges], num_cols=n
+        )
+        #: Row pointers of the representatives' slots in :meth:`data`.
+        self.row_indptr = self._rows.indptr
+        row_of_slot = np.repeat(
+            np.arange(k, dtype=np.int64), np.diff(self.row_indptr)
+        )
+        slot_keys, fold = np.unique(
+            row_of_slot * np.int64(k) + self.orbit_of[self._rows.indices],
+            return_inverse=True,
+        )
+        self._fold = fold.reshape(-1)
+        #: The orbit chain's CSR pattern (rows and columns are orbits).
+        self.indices = slot_keys % k
+        self.indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(slot_keys // k, minlength=k), out=self.indptr[1:]
+        )
+
         # Edge probabilities are strictly positive on the open parameter
         # box, so structural reachability equals probabilistic
         # reachability at every point.
-        reached = backward_closure(indices, indptr, target) >= 0
+        level = backward_closure(self.indices, self.indptr, orbit_target)
+        reached = level >= 0
         if not reached.all():
             raise MarkovError(
-                f"{int((~reached).sum())} states cannot reach the target"
-                " set; parametric hitting sweeps need absorption"
-                " probability one everywhere"
+                f"{int(self.orbit_size[~reached].sum())} states cannot"
+                " reach the target set; parametric hitting sweeps need"
+                " absorption probability one everywhere"
             )
 
-        transient_ids = np.flatnonzero(~target)
+        transient_ids = np.flatnonzero(~orbit_target)
         self.transient_ids = transient_ids
         m = transient_ids.shape[0]
         self.num_transient = m
         if m == 0:
             return
 
-        position = np.full(n, -1, dtype=np.int64)
+        position = np.full(k, -1, dtype=np.int64)
         position[transient_ids] = np.arange(m, dtype=np.int64)
         row_of_entry = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(indptr)
+            np.arange(k, dtype=np.int64), np.diff(self.indptr)
         )
-        inside = ~target[row_of_entry] & ~target[indices]
-        #: CSR data slots that land in the transient Q block, in the CSR
-        #: order of Q itself (transient positions keep the state order).
+        inside = ~orbit_target[row_of_entry] & ~orbit_target[self.indices]
+        #: Orbit-chain slots that land in the transient Q block, in the
+        #: CSR order of Q itself (transient positions keep orbit order).
         self.entry_sel = np.flatnonzero(inside)
         q_indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(position[row_of_entry[self.entry_sel]], minlength=m),
             out=q_indptr[1:],
         )
-        self.plan = TransientPlan(position[indices[self.entry_sel]], q_indptr)
+        self.plan = TransientPlan(
+            position[self.indices[self.entry_sel]], q_indptr
+        )
+
+    def data(self, atom_values: np.ndarray) -> np.ndarray:
+        """The representatives' rows of the chain's ``data`` vector."""
+        return self._rows.accumulate(
+            _edge_probs(
+                self._weights, self._divisors, self._atoms, atom_values
+            )
+        )
+
+    def lower_bounds(self, atom_lows: np.ndarray) -> np.ndarray:
+        """Orbit-chain slot probabilities' lower bounds, from per-atom
+        lower bounds (products and sums of non-negative intervals)."""
+        branch = np.ones(self._weights.shape[0])
+        for column in self._atoms.T:
+            branch = branch * atom_lows[column]
+        return self._folded(
+            self._rows.accumulate(self._weights / self._divisors * branch)
+        )
+
+    def _folded(self, slot_values: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self._fold, weights=slot_values, minlength=self.indices.shape[0]
+        )
 
     def solve(self, data: np.ndarray) -> np.ndarray:
-        """Expected hitting times for one instantiated ``data`` vector."""
-        times = np.zeros(self.target.shape[0], dtype=float)
+        """Expected hitting time per orbit for one :meth:`data` vector."""
+        times = np.zeros(self.num_orbits, dtype=float)
         if self.num_transient == 0:
             return times
-        factor = TransientFactor(self.plan, data[self.entry_sel])
+        factor = TransientFactor(self.plan, self._folded(data)[self.entry_sel])
         t = factor.solve(np.ones(self.num_transient, dtype=float))
         times[self.transient_ids] = np.maximum(t, 0.0)
         return times
+
+    def objective_value(
+        self, orbit_values: np.ndarray, objective: str
+    ) -> float:
+        """Mean (weighted by orbit size) or worst value over the
+        transient states."""
+        if self.num_transient == 0:
+            return 0.0
+        values = orbit_values[self.transient_ids]
+        if objective == "mean":
+            sizes = self.orbit_size[self.transient_ids]
+            return float((values * sizes).sum() / sizes.sum())
+        return float(values.max())
 
 
 class ParametricChain:
@@ -239,6 +341,9 @@ class ParametricChain:
             atoms, np.argsort(~real, axis=1, kind="stable"), axis=1
         )
         self._edge_atoms = atoms[:, : int(real.sum(axis=1).max(initial=0))]
+        #: Wire edges are grouped by source state, in state order.
+        self._edge_counts = counts
+        self._edge_targets = targets
         self._plan = _DedupPlan(self.num_states, counts, targets)
         self.indices = self._plan.indices
         self.indptr = self._plan.indptr
@@ -261,17 +366,30 @@ class ParametricChain:
         multiplied left to right from ``1.0`` (see
         :func:`repro.markov.builder._edge_probs`).
         """
-        tables = self._tables
-        if assignment is None:
-            atom_values = tables.outcome_prob
-        else:
-            atom_values = tables.evaluate_outcome_probs(dict(assignment))
         return _edge_probs(
             self._edge_weights,
             self._edge_divisors,
             self._edge_atoms,
-            np.append(atom_values.ravel(), 1.0),
+            self._atom_values(assignment),
         )
+
+    def _atom_values(
+        self, assignment: Mapping[str, float] | None
+    ) -> np.ndarray:
+        """The raveled outcome table at one assignment, plus the padding
+        atom's ``1.0``; :class:`ModelError` on a coin name the chain
+        does not use."""
+        tables = self._tables
+        if assignment is None:
+            return np.append(tables.outcome_prob.ravel(), 1.0)
+        unknown = sorted(set(assignment) - set(self.param_names))
+        if unknown:
+            raise ModelError(
+                f"unknown coin parameters {unknown}; the chain uses"
+                f" {list(self.param_names)}"
+            )
+        atom_values = tables.evaluate_outcome_probs(dict(assignment))
+        return np.append(atom_values.ravel(), 1.0)
 
     def data_vector(
         self, assignment: Mapping[str, float] | None = None
@@ -285,54 +403,23 @@ class ParametricChain:
         slot, or a row whose mass is off one by more than
         :data:`~repro.markov.chain.ROW_SUM_TOLERANCE`.
         """
-        if assignment is not None:
-            unknown = sorted(set(assignment) - set(self.param_names))
-            if unknown:
-                raise ModelError(
-                    f"unknown coin parameters {unknown}; the chain uses"
-                    f" {list(self.param_names)}"
-                )
         data = self._plan.accumulate(self.edge_probs(assignment))
-        if data.size:
-            mass = np.add.reduceat(data, self.indptr[:-1])
-            low, drift = data.min(), np.abs(mass - 1.0).max()
-            if low < 0.0 or drift > ROW_SUM_TOLERANCE:
-                problem = (
-                    f"a negative transition probability ({low:.4g})"
-                    if low < 0.0
-                    else f"a row mass off one by {drift:.3g}"
-                )
-                raise MarkovError(
-                    f"coin assignment {dict(assignment or {})} gives"
-                    f" {problem}"
-                )
+        _check_probabilities(data, self.indptr, assignment)
         return data
 
-    def data_bounds(
+    def atom_lower_bounds(
         self, lows: Mapping[str, float], highs: Mapping[str, float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot probability intervals over a parameter box.
+    ) -> np.ndarray:
+        """Per-atom probability lower bounds over a parameter box.
 
-        Atoms are affine (exact interval endpoints by coefficient sign);
-        products and dedup sums combine the non-negative intervals
-        conservatively.  Used by the region-refinement optimizer
-        (:mod:`repro.analysis.bias`) for certified bounds.
+        Atoms are affine, so the endpoints are exact (by coefficient
+        sign); negative lows clip to zero, and the padding atom reads
+        ``1.0``.  :meth:`_HittingStructure.lower_bounds` combines them
+        into slot bounds for the certified optimizer
+        (:mod:`repro.analysis.bias`).
         """
-        atom_lo, atom_hi = self._tables.outcome_prob_bounds(
-            dict(lows), dict(highs)
-        )
-        atom_lo = np.append(np.maximum(atom_lo.ravel(), 0.0), 1.0)
-        atom_hi = np.append(np.maximum(atom_hi.ravel(), 0.0), 1.0)
-        branch_lo = np.ones(self.num_edges)
-        branch_hi = np.ones(self.num_edges)
-        for column in self._edge_atoms.T:
-            branch_lo = branch_lo * atom_lo[column]
-            branch_hi = branch_hi * atom_hi[column]
-        scale = self._edge_weights / self._edge_divisors
-        return (
-            self._plan.accumulate(scale * branch_lo),
-            self._plan.accumulate(scale * branch_hi),
-        )
+        atom_lo, _ = self._tables.outcome_prob_bounds(dict(lows), dict(highs))
+        return np.append(np.maximum(atom_lo.ravel(), 0.0), 1.0)
 
     def instantiate(
         self, assignment: Mapping[str, float] | None = None
@@ -362,6 +449,86 @@ class ParametricChain:
             self._reference_chain = self.instantiate(None)
         return self._reference_chain.mark(predicate)
 
+    @cached_property
+    def _rotation(self) -> tuple[np.ndarray | None, str | None]:
+        """Orbit representatives under rotation by one process, or why not.
+
+        Rotation σ moves process ``i``'s local state to process
+        ``i + 1`` (mod N): one column roll of the code matrix, and a
+        permutation of the states when the state set maps onto itself.
+        It is used only when it is an automorphism of the *symbolic*
+        chain: the wire edges ``(source, target, weight / divisor,
+        sorted atom forms)`` and their images ``(σ source, σ target,
+        ...)`` are the same multiset.  An atom's form is its
+        construction value and affine ``(constant, coefficients)`` row,
+        not its table slot, so a ring whose port numbering splits it
+        into several process classes keeps its symmetry.  Equal forms
+        evaluate to equal floats at every point, so σ then preserves
+        every transition probability at every assignment.
+
+        Returns ``(representative, None)`` — per state, the minimum-rank
+        state of its orbit — or ``(None, reason)`` with reason
+        ``"state set not closed"`` or ``"not equivariant"``.  Computed
+        once per chain.
+        """
+        expansion = expansion_context(self._tables)
+        codes = self._codes.astype(np.int64)
+        rotated = np.roll(codes, 1, axis=1)
+        if (rotated >= np.asarray(expansion.sizes)).any():
+            return None, "state set not closed"
+        ranks = codes @ expansion.weights_row
+        order = np.argsort(ranks)
+        rotated_ranks = rotated @ expansion.weights_row
+        slot = np.minimum(
+            np.searchsorted(ranks[order], rotated_ranks), ranks.shape[0] - 1
+        )
+        if not np.array_equal(ranks[order][slot], rotated_ranks):
+            return None, "state set not closed"
+        sigma = order[slot]
+
+        tables = self._tables
+        form_columns = [tables.outcome_prob.reshape(-1, 1)]
+        if tables.param_names:
+            form_columns += [
+                tables.outcome_prob_const.reshape(-1, 1),
+                tables.outcome_prob_coeff.reshape(
+                    -1, len(tables.param_names)
+                ),
+            ]
+        forms = np.hstack(form_columns)
+        forms = np.vstack([forms, np.zeros(forms.shape[1])])
+        forms[-1, :2] = 1.0  # the padding atom: exactly 1.0, no terms
+        _, form_of_atom = np.unique(forms, axis=0, return_inverse=True)
+        edge_forms = np.sort(
+            form_of_atom.reshape(-1)[self._edge_atoms], axis=1
+        )
+        scale = self._edge_weights / self._edge_divisors
+        sources = np.repeat(
+            np.arange(self.num_states, dtype=np.int64), self._edge_counts
+        )
+
+        def sorted_edges(src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
+            columns = [src, dst, scale, *edge_forms.T]
+            order = np.lexsort(columns[::-1])
+            return [column[order] for column in columns]
+
+        image = sorted_edges(sigma[sources], sigma[self._edge_targets])
+        if not all(
+            np.array_equal(a, b)
+            for a, b in zip(sorted_edges(sources, self._edge_targets), image)
+        ):
+            return None, "not equivariant"
+
+        representative = np.arange(self.num_states, dtype=np.int64)
+        best = ranks.copy()
+        member = representative
+        for _ in range(codes.shape[1] - 1):
+            member = sigma[member]
+            lower = ranks[member] < best
+            best[lower] = ranks[member][lower]
+            representative[lower] = member[lower]
+        return representative, None
+
     def _solver(self, target: np.ndarray) -> _HittingStructure:
         target = np.asarray(target, dtype=bool)
         if target.shape != (self.num_states,):
@@ -374,7 +541,7 @@ class ParametricChain:
         key = target.tobytes()
         solver = self._solvers.get(key)
         if solver is None:
-            solver = _HittingStructure(self.indices, self.indptr, target)
+            solver = _HittingStructure(self, target)
             self._solvers[key] = solver
         return solver
 
@@ -388,9 +555,25 @@ class ParametricChain:
         Requires absorption probability one everywhere (raises
         :class:`MarkovError` otherwise); reuses the per-target cached
         solve structure, so calling this across a sweep pays the
-        symbolic work once.
+        symbolic work once.  The solve runs on the rotation orbits
+        (:class:`_HittingStructure`) and is lifted back to the states.
         """
-        return self._solver(target).solve(self.data_vector(assignment))
+        solver = self._solver(target)
+        return solver.solve(self._orbit_data(solver, assignment))[
+            solver.orbit_of
+        ]
+
+    def _orbit_data(
+        self,
+        solver: _HittingStructure,
+        assignment: Mapping[str, float] | None,
+    ) -> np.ndarray:
+        """:meth:`_HittingStructure.data` at one assignment, checked like
+        :meth:`data_vector` (every slot of the chain is the image of a
+        representative's slot, so the same assignments fail)."""
+        data = solver.data(self._atom_values(assignment))
+        _check_probabilities(data, solver.row_indptr, assignment)
+        return data
 
     def hitting_sweep(
         self,
@@ -404,17 +587,34 @@ class ParametricChain:
                 f"unknown objective {objective!r}; known: mean, worst"
             )
         solver = self._solver(target)
-        transient = ~solver.target
-        values: list[float] = []
-        for assignment in assignments:
-            times = solver.solve(self.data_vector(assignment))
-            if not transient.any():
-                values.append(0.0)
-            elif objective == "mean":
-                values.append(float(times[transient].mean()))
-            else:
-                values.append(float(times[transient].max()))
-        return values
+        return [
+            solver.objective_value(
+                solver.solve(self._orbit_data(solver, assignment)), objective
+            )
+            for assignment in assignments
+        ]
+
+
+def _check_probabilities(
+    data: np.ndarray,
+    indptr: np.ndarray,
+    assignment: Mapping[str, float] | None,
+) -> None:
+    """Raise :class:`MarkovError` on a negative slot or a row whose mass
+    is off one by more than :data:`~repro.markov.chain.ROW_SUM_TOLERANCE`."""
+    if not data.size:
+        return
+    mass = np.add.reduceat(data, indptr[:-1])
+    low, drift = data.min(), np.abs(mass - 1.0).max()
+    if low < 0.0 or drift > ROW_SUM_TOLERANCE:
+        problem = (
+            f"a negative transition probability ({low:.4g})"
+            if low < 0.0
+            else f"a row mass off one by {drift:.3g}"
+        )
+        raise MarkovError(
+            f"coin assignment {dict(assignment or {})} gives {problem}"
+        )
 
 
 def build_parametric_chain(

@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.core.encoding import (
     CompiledKernelTables,
-    expansion_context,
+    ranks_fit_int64,
     tables_for,
 )
 from repro.core.system import System, compose_weighted_targets
@@ -196,15 +196,16 @@ class StateSpace:
         ):
             if seeds is None:
                 _check_space_budget(system, max_configurations)
-            try:
-                tables = tables_for(system)
-            except ModelError:
-                pass  # over the compilation budget: take the dict walk
-            else:
-                if expansion_context(tables).int64_safe:
-                    return _support_view(
-                        system, relation, seeds, max_configurations, tables
-                    )
+            tables = None
+            if ranks_fit_int64(system):
+                try:
+                    tables = tables_for(system)
+                except ModelError:
+                    pass  # over the compilation budget: take the dict walk
+            if tables is not None:
+                return _support_view(
+                    system, relation, seeds, max_configurations, tables
+                )
         return cls._explore_walk(system, relation, seeds, max_configurations)
 
     @classmethod

@@ -23,7 +23,9 @@ from repro.algorithms.herman_variants import (
     make_herman_random_pass_system,
     make_herman_speed_reducer_system,
 )
+from repro.analysis import bias
 from repro.analysis.bias import certified_lower_bound, synthesize_optimal_bias
+from repro.core.parametric import CoinParameter
 from repro.errors import ModelError
 from repro.markov.parametric import ParametricChain
 from repro.schedulers.distributions import SynchronousDistribution
@@ -152,3 +154,50 @@ class TestRefinementMechanics:
             [pchain.default_assignment], target, "mean"
         )[0]
         assert result.best_value < default_value
+
+
+class _StubChain:
+    """A one-coin chain whose objective is a lookup by ``p``."""
+
+    param_names = ("p",)
+    parameters = (CoinParameter("p", default=0.5),)
+
+    def __init__(self, values):
+        self.values = values
+
+    def hitting_sweep(self, assignments, target, objective):
+        return [self.values.get(a["p"], 3.0) for a in assignments]
+
+
+class TestArgminTies:
+    """Samples within 1e-12 relative of the minimum tie; the first
+    evaluated wins, so round-off cannot pick between mirror images."""
+
+    @pytest.mark.parametrize(
+        "later_scale,expected", [(1.0 - 1e-15, 0.5), (1.0 - 1e-9, 0.275)]
+    )
+    def test_first_sample_wins_a_round_off_tie(
+        self, monkeypatch, later_scale, expected
+    ):
+        monkeypatch.setattr(bias, "certified_lower_bound", lambda *a, **k: 0.0)
+        # Root center 0.5 is sampled first, then the children 0.275, 0.725.
+        stub = _StubChain({0.5: 2.0, 0.275: 2.0 * later_scale})
+        assert stub.values[0.275] < stub.values[0.5]
+        result = synthesize_optimal_bias(stub, None, tolerance=0.5)
+        assert [a["p"] for a, _ in result.evaluations] == [0.5, 0.275, 0.725]
+        assert result.best_assignment == {"p": expected}
+        assert result.best_value == stub.values[expected]
+
+    def test_mirrored_random_bit_9_samples_keep_the_first(self):
+        pchain = ParametricChain(
+            make_herman_random_bit_system(9), SynchronousDistribution()
+        )
+        target = pchain.mark(HermanSingleTokenSpec().legitimate)
+        low, high = pchain.hitting_sweep(
+            [{"p": 0.4578125}, {"p": 0.5421875}], target
+        )
+        assert low == pytest.approx(high, rel=1e-12)
+        result = synthesize_optimal_bias(
+            pchain, target, tolerance=0.05, max_regions=96
+        )
+        assert round(result.best_assignment["p"], 3) == 0.458

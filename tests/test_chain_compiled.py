@@ -32,6 +32,7 @@ from repro.core.encoding import expansion_context, tables_for
 from repro.errors import MarkovError, SchedulerError
 from repro.graphs.generators import figure3_chain, star
 from repro.markov.batch import DecodingLegitimacy, EnabledCountLegitimacy
+import repro.markov.builder as builder_module
 from repro.markov.builder import CHAIN_ENGINES, build_chain
 from repro.markov.hitting import hitting_summary
 from repro.markov.mdp import MDP_DAEMONS, build_mdp
@@ -43,7 +44,9 @@ from repro.schedulers.distributions import (
     SchedulerDistribution,
     SynchronousDistribution,
 )
+from repro.schedulers.relations import CentralRelation
 from repro.stabilization.probabilistic import classify_probabilistic
+from repro.stabilization.statespace import StateSpace
 from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 
 #: Probability agreement demanded of the compiled path, per entry.
@@ -133,8 +136,6 @@ def _replay_twin(distribution):
 
 def _count_calls(monkeypatch, name):
     """Counts the calls of ``repro.markov.builder.<name>``."""
-    import repro.markov.builder as builder_module
-
     calls = []
     original = getattr(builder_module, name)
 
@@ -281,6 +282,40 @@ def test_rank_space_beyond_int64_takes_the_dict_walk(
         build_chain(system, distribution, initial=seed, engine="compiled")
     with pytest.raises(MarkovError, match="exceed int64"):
         ParametricChain(system, distribution, initial=seed)
+
+
+def test_rank_space_beyond_int64_compiles_no_tables(monkeypatch):
+    """Whether ranks fit int64 is known from the local-state counts, so
+    neither the chain builder nor the explorer compiles the Dijkstra
+    ring-20 tables before taking its dict walk."""
+    import repro.stabilization.statespace as statespace_module
+
+    compiled = []
+    for module in (builder_module, statespace_module):
+        original = module.tables_for
+
+        def spy(system, *args, _original=original, **kwargs):
+            compiled.append(system)
+            return _original(system, *args, **kwargs)
+
+        monkeypatch.setattr(module, "tables_for", spy)
+    system = make_dijkstra_system(20)
+    seed = [next(system.all_configurations())]  # the all-zero configuration
+    assert set(seed[0]) == {(0,)}
+    chain = build_chain(system, CentralRandomizedDistribution(), initial=seed)
+    space = StateSpace.explore(system, CentralRelation(), initial=seed)
+    assert compiled == []
+    assert_arrays_identical(
+        build_chain(
+            system, CentralRandomizedDistribution(), initial=seed,
+            engine="scalar",
+        ),
+        chain,
+    )
+    oracle = StateSpace._explore_walk(system, CentralRelation(), seed)
+    assert space.configurations == oracle.configurations
+    assert space.edges == oracle.edges
+    assert space.enabled == oracle.enabled
 
 
 def test_parametric_and_mdp_views_take_the_array_layer(array_layer_calls):

@@ -114,9 +114,16 @@ def test_empty_transient_block():
     assert np.array_equal(expected_hitting_times(chain, everything), zeros)
 
 
+def full_chain_plan(name):
+    """The full (unquotiented) chain's transient plan at the case's point."""
+    pchain, target, assignment = parametric(name)
+    chain = pchain.instantiate(assignment)
+    expected_hitting_times(chain, target)
+    return chain, target, chain._transient_lu[1].plan
+
+
 def test_merge_rule_and_block_order():
-    pchain, target, _ = parametric("random-bit-9")
-    plan = pchain._solver(target).plan
+    _, _, plan = full_chain_plan("random-bit-9")
     assert sorted(block.ids.size for block in plan.blocks) == [74, 168, 252]
     # Sinks first: every entry leaving a super-block leads to an earlier
     # one, whose solution is final by the time the block is solved.
@@ -128,16 +135,30 @@ def test_merge_rule_and_block_order():
     assert solved.all()
 
 
-def test_perturbed_block_solution_raises(monkeypatch):
-    pchain, target, assignment = parametric("random-bit-9")
+def perturb_block(monkeypatch, size):
+    """Make every dense solve of a ``size``-state super-block off by 1e-6."""
     real_lu_solve = hitting.lu_solve
 
     def perturbed(lu, rhs):
         x = real_lu_solve(lu, rhs)
-        # Only the last (74-state) super-block is off, by 1e-6.
-        return x * (1.0 + 1e-6) if rhs.shape[0] == 74 else x
+        return x * (1.0 + 1e-6) if rhs.shape[0] == size else x
 
     monkeypatch.setattr(hitting, "lu_solve", perturbed)
+
+
+def test_perturbed_block_solution_raises(monkeypatch):
+    pchain, target, assignment = parametric("random-bit-9")
+    chain = pchain.instantiate(assignment)
+    # Only the last (74-state) super-block is off, by 1e-6.
+    perturb_block(monkeypatch, 74)
+    with pytest.raises(MarkovError, match="transient solve residual"):
+        expected_hitting_times(chain, target)
+
+
+def test_perturbed_quotient_block_raises(monkeypatch):
+    pchain, target, assignment = parametric("random-bit-9")
+    plan = pchain._solver(target).plan
+    perturb_block(monkeypatch, max(block.ids.size for block in plan.blocks))
     with pytest.raises(MarkovError, match="transient solve residual"):
         pchain.expected_times(assignment, target)
 
@@ -186,5 +207,9 @@ def test_one_plan_serves_every_point():
             data, pchain.indices, pchain.indptr, target
         )
         np.testing.assert_allclose(
-            solver.solve(data), reference, rtol=1e-12, atol=0
+            pchain.expected_times(assignment, target),
+            reference,
+            rtol=1e-12,
+            atol=0,
         )
+        assert pchain._solver(target) is solver
