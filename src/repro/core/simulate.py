@@ -111,6 +111,10 @@ class Cursor:
         return moves
 
 
+def _never(configuration: Configuration) -> bool:
+    return False
+
+
 def run(
     system: System,
     sampler: SchedulerSampler,
@@ -122,22 +126,13 @@ def run(
     """Execute up to ``max_steps`` steps (stops early at terminal configs).
 
     ``initial`` must be a configuration of ``system``
-    (:class:`~repro.errors.ModelError` otherwise).
+    (:class:`~repro.errors.ModelError` otherwise).  This is
+    :func:`run_until` with a stop predicate that never holds: the same
+    loop, trace and random stream.
     """
-    system.check_configuration(initial)
-    trace = Trace.starting_at(initial, keep_configurations=record)
-    cursor = Cursor(system, initial)
-    for _ in range(max_steps):
-        enabled = cursor.enabled
-        if not enabled:
-            break
-        subset = list(
-            sampler.choose(system, cursor.configuration, enabled, rng)
-        )
-        _validate_subset(subset, enabled)
-        moves = cursor.advance(subset, rng)
-        trace.append(Step(moves) if record else None, cursor.configuration)
-    return trace
+    return run_until(
+        system, sampler, initial, _never, max_steps, rng, record
+    ).trace
 
 
 def run_until(

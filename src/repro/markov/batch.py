@@ -52,9 +52,12 @@ loop of the lockstep tiers: it advances a code matrix whose rows carry
 a point id and a step budget, dispatches legitimacy and scheduler draws
 per point, and runs the fault timeline of
 :mod:`repro.stabilization.faults` for points that carry a fault.
-:meth:`BatchEngine.run` and :meth:`BatchEngine.run_with_fault` are
-one-point calls to it, and the fused sweep engine
-(:mod:`repro.markov.sweep_engine`) calls it with many points.  At its
+:meth:`BatchEngine.run` (and :meth:`BatchEngine.run_with_fault`, its
+alias with a fault) is the one-point call to it, and the fused sweep
+engine (:mod:`repro.markov.sweep_engine`) calls it with many points.
+Its scalar twin is the trial loop of
+:class:`~repro.markov.montecarlo.MonteCarloRunner`
+(``engine="scalar"``), which follows the same timeline.  At its
 entry, fault-free deterministic runs under the synchronous or central
 daemon take rank-space super-stepping (:mod:`repro.markov.superstep`)
 instead of the per-step body: outcome vectors are bit-identical, but no
@@ -379,7 +382,8 @@ def batch_strategy_for(sampler: object) -> BatchSamplerStrategy | None:
 # the engine
 # ----------------------------------------------------------------------
 class BatchRunResult:
-    """Per-row outcome vectors of one lockstep run.
+    """Per-row outcome vectors of one lockstep run (or of the scalar
+    trial loop, which fills the same vectors one trial at a time).
 
     ``times[r]`` is meaningful only where ``converged[r]``;
     ``hit_terminal`` marks rows retired in an illegitimate terminal
@@ -460,6 +464,7 @@ class BatchEngine:
         initial_codes: np.ndarray,
         max_steps: int,
         generator: np.random.Generator,
+        fault=None,
         *,
         profile: bool = False,
     ) -> BatchRunResult:
@@ -469,57 +474,13 @@ class BatchEngine:
         legitimacy is tested on the initial configuration (time 0) and
         after every step; an illegitimate terminal configuration retires
         the trial as censored; ``max_steps`` bounds the sampler calls.
-        ``profile=True`` attaches per-phase millisecond totals to the
-        result.
+        ``fault`` (a :class:`repro.stabilization.faults.CompiledFault`)
+        injects one transient corruption event per trial; the scalar
+        oracle (:class:`~repro.markov.montecarlo.MonteCarloRunner`
+        ``engine="scalar"``) implements the identical timeline, so
+        deterministic cells agree bit-for-bit.  ``profile=True``
+        attaches per-phase millisecond totals to the result.
         """
-        return self._one_point(
-            strategy,
-            legitimacy,
-            initial_codes,
-            max_steps,
-            generator,
-            None,
-            profile,
-        )
-
-    def run_with_fault(
-        self,
-        strategy: BatchSamplerStrategy,
-        legitimacy: BatchLegitimacy,
-        initial_codes: np.ndarray,
-        max_steps: int,
-        generator: np.random.Generator,
-        fault,
-    ) -> BatchRunResult:
-        """One-point :meth:`lockstep` run with one transient corruption
-        event per trial.
-
-        ``fault`` is a :class:`repro.stabilization.faults.CompiledFault`.
-        The scalar oracle (:class:`~repro.markov.montecarlo
-        .MonteCarloRunner` ``engine="scalar"``) implements the identical
-        timeline, so deterministic cells agree bit-for-bit.
-        """
-        return self._one_point(
-            strategy,
-            legitimacy,
-            initial_codes,
-            max_steps,
-            generator,
-            fault,
-            False,
-        )
-
-    def _one_point(
-        self,
-        strategy: BatchSamplerStrategy,
-        legitimacy: BatchLegitimacy,
-        initial_codes: np.ndarray,
-        max_steps: int,
-        generator: np.random.Generator,
-        fault,
-        profile: bool,
-    ) -> BatchRunResult:
-        """:meth:`lockstep` over one point that owns every row."""
         trials = initial_codes.shape[0]
         everyone = np.ones(1, dtype=bool)
         return self.lockstep(
@@ -531,6 +492,20 @@ class BatchEngine:
             generator,
             faults=None if fault is None else [fault],
             profile=profile,
+        )
+
+    def run_with_fault(
+        self,
+        strategy: BatchSamplerStrategy,
+        legitimacy: BatchLegitimacy,
+        initial_codes: np.ndarray,
+        max_steps: int,
+        generator: np.random.Generator,
+        fault,
+    ) -> BatchRunResult:
+        """:meth:`run` with one transient corruption event per trial."""
+        return self.run(
+            strategy, legitimacy, initial_codes, max_steps, generator, fault
         )
 
     def lockstep(

@@ -9,8 +9,10 @@ first holds.  Initial configurations are drawn uniformly from ``C``
 Two execution engines share this interface (selected per runner or per
 call via ``engine``):
 
-* ``"scalar"`` — one :func:`repro.core.simulate.run_until` per trial
-  over the reference :class:`~repro.core.system.System`.  Supports every
+* ``"scalar"`` — one :class:`repro.core.simulate.Cursor` trial loop
+  over the reference :class:`~repro.core.system.System`, the scalar twin
+  of :meth:`BatchEngine.lockstep <repro.markov.batch.BatchEngine.lockstep>`
+  (same fault timeline, rounds counted as it steps).  Supports every
   sampler, round counting, and is the equivalence oracle for the batch
   path.
 * ``"batch"`` — all trials advance in lockstep as a ``(trials ×
@@ -27,15 +29,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.rounds import count_rounds
 from repro.analysis.stats import SummaryStats, summarize
 from repro.core.configuration import Configuration
-from repro.core.simulate import (
-    Cursor,
-    SchedulerSampler,
-    _validate_subset,
-    run_until,
-)
+from repro.core.simulate import Cursor, SchedulerSampler, _validate_subset
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
 from repro.markov.batch import (
@@ -234,8 +230,8 @@ def fault_result_from_arrays(
     """Assemble a fault-injected :class:`MonteCarloResult` from the
     per-trial outcome vectors of the fault timeline.
 
-    Every engine — scalar oracle, lockstep batch, fused sweep — reduces
-    its per-trial integers through *this* function, so the derived
+    Every engine — the scalar trial loop, lockstep batch, fused sweep —
+    reaches it through :func:`lockstep_point_result`, so the derived
     floating-point metrics (availability, recovery statistics) are
     bit-identical whenever the integer vectors are.  With
     ``keep_samples=False`` the raw per-trial tuples are dropped from the
@@ -269,20 +265,25 @@ def lockstep_point_result(
     sink: TrialSink | None = None,
     point: int = 0,
     label: str | None = None,
+    rounds: np.ndarray | None = None,
 ) -> MonteCarloResult:
     """One point's :class:`MonteCarloResult` from its ``rows`` of a
-    lockstep run, emitting its outcome vectors to ``sink`` first.
+    run's per-trial outcome vectors, emitting them to ``sink`` first.
 
-    The shared reduction of :meth:`MonteCarloRunner.estimate`'s batch
-    path (one point, every row) and the fused sweep engine (one row
-    slice per point), so both report identical results for identical
-    vectors.
+    The one reduction of every engine: :meth:`MonteCarloRunner
+    .estimate`'s scalar trial loop and batch path (one point, every row)
+    and the fused sweep engine (one row slice per point), so all report
+    identical results for identical vectors.  ``rounds`` — per-trial
+    completed rounds, ``NaN`` for censored trials, counted only by the
+    scalar loop — feeds ``round_stats`` and :attr:`TrialOutcomes.rounds`.
     """
     times = outcome.times[rows]
     converged = outcome.converged[rows]
     hit_terminal = outcome.hit_terminal[rows]
     timed_out = outcome.timed_out[rows]
     fault_times = outcome.fault_times[rows] if faulted else None
+    if rounds is not None:
+        rounds = rounds[rows]
     if sink is not None:
         sink(
             TrialOutcomes(
@@ -293,6 +294,7 @@ def lockstep_point_result(
                 timed_out=timed_out,
                 hit_terminal=hit_terminal,
                 fault_times=fault_times,
+                rounds=rounds,
             )
         )
     trials = len(times)
@@ -315,7 +317,11 @@ def lockstep_point_result(
         converged=len(samples),
         censored=trials - len(samples),
         stats=summarize(samples) if samples else None,
-        round_stats=None,
+        round_stats=(
+            summarize([float(r) for r in rounds[converged]])
+            if rounds is not None and samples
+            else None
+        ),
         samples=tuple(samples) if keep_samples else None,
         timed_out=int(timed_out.sum()),
     )
@@ -406,8 +412,9 @@ class MonteCarloRunner:
         With ``measure_rounds=True`` each converged trial additionally
         reports its completed-round count (see
         :mod:`repro.analysis.rounds`), which makes measurements comparable
-        across scheduler families — and forces full trace retention (and
-        therefore the scalar engine).
+        across scheduler families.  Rounds are counted on the scalar
+        cursor as it steps (no trace is kept), so they select the scalar
+        engine.
 
         ``batch_legitimate`` supplies a compiled code-matrix predicate for
         the batch engine (e.g.
@@ -431,6 +438,8 @@ class MonteCarloRunner:
         """
         if trials < 1:
             raise MarkovError("need at least one trial")
+        if max_steps < 0:
+            raise MarkovError("max_steps must be >= 0")
         if initial_configurations is not None:
             if not initial_configurations:
                 raise MarkovError("need at least one initial configuration")
@@ -464,18 +473,6 @@ class MonteCarloRunner:
                 keep_samples,
                 sink,
             )
-        if compiled_fault is not None:
-            return self._estimate_scalar_fault(
-                sampler,
-                legitimate,
-                trials,
-                max_steps,
-                rng,
-                initial_configurations,
-                compiled_fault,
-                keep_samples,
-                sink,
-            )
         return self._estimate_scalar(
             sampler,
             legitimate,
@@ -483,6 +480,7 @@ class MonteCarloRunner:
             max_steps,
             rng,
             initial_configurations,
+            compiled_fault,
             measure_rounds,
             keep_samples,
             sink,
@@ -506,8 +504,8 @@ class MonteCarloRunner:
         if measure_rounds:
             if require:
                 raise MarkovError(
-                    "round counting needs full traces; the batch engine"
-                    " keeps none — use engine='scalar'"
+                    "rounds are counted on the scalar cursor; the batch"
+                    " engine does not count them — use engine='scalar'"
                 )
             return False
         if batch_strategy_for(sampler) is None:
@@ -555,15 +553,14 @@ class MonteCarloRunner:
         )
         strategy = batch_strategy_for(sampler)
         assert strategy is not None  # _batch_supported vetted it
-        generator = rng.numpy_generator()
-        if fault is not None:
-            outcome = engine.run_with_fault(
-                strategy, legitimacy, codes, max_steps, generator, fault
-            )
-        else:
-            outcome = engine.run(
-                strategy, legitimacy, codes, max_steps, generator
-            )
+        outcome = engine.run(
+            strategy,
+            legitimacy,
+            codes,
+            max_steps,
+            rng.numpy_generator(),
+            fault=fault,
+        )
         return lockstep_point_result(
             outcome, slice(None), fault is not None, keep_samples, sink
         )
@@ -576,26 +573,34 @@ class MonteCarloRunner:
         max_steps: int,
         rng: RandomSource,
         initial_configurations: Sequence[Configuration] | None,
+        fault: CompiledFault | None,
         measure_rounds: bool,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
+        """The loop-per-trial oracle: one :class:`Cursor` per trial.
+
+        Follows the fault timeline of :mod:`repro.stabilization.faults`
+        observation for observation, as :meth:`BatchEngine.lockstep`
+        does (trigger → bookkeeping → retire converged → terminal →
+        budget → step), so a deterministic sampler with explicit initials
+        produces bit-identical per-trial outcome vectors.  Without a
+        fault nothing is pending, which is exactly
+        :func:`~repro.core.simulate.run_until`'s semantics and random
+        stream: one lazy initial draw per trial, then one
+        ``sampler.choose`` and one ``Cursor.advance`` per step.
+
+        ``measure_rounds`` counts completed rounds as the loop steps —
+        :func:`repro.analysis.rounds.round_boundaries` restated on the
+        cursor: ``waiting`` starts as the processes enabled at the
+        round's start, loses every mover and every process the step
+        disabled, and when it empties a round completes and it restarts
+        from the cursor's enabled set.
+        """
         system = self.system
-        times: list[float] = []
-        rounds: list[float] = []
-        censored = 0
-        timed_out = 0
-        # Per-trial vectors, materialized only when a sink will consume
-        # them — the plain path keeps its historical footprint.
-        vectors: dict[str, np.ndarray] | None = None
-        if sink is not None:
-            vectors = {
-                "times": np.zeros(trials, dtype=np.int64),
-                "converged": np.zeros(trials, dtype=bool),
-                "timed_out": np.zeros(trials, dtype=bool),
-                "hit_terminal": np.zeros(trials, dtype=bool),
-                "rounds": np.full(trials, np.nan),
-            }
+        outcome = BatchRunResult(trials)
+        rounds = np.full(trials, np.nan) if measure_rounds else None
+        at_convergence = fault is not None and fault.at_convergence
         domains = (
             _domain_table(system) if initial_configurations is None else None
         )
@@ -609,170 +614,66 @@ class MonteCarloRunner:
                 # with the run's own consumption of ``rng``) so seeded
                 # scalar runs reproduce pre-batch-engine results exactly.
                 initial = _draw_configuration(domains, rng)
-            result = run_until(
-                system,
-                sampler,
-                initial,
-                stop=legitimate,
-                max_steps=max_steps,
-                rng=rng,
-                record=measure_rounds,
-            )
-            if result.converged:
-                times.append(float(result.steps_taken))
-                if measure_rounds:
-                    rounds.append(float(count_rounds(system, result.trace)))
-                if vectors is not None:
-                    vectors["times"][trial] = result.steps_taken
-                    vectors["converged"][trial] = True
-                    if measure_rounds:
-                        vectors["rounds"][trial] = rounds[-1]
-            elif result.hit_terminal:
-                # Terminal but illegitimate: the run can never converge.
-                # Count it as censored so the caller sees the failure.
-                censored += 1
-                if vectors is not None:
-                    vectors["hit_terminal"][trial] = True
-            else:
-                censored += 1
-                timed_out += 1
-                if vectors is not None:
-                    vectors["timed_out"][trial] = True
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=vectors["times"],
-                    converged=vectors["converged"],
-                    timed_out=vectors["timed_out"],
-                    hit_terminal=vectors["hit_terminal"],
-                    rounds=vectors["rounds"] if measure_rounds else None,
-                )
-            )
-        stats = summarize(times) if times else None
-        round_stats = summarize(rounds) if rounds else None
-        return MonteCarloResult(
-            trials=trials,
-            converged=len(times),
-            censored=censored,
-            stats=stats,
-            round_stats=round_stats,
-            samples=tuple(times) if keep_samples else None,
-            timed_out=timed_out,
-        )
-
-    def _estimate_scalar_fault(
-        self,
-        sampler: SchedulerSampler,
-        legitimate: Callable[[Configuration], bool],
-        trials: int,
-        max_steps: int,
-        rng: RandomSource,
-        initial_configurations: Sequence[Configuration] | None,
-        fault: CompiledFault,
-        keep_samples: bool = True,
-        sink: TrialSink | None = None,
-    ) -> MonteCarloResult:
-        """The loop-per-trial oracle form of the fault timeline.
-
-        Mirrors :meth:`BatchEngine.run_with_fault` observation-for-
-        observation (trigger → bookkeeping → retire-converged → terminal
-        → budget → step), so a deterministic sampler with explicit
-        initials produces bit-identical per-trial outcome vectors.
-        """
-        system = self.system
-        at_convergence = fault.at_convergence
-        times = np.zeros(trials, dtype=np.int64)
-        converged = np.zeros(trials, dtype=bool)
-        hit_terminal = np.zeros(trials, dtype=bool)
-        timed_out = np.zeros(trials, dtype=bool)
-        fault_times = np.full(trials, -1, dtype=np.int64)
-        legit_counts = np.zeros(trials, dtype=np.int64)
-        observations = np.zeros(trials, dtype=np.int64)
-        max_runs = np.zeros(trials, dtype=np.int64)
-        domains = (
-            _domain_table(system) if initial_configurations is None else None
-        )
-        for trial in range(trials):
-            if initial_configurations is not None:
-                initial = initial_configurations[
-                    trial % len(initial_configurations)
-                ]
-            else:
-                initial = _draw_configuration(domains, rng)
             cursor = Cursor(system, initial)
-            pending = True
-            cur_run = 0
-            step = 0
+            pending = fault is not None
+            waiting = set(cursor.enabled)
+            completed = legit_seen = excursion = peak = step = 0
             while True:
-                configuration = cursor.configuration
-                legit = bool(legitimate(configuration))
+                legit = bool(legitimate(cursor.configuration))
                 if pending and (
-                    (not at_convergence and step == fault.step)
-                    or (at_convergence and legit)
+                    legit if at_convergence else step == fault.step
                 ):
-                    configuration = fault.corrupt(configuration, trial)
-                    cursor.reset(configuration)
-                    fault_times[trial] = step
+                    cursor.reset(fault.corrupt(cursor.configuration, trial))
+                    outcome.fault_times[trial] = step
                     pending = False
-                    legit = bool(legitimate(configuration))
-                observations[trial] += 1
+                    legit = bool(legitimate(cursor.configuration))
                 if legit:
-                    legit_counts[trial] += 1
-                    cur_run = 0
+                    legit_seen += 1
+                    excursion = 0
                 else:
-                    cur_run += 1
-                    if cur_run > max_runs[trial]:
-                        max_runs[trial] = cur_run
+                    excursion += 1
+                    peak = max(peak, excursion)
                 if legit and not pending:
-                    converged[trial] = True
-                    times[trial] = step
+                    outcome.converged[trial] = True
+                    outcome.times[trial] = step
+                    if rounds is not None:
+                        rounds[trial] = completed
                     break
                 enabled = cursor.enabled
-                if not enabled:
-                    if pending and not at_convergence:
-                        # A pending fixed-step fault may re-enable the
-                        # system: idle in place (time still passes).
-                        if step >= max_steps:
-                            timed_out[trial] = True
-                            break
-                        step += 1
-                        continue
-                    hit_terminal[trial] = True
+                # Illegitimate terminal: censored — unless a pending
+                # fixed-step fault may re-enable the system, in which
+                # case the trial idles in place (time still passes).
+                if not enabled and not (pending and not at_convergence):
+                    outcome.hit_terminal[trial] = True
                     break
                 if step >= max_steps:
-                    timed_out[trial] = True
+                    outcome.timed_out[trial] = True
                     break
-                subset = list(
-                    sampler.choose(system, configuration, enabled, rng)
-                )
-                _validate_subset(subset, enabled)
-                cursor.advance(subset, rng)
+                if enabled:
+                    subset = list(
+                        sampler.choose(
+                            system, cursor.configuration, enabled, rng
+                        )
+                    )
+                    _validate_subset(subset, enabled)
+                    cursor.advance(subset, rng)
+                    if rounds is not None:
+                        waiting.difference_update(subset)
+                        waiting.intersection_update(cursor.enabled)
+                        if not waiting:
+                            completed += 1
+                            waiting = set(cursor.enabled)
                 step += 1
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=times,
-                    converged=converged,
-                    timed_out=timed_out,
-                    hit_terminal=hit_terminal,
-                    fault_times=fault_times,
-                )
-            )
-        return fault_result_from_arrays(
-            trials,
-            times,
-            converged,
-            hit_terminal,
-            timed_out,
-            fault_times,
-            legit_counts,
-            observations,
-            max_runs,
+            outcome.observations[trial] = step + 1
+            outcome.legit_counts[trial] = legit_seen
+            outcome.max_runs[trial] = peak
+        return lockstep_point_result(
+            outcome,
+            slice(None),
+            fault is not None,
             keep_samples,
+            sink,
+            rounds=rounds,
         )
 
     def batch(self, cases: Sequence[dict]) -> list[MonteCarloResult]:

@@ -52,6 +52,7 @@ from repro.schedulers.samplers import (
     RoundRobinSampler,
     SynchronousSampler,
 )
+from repro.stabilization.faults import FaultPlan
 from repro.transformer.coin_toss import (
     TransformedSpec,
     make_transformed_system,
@@ -558,6 +559,26 @@ def test_foreign_initials_rejected_by_every_path(path_name, initial):
                 initial_configurations=[initial],
                 engine=path_name,
             )
+
+
+@pytest.mark.parametrize("with_fault", [False, True], ids=["plain", "fault"])
+@pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
+def test_negative_budget_rejected_by_every_engine(engine, with_fault):
+    """``estimate`` rejects ``max_steps < 0`` before choosing an engine,
+    as the sweep runner that ``MonteCarloRunner.batch`` routes fusable
+    cases to does — one budget is never both rejected and accepted."""
+    system = make_token_ring_system(5)
+    spec = TokenCirculationSpec()
+    with pytest.raises(MarkovError, match="max_steps"):
+        MonteCarloRunner(system).estimate(
+            CentralRandomizedSampler(),
+            lambda c: spec.legitimate(system, c),
+            trials=20,
+            max_steps=-3,
+            rng=RandomSource(0),
+            engine=engine,
+            fault=FaultPlan(processes=1, step=0) if with_fault else None,
+        )
 
 
 class TestRandomConfigurations:

@@ -1,10 +1,15 @@
-"""Golden-output regression: seeded fused Q1/Q2/Q3 sweep tables.
+"""Golden-output regression: seeded Q1/Q2/Q3/FT1 sweep tables.
 
-Small-N parameterizations of the quantitative experiments, run through
-``engine="fused"``, pinned row-for-row under ``tests/golden/``.  The
-fused engine is fully deterministic for a fixed seed (initials from
-``RandomSource(seed)``, lockstep draws from the fold-seeded NumPy
-generator), so any change to its grouping, seeding, retirement order,
+Small-N parameterizations of the quantitative experiments, pinned
+row-for-row under ``tests/golden/``.  The ``*_small`` entries run
+through ``engine="fused"``: initials from ``RandomSource(seed)``,
+lockstep draws from the fold-seeded NumPy generator.  The
+``*_small_scalar`` entries run every Monte-Carlo point through the
+scalar oracle (``MonteCarloRunner`` ``engine="scalar"``: one seeded
+``RandomSource`` stream per point, consumed by the per-trial cursor
+loop), Q1/Q3 fault-free and FT1 with its six fault plans.  Both engines
+are fully deterministic for a fixed seed, so any change to grouping,
+seeding, retirement order, the trial loop's random-stream consumption,
 or dispatch logic — or to the exact tiers feeding the same tables —
 shows up as a golden diff instead of a silent distribution shift.
 
@@ -22,6 +27,7 @@ import pathlib
 
 import pytest
 
+from repro.experiments.ft1 import run_ft1
 from repro.experiments.q1 import run_q1
 from repro.experiments.q2 import run_q2
 from repro.experiments.q3 import run_q3
@@ -30,8 +36,8 @@ pytestmark = pytest.mark.conformance
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-#: Small-N fused configurations — cheap enough for tier-1, rich enough
-#: to cover exact + Monte-Carlo rows of all three sweeps.
+#: Small-N configurations — cheap enough for tier-1, rich enough to
+#: cover exact + Monte-Carlo rows of the sweeps on both engines.
 GOLDEN_SWEEPS = {
     "q1_small": lambda: run_q1(
         exact_sizes=(3, 4),
@@ -43,6 +49,16 @@ GOLDEN_SWEEPS = {
         monte_carlo_sizes=(8,), trials=60, engine="fused"
     ),
     "q3_small": lambda: run_q3(trials=40, engine="fused"),
+    "q1_small_scalar": lambda: run_q1(
+        exact_sizes=(3, 4),
+        monte_carlo_sizes=(8,),
+        trials=60,
+        engine="scalar",
+    ),
+    "q3_small_scalar": lambda: run_q3(trials=40, engine="scalar"),
+    "ft1_small_scalar": lambda: run_ft1(
+        ring_size=6, trials=60, engine="scalar"
+    ),
 }
 
 
