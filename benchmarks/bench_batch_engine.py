@@ -6,9 +6,9 @@ vs ``..._batch``: the same 1000-trial sweep point (Algorithm 1 on a
 ``System`` path and through the lockstep code-matrix engine.  The acceptance
 bar for PR 2 is a ≥ 5× mean speedup.  ``q1_preset_n40_batch`` proves a
 previously out-of-budget large-N experiment preset completes under the
-harness.  ``trans_ring50_sync_1000trials_batch`` is a per-step coin-flip
-point (the transformed ring is never super-stepped), so it times the
-lockstep step itself: mover-only sampling and column-wise key packing.
+harness.  ``trans_ring50_sync_1000trials_batch`` is a coin-flip point,
+so it times the lockstep step itself: mover-only sampling and
+column-wise key packing.
 """
 
 from repro.algorithms.token_ring import (
@@ -86,7 +86,7 @@ def test_trans_ring50_sync_1000trials_batch(benchmark):
     system = make_transformed_system(base)
     spec = TransformedSpec(TokenCirculationSpec(), base)
     runner = MonteCarloRunner(system, engine="batch")
-    # Coin flips: the tables are not deterministic, so no super-stepping.
+    # Coin flips: the tables are not deterministic.
     assert not expansion_context(runner.batch_engine().tables).deterministic
 
     def run():

@@ -1,20 +1,13 @@
-"""Micro-benchmark of rank-space super-stepping in the lockstep loop.
+"""Micro-benchmark of the lockstep loop on a deterministic point.
 
-The trajectory pair to watch is ``step_ring30_100k_sync_superstep`` vs
-``..._plain``: the same 100 000-trial deterministic synchronous sweep
-point (token circulation on a 30-ring, 64 tiled initial configurations)
-through rank-space super-stepping and through the per-step body of
-:meth:`repro.markov.batch.BatchEngine.lockstep`, which the plain side
-forces by setting :data:`repro.markov.superstep.SUPERSTEP_BUDGET` to 0.
-The super-step path is orders of magnitude faster because the interned
-closure is tiny relative to ``trials × steps``.
-
-The plain side is expensive by construction (it is the thing being
-beaten), so it runs a single round.
+``step_ring30_100k_sync_plain`` times one 100 000-trial deterministic
+synchronous sweep point (token circulation on a 30-ring, 64 tiled
+initial configurations, 120-step budget) through
+:meth:`repro.markov.batch.BatchEngine.lockstep`.  The point is
+expensive by construction, so it runs a single round.
 """
 
 from repro.algorithms.token_ring import make_token_ring_system
-from repro.markov import superstep
 from repro.markov.batch import (
     BatchEngine,
     EnabledCountLegitimacy,
@@ -57,16 +50,7 @@ def _run(seed=2026):
     )
 
 
-def test_step_ring30_100k_sync_plain(benchmark, monkeypatch):
-    """The per-step body on the headline point (super-stepping declined)."""
-    monkeypatch.setattr(superstep, "SUPERSTEP_BUDGET", 0)
+def test_step_ring30_100k_sync_plain(benchmark):
+    """The lockstep loop on the headline point."""
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert not result.superstepped
-    assert result.times.size == TRIALS
-
-
-def test_step_ring30_100k_sync_superstep(benchmark):
-    """Same point through rank-space super-stepping."""
-    result = benchmark.pedantic(_run, rounds=3, iterations=1)
-    assert result.superstepped, "super-stepping did not engage"
     assert result.times.size == TRIALS

@@ -11,7 +11,7 @@ so the performance trajectory of the execution engine (state-space
 exploration, chain building and hitting
 solves, simulation throughput, batch Monte-Carlo throughput, fused
 multi-point sweeps, fault-injection overhead, MDP value iteration,
-rank-space super-stepping, multi-tenant serving fusion) is tracked
+the deterministic lockstep step, multi-tenant serving fusion) is tracked
 across PRs.  Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--label "note"]

@@ -31,10 +31,9 @@ matrix, and a simulation step a handful of integer gathers:
   system, and forked workers inherit it.
 
 Division of labor (see :mod:`repro.core`): ``System`` = semantics and
-scalar oracle, compiled tables = speed.  Three engines build on these
+scalar oracle, compiled tables = speed.  Two engines build on these
 tables: the lockstep Monte-Carlo batch engine
-(:mod:`repro.markov.batch`), rank-space super-stepping
-(:mod:`repro.markov.superstep`), and the compiled chain builder
+(:mod:`repro.markov.batch`) and the compiled chain builder
 (:mod:`repro.markov.builder`), whose expander the state-space explorer
 reads as a view — the arrays are read-only (``writeable=False``) from
 compilation on, so one compiled table serves any number of concurrent
@@ -452,9 +451,9 @@ class ExpansionContext:
 
     The substrate of the one code-space expander
     (:func:`repro.markov.builder._expand`, read by chains, parametric
-    chains, MDPs and the state-space explorer) and of rank-space
-    super-stepping (:mod:`repro.markov.superstep`): configurations rank
-    mixed-radix over the :class:`StateEncoding`, enabledness is gathered
+    chains, MDPs and the state-space explorer) and of the synchronous
+    symmetry check (:mod:`repro.stabilization.symmetry`): configurations
+    rank mixed-radix over the :class:`StateEncoding`, enabledness is gathered
     per block, and successors are ``source rank + Σ (new code − old
     code) · weight``.  Everything here is deterministic structure, so
     every consumer derives identical expansions.
@@ -494,8 +493,7 @@ class ExpansionContext:
         #: True when every neighborhood has at most one action and every
         #: action row has exactly one outcome: the synchronous (and
         #: single-enabled central) step is then a pure function of the
-        #: configuration, which is what licenses rank-space
-        #: super-stepping (:mod:`repro.markov.superstep`).
+        #: configuration (:meth:`deterministic_successor_ranks`).
         self.deterministic = bool(
             (tables.action_count <= 1).all() and (self.arity == 1).all()
         )
@@ -552,8 +550,7 @@ class ExpansionContext:
         at once; disabled processes keep their codes.  Valid only on
         :attr:`deterministic` + :attr:`int64_safe` tables — the central
         daemon coincides with this map exactly on configurations with at
-        most one enabled process, which the super-stepping planner checks
-        per explored state.
+        most one enabled process.
         """
         if not (self.deterministic and self.int64_safe):
             raise ModelError(
@@ -854,8 +851,9 @@ def expansion_context(tables: CompiledKernelTables) -> ExpansionContext:
     """Memoized :class:`ExpansionContext` for one set of compiled tables.
 
     The context is pure derived structure, so every consumer sharing a
-    table object (the lockstep super-stepping planner) can share one
-    instance; the memo lives on the tables so it dies with them.
+    table object (the chain builder, the parametric chain, the symmetry
+    check) can share one instance; the memo lives on the tables so it
+    dies with them.
     """
     cached = getattr(tables, "_expansion_memo", None)
     if cached is None:

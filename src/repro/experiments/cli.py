@@ -19,12 +19,9 @@ Subcommands::
                          under an admission window; see
                          :mod:`repro.serving`)
 
-``run``, ``run-all``, and ``report`` accept ``--fused`` /
-``--no-fused``: whether multi-point Monte-Carlo sweeps fuse into one
-code matrix per system group (see :mod:`repro.markov.sweep_engine`;
-fusion is the default).
-``--no-fused`` restores the per-point engines — useful when comparing
-against the seeded per-point oracle.
+Multi-point Monte-Carlo sweeps fuse into one code matrix per system
+group (see :mod:`repro.markov.sweep_engine`); the seeded per-point
+oracle is ``SweepRunner(engine="scalar")``.
 """
 
 from __future__ import annotations
@@ -44,29 +41,8 @@ from repro.experiments.registry import (
     run_all,
     run_preset,
 )
-from repro.markov.sweep_engine import set_default_fusion
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_fused_flag(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--fused",
-        dest="fused",
-        action="store_true",
-        default=None,
-        help="fuse multi-point Monte-Carlo sweeps into one code matrix"
-        " per system group (the default)",
-    )
-    group.add_argument(
-        "--no-fused",
-        dest="fused",
-        action="store_false",
-        help="run auto-engine Monte-Carlo sweep points through their own"
-        " per-point engines (the pre-fusion behavior); presets that"
-        " explicitly demand engine='fused' are unaffected",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,13 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run selected experiments")
     run_parser.add_argument("ids", nargs="+", metavar="ID")
-    _add_fused_flag(run_parser)
 
     run_all_parser = sub.add_parser("run-all", help="run every experiment")
     run_all_parser.add_argument(
         "--fast", action="store_true", help="shrink heavy parameters"
     )
-    _add_fused_flag(run_all_parser)
 
     report_parser = sub.add_parser(
         "report", help="run everything, write markdown"
@@ -97,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "-o", "--output", default="EXPERIMENTS.generated.md"
     )
-    _add_fused_flag(report_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -277,12 +250,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "fused", None) is not None:
-        set_default_fusion(args.fused)
-        if args.fused:
-            print("(multi-point Monte-Carlo sweeps fused)")
-        else:
-            print("(multi-point Monte-Carlo sweeps running per point)")
     if args.command == "list":
         for experiment_id in all_ids():
             experiment = get_experiment(experiment_id)

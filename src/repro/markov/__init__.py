@@ -7,7 +7,6 @@ from repro.markov.batch import (
     DecodingLegitimacy,
     EnabledCountLegitimacy,
     batch_strategy_for,
-    register_batch_sampler,
 )
 from repro.markov.builder import CHAIN_ENGINES, build_chain
 from repro.markov.chain import MarkovChain, ROW_SUM_TOLERANCE
@@ -41,8 +40,6 @@ from repro.markov.sweep_engine import (
     PointExecution,
     SweepPointSpec,
     SweepRunner,
-    default_fusion,
-    set_default_fusion,
 )
 
 __all__ = [
@@ -72,11 +69,8 @@ __all__ = [
     "EnabledCountLegitimacy",
     "DecodingLegitimacy",
     "batch_strategy_for",
-    "register_batch_sampler",
     "SWEEP_ENGINES",
     "SweepPointSpec",
     "SweepRunner",
     "PointExecution",
-    "set_default_fusion",
-    "default_fusion",
 ]

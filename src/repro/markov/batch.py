@@ -57,12 +57,10 @@ alias with a fault) is the one-point call to it, and the fused sweep
 engine (:mod:`repro.markov.sweep_engine`) calls it with many points.
 Its scalar twin is the trial loop of
 :class:`~repro.markov.montecarlo.MonteCarloRunner`
-(``engine="scalar"``), which follows the same timeline.  At its
-entry, fault-free deterministic runs under the synchronous or central
-daemon take rank-space super-stepping (:mod:`repro.markov.superstep`)
-instead of the per-step body: outcome vectors are bit-identical, but no
-uniforms are drawn, so the generator state matches the per-step body
-only where that body runs.
+(``engine="scalar"``), which follows the same timeline.  The loop draws
+its scheduler and outcome uniforms every step, deterministic tables
+included, so two runs with the same inputs leave the generator in the
+same state.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ from repro.core.encoding import (
 )
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
-from repro.markov.superstep import SuperstepPlan
 from repro.schedulers.samplers import (
     BernoulliSampler,
     CentralRandomizedSampler,
@@ -102,13 +99,12 @@ __all__ = [
     "mark_states",
     "BatchSamplerStrategy",
     "batch_strategy_for",
-    "register_batch_sampler",
     "BatchEngine",
     "BatchRunResult",
     "PROFILE_PHASES",
 ]
 
-#: Per-phase keys of a profiled per-step run (milliseconds on
+#: Per-phase keys of a profiled lockstep run (milliseconds on
 #: :attr:`BatchRunResult.profile`).
 PROFILE_PHASES = ("gather", "legitimacy", "retire", "draw")
 
@@ -362,14 +358,6 @@ _BATCH_STRATEGIES: dict[type, Callable[[object], BatchSamplerStrategy]] = {
 }
 
 
-def register_batch_sampler(
-    sampler_type: type,
-    factory: Callable[[object], BatchSamplerStrategy],
-) -> None:
-    """Register a vectorized strategy for a custom sampler type."""
-    _BATCH_STRATEGIES[sampler_type] = factory
-
-
 def batch_strategy_for(sampler: object) -> BatchSamplerStrategy | None:
     """Vectorized strategy for a scalar sampler, or ``None`` (stateful
     samplers like round-robin or scripted adversaries have no lockstep
@@ -399,11 +387,8 @@ class BatchRunResult:
     illegitimate observations (the *maximum excursion*).  Rows of
     fault-free points keep ``-1`` and zeros there.
 
-    ``superstepped`` records whether rank-space super-stepping ran
-    instead of the per-step body.  ``profile`` is ``None`` unless the
-    run was profiled, in which case it maps phase name → milliseconds
-    (:data:`PROFILE_PHASES`, plus ``superstep_build`` and
-    ``superstep_execute`` when super-stepping ran).
+    ``profile`` is ``None`` unless the run was profiled, in which case
+    it maps phase name (:data:`PROFILE_PHASES`) → milliseconds.
     """
 
     __slots__ = (
@@ -415,7 +400,6 @@ class BatchRunResult:
         "legit_counts",
         "observations",
         "max_runs",
-        "superstepped",
         "profile",
     )
 
@@ -428,7 +412,6 @@ class BatchRunResult:
         self.legit_counts = np.zeros(rows, dtype=np.int64)
         self.observations = np.zeros(rows, dtype=np.int64)
         self.max_runs = np.zeros(rows, dtype=np.int64)
-        self.superstepped = False
         self.profile: dict[str, float] | None = None
 
     @property
@@ -542,73 +525,14 @@ class BatchEngine:
         rows in place (the corruption may re-enable them; time still
         passes), and every observation feeds the availability and
         excursion counters.  The corruption itself is one scatter into
-        the code matrix.
-
-        Fault-free runs with one synchronous or central strategy group
-        and one :class:`EnabledCountLegitimacy` group over deterministic
-        tables take rank-space super-stepping
-        (:class:`~repro.markov.superstep.SuperstepPlan`) when its closure
-        fits the state budget; every other run takes the per-step body.
+        the code matrix.  Each step is gather → legitimacy → fault
+        trigger → retire → draw, for every row; ``profile=True``
+        attaches per-phase millisecond totals to the result.
         """
         result = BatchRunResult(codes.shape[0])
         timing = (
             {phase: 0.0 for phase in PROFILE_PHASES} if profile else None
         )
-        plan = None
-        if faults is None and len(strategy_groups) == len(legit_groups) == 1:
-            strategy_type = type(strategy_groups[0][0])
-            legitimacy = legit_groups[0][0]
-            if (
-                strategy_type in (_SynchronousBatch, _CentralRandomizedBatch)
-                and type(legitimacy) is EnabledCountLegitimacy
-            ):
-                start = time.perf_counter()
-                plan = SuperstepPlan.build(
-                    self.tables,
-                    codes,
-                    budget,
-                    legitimacy.count,
-                    central=strategy_type is _CentralRandomizedBatch,
-                )
-        if plan is not None:
-            built = time.perf_counter()
-            plan.execute(budget, result)
-            result.superstepped = True
-            if timing is not None:
-                timing["superstep_build"] = built - start
-                timing["superstep_execute"] = time.perf_counter() - built
-        else:
-            self._per_step(
-                codes,
-                point,
-                budget,
-                legit_groups,
-                strategy_groups,
-                generator,
-                faults,
-                result,
-                timing,
-            )
-        if timing is not None:
-            result.profile = {
-                phase: seconds * 1000.0 for phase, seconds in timing.items()
-            }
-        return result
-
-    def _per_step(
-        self,
-        codes,
-        point,
-        budget,
-        legit_groups,
-        strategy_groups,
-        generator,
-        faults,
-        result: BatchRunResult,
-        timing: dict[str, float] | None,
-    ) -> None:
-        """The per-step body of :meth:`lockstep`: gather → legitimacy →
-        fault trigger → retire → draw, once per step for every row."""
         tables = self.tables
         times = result.times
         converged = result.converged
@@ -800,6 +724,11 @@ class BatchEngine:
             step += 1
             if tick:
                 timing["draw"] += tick() - t3
+        if timing is not None:
+            result.profile = {
+                phase: seconds * 1000.0 for phase, seconds in timing.items()
+            }
+        return result
 
 
 def encode_initials(

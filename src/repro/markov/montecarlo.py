@@ -512,7 +512,7 @@ class MonteCarloRunner:
             if require:
                 raise MarkovError(
                     f"sampler {type(sampler).__name__} has no vectorized"
-                    " strategy; register one or use engine='scalar'"
+                    " strategy; use engine='scalar'"
                 )
             return False
         try:

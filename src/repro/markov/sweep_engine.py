@@ -18,11 +18,11 @@ code matrix per point.  :class:`SweepRunner` fuses them:
 * **same-system points fuse** into one ``(Σ trials × processes)`` code
   matrix carrying a per-row *point id* and a per-row *step budget*,
   advanced by :meth:`~repro.markov.batch.BatchEngine.lockstep` — the
-  same loop a one-point ``BatchEngine.run`` takes, so deterministic
-  blocks super-step too; legitimacy and scheduler draws dispatch per
-  point (points sharing a predicate or sampler signature share one
-  vectorized call), so each lockstep iteration pays the interpreter
-  overhead once for the whole sweep instead of once per point;
+  same loop a one-point ``BatchEngine.run`` takes; legitimacy and
+  scheduler draws dispatch per point (points sharing a predicate or
+  sampler signature share one vectorized call), so each lockstep
+  iteration pays the interpreter overhead once for the whole sweep
+  instead of once per point;
 * **points of different N** within a group run as block-scheduled
   sub-batches — one fused matrix per system, executed back to back over
   cached tables (tables come from the process-wide table cache,
@@ -89,35 +89,12 @@ __all__ = [
     "SweepPointSpec",
     "PointExecution",
     "SweepRunner",
-    "set_default_fusion",
-    "default_fusion",
 ]
 
 #: Accepted ``engine`` values: ``"fused"`` demands the fused matrix for
 #: every point, ``"batch"``/``"scalar"`` run every point through the
 #: corresponding per-point engine, ``"auto"`` fuses what it can.
 SWEEP_ENGINES = ("auto", "fused", "batch", "scalar")
-
-#: Process-wide default for ``engine="auto"`` — the experiments CLI
-#: flips it via ``--fused/--no-fused``.
-_DEFAULT_FUSION = True
-
-
-def set_default_fusion(enabled: bool) -> None:
-    """Set whether ``engine="auto"`` sweeps fuse by default.
-
-    ``False`` makes ``"auto"`` behave like the pre-fusion per-point
-    path (one :class:`MonteCarloRunner` ``engine="auto"`` estimate per
-    point); the experiments CLI exposes this as ``--no-fused``.
-    """
-    global _DEFAULT_FUSION
-    _DEFAULT_FUSION = bool(enabled)
-
-
-def default_fusion() -> bool:
-    """Whether ``engine="auto"`` sweeps fuse by default."""
-    return _DEFAULT_FUSION
-
 
 @dataclass(frozen=True)
 class SweepPointSpec:
@@ -157,27 +134,24 @@ class PointExecution:
     group: tuple[str, str]
     engine: str
     fused_rows: int = 0
-    superstepped: bool = False
 
 
 def _strategy_signature(sampler: SchedulerSampler) -> tuple:
     """Dispatch key: points with equal signatures share one vectorized
-    ``choose`` call per fused step.  *Exact* built-in sampler types key
-    on their parameters; everything else — including subclasses, which
-    may carry their own registered strategies — is conservatively keyed
-    per instance, mirroring :func:`batch_strategy_for`'s exact-type
-    lookup so a group never applies one member's strategy to another
-    member's differently-behaving sampler."""
+    ``choose`` call per fused step.  Only the four exact built-in
+    sampler types have a strategy (:func:`batch_strategy_for` looks up
+    the exact type, so a subclass has none and never fuses); each keys
+    on its parameters."""
     sampler_type = type(sampler)
     if sampler_type is SynchronousSampler:
         return ("synchronous",)
     if sampler_type is CentralRandomizedSampler:
         return ("central",)
-    if sampler_type is DistributedRandomizedSampler:
-        return ("coin", 0.5)
     if sampler_type is BernoulliSampler:
         return ("coin", sampler._p)
-    return ("custom", sampler_type, id(sampler))
+    # Vetted by _point_engine: the last type with a strategy.
+    assert sampler_type is DistributedRandomizedSampler
+    return ("coin", 0.5)
 
 
 def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
@@ -190,8 +164,8 @@ def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
     return ("predicate", id(spec.legitimate))
 
 
-#: Default bound on the per-system cache (compiled engine + shared
-#: runner per distinct system *signature*).  Batch sweeps touch a
+#: Default bound on the per-system cache (one compiled engine per
+#: distinct system *signature*).  Batch sweeps touch a
 #: handful of systems; an always-on service recycles the least recently
 #: used entry instead of leaking one compilation per tenant forever.
 DEFAULT_SYSTEM_CACHE = 64
@@ -202,14 +176,13 @@ class _SystemEntry:
     """Everything cached for one system signature.
 
     ``system`` is a *strong* reference to the first system seen with
-    this signature: it anchors the engine/runner and guarantees the
+    this signature: it anchors the engine and guarantees the
     entry can never be poisoned by interpreter id reuse (the old
     ``id(system)``-keyed dicts could return a stale engine once a
     collected system's id was recycled by a value-different one)."""
 
     system: System
     engine: BatchEngine | ModelError | None = None
-    runner: MonteCarloRunner | None = None
 
 
 def _fold_seeds(seeds: Sequence[int]) -> int:
@@ -227,7 +200,7 @@ class SweepRunner:
     Construct once per sweep, call :meth:`run` with the full point list;
     grouping, fusion, table caching, and per-point fallback are handled
     here so experiment runners never touch the execution tiers directly.
-    Batch engines and runners are cached per system
+    Batch engines are cached per system
     *signature* (:func:`repro.store.columnar.system_cache_key`) in a
     :class:`~repro.lru.SignatureLRU` of ``cache_size`` entries, and the
     compiled tables under them come from the process-wide table cache,
@@ -240,13 +213,12 @@ class SweepRunner:
 
     * ``"auto"`` (default) — fuse every point whose sampler has a
       vectorized strategy and whose tables fit the budget; per-point
-      scalar otherwise.  When fusion is globally disabled
-      (:func:`set_default_fusion`, the CLI's ``--no-fused``), behaves
-      as per-point ``MonteCarloRunner(engine="auto")`` instead;
+      scalar otherwise;
     * ``"fused"`` — demand the fused matrix for every point, raising
       :class:`MarkovError` when any point cannot take it;
-    * ``"batch"`` — per-point lockstep engine (no fusion) — the
-      baseline the fusion benchmark compares against;
+    * ``"batch"`` — per-point lockstep engine (no fusion), on the
+      tables compiled under ``table_budget`` — the baseline the fusion
+      benchmark compares against;
     * ``"scalar"`` — per-point scalar oracle, consuming
       ``RandomSource(seed)`` exactly as pre-fusion callers did.
 
@@ -346,19 +318,6 @@ class SweepRunner:
                 entry.engine = error
         return entry.engine
 
-    def _runner_for(self, system: System) -> MonteCarloRunner:
-        entry = self._entry_for(system)
-        if entry.runner is None:
-            entry.runner = MonteCarloRunner(
-                entry.system,
-                batch_engine=(
-                    entry.engine
-                    if isinstance(entry.engine, BatchEngine)
-                    else None
-                ),
-            )
-        return entry.runner
-
     # ------------------------------------------------------------------
     # the front door
     # ------------------------------------------------------------------
@@ -423,7 +382,7 @@ class SweepRunner:
                 if fused:
                     engine_obj = self._batch_engine_for(system)
                     assert isinstance(engine_obj, BatchEngine)
-                    block_results, superstepped = self._run_fused(
+                    block_results = self._run_fused(
                         engine_obj, fused, sink, keep_samples
                     )
                     rows = sum(spec.trials for _, spec in fused)
@@ -435,7 +394,6 @@ class SweepRunner:
                             group=group_key,
                             engine="fused",
                             fused_rows=rows,
-                            superstepped=superstepped,
                         )
 
         self.last_plan = [plan[index] for index in range(len(points))]
@@ -491,16 +449,11 @@ class SweepRunner:
         if self.engine in ("batch", "scalar"):
             return self.engine
         require = self.engine == "fused"
-        if self.engine == "auto" and not default_fusion():
-            # Pre-fusion behavior: per-point MonteCarloRunner "auto",
-            # which itself picks batch or scalar per point.
-            return "per-point-auto"
         if batch_strategy_for(spec.sampler) is None:
             if require:
                 raise MarkovError(
                     f"sampler {type(spec.sampler).__name__} has no"
-                    " vectorized strategy; register one or use"
-                    " engine='scalar'"
+                    " vectorized strategy; use engine='scalar'"
                 )
             return "scalar"
         engine = self._batch_engine_for(spec.system)
@@ -518,8 +471,18 @@ class SweepRunner:
         sink: TrialSink | None = None,
         keep_samples: bool = True,
     ) -> MonteCarloResult:
-        """Per-point fallback through the shared per-system runner."""
-        runner = self._runner_for(spec.system)
+        """One point through a per-point engine (``"batch"`` or
+        ``"scalar"``).  The batch engine is this runner's, compiled under
+        its ``table_budget``; a compilation over budget raises its
+        cached :class:`~repro.errors.ModelError`."""
+        compiled = None
+        if engine == "batch":
+            compiled = self._batch_engine_for(spec.system)
+            if isinstance(compiled, ModelError):
+                raise compiled
+        runner = MonteCarloRunner(
+            self._entry_for(spec.system).system, batch_engine=compiled
+        )
         point_sink: TrialSink | None = None
         if sink is not None:
             # The per-point engines emit point=0/label=None; restamp
@@ -536,7 +499,7 @@ class SweepRunner:
             max_steps=spec.max_steps,
             rng=RandomSource(spec.seed),
             initial_configurations=spec.initial_configurations,
-            engine="auto" if engine == "per-point-auto" else engine,
+            engine=engine,
             batch_legitimate=spec.batch_legitimate,
             fault=spec.fault,
             keep_samples=keep_samples,
@@ -552,14 +515,14 @@ class SweepRunner:
         members: Sequence[tuple[int, SweepPointSpec]],
         sink: TrialSink | None = None,
         keep_samples: bool = True,
-    ) -> tuple[dict[int, MonteCarloResult], bool]:
+    ) -> dict[int, MonteCarloResult]:
         """Advance all member points in one lockstep code matrix.
 
         Stacks the members' initial codes with per-row point ids and
         budgets, groups them by legitimacy and sampler signature, and
         hands everything to :meth:`BatchEngine.lockstep` — the same loop
         a one-point :meth:`BatchEngine.run` takes.  Returns the
-        per-point results and whether the block was super-stepped.
+        per-point results keyed by input index.
         """
         encoding = engine.encoding
         system = engine.system
@@ -662,4 +625,4 @@ class SweepRunner:
                 index,
                 spec.label,
             )
-        return results, outcome.superstepped
+        return results

@@ -41,7 +41,6 @@ from conformance_registry import (
     ks_bound,
     ks_statistic,
 )
-from repro.markov import superstep
 from repro.markov.batch import (
     BatchEngine,
     batch_strategy_for,
@@ -254,10 +253,8 @@ def _assert_fused_is_batch_engine(
 ):
     """Run one point through ``SweepRunner(engine="fused")`` and through
     ``BatchEngine.run`` / ``run_with_fault`` with the same initial codes
-    and the same generator seed, both on the per-step body (a zero
-    super-step budget declines every plan), and demand bit-identical
-    outcome vectors *and* final generator state."""
-    monkeypatch.setattr(superstep, "SUPERSTEP_BUDGET", 0)
+    and the same generator seed, and demand bit-identical outcome
+    vectors *and* final generator state."""
     generators = []
     numpy_generator = RandomSource.numpy_generator
 

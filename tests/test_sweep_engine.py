@@ -16,15 +16,13 @@ from repro.algorithms.token_ring import (
 )
 from repro.algorithms.leader_tree import make_leader_tree_system
 from repro.analysis.sweep import sweep_fused
-from repro.errors import MarkovError
+from repro.errors import MarkovError, ModelError
 from repro.graphs.generators import path
 from repro.markov.batch import EnabledCountLegitimacy
 from repro.markov.sweep_engine import (
     SWEEP_ENGINES,
     SweepPointSpec,
     SweepRunner,
-    default_fusion,
-    set_default_fusion,
 )
 from repro.random_source import RandomSource
 from repro.schedulers.samplers import (
@@ -252,6 +250,14 @@ class TestFallbacks:
         with pytest.raises(Exception, match="budget"):
             runner.run([ring_point(trials=10)])
 
+    def test_over_budget_tables_raise_on_per_point_batch(self):
+        """The per-point lockstep engine compiles under the runner's
+        ``table_budget`` too, not the default one: the ring-5 tables
+        have 40 class entries, so a budget of 1 refuses them."""
+        runner = SweepRunner(engine="batch", table_budget=1)
+        with pytest.raises(ModelError, match="budget"):
+            runner.run([ring_point(trials=20)])
+
     def test_stateful_sampler_falls_back_to_scalar_on_auto(self):
         runner = SweepRunner(engine="auto")
         point = ring_point(
@@ -425,27 +431,6 @@ class TestBatchEscapeHatches:
             ]
         )
         assert results[0].converged == 5
-
-
-class TestDefaultFusionFlag:
-    def test_no_fused_flag_restores_per_point_auto(self):
-        assert default_fusion() is True
-        try:
-            set_default_fusion(False)
-            runner = SweepRunner(engine="auto")
-            runner.run([ring_point(seed=1, trials=10)])
-            assert runner.last_plan[0].engine == "per-point-auto"
-        finally:
-            set_default_fusion(True)
-
-    def test_explicit_fused_ignores_flag(self):
-        try:
-            set_default_fusion(False)
-            runner = SweepRunner(engine="fused")
-            runner.run([ring_point(seed=1, trials=10)])
-            assert runner.last_plan[0].engine == "fused"
-        finally:
-            set_default_fusion(True)
 
 
 class TestSweepFusedEntryPoint:
