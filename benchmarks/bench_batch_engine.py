@@ -7,8 +7,10 @@ vs ``..._batch``: the same 1000-trial sweep point (Algorithm 1 on a
 bar for PR 2 is a ≥ 5× mean speedup.  ``q1_preset_n40_batch`` proves a
 previously out-of-budget large-N experiment preset completes under the
 harness.  ``trans_ring50_sync_1000trials_batch`` is a coin-flip point,
-so it times the lockstep step itself: mover-only sampling and
-column-wise key packing.
+so it times the lockstep step itself: mover-only draws and uint32
+column-wise key packing; ``trans_ring10_sync_100trials_batch`` is the
+same shape at the size of a served sweep request, where the fixed
+per-step cost (one retirement per step) shows.
 """
 
 from repro.algorithms.token_ring import (
@@ -78,11 +80,11 @@ def test_q1_preset_n40_batch(benchmark):
     assert result.passed, result.render()
 
 
-def test_trans_ring50_sync_1000trials_batch(benchmark):
-    """Q1's Monte-Carlo shape at N = 50: the coin-toss transformed ring
-    under the synchronous sampler, 1000 trials through the per-step
-    lockstep body (tables compiled once, outside the timed rounds)."""
-    base = make_token_ring_system(50)
+def _trans_ring_sync(benchmark, n: int, trials: int, rounds: int):
+    """Time one coin-flip point: the coin-toss transformed ring of size
+    ``n`` under the synchronous sampler through the per-step lockstep
+    body (tables compiled once, outside the timed rounds)."""
+    base = make_token_ring_system(n)
     system = make_transformed_system(base)
     spec = TransformedSpec(TokenCirculationSpec(), base)
     runner = MonteCarloRunner(system, engine="batch")
@@ -93,11 +95,23 @@ def test_trans_ring50_sync_1000trials_batch(benchmark):
         return runner.estimate(
             SynchronousSampler(),
             lambda c: spec.legitimate(system, c),
-            trials=TRIALS,
+            trials=trials,
             max_steps=200_000,
             rng=RandomSource(2026),
             batch_legitimate=EnabledCountLegitimacy(1),
         )
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    result = benchmark.pedantic(run, rounds=rounds, iterations=1)
     assert result.censored == 0
+
+
+def test_trans_ring50_sync_1000trials_batch(benchmark):
+    """Q1's Monte-Carlo shape at N = 50, 1000 trials."""
+    _trans_ring_sync(benchmark, 50, TRIALS, rounds=2)
+
+
+def test_trans_ring10_sync_100trials_batch(benchmark):
+    """A small batch, the size of a served sweep request: the per-step
+    interpreter overhead of the lockstep body, not its array work,
+    dominates here."""
+    _trans_ring_sync(benchmark, 10, 100, rounds=20)

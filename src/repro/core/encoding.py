@@ -81,6 +81,13 @@ __all__ = [
 #: Code dtype: local state spaces are tiny, 32 bits is generous.
 CODE_DTYPE = np.uint32
 
+#: Packed-key dtype: keys are gather indices into the class entries,
+#: which :func:`compile_tables` keeps below :data:`_KEY_SPACE_LIMIT`.
+KEY_DTYPE = np.uint32
+
+#: Class entries must stay below this for every key to fit ``KEY_DTYPE``.
+_KEY_SPACE_LIMIT = 2**32
+
 #: Default cap on the class entries :func:`compile_tables` stores.
 DEFAULT_TABLE_BUDGET = 1_000_000
 
@@ -246,10 +253,12 @@ class CompiledKernelTables:
     are stored once and ``num_entries`` counts class entries.  Lookups
     over a ``(T, N)`` code matrix are then three gathers:
 
-    * ``pack(codes)`` — neighbor gather + weighted sum → keys ``(T, N)``;
+    * ``pack(codes)`` — neighbor gather + weighted sum → ``uint32`` keys
+      ``(T, N)``;
     * ``enabled_flat[keys]`` — enabled bit per (trial, process);
-    * ``sample(...)`` — two full-shape uniform draws, then, at the movers
-      only: action choice, inverse-CDF outcome, post-state codes.
+    * ``sample(...)`` — two uniforms per mover, then, at the movers only:
+      action choice, inverse-CDF outcome, post-state codes committed in
+      place.
 
     ``action_index`` records, per action row, the row's position in
     ``System.actions``, so a predicate over *which* action is enabled
@@ -279,6 +288,12 @@ class CompiledKernelTables:
         "outcome_prob_coeff",
         "process_class",
         "num_entries",
+        "_pack_columns",
+        "_cum_columns",
+        "_code_flat",
+        "_outcome_width",
+        "_multi_action",
+        "deterministic",
         "_expansion_memo",
     )
 
@@ -316,10 +331,45 @@ class CompiledKernelTables:
         self.outcome_prob_coeff = outcome_prob_coeff
         self.process_class = process_class
         self.num_entries = int(enabled_flat.shape[0])
+        # Derived gather layouts of the lockstep step: per neighbor
+        # column of ``pack``, a contiguous index (``None`` for the
+        # identity: column 0 is every process itself) and uint32 weights
+        # (``None`` when all 1); for ``sample``, the cumulative columns
+        # but the last (1.0 or the 2.0 padding, never <= a uniform) and
+        # the raveled post-state codes.
+        identity = np.arange(neighbor_index.shape[0])
+        self._pack_columns = tuple(
+            (
+                None
+                if np.array_equal(neighbor_index[:, column], identity)
+                else np.ascontiguousarray(neighbor_index[:, column]),
+                None
+                if (neighbor_weight[:, column] == 1).all()
+                else neighbor_weight[:, column].astype(KEY_DTYPE),
+            )
+            for column in range(neighbor_index.shape[1])
+        )
+        self._cum_columns = tuple(
+            np.ascontiguousarray(outcome_cum[:, column])
+            for column in range(outcome_cum.shape[1] - 1)
+        )
+        self._code_flat = outcome_code.reshape(-1)
+        self._outcome_width = int(outcome_code.shape[1])
+        self._multi_action = bool(action_count.max(initial=0) > 1)
+        #: True when every entry has at most one action and every action
+        #: row exactly one outcome (the 2.0 padding from column 1 on):
+        #: a step then reads no uniform.
+        self.deterministic = not self._multi_action and bool(
+            (outcome_cum[:, 1:] > 1.5).all()
+        )
         for name in self.__slots__:
             array = getattr(self, name, None)
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
+        for pair in (*self._pack_columns, self._cum_columns):
+            for array in pair:
+                if array is not None:
+                    array.flags.writeable = False
 
     @property
     def num_classes(self) -> int:
@@ -372,20 +422,29 @@ class CompiledKernelTables:
     # gathers over code matrices
     # ------------------------------------------------------------------
     def pack(self, codes: np.ndarray) -> np.ndarray:
-        """Packed neighborhood keys of a ``(T, N)`` code matrix.
+        """Packed ``uint32`` neighborhood keys of a ``(T, N)`` code matrix.
 
-        Summed one neighbor column at a time (padding columns carry
-        weight 0), so no ``(T, N, width)`` block is materialized.
+        Summed one neighbor column at a time in ``uint32`` (padding
+        columns carry weight 0), so no ``(T, N, width)`` block is
+        materialized; every partial sum is at most the final key, which
+        :func:`compile_tables` keeps below ``2**32``.
         """
-        index, weight = self.neighbor_index, self.neighbor_weight
-        keys = codes[:, index[:, 0]] * weight[:, 0] + self.key_offset
-        for column in range(1, index.shape[1]):
-            keys += codes[:, index[:, column]] * weight[:, column]
+        codes = codes.astype(KEY_DTYPE, copy=False)
+        keys = None
+        for index, weight in self._pack_columns:
+            column = codes if index is None else codes[:, index]
+            term = column if weight is None else column * weight
+            if keys is None:
+                keys = term + self.key_offset
+            else:
+                keys += term
         return keys
 
     def enabled(self, keys: np.ndarray) -> np.ndarray:
         """Boolean enabled matrix for packed keys."""
-        return self.enabled_flat[keys]
+        # ``take`` gathers through uint32 keys about twice as fast as
+        # fancy indexing, which converts them first.
+        return self.enabled_flat.take(keys)
 
     def sample(
         self,
@@ -393,8 +452,9 @@ class CompiledKernelTables:
         keys: np.ndarray,
         movers: np.ndarray,
         generator: np.random.Generator,
-    ) -> np.ndarray:
-        """One lockstep step: sample movers' actions/outcomes, commit.
+    ) -> None:
+        """One lockstep step: sample the movers' actions and outcomes and
+        write their post-state codes into ``codes`` in place.
 
         Matches the scalar sampling semantics of
         :meth:`repro.core.system.System.sample_step` in
@@ -402,27 +462,37 @@ class CompiledKernelTables:
         actions, then an inverse-CDF draw from that action's outcome
         distribution.  ``movers`` must be a subset of the enabled cells.
 
-        The two uniform draws are made for the full ``keys`` shape, choice
-        first, so the generator stream depends only on the matrix shape;
-        everything after them — choice, outcome, post-state — is computed
-        only at the movers.  Non-movers keep their codes.
+        Uniforms are drawn only where they are read: one
+        ``generator.random((M, 2))`` call for the ``M`` movers in
+        row-major cell order, each mover taking its two consecutive
+        uniforms as action choice, then outcome (the choice uniform is
+        not read when no entry has two enabled actions).  On
+        :attr:`deterministic` tables no uniform is read and none is
+        drawn; the generator is advanced past the two ``keys``-shaped
+        draws the full-shape layout made there instead, so seeded runs
+        on deterministic tables keep their streams.  Non-movers keep
+        their codes; ``codes`` must be C-contiguous.
         """
-        choice_draws = generator.random(keys.shape)
-        outcome_draws = generator.random(keys.shape)
         cells = np.flatnonzero(movers)
         mover_keys = keys.reshape(-1)[cells]
-        counts = self.action_count[mover_keys]
-        # Guard the half-open-interval edge: u · count may round to count.
-        choice = (choice_draws.reshape(-1)[cells] * counts).astype(np.int64)
-        np.minimum(choice, counts - 1, out=choice)
-        rows = self.action_base[mover_keys] + choice
-        draws = outcome_draws.reshape(-1)[cells]
-        outcome = np.zeros(cells.shape[0], dtype=np.int64)
-        for column in range(self.outcome_cum.shape[1]):
-            outcome += draws >= self.outcome_cum[rows, column]
-        stepped = codes.copy()
-        stepped.reshape(-1)[cells] = self.outcome_code[rows, outcome]
-        return stepped
+        rows = self.action_base.take(mover_keys)
+        if self.deterministic:
+            _advance(generator, 2 * keys.size)
+            slot = rows * self._outcome_width
+        else:
+            draws = generator.random((cells.shape[0], 2))
+            if self._multi_action:
+                counts = self.action_count.take(mover_keys)
+                # Guard the half-open-interval edge: u · count may round
+                # to count.
+                choice = (draws[:, 0] * counts).astype(np.int64)
+                np.minimum(choice, counts - 1, out=choice)
+                rows += choice
+            outcome = draws[:, 1]
+            slot = rows * self._outcome_width
+            for column in self._cum_columns:
+                slot += outcome >= column.take(rows)
+        codes.reshape(-1)[cells] = self._code_flat.take(slot)
 
     def entries_with_action(self, actions: Sequence[int]) -> np.ndarray:
         """Per entry: whether one of ``actions`` is enabled there.
@@ -444,6 +514,15 @@ class CompiledKernelTables:
             f" classes={self.num_classes},"
             f" action_rows={self.outcome_cum.shape[0]})"
         )
+
+
+def _advance(generator: np.random.Generator, count: int) -> None:
+    """Move ``generator`` past ``count`` uniforms without drawing them."""
+    advance = getattr(generator.bit_generator, "advance", None)
+    if advance is None:
+        generator.random(count)
+    else:
+        advance(count)
 
 
 class ExpansionContext:
@@ -490,13 +569,11 @@ class ExpansionContext:
             if self.int64_safe
             else None
         )
-        #: True when every neighborhood has at most one action and every
-        #: action row has exactly one outcome: the synchronous (and
-        #: single-enabled central) step is then a pure function of the
-        #: configuration (:meth:`deterministic_successor_ranks`).
-        self.deterministic = bool(
-            (tables.action_count <= 1).all() and (self.arity == 1).all()
-        )
+        #: The tables' :attr:`~CompiledKernelTables.deterministic`: the
+        #: synchronous (and single-enabled central) step is then a pure
+        #: function of the configuration
+        #: (:meth:`deterministic_successor_ranks`).
+        self.deterministic = tables.deterministic
         # Shared with every consumer of the tables: read-only like them.
         for array in (self.arity, self.first_outcome, self.weights_row):
             if array is not None:
@@ -561,7 +638,7 @@ class ExpansionContext:
         codes = self.codes_of_ranks(ranks)
         keys = tables.pack(codes)
         enabled = tables.enabled(keys)
-        rows = tables.action_base[keys]
+        rows = tables.action_base.take(keys)
         old = codes.astype(np.int64)
         new = np.where(enabled, self.first_outcome[rows], old)
         delta = ((new - old) * self.weights_row).sum(axis=1)
@@ -626,6 +703,12 @@ def _check_budget(total: int, num_classes: int, max_entries: int) -> None:
             f" classes), budget is {max_entries}; use the scalar"
             " System path instead"
         )
+    if total >= _KEY_SPACE_LIMIT:
+        raise ModelError(
+            f"class tables have {total} entries ({num_classes} process"
+            " classes), past the uint32 key space of 2**32; use the"
+            " scalar System path instead"
+        )
 
 
 def compile_tables(
@@ -640,7 +723,9 @@ def compile_tables(
     neighborhood identically, so the block (and its action rows) is
     resolved through the class's first member and stored once; every
     member's ``key_offset`` points at it.  Raises :class:`ModelError`
-    when the class blocks together exceed ``max_entries``.
+    when the class blocks together exceed ``max_entries`` or reach
+    ``2**32`` entries (keys are ``uint32``, see
+    :meth:`CompiledKernelTables.pack`).
 
     This is the compiler itself and always compiles.  Library consumers
     call :func:`tables_for`, the process-wide cache in front of it, so
@@ -680,7 +765,7 @@ def compile_tables(
             neighbor_index[process, position] = members[position]
             neighbor_weight[process, position] = weight
             weight *= sizes[members[position]]
-    key_offset = class_offset[process_class].astype(np.int64)
+    key_offset = class_offset[process_class].astype(KEY_DTYPE)
 
     enabled_flat = np.zeros(total, dtype=bool)
     action_count = np.zeros(total, dtype=np.int64)

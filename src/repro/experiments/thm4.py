@@ -49,7 +49,7 @@ def _lemmas_hold(system) -> tuple[bool, bool]:
         if action.name == "A1"
     ]
     leaderless = (parents >= 0).all(axis=1)
-    some_a1 = tables.entries_with_action(a1)[keys].any(axis=1)
+    some_a1 = tables.entries_with_action(a1).take(keys).any(axis=1)
     lemma7 = bool(some_a1[leaderless].all())
     enabled = tables.enabled(keys)
     legitimate = TreeLeaderSpec().batch_legitimacy(system).evaluate(

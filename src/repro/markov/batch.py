@@ -57,10 +57,13 @@ alias with a fault) is the one-point call to it, and the fused sweep
 engine (:mod:`repro.markov.sweep_engine`) calls it with many points.
 Its scalar twin is the trial loop of
 :class:`~repro.markov.montecarlo.MonteCarloRunner`
-(``engine="scalar"``), which follows the same timeline.  The loop draws
-its scheduler and outcome uniforms every step, deterministic tables
-included, so two runs with the same inputs leave the generator in the
-same state.
+(``engine="scalar"``), which follows the same timeline.  Each step
+classifies its rows once (converged, illegitimate terminal, over
+budget) and compacts them once.  Uniforms are drawn only where they are
+read: scheduler coins at enabled cells, two uniforms per mover for the
+action choice and outcome
+(:meth:`~repro.core.encoding.CompiledKernelTables.sample`), so two runs
+with the same inputs leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -168,7 +171,9 @@ class ActionCountLegitimacy(BatchLegitimacy):
 
     def evaluate(self, codes, enabled, engine):
         tables = engine.tables
-        cells = tables.entries_with_action(self.actions)[tables.pack(codes)]
+        cells = tables.entries_with_action(self.actions).take(
+            tables.pack(codes)
+        )
         return cells.sum(axis=1) == self.count
 
 
@@ -271,7 +276,7 @@ def mark_states(
                 raise
     if compiled is not None:
         state_codes = codes()
-        enabled = compiled.enabled_flat[compiled.pack(state_codes)]
+        enabled = compiled.enabled(compiled.pack(state_codes))
         context = MarkContext(compiled.encoding, compiled)
     elif scalar is not None:
         return np.fromiter(
@@ -330,7 +335,9 @@ class _IndependentCoinBatch(BatchSamplerStrategy):
     (uniform over non-empty subsets of the enabled set — the rejection
     sampling matches
     :meth:`repro.random_source.RandomSource.sample_nonempty_subset`); other
-    biases give the Bernoulli sampler.
+    biases give the Bernoulli sampler.  Coins are drawn only at enabled
+    cells, in row-major order, and a redraw draws only at the enabled
+    cells of the rows it redraws.
     """
 
     __slots__ = ("_p",)
@@ -338,13 +345,17 @@ class _IndependentCoinBatch(BatchSamplerStrategy):
     def __init__(self, probability: float) -> None:
         self._p = probability
 
+    def _coins(self, enabled, generator):
+        cells = np.flatnonzero(enabled)
+        movers = np.zeros(enabled.shape, dtype=bool)
+        movers.reshape(-1)[cells] = generator.random(cells.shape[0]) < self._p
+        return movers
+
     def choose(self, enabled, generator):
-        movers = (generator.random(enabled.shape) < self._p) & enabled
+        movers = self._coins(enabled, generator)
         empty = np.flatnonzero(~movers.any(axis=1))
         while empty.size:
-            redraw = (
-                generator.random((empty.size, enabled.shape[1])) < self._p
-            ) & enabled[empty]
+            redraw = self._coins(enabled[empty], generator)
             movers[empty] = redraw
             empty = empty[~redraw.any(axis=1)]
         return movers
@@ -526,10 +537,12 @@ class BatchEngine:
         passes), and every observation feeds the availability and
         excursion counters.  The corruption itself is one scatter into
         the code matrix.  Each step is gather → legitimacy → fault
-        trigger → retire → draw, for every row; ``profile=True``
-        attaches per-phase millisecond totals to the result.
+        trigger → retire (one classification, one compaction) → draw,
+        for every row; ``profile=True`` attaches per-phase millisecond
+        totals to the result.
         """
         result = BatchRunResult(codes.shape[0])
+        codes = np.ascontiguousarray(codes)  # ``sample`` writes in place
         timing = (
             {phase: 0.0 for phase in PROFILE_PHASES} if profile else None
         )
@@ -558,37 +571,13 @@ class BatchEngine:
             )
             offsets = np.searchsorted(point, np.arange(len(faults)))
             # Aligned with ``active`` and compacted together with it; the
-            # observation counters are scattered into the result vectors
-            # only when rows retire, keeping the per-step bookkeeping
-            # free of fancy indexing.
+            # observation counters (one row each: observations, legitimate
+            # observations, current illegitimate run, its peak) are
+            # scattered into the result vectors only when rows retire,
+            # keeping the per-step bookkeeping free of fancy indexing.
             pending = step_of_point[point] != -2
             pending_count = int(pending.sum())
-            cur_run = np.zeros(active.size, dtype=np.int64)
-            obs = np.zeros(active.size, dtype=np.int64)
-            legit_seen = np.zeros(active.size, dtype=np.int64)
-            run_peak = np.zeros(active.size, dtype=np.int64)
-
-        def retire(keep: np.ndarray) -> None:
-            nonlocal active, codes, point, budget
-            nonlocal pending, pending_count, cur_run, obs, legit_seen
-            nonlocal run_peak
-            if any_fault:
-                gone = ~keep
-                retired = active[gone]
-                result.observations[retired] = obs[gone]
-                result.legit_counts[retired] = legit_seen[gone]
-                result.max_runs[retired] = run_peak[gone]
-                pending, cur_run = pending[keep], cur_run[keep]
-                obs, legit_seen = obs[keep], legit_seen[keep]
-                run_peak = run_peak[keep]
-                if pending_count:
-                    # Rows can retire with their fault still pending
-                    # (illegitimate terminal, or out of budget).
-                    pending_count = int(pending.sum())
-            active = active[keep]
-            codes = codes[keep]
-            point = point[keep]
-            budget = budget[keep]
+            counters = np.zeros((4, active.size), dtype=np.int64)
 
         def evaluate_legit(
             codes_m: np.ndarray, enabled_m: np.ndarray, point_m: np.ndarray
@@ -622,6 +611,8 @@ class BatchEngine:
                     )
             return movers_m
 
+        # Rows only leave, so no budget runs out before the smallest.
+        deadline = int(budget.min()) if budget.size else 0
         tick = time.perf_counter if timing is not None else None
         step = 0
         while active.size:
@@ -661,66 +652,67 @@ class BatchEngine:
                         codes[rows], enabled[rows], point[rows]
                     )
             if any_fault:
-                obs += 1
+                observations, legit_seen, run, peak = counters
+                observations += 1
                 legit_seen += legit
-                cur_run = np.where(legit, 0, cur_run + 1)
-                np.maximum(run_peak, cur_run, out=run_peak)
+                run += 1
+                run[legit] = 0
+                np.maximum(peak, run, out=peak)
                 done = legit & ~pending if pending_count else legit
             else:
                 done = legit
-            if done.any():
-                retired = active[done]
-                times[retired] = step
-                converged[retired] = True
-                keep = ~done
-                retire(keep)
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            # Illegitimate terminal rows can never converge: censored —
-            # unless a pending fixed-step fault may re-enable them, in
-            # which case they idle in place (time still passes).
+            # One classification, one compaction: converged rows first;
+            # then illegitimate terminal rows, censored (they can never
+            # converge) unless a pending fixed-step fault may re-enable
+            # them, in which case they idle in place (time still passes);
+            # then rows whose budget is spent.
             terminal = ~enabled.any(axis=1)
+            frozen = None
             if pending_count:
-                frozen = terminal & pending & (step_of_point[point] >= 0)
-                retire_terminal = terminal & ~frozen
-            else:
-                frozen = None
-                retire_terminal = terminal
-            if retire_terminal.any():
-                hit_terminal[active[retire_terminal]] = True
-                keep = ~retire_terminal
-                retire(keep)
-                if frozen is not None:
-                    frozen = frozen[keep]
+                frozen = terminal & pending & (trigger >= 0)
+                terminal &= ~frozen
+            gone = done | terminal
+            if step >= deadline:
+                over = budget <= step
+                gone |= over
+            if gone.any():
+                times[active[done]] = step
+                converged[active[done]] = True
+                hit_terminal[active[terminal & ~done]] = True
+                if step >= deadline:
+                    timed_out[active[over & ~(done | terminal)]] = True
+                keep = ~gone
+                if any_fault:
+                    retired = active[gone]
+                    result.observations[retired] = counters[0, gone]
+                    result.legit_counts[retired] = counters[1, gone]
+                    result.max_runs[retired] = counters[3, gone]
+                    counters = counters[:, keep]
+                    pending = pending[keep]
+                    if pending_count:
+                        # Rows can retire with their fault still pending
+                        # (illegitimate terminal, or out of budget).
+                        pending_count = int(pending.sum())
+                active = active[keep]
                 if not active.size:
                     break
+                codes = codes[keep]
+                point = point[keep]
+                budget = budget[keep]
                 keys = keys[keep]
                 enabled = enabled[keep]
-            over = budget <= step
-            if over.any():
-                timed_out[active[over]] = True
-                keep = ~over
-                retire(keep)
                 if frozen is not None:
                     frozen = frozen[keep]
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
             if tick:
                 t3 = tick()
                 timing["retire"] += t3 - t2
             if frozen is not None and frozen.any():
                 move = ~frozen
-                movers = choose(enabled[move], point[move])
-                codes[move] = tables.sample(
-                    codes[move], keys[move], movers, generator
-                )
+                movers = np.zeros_like(enabled)
+                movers[move] = choose(enabled[move], point[move])
             else:
                 movers = choose(enabled, point)
-                codes = tables.sample(codes, keys, movers, generator)
+            tables.sample(codes, keys, movers, generator)
             step += 1
             if tick:
                 timing["draw"] += tick() - t3

@@ -486,10 +486,11 @@ def _expand_block(
     """
     tables = context.tables
     keys = tables.pack(codes)
-    enabled_matrix = tables.enabled_flat[keys]
+    enabled_matrix = tables.enabled(keys)
     return _array_edges(
-        context, codes, ranks, enabled_matrix, tables.action_count[keys],
-        tables.action_base[keys], enabled_matrix.sum(axis=1, dtype=np.int64),
+        context, codes, ranks, enabled_matrix, tables.action_count.take(keys),
+        tables.action_base.take(keys),
+        enabled_matrix.sum(axis=1, dtype=np.int64),
     )
 
 

@@ -35,13 +35,14 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   (``tests/test_engine_conformance.py``) checks the fused engine
   against.
 
-Each sweep point carries its own integer ``seed``: initial
-configurations are drawn from ``RandomSource(seed)`` exactly as the
-per-point engines draw them, so scalar-oracle runs of the same specs
-reproduce the pre-fusion streams bit-for-bit, while the fused lockstep
-draws come from one NumPy generator folded over the group's seeds
-(distribution-identical, stream-different — the same contract as the
-PR 2 batch engine).
+Each sweep point carries its own integer ``seed``.  The fused engine
+draws a point's initial configurations from ``RandomSource(seed)`` all
+at once, before any step, exactly as the per-point batch engine does;
+the scalar trial loop draws each trial's start lazily from the same
+source, after the previous trial's step draws, so it shares only trial
+0's start with them.  The fused lockstep draws come from one NumPy
+generator folded over the group's seeds (distribution-identical,
+stream-different — the same contract as the per-point batch engine).
 """
 
 from __future__ import annotations

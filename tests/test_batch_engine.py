@@ -8,6 +8,7 @@ two-sample Kolmogorov–Smirnov bound, plus matching structural outcomes
 (censoring counts, terminal retirement) that are seed-independent.
 """
 
+import copy
 from functools import partial
 
 import numpy as np
@@ -38,6 +39,8 @@ from repro.markov.batch import (
     batch_strategy_for,
     compile_legitimacy,
 )
+from repro.markov.hitting import expected_hitting_times
+from repro.markov.lumping import lumped_synchronous_transformed_chain
 from repro.markov.montecarlo import (
     MonteCarloRunner,
     estimate_stabilization_time,
@@ -225,6 +228,25 @@ class TestBatchSamplerStrategies:
         assert (movers.sum(axis=1) >= 1).all()
         assert (movers & ~enabled).sum() == 0
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [DistributedRandomizedSampler(), BernoulliSampler(0.2)],
+        ids=["distributed", "bernoulli"],
+    )
+    def test_coins_drawn_only_at_enabled_cells(self, sampler):
+        """Interleaving disabled columns changes neither the movers nor
+        the generator's final state: no coin is drawn there."""
+        enabled, generator = self._enabled_fixture()
+        padded = np.zeros((enabled.shape[0], 2 * enabled.shape[1]), bool)
+        padded[:, 1::2] = enabled
+        twin = copy.deepcopy(generator)
+        strategy = batch_strategy_for(sampler)
+        movers = strategy.choose(enabled, generator)
+        padded_movers = strategy.choose(padded, twin)
+        assert not padded_movers[:, 0::2].any()
+        np.testing.assert_array_equal(padded_movers[:, 1::2], movers)
+        assert generator.bit_generator.state == twin.bit_generator.state
+
     def test_central_choice_is_uniform(self):
         """Each of k enabled processes is chosen ≈ 1/k of the time."""
         generator = np.random.default_rng(9)
@@ -239,6 +261,40 @@ class TestBatchSamplerStrategies:
 
     def test_stateful_samplers_have_no_strategy(self):
         assert batch_strategy_for(RoundRobinSampler()) is None
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_batch_mean_matches_exact_lumped_chain(n):
+    """Trans(token ring) under the synchronous sampler: the batch
+    engine's 99.9% normal confidence interval for the mean stabilization
+    time covers the exact mean over every initial configuration, read
+    off the lumped chain.  (Two cases at 95% would miss on about one
+    seed in ten with nothing wrong.)"""
+    base = make_token_ring_system(n)
+    lumped = lumped_synchronous_transformed_chain(base)
+    assert lumped.num_states == base.num_configurations()
+    exact = float(
+        expected_hitting_times(
+            lumped, lumped.mark(EnabledCountLegitimacy(1))
+        ).mean()
+    )
+    system = make_transformed_system(base)
+    spec = TransformedSpec(TokenCirculationSpec(), base)
+    result = MonteCarloRunner(system, engine="batch").estimate(
+        SynchronousSampler(),
+        lambda c: spec.legitimate(system, c),
+        trials=2000,
+        max_steps=100_000,
+        rng=RandomSource(2030),
+        batch_legitimate=EnabledCountLegitimacy(1),
+    )
+    assert result.censored == 0
+    half_width = result.stats.ci95_half_width * (3.29 / 1.96)
+    assert abs(result.stats.mean - exact) <= half_width, (
+        result.stats.mean,
+        exact,
+        half_width,
+    )
 
 
 class TestEngineSelection:
@@ -604,15 +660,27 @@ def _dense_pack(tables, codes):
 
 
 def _dense_sample(tables, codes, keys, movers, generator):
-    """The pre-mover-only ``sample``: the oracle of the stream contract."""
-    counts = tables.action_count[keys]
-    choice = (generator.random(keys.shape) * counts).astype(np.int64)
-    choice = np.clip(choice, 0, np.maximum(counts - 1, 0))
-    rows = tables.action_base[keys] + choice
-    cum = tables.outcome_cum[rows]
-    draws = generator.random(keys.shape)
-    outcome = (draws[..., None] >= cum).sum(axis=-1)
-    return np.where(movers, tables.outcome_code[rows, outcome], codes)
+    """The oracle of the stream contract, one mover at a time: one
+    ``(M, 2)`` draw for the ``M`` movers in row-major cell order, each
+    mover reading its choice uniform, then its outcome uniform, against
+    its full cumulative row.  Deterministic tables read no uniform; the
+    stream moves past two ``keys``-shaped draws there."""
+    stepped = codes.copy()
+    flat_keys = keys.reshape(-1)
+    cells = np.flatnonzero(movers)
+    if tables.deterministic:
+        generator.random((2, *keys.shape))
+        draws = np.zeros((cells.shape[0], 2))
+    else:
+        draws = generator.random((cells.shape[0], 2))
+    for cell, (choice_draw, outcome_draw) in zip(cells.tolist(), draws):
+        key = int(flat_keys[cell])
+        count = int(tables.action_count[key])
+        choice = min(int(choice_draw * count), count - 1)
+        row = int(tables.action_base[key]) + choice
+        outcome = int((outcome_draw >= tables.outcome_cum[row]).sum())
+        stepped.reshape(-1)[cell] = tables.outcome_code[row, outcome]
+    return stepped
 
 
 #: Every conformance system, plus the fixture whose cells have two
@@ -624,8 +692,10 @@ _STREAM_SYSTEMS = [entry.name for entry in CONFORMANCE_SYSTEMS] + [
 
 @pytest.mark.parametrize("name", _STREAM_SYSTEMS)
 def test_sample_stream_contract(name):
-    """Mover-only sampling returns the dense expression's codes and leaves
-    the generator in the same state: both draws keep their full shape."""
+    """``sample`` writes the per-mover oracle's codes into the matrix in
+    place and leaves the generator in the same state: two uniforms per
+    mover, none at any other cell (none at all on deterministic
+    tables)."""
     system = (
         make_two_action_system(4)
         if name == "two-action-ring4"
@@ -641,17 +711,31 @@ def test_sample_stream_contract(name):
             rng.random((trials, sizes.shape[0])) * sizes
         ).astype(np.uint32)
         keys = tables.pack(codes)
+        assert keys.dtype == np.uint32
         np.testing.assert_array_equal(keys, _dense_pack(tables, codes))
         enabled = tables.enabled(keys)
         movers = enabled & (rng.random(enabled.shape) < density)
         seed = int(rng.integers(2**32))
         mover_only = np.random.default_rng(seed)
-        dense = np.random.default_rng(seed)
-        stepped = tables.sample(codes, keys, movers, mover_only)
-        expected = _dense_sample(tables, codes, keys, movers, dense)
+        oracle = np.random.default_rng(seed)
+        expected = _dense_sample(tables, codes, keys, movers, oracle)
+        stepped = codes.copy()
+        assert tables.sample(stepped, keys, movers, mover_only) is None
         assert stepped.dtype == expected.dtype
         np.testing.assert_array_equal(stepped, expected)
-        assert mover_only.bit_generator.state == dense.bit_generator.state
+        assert mover_only.bit_generator.state == oracle.bit_generator.state
+
+
+def test_stream_systems_cover_both_draw_layouts():
+    deterministic = {
+        name: compile_tables(
+            make_two_action_system(4)
+            if name == "two-action-ring4"
+            else conformance_system(name)
+        ).deterministic
+        for name in _STREAM_SYSTEMS
+    }
+    assert any(deterministic.values()) and not all(deterministic.values())
 
 
 def test_two_action_fixture_exercises_the_action_choice():

@@ -37,7 +37,12 @@ from repro.algorithms.randomized_coloring import (
 from repro.algorithms.token_ring import make_token_ring_system
 from repro.core.actions import deterministic_action
 from repro.core.algorithm import Algorithm
-from repro.core.encoding import StateEncoding, compile_tables, process_classes
+from repro.core.encoding import (
+    StateEncoding,
+    _check_budget,
+    compile_tables,
+    process_classes,
+)
 from repro.core.parametric import affine_terms
 from repro.core.system import System
 from repro.core.topology import Topology
@@ -418,6 +423,14 @@ class TestClassBudget:
         system = make_coloring_system(complete(25))
         with pytest.raises(ModelError, match="budget"):
             compile_tables(system)
+
+    def test_key_space_past_uint32_raises(self):
+        # Checked on the totals alone, so nothing is allocated.
+        _check_budget(2**32 - 1, 3, 2**40)
+        with pytest.raises(ModelError, match="uint32 key space"):
+            _check_budget(2**32, 3, 2**40)
+        with pytest.raises(ModelError, match="uint32 key space"):
+            _check_budget(5 * 2**40, 3, 2**50)
 
     def test_error_reports_class_entries_and_count(self):
         class_entries, classes, _ = self.sizes()

@@ -18,7 +18,8 @@ from repro.algorithms.leader_tree import make_leader_tree_system
 from repro.analysis.sweep import sweep_fused
 from repro.errors import MarkovError, ModelError
 from repro.graphs.generators import path
-from repro.markov.batch import EnabledCountLegitimacy
+from repro.markov import montecarlo
+from repro.markov.batch import BatchEngine, EnabledCountLegitimacy
 from repro.markov.sweep_engine import (
     SWEEP_ENGINES,
     SweepPointSpec,
@@ -155,6 +156,49 @@ class TestGroupingAndPlan:
         engine_first = runner._entry_for(RING5).engine
         runner.run([ring_point(seed=2)])
         assert runner._entry_for(RING5).engine is engine_first
+
+
+class TestSeeding:
+    """Where each engine draws a point's initial configurations from
+    ``RandomSource(seed)``."""
+
+    def _lockstep_starts(self, engine, monkeypatch):
+        starts = []
+        lockstep = BatchEngine.lockstep
+
+        def recording(self, codes, *args, **kwargs):
+            starts.append(codes.copy())
+            return lockstep(self, codes, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "lockstep", recording)
+        SweepRunner(engine=engine).run([ring_point(seed=7, trials=20)])
+        monkeypatch.undo()
+        (codes,) = starts
+        return codes
+
+    def test_fused_and_batch_draw_identical_starts(self, monkeypatch):
+        fused = self._lockstep_starts("fused", monkeypatch)
+        batch = self._lockstep_starts("batch", monkeypatch)
+        assert fused.shape == (20, RING5.num_processes)
+        np.testing.assert_array_equal(fused, batch)
+
+    def test_scalar_loop_agrees_only_on_the_first_start(self, monkeypatch):
+        """The scalar loop draws each trial's start lazily, after the
+        previous trial's step draws, so only trial 0 starts alike."""
+        fused = self._lockstep_starts("fused", monkeypatch)
+        starts = []
+        cursor = montecarlo.Cursor
+
+        def recording(system, initial):
+            starts.append(initial)
+            return cursor(system, initial)
+
+        monkeypatch.setattr(montecarlo, "Cursor", recording)
+        SweepRunner(engine="scalar").run([ring_point(seed=7, trials=20)])
+        scalar = BatchEngine(RING5).encoding.encode_batch(starts)
+        assert scalar.shape == fused.shape
+        np.testing.assert_array_equal(scalar[0], fused[0])
+        assert not np.array_equal(scalar[1:], fused[1:])
 
 
 class TestPerRowBudgetsAndRetirement:
