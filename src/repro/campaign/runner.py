@@ -2,17 +2,23 @@
 
 The runner owns the crash-resilience story end to end:
 
-* **one process per shard** — each work item runs in its own
-  :mod:`multiprocessing` process whose *only* output channel is the
-  atomically written shard file, so a worker SIGKILLed at any instant
-  leaves either a complete, checksum-valid shard or nothing (plus a
-  recognizable ``*.tmp`` dropping) — never a torn file;
-* **supervision** — per-shard wall-clock timeouts (hung workers are
-  terminated, then killed), validation of every worker's output through
-  the store's checksum reader, exponential backoff with deterministic
-  jitter between retries, and — after ``max_retries`` — a guaranteed
-  in-process run of the shard, so one pathological work item cannot
-  starve the campaign;
+* **persistent workers, one data channel** — up to ``workers``
+  forked :mod:`multiprocessing` processes each run shard after shard.
+  A pipe carries a shard's coordinates in and an *untrusted* ack out;
+  the worker's only data channel is still the atomically written shard
+  file, so a worker SIGKILLed at any instant leaves either a complete,
+  checksum-valid shard or nothing (plus a recognizable ``*.tmp``
+  dropping) — never a torn file.  A worker exits when its pipe reaches
+  end-of-file, so none outlives a killed supervisor;
+* **supervision** — the supervisor blocks on the busy workers' pipes
+  and process sentinels until the nearest deadline or backoff expiry;
+  per-shard wall-clock timeouts (hung workers are terminated, then
+  killed), validation of every finished shard through the store's
+  checksum reader, replacement of every dead, erroring or timed-out
+  worker, exponential backoff with deterministic jitter between
+  retries, and — after ``max_retries`` — a guaranteed in-process run
+  of the shard, so one pathological work item cannot starve the
+  campaign;
 * **graceful degradation** — after ``max_worker_deaths`` cumulative
   worker failures the runner stops trusting the process pool and
   finishes the remaining shards sequentially in-process, with a clear
@@ -39,7 +45,8 @@ import pathlib
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable
 
 from repro.campaign.points import (
@@ -65,9 +72,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
-
-#: Poll cadence of the supervision loop, seconds.
-_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -146,9 +150,30 @@ def execute_shard(root: str | os.PathLike, meta: dict) -> str:
     return key
 
 
-def _shard_worker(root: str, meta: dict) -> None:
-    """Child-process entry point (module-level for picklability)."""
-    execute_shard(root, meta)
+def _worker_loop(root: str, inbox, inherited: list) -> None:
+    """Child-process entry point (module-level for picklability): run
+    every shard whose metadata arrives on ``inbox``, acking each with
+    its key, until the supervisor's end of the pipe closes.
+
+    ``inherited`` are the supervisor-side pipe ends a fork copied into
+    this child (its own and every earlier worker's).  They are closed
+    first: a copy left open would keep a pipe from reaching end-of-file
+    when the supervisor dies, and the workers would wait on it forever.
+    An exception from :func:`execute_shard` ends the process, which the
+    supervisor counts as a worker death.
+    """
+    for connection in inherited:
+        connection.close()
+    while True:
+        try:
+            meta = inbox.recv()
+        except (EOFError, OSError):  # the supervisor closed or died
+            return
+        key = execute_shard(root, meta)
+        try:
+            inbox.send(key)
+        except OSError:  # the supervisor is gone
+            return
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +257,30 @@ def _warm_tables(shards: Iterable[ShardSpec]) -> None:
 
 
 @dataclass
-class _Running:
-    shard: ShardSpec
+class _Worker:
+    """A persistent worker process and the supervisor's end of its
+    pipe; ``shard`` is the shard it runs (``None`` while idle)."""
+
     process: multiprocessing.Process
-    deadline: float
+    conn: Connection
+    shard: ShardSpec | None = None
+    deadline: float = 0.0
+
+
+def _start_worker(
+    context, root: pathlib.Path, workers: list[_Worker]
+) -> _Worker:
+    """Fork a worker on a fresh pipe; the child is handed every
+    supervisor-side end it inherits (``workers``' and its own) to close."""
+    conn, inbox = context.Pipe()
+    process = context.Process(
+        target=_worker_loop,
+        args=(str(root), inbox, [worker.conn for worker in workers] + [conn]),
+        daemon=True,
+    )
+    process.start()
+    inbox.close()
+    return _Worker(process=process, conn=conn)
 
 
 def run_campaign(
@@ -287,7 +332,8 @@ def run_campaign(
     _write_manifest(root, selection, completed)
 
     attempts: dict[str, int] = {}
-    running: list[_Running] = []
+    workers: list[_Worker] = []
+    slots = max(1, config.workers)
     degraded = config.sequential
     worker_deaths = 0
     context = _spawn_context()
@@ -345,75 +391,113 @@ def run_campaign(
         )
         pending.append((shard, time.monotonic() + delay))
 
-    while pending or running:
-        now = time.monotonic()
-        # Reap finished and overdue workers.
-        for slot in list(running):
-            process = slot.process
-            if process.is_alive() and now >= slot.deadline:
-                process.terminate()
-                process.join(1.0)
-                if process.is_alive():  # pragma: no cover - stubborn child
-                    process.kill()
-                    process.join(1.0)
-                running.remove(slot)
-                handle_failure(slot.shard, "timeout")
-                continue
-            if not process.is_alive():
+    def retire(worker: _Worker, grace: float = 0.0) -> None:
+        """Close the worker's pipe (it exits once its shard, if any, is
+        done) and join it, terminating, then killing it after ``grace``
+        seconds."""
+        workers.remove(worker)
+        worker.conn.close()
+        process = worker.process
+        process.join(grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(1.0)
+            if process.is_alive():  # pragma: no cover - stubborn child
+                process.kill()
                 process.join()
-                running.remove(slot)
-                if process.exitcode == 0 and finish(slot.shard):
-                    report.executed += 1
-                else:
-                    handle_failure(
-                        slot.shard, f"exit code {process.exitcode}"
-                    )
-        if degraded:
-            # Requeue in-flight shards: a worker joined here may have
-            # died mid-shard, and dropping it from ``running`` without
-            # requeueing would silently lose its work item (the drain's
-            # ``store.load`` check below still credits any worker that
-            # did complete before exiting).
-            for slot in running:
-                slot.process.join()
-                pending.append((slot.shard, 0.0))
-            running.clear()
-            while pending:
-                shard, _ = pending.popleft()
-                if store.load(shard.key) is not None:
-                    completed.add(shard.key)
-                    report.completed += 1
-                    _write_manifest(root, selection, completed)
-                    continue
-                run_in_process(shard)
-            break
-        # Launch work whose backoff delay has elapsed.
-        launched_any = False
-        for _ in range(len(pending)):
-            if len(running) >= max(1, config.workers):
+
+    def fail(worker: _Worker, reason: str | None = None) -> None:
+        """Replace a dead, erroring or overdue worker; retry its shard."""
+        retire(worker)
+        handle_failure(
+            worker.shard, reason or f"exit code {worker.process.exitcode}"
+        )
+
+    def settle(worker: _Worker) -> None:
+        """Collect a busy worker whose pipe or sentinel woke the wait.
+        The ack only says the worker is free again; the shard counts as
+        done when its file validates."""
+        try:
+            worker.conn.recv()
+        except (EOFError, OSError):
+            fail(worker)
+            return
+        if not finish(worker.shard):
+            fail(worker, "no valid shard file")
+            return
+        report.executed += 1
+        worker.shard = None
+
+    try:
+        while True:
+            if degraded:
+                # Requeue in-flight shards once their workers have
+                # finished or died (bounded by the shard deadline): the
+                # drain's ``store.load`` check below credits any that
+                # completed, and dropping one would lose its work item.
+                for worker in list(workers):
+                    grace = 1.0
+                    if worker.shard is not None:
+                        pending.append((worker.shard, 0.0))
+                        grace = max(0.0, worker.deadline - time.monotonic())
+                    retire(worker, grace)
+                while pending:
+                    shard, _ = pending.popleft()
+                    if store.load(shard.key) is not None:
+                        completed.add(shard.key)
+                        report.completed += 1
+                        _write_manifest(root, selection, completed)
+                        continue
+                    run_in_process(shard)
                 break
-            shard, ready_at = pending.popleft()
-            if now < ready_at:
-                pending.append((shard, ready_at))
-                continue
-            if attempts.get(shard.key, 0) > 0:
-                report.retries += 1
-            process = context.Process(
-                target=_shard_worker,
-                args=(str(root), shard.meta),
-                daemon=True,
-            )
-            process.start()
-            running.append(
-                _Running(
-                    shard=shard,
-                    process=process,
-                    deadline=time.monotonic() + config.shard_timeout,
+            # Launch work whose backoff delay has elapsed, forking a
+            # worker only when no idle one is left and a slot is free.
+            now = time.monotonic()
+            for _ in range(len(pending)):
+                idle = [worker for worker in workers if worker.shard is None]
+                if not idle and len(workers) >= slots:
+                    break
+                shard, ready_at = pending.popleft()
+                if now < ready_at:
+                    pending.append((shard, ready_at))
+                    continue
+                if attempts.get(shard.key, 0) > 0:
+                    report.retries += 1
+                if idle:
+                    worker = idle[0]
+                else:
+                    worker = _start_worker(context, root, workers)
+                    workers.append(worker)
+                worker.shard = shard
+                worker.deadline = time.monotonic() + config.shard_timeout
+                try:
+                    worker.conn.send(shard.meta)
+                except OSError:  # it died while idle
+                    fail(worker)
+            busy = [worker for worker in workers if worker.shard is not None]
+            if not busy and not pending:
+                break
+            # Sleep until a busy worker answers or dies, or until the
+            # nearest deadline or backoff expiry.
+            wake = [worker.deadline for worker in busy]
+            if len(busy) < slots:
+                wake += [ready_at for _, ready_at in pending]
+            ready = set(
+                wait(
+                    [worker.conn for worker in busy]
+                    + [worker.process.sentinel for worker in busy],
+                    max(0.0, min(wake) - time.monotonic()),
                 )
             )
-            launched_any = True
-        if not launched_any and (running or pending):
-            time.sleep(_POLL_INTERVAL)
+            now = time.monotonic()
+            for worker in busy:
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    settle(worker)
+                elif now >= worker.deadline:
+                    fail(worker, "timeout")
+    finally:
+        for worker in list(workers):
+            retire(worker, 1.0 if worker.shard is None else 0.0)
 
     _write_manifest(root, selection, completed)
     report.degraded = degraded and not config.sequential

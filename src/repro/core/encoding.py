@@ -295,6 +295,7 @@ class CompiledKernelTables:
         "_multi_action",
         "deterministic",
         "_expansion_memo",
+        "_action_memo",
     )
 
     def __init__(
@@ -362,6 +363,8 @@ class CompiledKernelTables:
         self.deterministic = not self._multi_action and bool(
             (outcome_cum[:, 1:] > 1.5).all()
         )
+        #: :meth:`entries_with_action` results, per ``actions`` tuple.
+        self._action_memo: dict[tuple, np.ndarray] = {}
         for name in self.__slots__:
             array = getattr(self, name, None)
             if isinstance(array, np.ndarray):
@@ -499,13 +502,22 @@ class CompiledKernelTables:
 
         ``actions`` are positions in :attr:`System.actions
         <repro.core.system.System.actions>`; gather the result with
-        packed keys for the cells where one of them is enabled.
+        packed keys for the cells where one of them is enabled.  The
+        result depends on the tables alone, so it is memoized per
+        ``actions`` tuple and read-only like every table array (the
+        lockstep legitimacy test asks on every step).
         """
+        key = tuple(actions)
+        cached = self._action_memo.get(key)
+        if cached is not None:
+            return cached
         rows = int(self.action_count.sum())
         row_entry = np.repeat(np.arange(self.num_entries), self.action_count)
         hit = np.isin(self.action_index[:rows], np.asarray(actions))
         result = np.zeros(self.num_entries, dtype=bool)
         result[row_entry[hit]] = True
+        result.flags.writeable = False
+        self._action_memo[key] = result
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

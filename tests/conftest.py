@@ -18,6 +18,28 @@ from repro.random_source import RandomSource
 
 
 @pytest.fixture
+def worker_starts(monkeypatch) -> list:
+    """The worker processes the campaign runner creates, in order
+    (``_spawn_context()``'s ``Process`` wrapped to record each)."""
+    import repro.campaign.runner as runner
+
+    context = runner._spawn_context()
+    created: list = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(context, name)
+
+        def Process(self, *args, **kwargs):
+            process = context.Process(*args, **kwargs)
+            created.append(process)
+            return process
+
+    monkeypatch.setattr(runner, "_spawn_context", Recording)
+    return created
+
+
+@pytest.fixture
 def rng() -> RandomSource:
     return RandomSource(42)
 

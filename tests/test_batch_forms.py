@@ -174,6 +174,18 @@ def test_action_index_matches_resolve_neighborhood(system):
             ] == [name in resolved for name in names]
 
 
+def test_entries_with_action_is_memoized_read_only(ring5_system):
+    tables = compile_tables(ring5_system)
+    first = tables.entries_with_action([0])
+    assert tables.entries_with_action((0,)) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = not first[0]
+    fresh = compile_tables(ring5_system).entries_with_action([0])
+    assert fresh is not first
+    assert np.array_equal(fresh, first) and first.any()
+
+
 # ----------------------------------------------------------------------
 # the compiled Theorem 3 check against the per-configuration oracle
 # ----------------------------------------------------------------------

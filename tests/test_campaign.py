@@ -205,6 +205,19 @@ def test_workers_match_sequential_byte_for_byte(tmp_path):
     ).read_bytes()
 
 
+def test_workers_are_forked_once_and_reused(tmp_path, worker_starts):
+    # Three shards, two workers: each worker runs shard after shard.
+    run_campaign(tmp_path / "seq", SELECTION, SEQUENTIAL)
+    report = run_campaign(
+        tmp_path / "par", SELECTION, CampaignConfig(workers=2)
+    )
+    assert report.executed == 3
+    assert report.worker_deaths == 0
+    assert len(worker_starts) == 2
+    assert not any(process.is_alive() for process in worker_starts)
+    assert store_bytes(tmp_path / "par") == store_bytes(tmp_path / "seq")
+
+
 def test_store_report_aggregates_per_point(tmp_path):
     selection = CampaignSelection(
         families=("Q1", "FT1"),

@@ -4,7 +4,10 @@ Fault injection against the full runner, asserting the PR's central
 property each time — *an interrupted-then-recovered campaign's store is
 byte-identical to an uninterrupted run's*:
 
-* workers SIGKILLed mid-shard (plus torn ``*.tmp`` droppings);
+* workers SIGKILLed mid-shard (plus torn ``*.tmp`` droppings), or
+  raising out of a shard;
+* the supervisor SIGKILLed mid-campaign (its workers must not outlive
+  it);
 * shard files truncated or bit-flipped on disk between runs;
 * the checkpoint manifest torn out of sync with the store in either
   direction (shard written but manifest stale, manifest claiming a
@@ -24,6 +27,8 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -155,6 +160,111 @@ def test_torn_tmp_droppings_are_swept_on_resume(
     assert not list(ResultStore(root).shards_dir.glob("*.tmp"))
     assert report.cached == 2
     assert store_bytes(root) == clean_reference["shards"]
+
+
+def test_raising_workers_count_as_deaths_and_are_replaced(
+    tmp_path, monkeypatch, clean_reference, worker_starts
+):
+    parent_pid = os.getpid()
+    original = runner.execute_shard
+    markers = tmp_path / "markers"
+    markers.mkdir()
+
+    def raising(root, meta):
+        marker = markers / shard_key(meta)
+        if os.getpid() != parent_pid and not marker.exists():
+            marker.write_text("raised here")
+            raise RuntimeError("injected shard failure")
+        return original(root, meta)
+
+    monkeypatch.setattr(runner, "execute_shard", raising)
+    report = run_campaign(
+        tmp_path / "run",
+        SELECTION,
+        CampaignConfig(workers=2, max_retries=2, max_worker_deaths=50,
+                       **FAST),
+    )
+    assert report.worker_deaths == 2  # one per shard
+    assert report.retries == 2
+    assert report.completed == 2
+    assert report.in_process == 0
+    assert len(worker_starts) == 4  # both workers replaced once
+    assert [process.exitcode for process in worker_starts[:2]] == [1, 1]
+    assert store_bytes(tmp_path / "run") == clean_reference["shards"]
+    assert (tmp_path / "run" / MANIFEST_NAME).read_bytes() == (
+        clean_reference["manifest"]
+    )
+
+
+# ----------------------------------------------------------------------
+# a killed supervisor
+# ----------------------------------------------------------------------
+SUPERVISOR = """
+import os, sys, time
+import repro.campaign.runner as runner
+from repro.campaign import CampaignConfig, CampaignSelection, run_campaign
+
+root, pids = sys.argv[1:]
+original = runner.execute_shard
+
+def recording(root, meta):
+    open(os.path.join(pids, str(os.getpid())), "w").close()
+    time.sleep(0.2)
+    return original(root, meta)
+
+runner.execute_shard = recording
+selection = CampaignSelection(families=("Q1",), sizes=(3,), trials=400,
+                              shard_trials=2, max_steps=20_000, seed=7)
+run_campaign(root, selection, CampaignConfig(workers=2))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process.  An exited orphan nobody has
+    reaped yet (state ``Z`` in ``/proc``) counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def test_workers_exit_when_the_supervisor_is_sigkilled(tmp_path):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    env = dict(os.environ)
+    source = str(pathlib.Path(runner.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, env.get("PYTHONPATH")])
+    )
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", SUPERVISOR, str(tmp_path / "run"), str(pids)],
+        env=env,
+    )
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 15.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert supervisor.poll() is None, "campaign ended early"
+            time.sleep(0.05)
+            workers = {int(path.name) for path in pids.iterdir()}
+        assert len(workers) == 2
+        supervisor.kill()
+        supervisor.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(running, workers)):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if running(pid)]
+    finally:
+        supervisor.kill()
+        supervisor.wait(timeout=10)
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------
