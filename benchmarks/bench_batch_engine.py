@@ -17,7 +17,7 @@ from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
 )
-from repro.core.encoding import expansion_context
+from repro.core.encoding import expansion_context, tables_for
 from repro.experiments.q1 import run_q1
 from repro.markov.batch import EnabledCountLegitimacy
 from repro.markov.montecarlo import MonteCarloRunner
@@ -89,7 +89,7 @@ def _trans_ring_sync(benchmark, n: int, trials: int, rounds: int):
     spec = TransformedSpec(TokenCirculationSpec(), base)
     runner = MonteCarloRunner(system, engine="batch")
     # Coin flips: the tables are not deterministic.
-    assert not expansion_context(runner.batch_engine().tables).deterministic
+    assert not expansion_context(tables_for(system)).deterministic
 
     def run():
         return runner.estimate(

@@ -3,11 +3,11 @@
 The trajectory pair to watch is ``sweep8_perpoint_batch`` vs
 ``sweep8_fused``: the same Q1-style 8-point sweep (seed replications of
 trans(Algorithm 1) on a 12-ring under the synchronous sampler, 120
-trials per point) executed as eight independent per-point batch engines
-— the pre-fusion caller pattern, one compilation and one lockstep loop
-per point — and as one fused ``(960 × 12)`` code matrix with per-row
-point ids and budgets.  The acceptance bar for PR 5 is a ≥ 3× mean
-speedup; the win is interpreter-overhead amortization over the long
+trials per point) executed as eight ``engine="batch"`` estimates — one
+lockstep loop per point over the shared cached tables — and as one
+fused ``(960 × 12)`` code matrix with per-row point ids and budgets.
+The fused run is expected to be at least 3× faster in the mean; the
+win is interpreter-overhead amortization over the long
 convergence tail (m_12 = 5 makes the tail long), which per-point
 engines pay once per point per step.
 
@@ -59,7 +59,7 @@ def _specs():
 
 
 def _run_perpoint():
-    """The pre-fusion caller pattern: a fresh per-point batch engine."""
+    """One ``engine="batch"`` estimate, one lockstep loop, per point."""
     results = []
     for spec in _specs():
         runner = MonteCarloRunner(_SYSTEM, engine="batch")

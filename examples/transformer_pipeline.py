@@ -15,7 +15,7 @@ from repro.analysis.tables import format_table
 from repro.markov.builder import build_chain
 from repro.markov.hitting import hitting_summary
 from repro.markov.lumping import lumped_synchronous_transformed_chain
-from repro.markov.montecarlo import estimate_stabilization_time
+from repro.markov.montecarlo import MonteCarloRunner
 from repro.random_source import RandomSource
 from repro.schedulers.distributions import (
     CentralRandomizedDistribution,
@@ -90,8 +90,7 @@ def main() -> None:
     )
 
     print("\n== step 4: Monte-Carlo validation ==")
-    result = estimate_stabilization_time(
-        transformed,
+    result = MonteCarloRunner(transformed).estimate(
         SynchronousSampler(),
         lambda c: tspec.legitimate(transformed, c),
         trials=2000,

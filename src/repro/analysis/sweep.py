@@ -8,7 +8,7 @@ Two entry points:
   :class:`~repro.markov.sweep_engine.SweepPointSpec` per value and run
   them all through one
   :class:`~repro.markov.sweep_engine.SweepRunner`, which fuses
-  same-system points into a single code matrix and caches compiled
+  same-system points into a single code matrix and shares compiled
   tables across the whole sweep (see :mod:`repro.markov.sweep_engine`).
 """
 
@@ -64,7 +64,7 @@ def sweep_fused(
     :class:`~repro.markov.sweep_engine.SweepPointSpec` for one swept
     value; all specs execute through a single
     :class:`~repro.markov.sweep_engine.SweepRunner` (pass ``runner`` to
-    reuse its per-system table caches across several sweeps), and each
+    keep its policy and read its ``last_plan``), and each
     returned :class:`SweepPoint` row is the point's
     :meth:`~repro.markov.montecarlo.MonteCarloResult.row`.  With
     ``engine="scalar"`` every point runs the seeded per-point oracle —

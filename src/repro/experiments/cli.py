@@ -163,14 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep execution policy forwarded to the shared SweepRunner:"
         " auto (default), fused, batch, or scalar",
     )
-    serve_parser.add_argument(
-        "--system-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU bound on cached system compilations (lockstep engines,"
-        " runners); default 64",
-    )
     return parser
 
 
@@ -237,13 +229,8 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     """The ``serve`` verb: run the HTTP service in the foreground."""
     from repro.serving import ServiceConfig, serve
 
-    kwargs: dict = {
-        "admission_window": args.window,
-        "engine": args.engine,
-    }
-    if args.system_cache is not None:
-        kwargs["system_cache"] = args.system_cache
-    serve(host=args.host, port=args.port, config=ServiceConfig(**kwargs))
+    config = ServiceConfig(admission_window=args.window, engine=args.engine)
+    serve(host=args.host, port=args.port, config=config)
     return 0
 
 

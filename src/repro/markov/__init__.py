@@ -30,7 +30,6 @@ from repro.markov.mdp import (
 from repro.markov.montecarlo import (
     MonteCarloResult,
     MonteCarloRunner,
-    estimate_stabilization_time,
     fault_result_from_arrays,
     random_configuration,
     random_configurations,
@@ -60,7 +59,6 @@ __all__ = [
     "build_mdp",
     "MonteCarloResult",
     "MonteCarloRunner",
-    "estimate_stabilization_time",
     "fault_result_from_arrays",
     "random_configuration",
     "random_configurations",

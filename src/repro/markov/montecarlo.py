@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.analysis.stats import SummaryStats, summarize
 from repro.core.configuration import Configuration
+from repro.core.encoding import DEFAULT_TABLE_BUDGET
 from repro.core.simulate import Cursor, SchedulerSampler, _validate_subset
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
@@ -46,8 +47,7 @@ from repro.random_source import RandomSource
 from repro.stabilization.faults import CompiledFault, FaultPlan, compile_fault
 
 __all__ = ["MonteCarloResult", "MonteCarloRunner", "TrialOutcomes",
-           "TrialSink", "estimate_stabilization_time",
-           "fault_result_from_arrays", "lockstep_point_result",
+           "TrialSink", "fault_result_from_arrays", "lockstep_point_result",
            "random_configuration", "random_configurations"]
 
 #: Accepted ``engine`` values.
@@ -328,30 +328,28 @@ def lockstep_point_result(
 
 
 class MonteCarloRunner:
-    """Batched multi-replica Monte-Carlo driver for one system.
+    """Per-point Monte-Carlo executor for one system.
 
-    The front door for stabilization-time sampling: construct one runner
-    per system, then call :meth:`estimate` for a single sweep point, or
-    :meth:`batch` for several sweep points on this system (sampler,
-    trial, and budget variants) — engine choice, table sharing, and
-    legitimacy compilation are handled here so experiment runners never
-    touch the execution tiers directly.  Multi-*system* sweeps belong to
-    :class:`repro.markov.sweep_engine.SweepRunner`, which :meth:`batch`
-    delegates to.
+    :class:`repro.markov.sweep_engine.SweepRunner` is the front door for
+    stabilization-time sampling: it groups sweep points, fuses what it
+    can and hands every other point to :meth:`estimate` here (its
+    ``engine="batch"``/``"scalar"`` policies and the ``"auto"``
+    fallback).  Direct callers get the same engines for one point.
 
-    All repeated :meth:`estimate` calls on the same system share one
-    compiled :class:`~repro.markov.batch.BatchEngine`, whose tables come
-    from the process-wide cache, so guard and outcome statements execute
-    once per class neighborhood rather than once per simulated step.
-    The scalar engine runs every step through the system itself.
+    The lockstep engine's tables come from the process-wide cache
+    (:func:`~repro.core.encoding.tables_for`), compiled under
+    ``table_budget``, so guard and outcome statements execute once per
+    class neighborhood rather than once per simulated step.  The scalar
+    engine runs every step through the system itself.
 
     ``engine`` sets the runner-wide default (overridable per call):
 
     * ``"auto"`` — the vectorized lockstep engine whenever the sampler
       has a batch strategy, rounds are not measured, and the
-      neighborhood tables fit the compilation budget; scalar otherwise;
+      neighborhood tables fit ``table_budget``; scalar otherwise;
     * ``"batch"`` — demand the lockstep engine (raising
-      :class:`MarkovError` when unsupported);
+      :class:`MarkovError` or :class:`~repro.errors.ModelError` when
+      unsupported);
     * ``"scalar"`` — force the loop-per-trial oracle path, which
       consumes the same seeded random stream as the pre-batch-engine
       code and is the distributional reference for the batch tier (the
@@ -363,7 +361,7 @@ class MonteCarloRunner:
         self,
         system: System,
         engine: str = "auto",
-        batch_engine: BatchEngine | None = None,
+        table_budget: int = DEFAULT_TABLE_BUDGET,
     ) -> None:
         if engine not in ENGINES:
             raise MarkovError(
@@ -371,26 +369,7 @@ class MonteCarloRunner:
             )
         self.system = system
         self.engine = engine
-        # ``batch_engine`` lets a multi-system driver (SweepRunner)
-        # share one compiled engine instead of recompiling here.
-        self._batch_engine: BatchEngine | None = batch_engine
-        self._batch_compile_error: ModelError | None = None
-
-    def batch_engine(self) -> BatchEngine:
-        """The lazily compiled batch engine (shared across estimates).
-
-        A failed compilation (neighborhood space over budget) is cached
-        too, so repeated ``engine="auto"`` estimates on an uncompilable
-        system fall back to scalar without rebuilding the encoding."""
-        if self._batch_engine is None:
-            if self._batch_compile_error is not None:
-                raise self._batch_compile_error
-            try:
-                self._batch_engine = BatchEngine(self.system)
-            except ModelError as error:
-                self._batch_compile_error = error
-                raise
-        return self._batch_engine
+        self.table_budget = table_budget
 
     def estimate(
         self,
@@ -458,10 +437,10 @@ class MonteCarloRunner:
                     "round counting is not supported with fault injection"
                 )
             compiled_fault = compile_fault(fault, self.system, trials)
-        if engine != "scalar" and self._batch_supported(
-            sampler, measure_rounds, require=engine == "batch"
-        ):
+        batch_engine = self._batch_engine(engine, sampler, measure_rounds)
+        if batch_engine is not None:
             return self._estimate_batch(
+                batch_engine,
                 sampler,
                 legitimate,
                 trials,
@@ -489,45 +468,49 @@ class MonteCarloRunner:
     # ------------------------------------------------------------------
     # engine selection
     # ------------------------------------------------------------------
-    def _batch_supported(
+    def _batch_engine(
         self,
+        engine: str,
         sampler: SchedulerSampler,
         measure_rounds: bool,
-        require: bool,
-    ) -> bool:
-        """Whether the lockstep engine can run this estimate.
+    ) -> BatchEngine | None:
+        """The lockstep engine for this estimate, or ``None`` for scalar.
 
-        ``require=True`` (``engine="batch"``) raises instead of silently
-        falling back; ``require=False`` (``engine="auto"``) degrades to
-        scalar.
+        ``engine="batch"`` raises instead of silently falling back;
+        ``engine="auto"`` degrades to scalar.  Nothing caches a failed
+        compilation: the table budget check raises before any entry is
+        resolved, and the scalar loop that follows costs far more.
         """
+        if engine == "scalar":
+            return None
+        require = engine == "batch"
         if measure_rounds:
             if require:
                 raise MarkovError(
                     "rounds are counted on the scalar cursor; the batch"
                     " engine does not count them — use engine='scalar'"
                 )
-            return False
+            return None
         if batch_strategy_for(sampler) is None:
             if require:
                 raise MarkovError(
                     f"sampler {type(sampler).__name__} has no vectorized"
                     " strategy; use engine='scalar'"
                 )
-            return False
+            return None
         try:
-            self.batch_engine()
+            return BatchEngine(self.system, self.table_budget)
         except ModelError:
             if require:
                 raise
-            return False
-        return True
+            return None
 
     # ------------------------------------------------------------------
     # the two engines
     # ------------------------------------------------------------------
     def _estimate_batch(
         self,
+        engine: BatchEngine,
         sampler: SchedulerSampler,
         legitimate: Callable[[Configuration], bool],
         trials: int,
@@ -539,7 +522,6 @@ class MonteCarloRunner:
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
-        engine = self.batch_engine()
         if initial_configurations is not None:
             codes = encode_initials(
                 engine.encoding, initial_configurations, trials
@@ -552,7 +534,7 @@ class MonteCarloRunner:
             batch_legitimate if batch_legitimate is not None else legitimate
         )
         strategy = batch_strategy_for(sampler)
-        assert strategy is not None  # _batch_supported vetted it
+        assert strategy is not None  # _batch_engine vetted it
         outcome = engine.run(
             strategy,
             legitimacy,
@@ -677,129 +659,9 @@ class MonteCarloRunner:
         )
 
     def batch(self, cases: Sequence[dict]) -> list[MonteCarloResult]:
-        """Run several sweep points (kwargs of :meth:`estimate`) on the
-        shared compiled tables, fused into one code matrix where possible.
-
-        Each case is one sweep point on this runner's system; fusable
-        cases are routed through
-        :class:`repro.markov.sweep_engine.SweepRunner`, which stacks
-        them into a single ``(Σ trials × processes)`` matrix over the
-        shared compiled tables (per-row budgets, per-point legitimacy
-        dispatch) instead of running one lockstep batch per case.
-
-        Each fusable case's sweep seed is *drawn from its rng stream*
-        (one ``randrange`` draw), so the rng object advances like the
-        sequential path's would: repeated ``batch`` calls on the same
-        rng objects produce fresh independent replications, and an rng
-        partially consumed by earlier calls is never rewound to its
-        seed.
-
-        **Oracle escape hatch.**  A case falls back to a plain
-        sequential :meth:`estimate` call — consuming its ``rng`` stream
-        exactly as pre-fusion code did — when it cannot be expressed as
-        a pure sweep point: round measurement, an explicit per-case
-        ``engine`` override, a streaming ``sink`` or
-        ``keep_samples=False``, one ``rng`` *object* shared between cases
-        (the sequential path keeps those cases' streams consecutive),
-        or a runner-wide ``engine="scalar"``.  Results always align
-        with input order.
-        """
-        if self.engine == "scalar":
-            return [self.estimate(**case) for case in cases]
-
-        from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
-
-        rng_owners: dict[int, int] = {}
-        for case in cases:
-            rng = case.get("rng")
-            if isinstance(rng, RandomSource):
-                rng_owners[id(rng)] = rng_owners.get(id(rng), 0) + 1
-
-        specs: list[tuple[int, SweepPointSpec]] = []
-        results: dict[int, MonteCarloResult] = {}
-        for index, case in enumerate(cases):
-            fusable = (
-                not case.get("measure_rounds")
-                and case.get("engine") is None
-                and case.get("sink") is None
-                and case.get("keep_samples", True)
-                and isinstance(case.get("rng"), RandomSource)
-                and rng_owners[id(case["rng"])] == 1
-            )
-            if not fusable:
-                results[index] = self.estimate(**case)
-                continue
-            initials = case.get("initial_configurations")
-            specs.append(
-                (
-                    index,
-                    SweepPointSpec(
-                        system=self.system,
-                        sampler=case["sampler"],
-                        legitimate=case["legitimate"],
-                        trials=case["trials"],
-                        max_steps=case["max_steps"],
-                        seed=case["rng"].randrange(2**62),
-                        batch_legitimate=case.get("batch_legitimate"),
-                        initial_configurations=(
-                            tuple(initials) if initials is not None else None
-                        ),
-                        # Positional labels keep value-equal cases (a
-                        # legal pre-fusion input) distinct under the
-                        # sweep runner's duplicate-point check.
-                        label=f"batch-case-{index}",
-                        fault=case.get("fault"),
-                    ),
-                )
-            )
-        if specs:
-            runner = SweepRunner(
-                engine="fused" if self.engine == "batch" else "auto"
-            )
-            # Share this runner's compiled engine — or its cached
-            # compilation *failure*, so an over-budget system is not
-            # re-enumerated on every batch() call.
-            runner.adopt_system(
-                self.system,
-                batch_engine=(
-                    self._batch_engine
-                    if self._batch_engine is not None
-                    else self._batch_compile_error
-                ),
-            )
-            for (index, _), result in zip(
-                specs, runner.run([spec for _, spec in specs])
-            ):
-                results[index] = result
-        return [results[index] for index in range(len(cases))]
-
-
-def estimate_stabilization_time(
-    system: System,
-    sampler: SchedulerSampler,
-    legitimate: Callable[[Configuration], bool],
-    trials: int,
-    max_steps: int,
-    rng: RandomSource,
-    initial_configurations: Sequence[Configuration] | None = None,
-    measure_rounds: bool = False,
-    engine: str = "auto",
-    batch_legitimate: BatchLegitimacy | None = None,
-    fault: FaultPlan | None = None,
-) -> MonteCarloResult:
-    """Sample stabilization times over random starts and scheduler draws.
-
-    Thin wrapper over one :class:`MonteCarloRunner` call.
-    """
-    return MonteCarloRunner(system).estimate(
-        sampler,
-        legitimate,
-        trials=trials,
-        max_steps=max_steps,
-        rng=rng,
-        initial_configurations=initial_configurations,
-        measure_rounds=measure_rounds,
-        engine=engine,
-        batch_legitimate=batch_legitimate,
-        fault=fault,
-    )
+        """One :meth:`estimate` per case (its keyword arguments), in
+        order.  Multi-point sweeps belong to
+        :class:`~repro.markov.sweep_engine.SweepRunner`; this loop is
+        kept only because ``perfbench/layers.py`` traces it by name, and
+        the benchmark change that drops that target can delete it."""
+        return [self.estimate(**case) for case in cases]

@@ -2,19 +2,18 @@
 
 The quantitative experiments (Q1–Q3) answer the paper's questions with
 *sweeps*: stabilization-time curves over ring size, coin bias, scheduler
-family, or seed replications.  Before this module each sweep point
-compiled and ran its own batch in isolation — one
-:class:`~repro.markov.montecarlo.MonteCarloRunner`, one
-:class:`~repro.markov.batch.BatchEngine`, one ``(trials × processes)``
-code matrix per point.  :class:`SweepRunner` fuses them:
+family, or seed replications.  :class:`SweepRunner` is the one
+Monte-Carlo front door; instead of one
+:class:`~repro.markov.batch.BatchEngine` run per point, it fuses points
+into shared code matrices:
 
 * points are **grouped** by ``(algorithm, topology)`` family and, inside
   a group, by the canonical *system signature*
   (:func:`repro.store.columnar.system_cache_key`) — the unit that owns
   one set of :class:`~repro.core.encoding.CompiledKernelTables`;
-  value-equal
-  systems constructed independently (concurrent tenants of the serving
-  tier) therefore share one compilation *and* one fused matrix;
+  value-equal systems constructed independently (concurrent tenants of
+  the serving tier) therefore share one compilation *and* one fused
+  matrix;
 * **same-system points fuse** into one ``(Σ trials × processes)`` code
   matrix carrying a per-row *point id* and a per-row *step budget*,
   advanced by :meth:`~repro.markov.batch.BatchEngine.lockstep` — the
@@ -29,7 +28,9 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   :func:`repro.core.encoding.tables_for`, never compiled per point);
 * a point that cannot take the fused path (no vectorized sampler
   strategy, neighborhood tables over the compilation budget) falls back
-  to the **per-point scalar oracle** under ``engine="auto"`` — and
+  to the **per-point scalar oracle**
+  (:class:`~repro.markov.montecarlo.MonteCarloRunner`) under
+  ``engine="auto"`` — and
   ``engine="scalar"`` forces that oracle for every point, which is the
   seeded distributional reference the conformance tier
   (``tests/test_engine_conformance.py``) checks the fused engine
@@ -57,7 +58,6 @@ from repro.core.encoding import DEFAULT_TABLE_BUDGET
 from repro.core.simulate import SchedulerSampler
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
-from repro.lru import SignatureLRU
 from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
@@ -85,7 +85,6 @@ from repro.stabilization.faults import FaultPlan, compile_fault
 from repro.store.columnar import system_cache_key
 
 __all__ = [
-    "DEFAULT_SYSTEM_CACHE",
     "SWEEP_ENGINES",
     "SweepPointSpec",
     "PointExecution",
@@ -150,7 +149,7 @@ def _strategy_signature(sampler: SchedulerSampler) -> tuple:
         return ("central",)
     if sampler_type is BernoulliSampler:
         return ("coin", sampler._p)
-    # Vetted by _point_engine: the last type with a strategy.
+    # Vetted by _resolve_block: the last type with a strategy.
     assert sampler_type is DistributedRandomizedSampler
     return ("coin", 0.5)
 
@@ -165,27 +164,6 @@ def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
     return ("predicate", id(spec.legitimate))
 
 
-#: Default bound on the per-system cache (one compiled engine per
-#: distinct system *signature*).  Batch sweeps touch a
-#: handful of systems; an always-on service recycles the least recently
-#: used entry instead of leaking one compilation per tenant forever.
-DEFAULT_SYSTEM_CACHE = 64
-
-
-@dataclass
-class _SystemEntry:
-    """Everything cached for one system signature.
-
-    ``system`` is a *strong* reference to the first system seen with
-    this signature: it anchors the engine and guarantees the
-    entry can never be poisoned by interpreter id reuse (the old
-    ``id(system)``-keyed dicts could return a stale engine once a
-    collected system's id was recycled by a value-different one)."""
-
-    system: System
-    engine: BatchEngine | ModelError | None = None
-
-
 def _fold_seeds(seeds: Sequence[int]) -> int:
     """Deterministic fold of the member seeds into one generator seed
     (same multiplier as :meth:`RandomSource.spawn`)."""
@@ -196,19 +174,19 @@ def _fold_seeds(seeds: Sequence[int]) -> int:
 
 
 class SweepRunner:
-    """Fused multi-point Monte-Carlo driver (the PR 5 scale tier).
+    """Fused multi-point Monte-Carlo driver.
 
-    Construct once per sweep, call :meth:`run` with the full point list;
-    grouping, fusion, table caching, and per-point fallback are handled
-    here so experiment runners never touch the execution tiers directly.
-    Batch engines are cached per system
-    *signature* (:func:`repro.store.columnar.system_cache_key`) in a
-    :class:`~repro.lru.SignatureLRU` of ``cache_size`` entries, and the
-    compiled tables under them come from the process-wide table cache,
-    so repeated :meth:`run` calls (or mixed fused/fallback plans) never
-    recompile — and value-equal systems built independently (different
-    tenants of the serving tier) share one compilation and fuse into
-    one code matrix.
+    Construct once per sweep (or once per process), call :meth:`run`
+    with the full point list; grouping, fusion, and per-point fallback
+    are handled here so experiment runners never touch the execution
+    tiers directly.  The runner holds no per-system state: every
+    compiled engine is ``system`` plus
+    :func:`~repro.core.encoding.tables_for`, whose process-wide cache is
+    keyed by system *signature*
+    (:func:`repro.store.columnar.system_cache_key`), so repeated
+    :meth:`run` calls never recompile — and value-equal systems built
+    independently (different tenants of the serving tier) share one
+    compilation and fuse into one code matrix.
 
     ``engine`` sets the execution policy:
 
@@ -223,6 +201,8 @@ class SweepRunner:
     * ``"scalar"`` — per-point scalar oracle, consuming
       ``RandomSource(seed)`` exactly as pre-fusion callers did.
 
+    Every point's engine is resolved before any point runs, so a sweep
+    the policy refuses raises without sending anything to its sink.
     After :meth:`run`, ``last_plan`` records one :class:`PointExecution`
     per input point (input order) — which group it joined, which engine
     executed it, and how many rows its fused matrix carried.
@@ -232,92 +212,22 @@ class SweepRunner:
         self,
         engine: str = "auto",
         table_budget: int = DEFAULT_TABLE_BUDGET,
-        cache_size: int | None = DEFAULT_SYSTEM_CACHE,
     ) -> None:
         if engine not in SWEEP_ENGINES:
             raise MarkovError(
                 f"unknown engine {engine!r}; known: {SWEEP_ENGINES}"
             )
-        if cache_size is not None and cache_size < 1:
-            raise MarkovError(
-                f"cache_size must be >= 1 or None, got {cache_size}"
-            )
         self.engine = engine
         self.table_budget = table_budget
         self.last_plan: list[PointExecution] = []
-        # Per-system cache, keyed by the canonical *content* signature
-        # (:func:`repro.store.columnar.system_cache_key`), never by
-        # ``id(system)``: a long-lived process recycles object ids, and
-        # an id key could hand a new system a stale engine.  Each entry
-        # holds a strong reference to its first-seen system, so
-        # value-equal systems from different tenants share one
-        # compilation; LRU-bounded so an always-on service cannot leak
-        # one entry per tenant forever (``cache_size=None`` disables
-        # eviction).
-        self.cache_size = cache_size
-        self._systems = SignatureLRU("systems", cache_size)
 
-    # ------------------------------------------------------------------
-    # shared per-system state
-    # ------------------------------------------------------------------
     @staticmethod
     def _cache_key(system: System) -> object:
-        """The system's content key; a system without one (a constant
-        with no canonical form) is keyed by the object itself, which the
-        entry then keeps alive, so its id cannot be recycled."""
+        """The system's content key, which groups points into fusion
+        blocks; a system without one (a constant with no canonical form)
+        is keyed by the object itself."""
         key = system_cache_key(system)
         return ("object", system) if key is None else key
-
-    def _entry_for(self, system: System) -> _SystemEntry:
-        """The (created-on-demand, LRU-refreshed) cache entry whose
-        signature matches ``system``."""
-        return self._systems.get_or_build(
-            self._cache_key(system), lambda: _SystemEntry(system=system)
-        )
-
-    @property
-    def evictions(self) -> int:
-        """Entries the LRU bound has dropped so far."""
-        return self._systems.evictions
-
-    @property
-    def cached_systems(self) -> int:
-        """Number of distinct system signatures currently cached."""
-        return len(self._systems)
-
-    def cache_info(self) -> dict[str, object]:
-        """Cache observability for the serving tier's stats endpoint."""
-        return {
-            "systems": len(self._systems),
-            "cache_size": self.cache_size,
-            "evictions": self.evictions,
-        }
-
-    def adopt_system(
-        self,
-        system: System,
-        batch_engine: BatchEngine | ModelError | None = None,
-    ) -> None:
-        """Seed this runner's per-system cache with externally owned
-        state — a compiled batch engine (or the cached
-        :class:`ModelError` of a failed compilation), so
-        :class:`~repro.markov.montecarlo.MonteCarloRunner` and repeated
-        sweeps never recompile what the caller already owns.  Adopted
-        state is keyed by the system's signature like everything else,
-        so any value-equal system benefits."""
-        entry = self._entry_for(system)
-        if batch_engine is not None:
-            entry.engine = batch_engine
-
-    def _batch_engine_for(self, system: System) -> BatchEngine | ModelError:
-        """The compiled batch engine, or the cached compilation failure."""
-        entry = self._entry_for(system)
-        if entry.engine is None:
-            try:
-                entry.engine = BatchEngine(entry.system, self.table_budget)
-            except ModelError as error:
-                entry.engine = error
-        return entry.engine
 
     # ------------------------------------------------------------------
     # the front door
@@ -340,62 +250,57 @@ class SweepRunner:
         plans or random streams.
         """
         self._validate(points)
-        plan: dict[int, PointExecution] = {}
-        results: dict[int, MonteCarloResult] = {}
 
         # Group by (algorithm, topology) family, preserving first-seen
         # order; fusion blocks inside a group are keyed by the system
         # *signature* (the owner of one table set), so value-equal
         # systems built by independent callers — concurrent tenants of
         # the serving tier — land in the same fused matrix.
-        groups: dict[tuple[str, str], dict[str, list[int]]] = {}
-        systems: dict[str, System] = {}
+        groups: dict[tuple[str, str], dict[object, list[int]]] = {}
         for index, spec in enumerate(points):
             key = (
                 type(spec.system.algorithm).__name__,
                 type(spec.system.topology).__name__,
             )
-            blocks = groups.setdefault(key, {})
-            signature = self._cache_key(spec.system)
-            blocks.setdefault(signature, []).append(index)
-            systems.setdefault(signature, spec.system)
+            groups.setdefault(key, {}).setdefault(
+                self._cache_key(spec.system), []
+            ).append(index)
 
-        for group_key, blocks in groups.items():
-            for signature, indices in blocks.items():
-                system = systems[signature]
-                fused: list[tuple[int, SweepPointSpec]] = []
-                for index in indices:
-                    spec = points[index]
-                    engine = self._point_engine(spec)
-                    if engine == "fused":
-                        fused.append((index, spec))
-                    else:
-                        results[index] = self._run_point(
-                            spec, engine, index, sink, keep_samples
-                        )
-                    plan[index] = PointExecution(
-                        index=index,
-                        label=spec.label,
-                        group=group_key,
-                        engine=engine,
-                        fused_rows=0,
+        # Resolve every block before running any of it: a refused sweep
+        # raises here, with nothing executed and nothing in the sink.
+        blocks = [
+            (group_key, indices)
+            + self._resolve_block([points[index] for index in indices])
+            for group_key, signature_blocks in groups.items()
+            for indices in signature_blocks.values()
+        ]
+
+        plan: dict[int, PointExecution] = {}
+        results: dict[int, MonteCarloResult] = {}
+        for group_key, indices, engines, compiled in blocks:
+            fused: list[tuple[int, SweepPointSpec]] = []
+            for index, engine in zip(indices, engines):
+                spec = points[index]
+                if engine == "fused":
+                    fused.append((index, spec))
+                else:
+                    results[index] = self._run_point(
+                        spec, engine, index, sink, keep_samples
                     )
-                if fused:
-                    engine_obj = self._batch_engine_for(system)
-                    assert isinstance(engine_obj, BatchEngine)
-                    block_results = self._run_fused(
-                        engine_obj, fused, sink, keep_samples
-                    )
-                    rows = sum(spec.trials for _, spec in fused)
-                    for index, _ in fused:
-                        results[index] = block_results[index]
-                        plan[index] = PointExecution(
-                            index=index,
-                            label=points[index].label,
-                            group=group_key,
-                            engine="fused",
-                            fused_rows=rows,
-                        )
+                plan[index] = PointExecution(
+                    index=index,
+                    label=spec.label,
+                    group=group_key,
+                    engine=engine,
+                )
+            if fused:
+                assert compiled is not None
+                results.update(
+                    self._run_fused(compiled, fused, sink, keep_samples)
+                )
+                rows = sum(spec.trials for _, spec in fused)
+                for index, _ in fused:
+                    plan[index] = replace(plan[index], fused_rows=rows)
 
         self.last_plan = [plan[index] for index in range(len(points))]
         return [results[index] for index in range(len(points))]
@@ -445,24 +350,35 @@ class SweepRunner:
                     )
             seen.append(spec)
 
-    def _point_engine(self, spec: SweepPointSpec) -> str:
-        """The engine one point will actually run on."""
-        if self.engine in ("batch", "scalar"):
-            return self.engine
-        require = self.engine == "fused"
-        if batch_strategy_for(spec.sampler) is None:
+    def _resolve_block(
+        self, specs: Sequence[SweepPointSpec]
+    ) -> tuple[list[str], BatchEngine | None]:
+        """The engine each point of one signature block runs on, and the
+        block's compiled lockstep engine (``None`` when no point needs
+        one).  Raises when the policy demands an engine a point cannot
+        take."""
+        if self.engine == "scalar":
+            return ["scalar"] * len(specs), None
+        require = self.engine != "auto"
+        vectorized = [
+            batch_strategy_for(spec.sampler) is not None for spec in specs
+        ]
+        if require and not all(vectorized):
+            refused = specs[vectorized.index(False)].sampler
+            raise MarkovError(
+                f"sampler {type(refused).__name__} has no vectorized"
+                " strategy; use engine='scalar'"
+            )
+        if not any(vectorized):
+            return ["scalar"] * len(specs), None
+        try:
+            compiled = BatchEngine(specs[0].system, self.table_budget)
+        except ModelError:
             if require:
-                raise MarkovError(
-                    f"sampler {type(spec.sampler).__name__} has no"
-                    " vectorized strategy; use engine='scalar'"
-                )
-            return "scalar"
-        engine = self._batch_engine_for(spec.system)
-        if isinstance(engine, ModelError):
-            if require:
-                raise engine
-            return "scalar"
-        return "fused"
+                raise
+            return ["scalar"] * len(specs), None
+        lockstep = "batch" if self.engine == "batch" else "fused"
+        return [lockstep if ok else "scalar" for ok in vectorized], compiled
 
     def _run_point(
         self,
@@ -473,17 +389,9 @@ class SweepRunner:
         keep_samples: bool = True,
     ) -> MonteCarloResult:
         """One point through a per-point engine (``"batch"`` or
-        ``"scalar"``).  The batch engine is this runner's, compiled under
-        its ``table_budget``; a compilation over budget raises its
-        cached :class:`~repro.errors.ModelError`."""
-        compiled = None
-        if engine == "batch":
-            compiled = self._batch_engine_for(spec.system)
-            if isinstance(compiled, ModelError):
-                raise compiled
-        runner = MonteCarloRunner(
-            self._entry_for(spec.system).system, batch_engine=compiled
-        )
+        ``"scalar"``); the batch engine compiles under this runner's
+        ``table_budget``."""
+        runner = MonteCarloRunner(spec.system, table_budget=self.table_budget)
         point_sink: TrialSink | None = None
         if sink is not None:
             # The per-point engines emit point=0/label=None; restamp
@@ -580,7 +488,7 @@ class SweepRunner:
             ).append(member)
         for signature, group_members in signature_rows.items():
             strategy = batch_strategy_for(specs[group_members[0]].sampler)
-            assert strategy is not None  # vetted by _point_engine
+            assert strategy is not None  # vetted by _resolve_block
             mask = np.zeros(len(specs), dtype=bool)
             mask[group_members] = True
             strategy_groups.append((strategy, mask))

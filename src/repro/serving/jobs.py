@@ -114,8 +114,8 @@ class Job:
 class AdmissionDispatcher:
     """Single-threaded batch executor over a shared :class:`SweepRunner`.
 
-    One dispatcher owns one runner — and with it the warm
-    engine/runner caches — so every batch benefits from every
+    One dispatcher owns one runner; compiled tables live in the
+    process-wide table cache, so every batch benefits from every
     previous tenant's compilations.  ``window`` is the admission delay
     in seconds; ``max_jobs`` bounds the completed-job history kept for
     status queries (oldest evicted first).

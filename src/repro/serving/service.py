@@ -4,9 +4,10 @@
 tier — the HTTP layer (:mod:`repro.serving.http`) is a thin JSON shim
 over it, and the tests drive it directly.  One service owns:
 
-* one :class:`~repro.markov.sweep_engine.SweepRunner` whose
-  signature-keyed caches hold compiled lockstep tables and
-  Monte-Carlo runners warm for the life of the process;
+* one :class:`~repro.markov.sweep_engine.SweepRunner`, which compiles
+  lockstep tables through the process-wide table cache
+  (:data:`~repro.core.encoding.TABLE_CACHE`), so they stay warm for the
+  life of the process;
 * one :class:`~repro.serving.jobs.AdmissionDispatcher` that coalesces
   concurrent tenants' sweep submissions into fused batches;
 * :class:`~repro.lru.SignatureLRU` caches for the exact-tier
@@ -33,7 +34,7 @@ from typing import Mapping
 
 from repro.core.encoding import TABLE_CACHE
 from repro.errors import ExperimentError, ReproError, ServingError
-from repro.markov.sweep_engine import DEFAULT_SYSTEM_CACHE, SweepRunner
+from repro.markov.sweep_engine import SweepRunner
 from repro.lru import SignatureLRU
 from repro.serving.jobs import AdmissionDispatcher, Job
 from repro.serving.resolver import (
@@ -84,15 +85,15 @@ class ServiceConfig:
     dispatches each submission alone); ``engine``/``table_budget``
     forward to the shared :class:`SweepRunner` (a tiny ``table_budget``
     forces the per-point scalar fallback — the tests use this to cover
-    the fusion-illegal path); ``system_cache`` bounds the runner's
-    per-signature engine/runner cache; the ``*_cache`` fields bound the
-    exact-tier LRUs; ``max_jobs`` bounds the job history.
+    the fusion-illegal path); the ``*_cache`` fields bound the
+    exact-tier LRUs; ``max_jobs`` bounds the job history.  Compiled
+    tables live in the process-wide
+    :data:`~repro.core.encoding.TABLE_CACHE`, which no field sizes.
     """
 
     admission_window: float = 0.025
     engine: str = "auto"
     table_budget: int | None = None
-    system_cache: int | None = DEFAULT_SYSTEM_CACHE
     chain_cache: int = 16
     verdict_cache: int = 64
     parametric_cache: int = 8
@@ -107,10 +108,7 @@ class SweepService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        runner_kwargs: dict = {
-            "engine": self.config.engine,
-            "cache_size": self.config.system_cache,
-        }
+        runner_kwargs: dict = {"engine": self.config.engine}
         if self.config.table_budget is not None:
             runner_kwargs["table_budget"] = self.config.table_budget
         self.runner = SweepRunner(**runner_kwargs)
@@ -324,7 +322,9 @@ class SweepService:
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
         return {
-            "runner": self.runner.cache_info(),
+            # The table cache is the runner's only cache; perfbench's
+            # serve-mix reads ``runner.evictions``.
+            "runner": TABLE_CACHE.stats(),
             "dispatcher": self.dispatcher.stats(),
             "lru": [
                 cache.stats()

@@ -269,7 +269,7 @@ def system_cache_key(system) -> str | None:
 
     This is the key the warm caches use — the process-wide compiled-table
     cache (:func:`repro.core.encoding.tables_for`), :class:`SweepRunner`'s
-    engine/runner entries and the serving tier's chain and
+    fusion blocks and the serving tier's chain and
     parametric-chain caches — so cache hits survive garbage collection
     and object-identity reuse, and value-equal systems built by
     different tenants share one compilation.  Memoized per live system

@@ -18,6 +18,23 @@ from repro.random_source import RandomSource
 
 
 @pytest.fixture
+def compile_calls(monkeypatch) -> list:
+    """The systems :func:`repro.core.encoding.compile_tables` compiled,
+    in order: real compilations, not table-cache hits."""
+    import repro.core.encoding as encoding
+
+    calls: list = []
+    real = encoding.compile_tables
+
+    def counting(system, *args, **kwargs):
+        calls.append(system)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(encoding, "compile_tables", counting)
+    return calls
+
+
+@pytest.fixture
 def worker_starts(monkeypatch) -> list:
     """The worker processes the campaign runner creates, in order
     (``_spawn_context()``'s ``Process`` wrapped to record each)."""

@@ -29,11 +29,12 @@ from repro.algorithms.token_ring import (
     make_token_ring_system,
 )
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
-from repro.core.encoding import compile_tables
+from repro.core.encoding import TABLE_CACHE, compile_tables
 from repro.core.simulate import run_until
 from repro.errors import MarkovError, ModelError
 from repro.graphs.generators import path
 from repro.markov.batch import (
+    BatchEngine,
     DecodingLegitimacy,
     EnabledCountLegitimacy,
     batch_strategy_for,
@@ -43,7 +44,6 @@ from repro.markov.hitting import expected_hitting_times
 from repro.markov.lumping import lumped_synchronous_transformed_chain
 from repro.markov.montecarlo import (
     MonteCarloRunner,
-    estimate_stabilization_time,
     random_configuration,
     random_configurations,
 )
@@ -149,12 +149,11 @@ def test_stabilization_time_distribution_matches_scalar(
 
 def _raw_times(system, sampler, legitimate, engine, batch_legitimate=None):
     """Raw per-trial stabilization times from one seeded estimate."""
-    runner = MonteCarloRunner(system)
     times = []
     if engine == "batch":
         strategy = batch_strategy_for(sampler)
         assert strategy is not None
-        engine_obj = runner.batch_engine()
+        engine_obj = BatchEngine(system)
         rng = RandomSource(777)
         codes = engine_obj.encoding.encode_batch(
             random_configurations(system, rng, 600)
@@ -459,8 +458,7 @@ class TestBatchStructuralEquivalence:
             calls.append(configuration)
             return spec.legitimate(system, configuration)
 
-        runner = MonteCarloRunner(system)
-        engine = runner.batch_engine()
+        engine = BatchEngine(system)
         legitimacy = DecodingLegitimacy(predicate)
         codes = engine.encoding.encode_batch(
             [next(system.all_configurations())] * 50
@@ -470,10 +468,23 @@ class TestBatchStructuralEquivalence:
         assert verdicts.shape == (50,)
         assert len(calls) == 1  # 49 repeats hit the memo
 
-    def test_batch_runner_reuses_compiled_engine(self):
+    def test_batch_runner_reuses_compiled_engine(self, compile_calls):
+        """Two ``engine="batch"`` estimates compile the tables once."""
         system = make_token_ring_system(5)
-        runner = MonteCarloRunner(system)
-        assert runner.batch_engine() is runner.batch_engine()
+        spec = TokenCirculationSpec()
+        runner = MonteCarloRunner(system, engine="batch")
+        TABLE_CACHE.clear()
+        for seed in (1, 2):
+            result = runner.estimate(
+                CentralRandomizedSampler(),
+                partial(spec.legitimate, system),
+                trials=5,
+                max_steps=5_000,
+                rng=RandomSource(seed),
+                batch_legitimate=EnabledCountLegitimacy(1),
+            )
+            assert result.converged == 5
+        assert compile_calls == [system]
 
 
 def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
@@ -526,7 +537,7 @@ def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
             [dict(case, rng=RandomSource(case["rng"].seed)) for case in cases]
         )
         separate = [
-            estimate_stabilization_time(system, engine="scalar", **case)
+            MonteCarloRunner(system).estimate(engine="scalar", **case)
             for case in cases
         ]
         assert len(batched) == len(separate)
@@ -537,48 +548,6 @@ def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
     assert distributed.converged == 10
     assert censored.converged == 0 and censored.timed_out == 10
     assert herman_sync.converged == 10
-
-
-def test_montecarlo_runner_batch_fuses_through_sweep_runner():
-    """Default-engine ``batch`` routes fusable cases through the fused
-    sweep engine: full convergence, structural outcomes matching the
-    per-case estimates, input order preserved."""
-    system = make_leader_tree_system(path(6))
-    cases = [
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=10,
-            max_steps=10_000,
-            rng=RandomSource(31),
-        ),
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=12,
-            max_steps=10_000,
-            rng=RandomSource(32),
-        ),
-        # Round measurement cannot fuse: the oracle escape hatch keeps
-        # the sequential path (and its exact random stream) for it.
-        dict(
-            sampler=DistributedRandomizedSampler(),
-            legitimate=system.is_terminal,
-            trials=5,
-            max_steps=10_000,
-            rng=RandomSource(33),
-            measure_rounds=True,
-        ),
-    ]
-    runner = MonteCarloRunner(system)
-    batched = runner.batch([dict(case) for case in cases])
-    assert [result.trials for result in batched] == [10, 12, 5]
-    assert all(result.censored == 0 for result in batched)
-    assert batched[2].round_stats is not None
-    sequential = MonteCarloRunner(system).estimate(
-        **dict(cases[2], rng=RandomSource(33))
-    )
-    assert batched[2] == sequential
 
 
 #: Explicit initials of ``make_token_ring_system(4)`` that are not

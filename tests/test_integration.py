@@ -21,7 +21,7 @@ from repro.algorithms.token_ring import TokenCirculationSpec
 from repro.algorithms.two_process import BothTrueSpec
 from repro.graphs.generators import random_tree
 from repro.markov.hitting import expected_hitting_times
-from repro.markov.montecarlo import estimate_stabilization_time
+from repro.markov.montecarlo import MonteCarloRunner
 from repro.schedulers.distributions import CentralRandomizedDistribution
 from repro.schedulers.relations import CentralRelation, DistributedRelation
 from repro.schedulers.samplers import (
@@ -49,8 +49,7 @@ class TestExactVsMonteCarlo:
             chain, chain.mark(spec.legitimate)
         )
         exact_mean = float(exact.mean())  # uniform over all 81 configs
-        result = estimate_stabilization_time(
-            system,
+        result = MonteCarloRunner(system).estimate(
             CentralRandomizedSampler(),
             lambda c: spec.legitimate(system, c),
             trials=4000,
@@ -74,8 +73,7 @@ class TestExactVsMonteCarlo:
             chain, chain.mark(tspec.legitimate)
         )
         exact_mean = float(exact.mean())
-        result = estimate_stabilization_time(
-            transformed,
+        result = MonteCarloRunner(transformed).estimate(
             SynchronousSampler(),
             lambda c: tspec.legitimate(transformed, c),
             trials=4000,

@@ -33,7 +33,7 @@ from repro.errors import ModelError
 from repro.graphs.generators import path, random_tree, ring, star
 from repro.markov.builder import build_chain
 from repro.markov.montecarlo import (
-    estimate_stabilization_time,
+    MonteCarloRunner,
     random_configuration,
 )
 from repro.random_source import RandomSource
@@ -290,8 +290,7 @@ def test_run_until_and_montecarlo_identical_across_paths():
     with pytest.raises(ModelError):
         compact.trace.visits(initial)
 
-    result = estimate_stabilization_time(
-        system,
+    result = MonteCarloRunner(system).estimate(
         DistributedRandomizedSampler(),
         system.is_terminal,
         trials=25,

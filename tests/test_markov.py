@@ -21,7 +21,7 @@ from repro.markov.hitting import (
 )
 from repro.markov.lumping import lumped_synchronous_transformed_chain
 from repro.markov.montecarlo import (
-    estimate_stabilization_time,
+    MonteCarloRunner,
     random_configuration,
 )
 from repro.random_source import RandomSource
@@ -320,8 +320,7 @@ class TestMonteCarlo:
         )
         from repro.schedulers.samplers import DistributedRandomizedSampler
 
-        result = estimate_stabilization_time(
-            two_process_system,
+        result = MonteCarloRunner(two_process_system).estimate(
             DistributedRandomizedSampler(),
             lambda c: BothTrueSpec().legitimate(two_process_system, c),
             trials=3000,
@@ -338,8 +337,7 @@ class TestMonteCarlo:
             )
 
     def test_censoring_counted(self, two_process_system):
-        result = estimate_stabilization_time(
-            two_process_system,
+        result = MonteCarloRunner(two_process_system).estimate(
             CentralRandomizedSampler(),
             lambda c: BothTrueSpec().legitimate(two_process_system, c),
             trials=20,
@@ -355,8 +353,7 @@ class TestMonteCarlo:
 
     def test_trial_validation(self, two_process_system):
         with pytest.raises(MarkovError):
-            estimate_stabilization_time(
-                two_process_system,
+            MonteCarloRunner(two_process_system).estimate(
                 CentralRandomizedSampler(),
                 lambda c: True,
                 trials=0,
@@ -365,8 +362,7 @@ class TestMonteCarlo:
             )
 
     def test_row_includes_stats(self, two_process_system):
-        result = estimate_stabilization_time(
-            two_process_system,
+        result = MonteCarloRunner(two_process_system).estimate(
             SynchronousSampler(),
             lambda c: BothTrueSpec().legitimate(two_process_system, c),
             trials=10,

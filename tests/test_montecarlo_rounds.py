@@ -16,7 +16,6 @@ from repro.core.simulate import run_until
 from repro.graphs.generators import path
 from repro.markov.montecarlo import (
     MonteCarloRunner,
-    estimate_stabilization_time,
     random_configuration,
 )
 from repro.random_source import RandomSource
@@ -34,8 +33,7 @@ class TestRoundsMeasurement:
     def test_rounds_never_exceed_steps(self):
         system = make_token_ring_system(5)
         spec = TokenCirculationSpec()
-        result = estimate_stabilization_time(
-            system,
+        result = MonteCarloRunner(system).estimate(
             CentralRandomizedSampler(),
             lambda c: spec.legitimate(system, c),
             trials=100,
@@ -50,8 +48,7 @@ class TestRoundsMeasurement:
         base = make_two_process_system()
         transformed = make_transformed_system(base)
         tspec = TransformedSpec(BothTrueSpec(), base)
-        result = estimate_stabilization_time(
-            transformed,
+        result = MonteCarloRunner(transformed).estimate(
             SynchronousSampler(),
             lambda c: tspec.legitimate(transformed, c),
             trials=200,
@@ -65,8 +62,7 @@ class TestRoundsMeasurement:
     def test_rounds_omitted_by_default(self):
         system = make_token_ring_system(4)
         spec = TokenCirculationSpec()
-        result = estimate_stabilization_time(
-            system,
+        result = MonteCarloRunner(system).estimate(
             CentralRandomizedSampler(),
             lambda c: spec.legitimate(system, c),
             trials=10,
@@ -80,8 +76,7 @@ class TestRoundsMeasurement:
         steps per round, so steps must exceed rounds noticeably."""
         system = make_token_ring_system(6)
         spec = TokenCirculationSpec()
-        result = estimate_stabilization_time(
-            system,
+        result = MonteCarloRunner(system).estimate(
             CentralRandomizedSampler(),
             lambda c: spec.legitimate(system, c),
             trials=200,

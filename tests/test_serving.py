@@ -19,6 +19,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.encoding import TABLE_CACHE
 from repro.errors import ReproError, ServingError
 from repro.markov.sweep_engine import SweepRunner
 from repro.serving import (
@@ -335,9 +336,9 @@ class TestWarmCaches:
     def test_sweep_batches_share_compilations(self, service):
         point = {"family": "Q1", "n": 5, "trials": 10}
         service.run_sweep({"points": [dict(point, seed=1)]})
-        info = service.runner.cache_info()
+        misses = TABLE_CACHE.stats()["misses"]
         service.run_sweep({"points": [dict(point, seed=2)]})
-        assert service.runner.cache_info()["systems"] == info["systems"]
+        assert TABLE_CACHE.stats()["misses"] == misses
         assert service.dispatcher.stats()["batches"] == 2
 
     def test_verdict_cached_and_correct(self, service):
@@ -565,6 +566,12 @@ class TestHTTP:
         assert stats["verdicts"]["hits"] >= 1
         # The process-wide compiled-table cache is listed with them.
         assert stats["tables"]["entries"] >= 1
+        # The fields perfbench's serve-mix reads stay in place.
+        assert isinstance(caches["runner"]["evictions"], int)
+        for counter in ("batches", "points"):
+            assert isinstance(caches["dispatcher"][counter], int)
+        for name in ("verdicts", "parametric"):
+            assert {"hits", "misses"} <= stats[name].keys()
 
     def test_bias_sweep_endpoint(self, server):
         status, body = http_post(

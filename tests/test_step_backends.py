@@ -33,7 +33,6 @@ from repro.markov.batch import (
 )
 from repro.markov.montecarlo import (
     MonteCarloRunner,
-    estimate_stabilization_time,
     random_configurations,
 )
 from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
@@ -202,7 +201,7 @@ def test_batch_engine_run_rejects_unknown_backend():
 
 def test_unknown_backend_name_raises():
     """No layer takes a step-backend option: the runners and
-    ``estimate_stabilization_time`` reject ``backend=`` outright."""
+    ``MonteCarloRunner.estimate`` reject ``backend=`` outright."""
     system = conformance_system("token-ring5")
     entry = conformance_entry("token-ring5")
     with pytest.raises(TypeError, match="backend"):
@@ -210,8 +209,7 @@ def test_unknown_backend_name_raises():
     with pytest.raises(TypeError, match="backend"):
         SweepRunner(backend="numpy")
     with pytest.raises(TypeError, match="backend"):
-        estimate_stabilization_time(
-            system,
+        MonteCarloRunner(system).estimate(
             CONFORMANCE_SAMPLERS["central"](),
             entry.legitimate(system),
             trials=1,

@@ -3,8 +3,8 @@
 The distributional conformance of the fused engine is asserted by the
 ``tests/test_engine_conformance.py`` matrix; this module covers the
 fusion *machinery*: grouping and block scheduling, per-row budgets,
-early retirement, fallbacks, validation, and the ``sweep_fused`` /
-``MonteCarloRunner.batch`` wiring.
+early retirement, fallbacks, validation, and the ``sweep_fused``
+wiring.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.algorithms.token_ring import (
 )
 from repro.algorithms.leader_tree import make_leader_tree_system
 from repro.analysis.sweep import sweep_fused
+from repro.core.encoding import TABLE_CACHE, tables_for
 from repro.errors import MarkovError, ModelError
 from repro.graphs.generators import path
 from repro.markov import montecarlo
@@ -150,12 +151,12 @@ class TestGroupingAndPlan:
         assert [r.trials for r in results] == [10, 20, 30]
         assert [e.index for e in runner.last_plan] == [0, 1, 2]
 
-    def test_runner_caches_tables_across_runs(self):
+    def test_runner_caches_tables_across_runs(self, compile_calls):
+        TABLE_CACHE.clear()
         runner = SweepRunner(engine="fused")
         runner.run([ring_point(seed=1)])
-        engine_first = runner._entry_for(RING5).engine
         runner.run([ring_point(seed=2)])
-        assert runner._entry_for(RING5).engine is engine_first
+        assert compile_calls == [RING5]
 
 
 class TestSeeding:
@@ -319,6 +320,31 @@ class TestFallbacks:
         with pytest.raises(MarkovError, match="no vectorized strategy"):
             runner.run([point])
 
+    @pytest.mark.parametrize("engine", ["fused", "batch"])
+    def test_refused_sweep_runs_no_point(self, engine):
+        """Every point's engine is resolved before any point runs: the
+        refusal of point ``b`` leaves point ``a`` unexecuted and the
+        sink empty."""
+        leader = make_leader_tree_system(path(4))
+        points = [
+            ring_point(trials=5, label="a"),
+            SweepPointSpec(
+                system=leader,
+                sampler=RoundRobinSampler(),
+                legitimate=leader.is_terminal,
+                trials=5,
+                max_steps=1_000,
+                seed=2,
+                label="b",
+            ),
+        ]
+        emitted = []
+        with pytest.raises(MarkovError, match="no vectorized strategy"):
+            SweepRunner(engine=engine).run(
+                points, sink=lambda outcome: emitted.append(outcome.label)
+            )
+        assert emitted == []
+
     def test_mixed_plan_fuses_what_it_can(self):
         runner = SweepRunner(engine="auto")
         results = runner.run(
@@ -355,9 +381,8 @@ class TestFallbacks:
 
 class TestBatchEscapeHatches:
     def test_shared_rng_object_keeps_sequential_streams(self):
-        """Cases sharing one rng object ran consecutively on its stream
-        pre-fusion; batch() must keep that path instead of rewinding the
-        rng to its seed for each case."""
+        """Cases sharing one rng object run consecutively on its stream;
+        batch() never rewinds the rng to its seed for each case."""
         from repro.markov.montecarlo import MonteCarloRunner
 
         spec = TokenCirculationSpec()
@@ -389,30 +414,9 @@ class TestBatchEscapeHatches:
         ]
         assert batched == reference
 
-    def test_non_integer_seed_fuses_via_stream_drawn_subseed(self):
-        """RandomSource accepts any hashable seed; the fused path draws
-        an integer sub-seed from the stream, so exotic seeds work."""
-        from repro.markov.montecarlo import MonteCarloRunner
-
-        spec = TokenCirculationSpec()
-        (result,) = MonteCarloRunner(RING5).batch(
-            [
-                dict(
-                    sampler=CentralRandomizedSampler(),
-                    legitimate=lambda c: spec.legitimate(RING5, c),
-                    trials=8,
-                    max_steps=5_000,
-                    rng=RandomSource("exp-a"),
-                )
-            ]
-        )
-        assert result.converged == 8
-
     def test_repeated_batch_calls_advance_the_rng(self):
-        """The fused path draws its sub-seed from the rng stream, so
-        re-running batch() with the same rng object gives a fresh
-        replication, exactly like the pre-fusion sequential path —
-        never a bit-identical replay."""
+        """Re-running batch() with the same rng object gives a fresh
+        replication, never a bit-identical replay."""
         from repro.markov.montecarlo import MonteCarloRunner
 
         spec = TokenCirculationSpec()
@@ -428,53 +432,6 @@ class TestBatchEscapeHatches:
         (first,) = runner.batch([dict(case)])
         (second,) = runner.batch([dict(case)])
         assert first.samples != second.samples
-
-    def test_value_equal_cases_fuse_as_distinct_points(self):
-        """Two value-equal cases (shared sampler/predicate, equal-seed
-        but distinct rng objects) were legal pre-fusion and must not
-        trip the duplicate-point check."""
-        from repro.markov.montecarlo import MonteCarloRunner
-
-        spec = TokenCirculationSpec()
-        sampler = CentralRandomizedSampler()
-        legitimate = lambda c: spec.legitimate(RING5, c)
-        case = dict(
-            sampler=sampler,
-            legitimate=legitimate,
-            trials=8,
-            max_steps=5_000,
-        )
-        results = MonteCarloRunner(RING5).batch(
-            [
-                dict(case, rng=RandomSource(7)),
-                dict(case, rng=RandomSource(7)),
-            ]
-        )
-        assert len(results) == 2
-        assert all(result.converged == 8 for result in results)
-
-    def test_compile_failure_shared_with_sweep_runner(self):
-        """batch() hands its cached compilation failure to the sweep
-        runner, which then falls back without recompiling."""
-        from repro.errors import ModelError
-        from repro.markov.montecarlo import MonteCarloRunner
-
-        runner = MonteCarloRunner(RING5)
-        error = ModelError("synthetic over-budget tables")
-        runner._batch_compile_error = error
-        spec = TokenCirculationSpec()
-        results = runner.batch(
-            [
-                dict(
-                    sampler=CentralRandomizedSampler(),
-                    legitimate=lambda c: spec.legitimate(RING5, c),
-                    trials=5,
-                    max_steps=5_000,
-                    rng=RandomSource(7),
-                )
-            ]
-        )
-        assert results[0].converged == 5
 
 
 class TestSweepFusedEntryPoint:
@@ -495,12 +452,13 @@ class TestSweepFusedEntryPoint:
             assert point.row["converged"] == 20
             assert "mean" in point.row
 
-    def test_sweep_fused_reuses_supplied_runner(self):
+    def test_sweep_fused_reuses_supplied_runner(self, compile_calls):
+        TABLE_CACHE.clear()
         runner = SweepRunner(engine="fused")
         sweep_fused("seed", [1], lambda s: ring_point(seed=s), runner=runner)
-        cached = runner._entry_for(RING5).engine
         sweep_fused("seed", [2], lambda s: ring_point(seed=s), runner=runner)
-        assert runner._entry_for(RING5).engine is cached
+        assert compile_calls == [RING5]
+        assert [e.engine for e in runner.last_plan] == ["fused"]
 
 
 class TestSamplesField:
@@ -537,36 +495,33 @@ class TestSamplesField:
 
 
 class TestSignatureKeyedCache:
-    """The per-system cache is keyed by content signature, never id.
+    """Sweeps compile through the table cache, keyed by content
+    signature, never id.
 
-    The old ``id(system)``-keyed dicts could hand a value-different
-    system a stale engine once the interpreter recycled a collected
-    system's id — routine in a long-lived serving process with LRU
-    eviction.  These tests pin the replacement contract: recycled ids
-    recompile, evicted entries recompile, and value-equal systems built
-    independently share one compilation.
+    An ``id(system)`` key could hand a value-different system stale
+    tables once the interpreter recycled a collected system's id —
+    routine in a long-lived serving process.  These tests pin the
+    contract: a recycled id gets its own system's tables, and
+    value-equal systems built independently share one compilation and
+    one fused matrix.
     """
 
     def test_recycled_id_gets_fresh_compilation(self):
-        """Build a system, prime the cache, let the system be collected,
+        """Build a system, compile it, let the system be collected,
         then build a *value-different* system whose instance reuses the
-        freed id — it must get a fresh engine, not the stale entry."""
+        freed id — it must get its own tables, not the stale ones."""
         import copy
 
         template = make_token_ring_system(6)
         oracle = SweepRunner().run(
             [ring_point(system=copy.copy(template), seed=9, trials=10)]
         )
-        runner = SweepRunner(cache_size=1)
-        decoy = make_token_ring_system(4)
+        runner = SweepRunner()
         for _ in range(50):
             stale = make_token_ring_system(5)
             runner.run([ring_point(system=stale, seed=3, trials=5)])
             stale_key = runner._cache_key(stale)
-            # Evict the entry so its strong reference (the id-reuse
-            # shield) is dropped and ``stale`` really can be collected.
-            runner.run([ring_point(system=decoy, seed=4, trials=5)])
-            assert stale_key not in runner._systems
+            stale_tables = tables_for(stale)
             old_id = id(stale)
             del stale
             # CPython hands the freed slot to the next same-layout
@@ -579,59 +534,19 @@ class TestSignatureKeyedCache:
             results = runner.run(
                 [ring_point(system=fresh, seed=9, trials=10)]
             )
-            entry = runner._entry_for(fresh)
-            assert entry.system is fresh
-            assert entry.engine is not None
+            assert tables_for(fresh) is tables_for(template)
+            assert tables_for(fresh) is not stale_tables
             assert results[0].samples == oracle[0].samples
             return
         pytest.skip("allocator never recycled the system id in 50 tries")
 
-    def test_lru_eviction_recompiles_correctly(self):
-        runner = SweepRunner(cache_size=2)
-        points = {
-            n: ring_point(
-                system=make_token_ring_system(n), seed=n, trials=10
-            )
-            for n in (4, 5, 6)
-        }
-        first = runner.run([points[4]])
-        runner.run([points[5]])
-        runner.run([points[6]])
-        assert runner.cached_systems == 2
-        assert runner.evictions == 1
-        assert runner._cache_key(points[4].system) not in runner._systems
-        # The evicted system recompiles into a fresh entry and still
-        # reproduces its seeded stream exactly.
-        again = runner.run([points[4]])
-        assert again[0].samples == first[0].samples
-        assert runner.evictions == 2  # size-2 cache dropped another
-        assert runner.cache_info() == {
-            "systems": 2,
-            "cache_size": 2,
-            "evictions": 2,
-        }
-
-    def test_cache_size_validation(self):
-        with pytest.raises(MarkovError, match="cache_size"):
-            SweepRunner(cache_size=0)
-        unbounded = SweepRunner(cache_size=None)
-        for n in (4, 5, 6):
-            unbounded.run(
-                [
-                    ring_point(
-                        system=make_token_ring_system(n), seed=n, trials=5
-                    )
-                ]
-            )
-        assert unbounded.cached_systems == 3
-        assert unbounded.evictions == 0
-
-    def test_value_equal_systems_share_entry_and_fuse(self):
-        """Independently built equal systems (different tenants) map to
-        one cache entry and fuse into one code matrix."""
+    def test_value_equal_systems_share_entry_and_fuse(self, compile_calls):
+        """Independently built equal systems (different tenants) share
+        one compilation and fuse into one code matrix."""
         ring_a = make_token_ring_system(5)
         ring_b = make_token_ring_system(5)
         assert ring_a is not ring_b
+        TABLE_CACHE.clear()
         runner = SweepRunner(engine="fused")
         results = runner.run(
             [
@@ -639,7 +554,7 @@ class TestSignatureKeyedCache:
                 ring_point(system=ring_b, seed=2, trials=15),
             ]
         )
-        assert runner.cached_systems == 1
+        assert compile_calls == [ring_a]
         plan_a, plan_b = runner.last_plan
         assert plan_a.group == plan_b.group
         assert plan_a.fused_rows == plan_b.fused_rows == 30
