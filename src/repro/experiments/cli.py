@@ -15,9 +15,9 @@ Subcommands::
                          interrupted one, ``--report`` summarizes the
                          result store; see :mod:`repro.campaign`)
     serve                start the always-on HTTP sweep service (warm
-                         signature-keyed caches, multi-tenant fusion
-                         under an admission window; see
-                         :mod:`repro.serving`)
+                         signature-keyed caches; submissions that
+                         queue while a batch runs fuse into the next
+                         one; see :mod:`repro.serving`)
 
 Multi-point Monte-Carlo sweeps fuse into one code matrix per system
 group (see :mod:`repro.markov.sweep_engine`); the seeded per-point
@@ -149,15 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free one); default 8008",
     )
     serve_parser.add_argument(
-        "--window",
-        type=float,
-        default=0.025,
-        metavar="SECONDS",
-        help="admission window: how long the dispatcher holds a batch"
-        " open so concurrent submissions fuse (0 = dispatch each"
-        " submission alone); default 0.025",
-    )
-    serve_parser.add_argument(
         "--engine",
         default="auto",
         help="sweep execution policy forwarded to the shared SweepRunner:"
@@ -229,7 +220,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     """The ``serve`` verb: run the HTTP service in the foreground."""
     from repro.serving import ServiceConfig, serve
 
-    config = ServiceConfig(admission_window=args.window, engine=args.engine)
+    config = ServiceConfig(engine=args.engine)
     serve(host=args.host, port=args.port, config=config)
     return 0
 

@@ -6,15 +6,16 @@ process and throw it away.  This package keeps those artifacts warm in
 a persistent process behind a stdlib HTTP server, keyed by canonical
 content signatures (never object identity), and coalesces concurrent
 tenants' sweep submissions into fused
-:class:`~repro.markov.sweep_engine.SweepRunner` batches under an
-admission window.  Responses stay bit-identical to a sequential
-``SweepRunner`` run of the same batch — fusion buys throughput, not
-different numbers.
+:class:`~repro.markov.sweep_engine.SweepRunner` batches: an idle
+dispatcher starts a submission at once, and whatever queues while a
+batch runs forms the next batch (group commit).  Responses stay
+bit-identical to a sequential ``SweepRunner`` run of the same batch —
+fusion buys throughput, not different numbers.
 
 Layering: :class:`~repro.lru.SignatureLRU` (the library's
 signature-keyed LRU primitive) → :mod:`~repro.serving.resolver` (JSON
 payloads → executable specs via the campaign family registry) →
-:mod:`~repro.serving.jobs` (admission queue and dispatcher) →
+:mod:`~repro.serving.jobs` (admission queue, group-commit dispatcher) →
 :mod:`~repro.serving.service` (transport-independent facade) →
 :mod:`~repro.serving.http` (ThreadingHTTPServer shim).
 """

@@ -100,7 +100,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, {"error": message})
 
     def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise ServingError(
+                f"Content-Length must be an integer, got {header!r}"
+            ) from None
+        if length < 0:
+            raise ServingError(f"Content-Length must be >= 0, got {length}")
         if length > _MAX_BODY:
             raise ServingError(
                 f"request body too large ({length} > {_MAX_BODY} bytes)"

@@ -1,20 +1,23 @@
-"""Job queue + admission dispatcher: multi-tenant sweep fusion.
+"""Job queue + group-commit dispatcher: multi-tenant sweep fusion.
 
 The fused :class:`~repro.markov.sweep_engine.SweepRunner` is secretly an
 admission batcher: points that share an (algorithm, topology) family —
 whoever submitted them — fuse into one ``(Σ trials × processes)`` code
 matrix.  This module exploits that for *concurrent users*: submissions
-land in a queue, and a single dispatcher thread drains it in batches:
+land in a queue, and a single dispatcher thread drains it in batches,
+group-commit style:
 
-1. wait until at least one job is queued;
-2. hold the **admission window** open (``window`` seconds) so
-   concurrent tenants' requests can join the batch — a window of 0
-   dispatches immediately (per-request execution with warm caches);
-3. drain everything queued, concatenate the specs in admission order,
+1. wait until at least one job is queued — an idle dispatcher starts a
+   submission at once, nothing is held back;
+2. take everything queued, concatenate the specs in admission order,
    and execute them through one :meth:`SweepRunner.run` call — which
    groups by family, fuses what it legally can, and falls back to the
    per-point path for the rest (stateful samplers, over-budget tables);
-4. slice the results back per job and publish them.
+3. slice the results back per job and publish them.
+
+Jobs submitted while a batch runs queue up and form the next batch, so
+under load tenants fuse and a job waits at most for the batch ahead of
+it.
 
 **The oracle contract.**  Execution is single-threaded and every spec
 is self-seeded, so the response rows of a batch are *bit-identical* to
@@ -112,25 +115,19 @@ class Job:
 
 
 class AdmissionDispatcher:
-    """Single-threaded batch executor over a shared :class:`SweepRunner`.
+    """Single-threaded group-commit executor over a shared
+    :class:`SweepRunner`.
 
     One dispatcher owns one runner; compiled tables live in the
     process-wide table cache, so every batch benefits from every
-    previous tenant's compilations.  ``window`` is the admission delay
-    in seconds; ``max_jobs`` bounds the completed-job history kept for
-    status queries (oldest evicted first).
+    previous tenant's compilations.  ``max_jobs`` bounds the
+    completed-job history kept for status queries (oldest evicted
+    first).  One condition guards the queue, the job index and the
+    closed flag.
     """
 
-    def __init__(
-        self,
-        runner: SweepRunner,
-        window: float = 0.025,
-        max_jobs: int = 1024,
-    ) -> None:
-        if window < 0:
-            raise ServingError(f"admission window must be >= 0: {window}")
+    def __init__(self, runner: SweepRunner, max_jobs: int = 1024) -> None:
         self.runner = runner
-        self.window = window
         self.max_jobs = max_jobs
         self.batches_run = 0
         self.points_run = 0
@@ -138,9 +135,8 @@ class AdmissionDispatcher:
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop = threading.Event()
+        self._closed = False
+        self._condition = threading.Condition()
         self._thread = threading.Thread(
             target=self._loop, name="sweep-dispatcher", daemon=True
         )
@@ -153,9 +149,9 @@ class AdmissionDispatcher:
         self, payloads: list[dict], specs: list[SweepPointSpec]
     ) -> Job:
         """Queue one submission; returns its (immediately pollable) job."""
-        if self._stop.is_set():
-            raise ServingError("dispatcher is shut down")
-        with self._lock:
+        with self._condition:
+            if self._closed:
+                raise ServingError("dispatcher is shut down")
             job = Job(
                 id=f"job-{next(self._ids)}",
                 payloads=payloads,
@@ -172,22 +168,22 @@ class AdmissionDispatcher:
                 else:  # never evict live work
                     self._order.insert(0, oldest)
                     break
-        self._wake.set()
+            self._condition.notify()
         return job
 
     def job(self, job_id: str) -> Job:
-        with self._lock:
+        with self._condition:
             job = self._jobs.get(job_id)
         if job is None:
             raise ServingError(f"unknown job {job_id!r}")
         return job
 
     def jobs(self) -> list[Job]:
-        with self._lock:
+        with self._condition:
             return [self._jobs[job_id] for job_id in self._order]
 
     def stats(self) -> dict[str, object]:
-        with self._lock:
+        with self._condition:
             pending = len(self._pending)
             known = len(self._jobs)
         return {
@@ -195,46 +191,31 @@ class AdmissionDispatcher:
             "points": self.points_run,
             "pending_jobs": pending,
             "known_jobs": known,
-            "window_seconds": self.window,
         }
 
     def close(self) -> None:
         """Stop the dispatcher thread (idempotent)."""
-        self._stop.set()
-        self._wake.set()
+        with self._condition:
+            self._closed = True
+            self._condition.notify()
         self._thread.join(timeout=10.0)
 
     # ------------------------------------------------------------------
     # the dispatcher loop
     # ------------------------------------------------------------------
-    def _drain(self) -> list[Job]:
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-        return batch
-
     def _loop(self) -> None:
         while True:
-            self._wake.wait()
-            if self._stop.is_set():
-                break
-            self._wake.clear()
-            # Hold the admission window open: requests arriving while we
-            # sleep join this batch instead of paying their own
-            # dispatch (and losing their fusion partners).
-            if self.window > 0:
-                time.sleep(self.window)
-            batch = self._drain()
-            if not batch:  # spurious wake or drained by shutdown
-                continue
+            with self._condition:
+                while not self._pending and not self._closed:
+                    self._condition.wait()
+                batch, self._pending = self._pending, []
+                if self._closed:
+                    break
             self._execute(batch)
-            # Anything submitted after the drain waits for the next
-            # wake; re-arm if submissions raced the execution.
-            with self._lock:
-                if self._pending:
-                    self._wake.set()
         # Shutdown: fail whatever never ran instead of hanging waiters.
-        for job in self._drain():
+        # A submit either queued before the close (and is in ``batch``)
+        # or sees the closed flag under the same lock and is refused.
+        for job in batch:
             job.status = "error"
             job.error = "dispatcher shut down before execution"
             job.done.set()

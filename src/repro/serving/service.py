@@ -81,17 +81,15 @@ def _system_key(system) -> str:
 class ServiceConfig:
     """Tunables for one :class:`SweepService` instance.
 
-    ``admission_window`` is the fusion coalescing delay in seconds (0
-    dispatches each submission alone); ``engine``/``table_budget``
-    forward to the shared :class:`SweepRunner` (a tiny ``table_budget``
-    forces the per-point scalar fallback — the tests use this to cover
-    the fusion-illegal path); the ``*_cache`` fields bound the
-    exact-tier LRUs; ``max_jobs`` bounds the job history.  Compiled
-    tables live in the process-wide
-    :data:`~repro.core.encoding.TABLE_CACHE`, which no field sizes.
+    ``engine``/``table_budget`` forward to the shared
+    :class:`SweepRunner` (a tiny ``table_budget`` forces the per-point
+    scalar fallback — the tests use this to cover the fusion-illegal
+    path); the ``*_cache`` fields bound the exact-tier LRUs;
+    ``max_jobs`` bounds the job history.  Compiled tables live in the
+    process-wide :data:`~repro.core.encoding.TABLE_CACHE`, which no
+    field sizes.
     """
 
-    admission_window: float = 0.025
     engine: str = "auto"
     table_budget: int | None = None
     chain_cache: int = 16
@@ -113,9 +111,7 @@ class SweepService:
             runner_kwargs["table_budget"] = self.config.table_budget
         self.runner = SweepRunner(**runner_kwargs)
         self.dispatcher = AdmissionDispatcher(
-            self.runner,
-            window=self.config.admission_window,
-            max_jobs=self.config.max_jobs,
+            self.runner, max_jobs=self.config.max_jobs
         )
         self.chains = SignatureLRU("chains", self.config.chain_cache)
         self.verdicts = SignatureLRU("verdicts", self.config.verdict_cache)

@@ -12,7 +12,9 @@ through JSON (floats round-trip exactly at ``repr`` precision).
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -148,10 +150,7 @@ class TestResolver:
 
 @pytest.fixture
 def service(request):
-    config = getattr(request, "param", None) or ServiceConfig(
-        admission_window=0.01
-    )
-    service = SweepService(config)
+    service = SweepService(getattr(request, "param", None))
     yield service
     service.close()
 
@@ -198,32 +197,83 @@ class TestDispatcher:
         assert snapshot["status"] == "done"
 
     def test_spurious_wake_executes_nothing(self, service):
-        service.dispatcher._wake.set()
+        condition = service.dispatcher._condition
+        with condition:
+            condition.notify_all()
         snapshot = service.run_sweep(
             {"points": [{"family": "Q1", "n": 4, "seed": 2, "trials": 10}]}
         )
         assert snapshot["status"] == "done"
         assert service.dispatcher.batches_run == 1
 
-    def test_window_validation(self):
-        with pytest.raises(ServingError, match="admission window"):
-            SweepService(ServiceConfig(admission_window=-1.0))
+    def test_submit_racing_close_never_strands_a_job(self, monkeypatch):
+        """``close()`` runs its whole shutdown drain between the moment
+        ``submit`` is called and the moment it takes the queue lock: the
+        submission must be refused, never queued behind a dead loop."""
+        service = SweepService()
+        dispatcher = service.dispatcher
+        condition = dispatcher._condition
+        submitter = threading.current_thread()
+        closer = threading.Thread(target=dispatcher.close)
+
+        class CloseBeforeSubmit:
+            """The dispatcher's condition, except that the submitting
+            thread's first acquisition lets ``close()`` run first."""
+
+            def __enter__(self):
+                first = closer.ident is None
+                if first and threading.current_thread() is submitter:
+                    closer.start()
+                    closer.join(timeout=5.0)
+                return condition.__enter__()
+
+            def __exit__(self, *exc_info):
+                return condition.__exit__(*exc_info)
+
+            def __getattr__(self, name):
+                return getattr(condition, name)
+
+        monkeypatch.setattr(dispatcher, "_condition", CloseBeforeSubmit())
+        point = {"family": "Q1", "n": 4, "seed": 1}
+        specs = resolve_points({"points": [point]})
+        try:
+            job = dispatcher.submit([point], specs)
+        except ServingError as error:
+            assert "shut down" in str(error)
+        else:
+            assert job.done.wait(5.0), f"{job.id} stranded as {job.status}"
+        closer.join(timeout=10.0)
+        assert not dispatcher._thread.is_alive()
 
 
 class TestMultiTenantFusion:
-    """Satellite: N concurrent tenants, fused rows bit-identical to the
-    sequential oracle — fusable, mixed-family, and fusion-illegal."""
+    """N concurrent tenants, fused rows bit-identical to the sequential
+    oracle — fusable, mixed-family, and fusion-illegal.
 
-    WINDOW = 0.4
+    Every tenant queues while a gate batch holds the dispatcher; the
+    gate then opens, and group commit runs all of them as one batch."""
 
-    def _submit_concurrently(self, service, submissions):
-        barrier = threading.Barrier(len(submissions))
+    def _submit_behind_gate(self, service, submissions, monkeypatch):
+        run = service.runner.run
+        gate = threading.Event()
+        gate_running = threading.Event()
+
+        def gated_run(specs):
+            if not gate_running.is_set():
+                gate_running.set()
+                gate.wait(60.0)
+            return run(specs)
+
+        monkeypatch.setattr(service.runner, "run", gated_run)
+        opener = service.submit_sweep(
+            {"points": [{"family": "Q1", "n": 4, "trials": 5, "seed": 0}]}
+        )
+        assert gate_running.wait(60.0)
         snapshots = [None] * len(submissions)
         errors = []
 
         def tenant(index, points):
             try:
-                barrier.wait()
                 snapshots[index] = service.run_sweep(
                     {"points": points}, timeout=240.0
                 )
@@ -236,13 +286,23 @@ class TestMultiTenantFusion:
         ]
         for thread in threads:
             thread.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while (
+                service.dispatcher.stats()["pending_jobs"] < len(submissions)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        finally:
+            gate.set()
         for thread in threads:
             thread.join()
         assert not errors
+        assert opener.done.wait(60.0) and opener.status == "done"
         return snapshots
 
-    def test_eight_tenants_fuse_and_match_oracle(self):
-        service = SweepService(ServiceConfig(admission_window=self.WINDOW))
+    def test_eight_tenants_fuse_and_match_oracle(self, monkeypatch):
+        service = SweepService()
         try:
             submissions = [
                 [
@@ -263,9 +323,11 @@ class TestMultiTenantFusion:
                 ]
                 for tenant in range(8)
             ]
-            snapshots = self._submit_concurrently(service, submissions)
-            # The barrier start + window admits everyone into one batch,
-            # whose fused matrix covers all 16 points.
+            snapshots = self._submit_behind_gate(
+                service, submissions, monkeypatch
+            )
+            # Everyone queued behind the gate batch forms the next
+            # batch, whose fused matrix covers all 16 points.
             batches = {snapshot["batch"] for snapshot in snapshots}
             assert len(batches) == 1
             assert all(
@@ -278,8 +340,10 @@ class TestMultiTenantFusion:
         finally:
             service.close()
 
-    def test_mixed_families_fuse_per_system_and_match_oracle(self):
-        service = SweepService(ServiceConfig(admission_window=self.WINDOW))
+    def test_mixed_families_fuse_per_system_and_match_oracle(
+        self, monkeypatch
+    ):
+        service = SweepService()
         try:
             submissions = [
                 [{"family": "Q1", "n": 5, "trials": 25, "seed": 11}],
@@ -287,7 +351,9 @@ class TestMultiTenantFusion:
                 [{"family": "Q1", "n": 5, "trials": 25, "seed": 13}],
                 [{"family": "FT1", "n": 5, "trials": 25, "seed": 14}],
             ]
-            snapshots = self._submit_concurrently(service, submissions)
+            snapshots = self._submit_behind_gate(
+                service, submissions, monkeypatch
+            )
             assert len({snapshot["batch"] for snapshot in snapshots}) == 1
             for snapshot in snapshots:
                 assert_job_matches_oracle(snapshot)
@@ -302,12 +368,12 @@ class TestMultiTenantFusion:
         finally:
             service.close()
 
-    def test_fusion_illegal_fallback_still_matches_oracle(self):
+    def test_fusion_illegal_fallback_still_matches_oracle(
+        self, monkeypatch
+    ):
         """A starved table budget outlaws fusion; the dispatcher falls
         back to per-request scalar execution with identical rows."""
-        service = SweepService(
-            ServiceConfig(admission_window=self.WINDOW, table_budget=1)
-        )
+        service = SweepService(ServiceConfig(table_budget=1))
         try:
             submissions = [
                 [
@@ -320,7 +386,10 @@ class TestMultiTenantFusion:
                 ]
                 for tenant in range(4)
             ]
-            snapshots = self._submit_concurrently(service, submissions)
+            snapshots = self._submit_behind_gate(
+                service, submissions, monkeypatch
+            )
+            assert len({snapshot["batch"] for snapshot in snapshots}) == 1
             assert all(
                 entry["engine"] == "scalar"
                 for snapshot in snapshots
@@ -480,7 +549,7 @@ class TestWarmCaches:
 
 @pytest.fixture(scope="module")
 def server():
-    server = make_server(port=0, config=ServiceConfig(admission_window=0.01))
+    server = make_server(port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -581,6 +650,29 @@ class TestHTTP:
         )
         assert status == 200
         assert body["values"][0] > 0
+
+    @pytest.mark.parametrize(
+        "length, message",
+        [("-1", "must be >= 0"), ("abc", "must be an integer")],
+    )
+    def test_bad_content_length_is_a_client_error(
+        self, server, length, message
+    ):
+        """A negative length must not block reading to end-of-stream,
+        and a non-numeric one must not surface as a 500."""
+        host, port = server.removeprefix("http://").rsplit(":", 1)
+        request = (
+            f"POST /api/sweep HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        )
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall(request.encode())
+            reply = b""
+            while chunk := conn.recv(4096):  # the server closes when done
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert message in json.loads(body)["error"]
 
     def test_client_errors(self, server):
         assert http_error(server, "/api/nope")[0] == 404
