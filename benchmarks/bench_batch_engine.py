@@ -38,13 +38,13 @@ MAX_STEPS = 50_000
 def _ring30_estimate(engine: str):
     system = make_token_ring_system(30)
     spec = TokenCirculationSpec()
-    runner = MonteCarloRunner(system, engine=engine)
-    return runner.estimate(
+    return MonteCarloRunner(system).estimate(
         DistributedRandomizedSampler(),
         lambda c: spec.legitimate(system, c),
         trials=TRIALS,
         max_steps=MAX_STEPS,
         rng=RandomSource(2026),
+        engine=engine,
         batch_legitimate=EnabledCountLegitimacy(1),
     )
 
@@ -87,7 +87,7 @@ def _trans_ring_sync(benchmark, n: int, trials: int, rounds: int):
     base = make_token_ring_system(n)
     system = make_transformed_system(base)
     spec = TransformedSpec(TokenCirculationSpec(), base)
-    runner = MonteCarloRunner(system, engine="batch")
+    runner = MonteCarloRunner(system)
     # Coin flips: the tables are not deterministic.
     assert not expansion_context(tables_for(system)).deterministic
 
@@ -98,6 +98,7 @@ def _trans_ring_sync(benchmark, n: int, trials: int, rounds: int):
             trials=trials,
             max_steps=200_000,
             rng=RandomSource(2026),
+            engine="batch",
             batch_legitimate=EnabledCountLegitimacy(1),
         )
 

@@ -62,7 +62,7 @@ def _run_perpoint():
     """One ``engine="batch"`` estimate, one lockstep loop, per point."""
     results = []
     for spec in _specs():
-        runner = MonteCarloRunner(_SYSTEM, engine="batch")
+        runner = MonteCarloRunner(_SYSTEM)
         results.append(
             runner.estimate(
                 spec.sampler,
@@ -70,6 +70,7 @@ def _run_perpoint():
                 trials=spec.trials,
                 max_steps=spec.max_steps,
                 rng=RandomSource(spec.seed),
+                engine="batch",
                 batch_legitimate=spec.batch_legitimate,
             )
         )

@@ -27,7 +27,7 @@ lives in ``docs/architecture.md``):
   :func:`~repro.core.encoding.tables_for` — so whole Monte-Carlo batches
   advance in lockstep as ``(trials × processes)`` code matrices
   (:class:`repro.markov.batch.BatchEngine`, driven through
-  ``MonteCarloRunner(engine="auto"|"batch")``).  The batch tier
+  ``MonteCarloRunner.estimate(engine="auto"|"batch")``).  The batch tier
   reproduces the scalar engine's sampling *distributions* — not its
   random streams — and ``engine="scalar"`` remains the per-trial
   equivalence oracle.

@@ -38,11 +38,8 @@ from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 EXPERIMENT_ID = "ALG3"
 
 
-def run_alg3(engine: str = "auto") -> ExperimentResult:
-    """Classification matrix + transformed absorption analysis.
-
-    ``engine`` forwards to :func:`repro.markov.builder.build_chain`.
-    """
+def run_alg3() -> ExperimentResult:
+    """Classification matrix + transformed absorption analysis."""
     system = make_two_process_system()
     spec = BothTrueSpec()
     rows = []
@@ -73,7 +70,7 @@ def run_alg3(engine: str = "auto") -> ExperimentResult:
         ("distributed-randomized", DistributedRandomizedDistribution()),
         ("central-randomized", CentralRandomizedDistribution()),
     ):
-        chain = build_chain(transformed, distribution, engine=engine)
+        chain = build_chain(transformed, distribution)
         absorption = absorption_probabilities(
             chain, chain.mark(tspec)
         )

@@ -48,7 +48,6 @@ def run_q1(
     seed: int = 2008,
     max_steps: int = 200_000,
     engine: str = "auto",
-    chain_engine: str = "auto",
 ) -> ExperimentResult:
     """Sweep ring sizes; exact hitting times then Monte-Carlo estimates.
 
@@ -56,8 +55,7 @@ def run_q1(
     vectorized batch engine (see the ``Q1-large`` preset); ``engine``
     forwards to :class:`~repro.markov.sweep_engine.SweepRunner`
     (``"fused"``/``"auto"`` fuse the Monte-Carlo points into one sweep
-    matrix, ``"scalar"`` is the seeded per-point oracle) and
-    ``chain_engine`` to the exact tier's :func:`build_chain` calls.
+    matrix, ``"scalar"`` is the seeded per-point oracle).
     """
     spec = TokenCirculationSpec()
     rows = []
@@ -66,15 +64,11 @@ def run_q1(
 
     for n in exact_sizes:
         system = make_token_ring_system(n)
-        lumped = lumped_synchronous_transformed_chain(
-            system, engine=chain_engine
-        )
+        lumped = lumped_synchronous_transformed_chain(system)
         # The vectorized mark (token ⇔ enabled) replaces 2^N Python
         # predicate calls with one enabled-count gather per chain.
         sync_summary = hitting_summary(lumped, lumped.mark(TOKEN_LEGITIMACY))
-        central_chain = build_chain(
-            system, CentralRandomizedDistribution(), engine=chain_engine
-        )
+        central_chain = build_chain(system, CentralRandomizedDistribution())
         central_summary = hitting_summary(
             central_chain, central_chain.mark(TOKEN_LEGITIMACY)
         )

@@ -58,7 +58,6 @@ def run_q3(
     dijkstra_exhaustive_sizes: tuple[int, ...] = (4, 5),
     dijkstra_monte_carlo_sizes: tuple[int, ...] = (),
     engine: str = "auto",
-    chain_engine: str = "auto",
 ) -> ExperimentResult:
     """Build the baseline comparison table.
 
@@ -69,8 +68,7 @@ def run_q3(
     ``engine`` forwards to
     :class:`~repro.markov.sweep_engine.SweepRunner` (``"fused"``/
     ``"auto"`` fuse the Dijkstra Monte-Carlo points, ``"scalar"`` is
-    the seeded per-point oracle), ``chain_engine`` to the exact chain
-    builds."""
+    the seeded per-point oracle)."""
     rows = []
     rng = RandomSource(seed)
 
@@ -78,9 +76,7 @@ def run_q3(
     herman_means = {}
     for n in (5, 7):
         system = make_herman_system(n)
-        chain = build_chain(
-            system, SynchronousDistribution(), engine=chain_engine
-        )
+        chain = build_chain(system, SynchronousDistribution())
         summary = hitting_summary(
             chain, chain.mark(HermanSingleTokenSpec())
         )
@@ -120,9 +116,7 @@ def run_q3(
     trans_means = {}
     for n in (4, 5, 6):
         system = make_token_ring_system(n)
-        lumped = lumped_synchronous_transformed_chain(
-            system, engine=chain_engine
-        )
+        lumped = lumped_synchronous_transformed_chain(system)
         summary = hitting_summary(
             lumped, lumped.mark(TokenCirculationSpec())
         )

@@ -47,21 +47,17 @@ from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 EXPERIMENT_ID = "Q4"
 
 
-def _transformed_mean(base_system, spec, engine: str = "auto") -> float:
+def _transformed_mean(base_system, spec) -> float:
     from repro.markov.hitting import hitting_summary
 
-    lumped = lumped_synchronous_transformed_chain(base_system, engine=engine)
+    lumped = lumped_synchronous_transformed_chain(base_system)
     summary = hitting_summary(lumped, lumped.mark(spec))
     assert summary.converges_with_probability_one
     return summary.mean_expected_steps
 
 
-def run_q4(engine: str = "auto") -> ExperimentResult:
-    """Direct probabilistic designs vs transformed weak designs.
-
-    ``engine`` forwards to every chain build (direct classification and
-    lumped transformed analysis).
-    """
+def run_q4() -> ExperimentResult:
+    """Direct probabilistic designs vs transformed weak designs."""
     rows = []
     all_prob_one = True
     modest_factor = True
@@ -76,10 +72,9 @@ def run_q4(engine: str = "auto") -> ExperimentResult:
             make_randomized_coloring_system(graph),
             ProperColoringSpec(),
             SynchronousDistribution(),
-            engine=engine,
         )
         transformed_mean = _transformed_mean(
-            make_coloring_system(graph), ProperColoringSpec(), engine
+            make_coloring_system(graph), ProperColoringSpec()
         )
         all_prob_one = (
             all_prob_one and direct.is_probabilistically_self_stabilizing
@@ -109,10 +104,9 @@ def run_q4(engine: str = "auto") -> ExperimentResult:
             make_herman_system(n),
             HermanSingleTokenSpec(),
             SynchronousDistribution(),
-            engine=engine,
         )
         transformed_mean = _transformed_mean(
-            make_token_ring_system(n), TokenCirculationSpec(), engine
+            make_token_ring_system(n), TokenCirculationSpec()
         )
         all_prob_one = (
             all_prob_one and herman.is_probabilistically_self_stabilizing

@@ -70,13 +70,9 @@ def _cases():
     )
 
 
-def run_thm7(engine: str = "auto") -> ExperimentResult:
+def run_thm7() -> ExperimentResult:
     """Compare structural and numeric convergence for both randomized
-    schedulers.
-
-    ``engine`` forwards to :func:`repro.markov.builder.build_chain`
-    (``"scalar"`` re-runs the numeric side on the dict-walk oracle).
-    """
+    schedulers."""
     rows = []
     all_pass = True
     schedulers = (
@@ -96,7 +92,7 @@ def run_thm7(engine: str = "auto") -> ExperimentResult:
             space = StateSpace.explore(system, relation)
             legitimate = space.legitimate_mask(spec)
             possible, _ = possible_convergence(space, legitimate)
-            chain = build_chain(system, distribution, engine=engine)
+            chain = build_chain(system, distribution)
             absorption = absorption_probabilities(
                 chain, chain.mark(spec)
             )

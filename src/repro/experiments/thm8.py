@@ -69,12 +69,8 @@ def _cases():
     )
 
 
-def run_thm8(engine: str = "auto") -> ExperimentResult:
-    """Closure + probability-1 convergence + lumping agreement.
-
-    ``engine`` forwards to both chain builds (full transformed chain and
-    lumped base-space chain).
-    """
+def run_thm8() -> ExperimentResult:
+    """Closure + probability-1 convergence + lumping agreement."""
     rows = []
     all_pass = True
     for label, base_system, base_spec in _cases():
@@ -86,14 +82,10 @@ def run_thm8(engine: str = "auto") -> ExperimentResult:
         closure_ok = not check_strong_closure(space, legitimate)
         possible, _ = possible_convergence(space, legitimate)
 
-        chain = build_chain(
-            transformed, SynchronousDistribution(), engine=engine
-        )
+        chain = build_chain(transformed, SynchronousDistribution())
         summary = hitting_summary(chain, chain.mark(spec))
 
-        lumped = lumped_synchronous_transformed_chain(
-            base_system, engine=engine
-        )
+        lumped = lumped_synchronous_transformed_chain(base_system)
         lumped_summary = hitting_summary(
             lumped, lumped.mark(base_spec)
         )

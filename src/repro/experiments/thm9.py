@@ -52,24 +52,19 @@ def _cases():
     )
 
 
-def run_thm9(engine: str = "auto") -> ExperimentResult:
-    """Absorption analysis of transformed and base systems.
-
-    ``engine`` forwards to :func:`repro.markov.builder.build_chain`.
-    """
+def run_thm9() -> ExperimentResult:
+    """Absorption analysis of transformed and base systems."""
     rows = []
     all_pass = True
     distribution = DistributedRandomizedDistribution()
     for label, base_system, base_spec in _cases():
         transformed = make_transformed_system(base_system)
         spec = TransformedSpec(base_spec, base_system)
-        transformed_chain = build_chain(
-            transformed, distribution, engine=engine
-        )
+        transformed_chain = build_chain(transformed, distribution)
         transformed_summary = hitting_summary(
             transformed_chain, transformed_chain.mark(spec)
         )
-        base_chain = build_chain(base_system, distribution, engine=engine)
+        base_chain = build_chain(base_system, distribution)
         base_summary = hitting_summary(
             base_chain, base_chain.mark(base_spec)
         )

@@ -52,12 +52,13 @@ loop of the lockstep tiers: it advances a code matrix whose rows carry
 a point id and a step budget, dispatches legitimacy and scheduler draws
 per point, and runs the fault timeline of
 :mod:`repro.stabilization.faults` for points that carry a fault.
-:meth:`BatchEngine.run` (and :meth:`BatchEngine.run_with_fault`, its
-alias with a fault) is the one-point call to it, and the fused sweep
-engine (:mod:`repro.markov.sweep_engine`) calls it with many points.
-Its scalar twin is the trial loop of
-:class:`~repro.markov.montecarlo.MonteCarloRunner`
-(``engine="scalar"``), which follows the same timeline.  Each step
+The library sets it up in one place,
+:func:`repro.markov.montecarlo.estimate_lockstep`, for one point or a
+fused block of many; :meth:`BatchEngine.run` (and
+:meth:`BatchEngine.run_with_fault`, its alias with a fault) is the
+same one-point call for direct callers.  Its scalar twin is
+:func:`~repro.markov.montecarlo.estimate_scalar` (``engine="scalar"``),
+which follows the same timeline.  Each step
 classifies its rows once (converged, illegitimate terminal, over
 budget) and compacts them once.  Uniforms are drawn only where they are
 read: scheduler coins at enabled cells, two uniforms per mover for the

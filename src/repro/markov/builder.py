@@ -47,7 +47,8 @@ chain, selected via ``engine=``:
   the scalar walk takes distributions that are not one of the built-in
   types (a subclass may redefine ``weighted_subsets``), class tables
   over the compilation budget and rank spaces beyond int64; mirroring
-  :class:`~repro.markov.montecarlo.MonteCarloRunner`'s engine knob.
+  the Monte-Carlo engine knob
+  (:func:`~repro.markov.montecarlo.resolve_engine`).
 
 Every engine builds the identical chain: same states in the same order,
 same transition support, bit-identical row probabilities (the array

@@ -6,8 +6,8 @@ measure the number of steps until the specification's legitimate predicate
 first holds.  Initial configurations are drawn uniformly from ``C``
 (the paper's "arbitrary initial configuration") unless given explicitly.
 
-Two execution engines share this interface (selected per runner or per
-call via ``engine``):
+Two execution engines share this interface (selected per call via
+``engine``):
 
 * ``"scalar"`` — one :class:`repro.core.simulate.Cursor` trial loop
   over the reference :class:`~repro.core.system.System`, the scalar twin
@@ -20,12 +20,20 @@ call via ``engine``):
   (same sampling distributions, NumPy random stream).  Needs a
   vectorizable sampler and no round measurement.
 * ``"auto"`` (default) — batch when supported, scalar otherwise.
+
+This module holds the one per-point path both front doors take:
+:func:`check_point` (the point checks), :func:`resolve_engine` (which
+points run lockstep, on which compiled engine) and
+:func:`estimate_lockstep`/:func:`estimate_scalar` (the two engines).
+:meth:`MonteCarloRunner.estimate` calls them for one point, and
+:class:`~repro.markov.sweep_engine.SweepRunner` for every point of a
+sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,16 +47,25 @@ from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
     BatchRunResult,
+    EnabledCountLegitimacy,
     batch_strategy_for,
     compile_legitimacy,
     encode_initials,
 )
 from repro.random_source import RandomSource
+from repro.schedulers.samplers import (
+    BernoulliSampler,
+    CentralRandomizedSampler,
+    DistributedRandomizedSampler,
+    SynchronousSampler,
+)
 from repro.stabilization.faults import CompiledFault, FaultPlan, compile_fault
 
-__all__ = ["MonteCarloResult", "MonteCarloRunner", "TrialOutcomes",
-           "TrialSink", "fault_result_from_arrays", "lockstep_point_result",
-           "random_configuration", "random_configurations"]
+__all__ = ["MonteCarloPoint", "MonteCarloResult", "MonteCarloRunner",
+           "TrialOutcomes", "TrialSink", "check_point", "estimate_lockstep",
+           "estimate_scalar", "fault_result_from_arrays",
+           "lockstep_point_result", "random_configuration",
+           "random_configurations", "resolve_engine"]
 
 #: Accepted ``engine`` values.
 ENGINES = ("auto", "batch", "scalar")
@@ -270,10 +287,9 @@ def lockstep_point_result(
     """One point's :class:`MonteCarloResult` from its ``rows`` of a
     run's per-trial outcome vectors, emitting them to ``sink`` first.
 
-    The one reduction of every engine: :meth:`MonteCarloRunner
-    .estimate`'s scalar trial loop and batch path (one point, every row)
-    and the fused sweep engine (one row slice per point), so all report
-    identical results for identical vectors.  ``rounds`` — per-trial
+    The one reduction of every engine: the scalar trial loop (one point,
+    every row) and the lockstep engine (one row slice per point), so
+    all report identical results for identical vectors.  ``rounds`` — per-trial
     completed rounds, ``NaN`` for censored trials, counted only by the
     scalar loop — feeds ``round_stats`` and :attr:`TrialOutcomes.rounds`.
     """
@@ -327,49 +343,375 @@ def lockstep_point_result(
     )
 
 
-class MonteCarloRunner:
-    """Per-point Monte-Carlo executor for one system.
+class MonteCarloPoint(NamedTuple):
+    """One point of a Monte-Carlo run as the engines read it: everything
+    but the system and the random source.
 
-    :class:`repro.markov.sweep_engine.SweepRunner` is the front door for
-    stabilization-time sampling: it groups sweep points, fuses what it
-    can and hands every other point to :meth:`estimate` here (its
-    ``engine="batch"``/``"scalar"`` policies and the ``"auto"``
-    fallback).  Direct callers get the same engines for one point.
-
-    The lockstep engine's tables come from the process-wide cache
-    (:func:`~repro.core.encoding.tables_for`), compiled under
-    ``table_budget``, so guard and outcome statements execute once per
-    class neighborhood rather than once per simulated step.  The scalar
-    engine runs every step through the system itself.
-
-    ``engine`` sets the runner-wide default (overridable per call):
-
-    * ``"auto"`` — the vectorized lockstep engine whenever the sampler
-      has a batch strategy, rounds are not measured, and the
-      neighborhood tables fit ``table_budget``; scalar otherwise;
-    * ``"batch"`` — demand the lockstep engine (raising
-      :class:`MarkovError` or :class:`~repro.errors.ModelError` when
-      unsupported);
-    * ``"scalar"`` — force the loop-per-trial oracle path, which
-      consumes the same seeded random stream as the pre-batch-engine
-      code and is the distributional reference for the batch tier (the
-      ``engine="auto"`` selection rules are spelled out in
-      ``docs/architecture.md``).
+    ``fault`` is already compiled for the point's ``trials``
+    (:func:`~repro.stabilization.faults.compile_fault`); ``index`` and
+    ``label`` stamp the :class:`TrialOutcomes` sent to a sink.
     """
 
-    def __init__(
-        self,
-        system: System,
-        engine: str = "auto",
-        table_budget: int = DEFAULT_TABLE_BUDGET,
-    ) -> None:
-        if engine not in ENGINES:
+    sampler: SchedulerSampler
+    legitimate: Callable[[Configuration], bool]
+    trials: int
+    max_steps: int
+    initial_configurations: Sequence[Configuration] | None = None
+    batch_legitimate: BatchLegitimacy | None = None
+    fault: CompiledFault | None = None
+    index: int = 0
+    label: str | None = None
+
+
+# ----------------------------------------------------------------------
+# the point checks and the engine resolution
+# ----------------------------------------------------------------------
+def check_point(
+    system: System,
+    trials: int,
+    max_steps: int,
+    initial_configurations: Sequence[Configuration] | None,
+    fault: FaultPlan | None,
+    measure_rounds: bool = False,
+    where: str = "",
+) -> None:
+    """Reject a malformed point before any engine is chosen.
+
+    :meth:`MonteCarloRunner.estimate` and
+    :class:`~repro.markov.sweep_engine.SweepRunner` both run these
+    checks, so no engine accepts a point another refuses: explicit
+    initials must be configurations of ``system``
+    (:meth:`~repro.core.system.System.check_configuration`, whose
+    message every engine then raises).  ``where`` prefixes the
+    messages (a sweep names the point's position).
+    """
+    if trials < 1:
+        raise MarkovError(f"{where}need at least one trial")
+    if max_steps < 0:
+        raise MarkovError(f"{where}max_steps must be >= 0")
+    if initial_configurations is not None:
+        if not initial_configurations:
             raise MarkovError(
-                f"unknown engine {engine!r}; known: {ENGINES}"
+                f"{where}need at least one initial configuration"
             )
+        for configuration in initial_configurations:
+            system.check_configuration(configuration)
+    if fault is not None:
+        if not isinstance(fault, FaultPlan):
+            raise MarkovError(
+                f"{where}fault is {type(fault).__name__}, expected"
+                " FaultPlan"
+            )
+        if measure_rounds:
+            raise MarkovError(
+                "round counting is not supported with fault injection"
+            )
+
+
+def resolve_engine(
+    system: System,
+    samplers: Sequence[SchedulerSampler],
+    engine: str,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
+    measure_rounds: bool = False,
+) -> tuple[list[bool], BatchEngine | None]:
+    """Which of ``system``'s points run lockstep (one flag per sampler),
+    and the compiled engine they share (``None`` when none does).
+
+    * ``engine="scalar"`` sends every point to the scalar loop;
+    * ``"auto"`` runs a point lockstep when its sampler has a vectorized
+      strategy, rounds are not measured and the tables fit
+      ``table_budget``, and falls back to scalar otherwise;
+    * any other policy demands the lockstep engine for every point and
+      raises :class:`MarkovError` (or the budget's
+      :class:`~repro.errors.ModelError`) when one cannot take it.
+
+    Nothing caches a failed compilation: the budget check raises before
+    any entry is resolved, and the scalar loop that follows costs far
+    more.
+    """
+    scalar = [False] * len(samplers)
+    if engine == "scalar":
+        return scalar, None
+    require = engine != "auto"
+    if measure_rounds:
+        if require:
+            raise MarkovError(
+                "rounds are counted on the scalar cursor; the batch"
+                " engine does not count them — use engine='scalar'"
+            )
+        return scalar, None
+    vectorized = [
+        batch_strategy_for(sampler) is not None for sampler in samplers
+    ]
+    if require and not all(vectorized):
+        refused = samplers[vectorized.index(False)]
+        raise MarkovError(
+            f"sampler {type(refused).__name__} has no vectorized"
+            " strategy; use engine='scalar'"
+        )
+    if not any(vectorized):
+        return scalar, None
+    try:
+        compiled = BatchEngine(system, table_budget)
+    except ModelError:
+        if require:
+            raise
+        return scalar, None
+    return vectorized, compiled
+
+
+# ----------------------------------------------------------------------
+# the two engines
+# ----------------------------------------------------------------------
+def _strategy_signature(point: MonteCarloPoint) -> tuple:
+    """Dispatch key: points with equal signatures share one vectorized
+    ``choose`` call per lockstep step.  Only the four exact built-in
+    sampler types have a strategy (:func:`batch_strategy_for` looks up
+    the exact type, so a subclass has none and never runs lockstep);
+    each keys on its parameters."""
+    sampler_type = type(point.sampler)
+    if sampler_type is SynchronousSampler:
+        return ("synchronous",)
+    if sampler_type is CentralRandomizedSampler:
+        return ("central",)
+    if sampler_type is BernoulliSampler:
+        return ("coin", point.sampler._p)
+    # Vetted by resolve_engine: the last type with a strategy.
+    assert sampler_type is DistributedRandomizedSampler
+    return ("coin", 0.5)
+
+
+def _legitimacy_signature(point: MonteCarloPoint) -> tuple:
+    """Dispatch key for legitimacy: equal keys share one evaluation."""
+    batch = point.batch_legitimate
+    if isinstance(batch, EnabledCountLegitimacy):
+        return ("enabled-count", batch.count)
+    if batch is not None:
+        return ("batch", id(batch))
+    return ("predicate", id(point.legitimate))
+
+
+def _dispatch_groups(
+    points: Sequence[MonteCarloPoint],
+    signature: Callable[[MonteCarloPoint], tuple],
+    compile_one: Callable[[MonteCarloPoint], object],
+) -> list[tuple[object, np.ndarray]]:
+    """One ``(compiled form, member mask)`` pair per distinct
+    ``signature`` among ``points``, in first-seen order."""
+    members: dict[tuple, list[int]] = {}
+    for member, point in enumerate(points):
+        members.setdefault(signature(point), []).append(member)
+    groups = []
+    for rows in members.values():
+        mask = np.zeros(len(points), dtype=bool)
+        mask[rows] = True
+        groups.append((compile_one(points[rows[0]]), mask))
+    return groups
+
+
+def estimate_lockstep(
+    engine: BatchEngine,
+    points: Sequence[MonteCarloPoint],
+    sources: Sequence[RandomSource],
+    generator_source: RandomSource | None = None,
+    keep_samples: bool = True,
+    sink: TrialSink | None = None,
+) -> list[MonteCarloResult]:
+    """Advance ``points`` in one lockstep code matrix on ``engine``;
+    results align with ``points``.
+
+    A point without explicit initials draws them from its entry of
+    ``sources``, all at once, before any step.  The lockstep draws then
+    come from ``generator_source``'s NumPy generator, or from the first
+    point's source when it is ``None`` — so a one-point run consumes a
+    single stream: its initials, then its steps.  Every row carries its
+    point id and step budget, and points sharing a legitimacy or
+    sampler signature share one vectorized call per step
+    (:meth:`BatchEngine.lockstep
+    <repro.markov.batch.BatchEngine.lockstep>`).
+    """
+    encoding = engine.encoding
+    codes = np.concatenate(
+        [
+            encode_initials(
+                encoding, point.initial_configurations, point.trials
+            )
+            if point.initial_configurations is not None
+            else encoding.encode_batch(
+                random_configurations(engine.system, source, point.trials)
+            )
+            for point, source in zip(points, sources)
+        ],
+        axis=0,
+    )
+    counts = np.array([point.trials for point in points], dtype=np.int64)
+    budget = np.repeat(
+        np.array([point.max_steps for point in points], dtype=np.int64),
+        counts,
+    )
+    legit_groups = _dispatch_groups(
+        points,
+        _legitimacy_signature,
+        lambda point: compile_legitimacy(
+            point.batch_legitimate
+            if point.batch_legitimate is not None
+            else point.legitimate
+        ),
+    )
+    strategy_groups = _dispatch_groups(
+        points,
+        _strategy_signature,
+        lambda point: batch_strategy_for(point.sampler),
+    )
+    source = generator_source if generator_source is not None else sources[0]
+    faults = [point.fault for point in points]
+    outcome = engine.lockstep(
+        codes,
+        np.repeat(np.arange(len(points)), counts),
+        budget,
+        legit_groups,
+        strategy_groups,
+        source.numpy_generator(),
+        faults=faults if any(f is not None for f in faults) else None,
+    )
+    results = []
+    start = 0
+    for point, count in zip(points, counts.tolist()):
+        results.append(
+            lockstep_point_result(
+                outcome,
+                slice(start, start + count),
+                point.fault is not None,
+                keep_samples,
+                sink,
+                point.index,
+                point.label,
+            )
+        )
+        start += count
+    return results
+
+
+def estimate_scalar(
+    system: System,
+    point: MonteCarloPoint,
+    rng: RandomSource,
+    measure_rounds: bool = False,
+    keep_samples: bool = True,
+    sink: TrialSink | None = None,
+) -> MonteCarloResult:
+    """The loop-per-trial oracle: one :class:`Cursor` per trial.
+
+    Follows the fault timeline of :mod:`repro.stabilization.faults`
+    observation for observation, as :meth:`BatchEngine.lockstep
+    <repro.markov.batch.BatchEngine.lockstep>` does (trigger →
+    bookkeeping → retire converged → terminal → budget → step), so a
+    deterministic sampler with explicit initials produces bit-identical
+    per-trial outcome vectors.  Without a fault nothing is pending,
+    which is exactly :func:`~repro.core.simulate.run_until`'s semantics
+    and random stream: one lazy initial draw per trial, then one
+    ``sampler.choose`` and one ``Cursor.advance`` per step.
+
+    ``measure_rounds`` counts completed rounds as the loop steps —
+    :func:`repro.analysis.rounds.round_boundaries` restated on the
+    cursor: ``waiting`` starts as the processes enabled at the round's
+    start, loses every mover and every process the step disabled, and
+    when it empties a round completes and it restarts from the cursor's
+    enabled set.
+    """
+    sampler = point.sampler
+    legitimate = point.legitimate
+    trials = point.trials
+    initials = point.initial_configurations
+    fault = point.fault
+    outcome = BatchRunResult(trials)
+    rounds = np.full(trials, np.nan) if measure_rounds else None
+    at_convergence = fault is not None and fault.at_convergence
+    domains = _domain_table(system) if initials is None else None
+    for trial in range(trials):
+        if initials is not None:
+            initial = initials[trial % len(initials)]
+        else:
+            # Drawn lazily (one configuration per trial, interleaved
+            # with the run's own consumption of ``rng``) so seeded
+            # scalar runs reproduce pre-batch-engine results exactly.
+            initial = _draw_configuration(domains, rng)
+        cursor = Cursor(system, initial)
+        pending = fault is not None
+        waiting = set(cursor.enabled)
+        completed = legit_seen = excursion = peak = step = 0
+        while True:
+            legit = bool(legitimate(cursor.configuration))
+            if pending and (legit if at_convergence else step == fault.step):
+                cursor.reset(fault.corrupt(cursor.configuration, trial))
+                outcome.fault_times[trial] = step
+                pending = False
+                legit = bool(legitimate(cursor.configuration))
+            if legit:
+                legit_seen += 1
+                excursion = 0
+            else:
+                excursion += 1
+                peak = max(peak, excursion)
+            if legit and not pending:
+                outcome.converged[trial] = True
+                outcome.times[trial] = step
+                if rounds is not None:
+                    rounds[trial] = completed
+                break
+            enabled = cursor.enabled
+            # Illegitimate terminal: censored — unless a pending
+            # fixed-step fault may re-enable the system, in which case
+            # the trial idles in place (time still passes).
+            if not enabled and not (pending and not at_convergence):
+                outcome.hit_terminal[trial] = True
+                break
+            if step >= point.max_steps:
+                outcome.timed_out[trial] = True
+                break
+            if enabled:
+                subset = list(
+                    sampler.choose(system, cursor.configuration, enabled, rng)
+                )
+                _validate_subset(subset, enabled)
+                cursor.advance(subset, rng)
+                if rounds is not None:
+                    waiting.difference_update(subset)
+                    waiting.intersection_update(cursor.enabled)
+                    if not waiting:
+                        completed += 1
+                        waiting = set(cursor.enabled)
+            step += 1
+        outcome.observations[trial] = step + 1
+        outcome.legit_counts[trial] = legit_seen
+        outcome.max_runs[trial] = peak
+    return lockstep_point_result(
+        outcome,
+        slice(None),
+        fault is not None,
+        keep_samples,
+        sink,
+        point.index,
+        point.label,
+        rounds,
+    )
+
+
+class MonteCarloRunner:
+    """One-point Monte-Carlo estimates for one system.
+
+    :class:`repro.markov.sweep_engine.SweepRunner` is the front door for
+    stabilization-time sampling.  :meth:`estimate` runs one point
+    through the pieces it uses — :func:`check_point`,
+    :func:`resolve_engine`, then :func:`estimate_lockstep` or
+    :func:`estimate_scalar` — so ``estimate(..., rng=RandomSource(seed),
+    engine=e)`` is bit-identical to a one-point ``SweepRunner(engine=e)``
+    sweep for ``e`` in ``"batch"``/``"scalar"``.
+    """
+
+    def __init__(self, system: System) -> None:
         self.system = system
-        self.engine = engine
-        self.table_budget = table_budget
 
     def estimate(
         self,
@@ -380,13 +722,27 @@ class MonteCarloRunner:
         rng: RandomSource,
         initial_configurations: Sequence[Configuration] | None = None,
         measure_rounds: bool = False,
-        engine: str | None = None,
+        engine: str = "auto",
         batch_legitimate: BatchLegitimacy | None = None,
         fault: FaultPlan | None = None,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
         """Sample stabilization times over random starts/scheduler draws.
+
+        ``engine`` selects the execution engine:
+
+        * ``"auto"`` (default) — the vectorized lockstep engine whenever
+          the sampler has a batch strategy, rounds are not measured, and
+          the neighborhood tables fit the default table budget; scalar
+          otherwise;
+        * ``"batch"`` — demand the lockstep engine (raising
+          :class:`MarkovError` or :class:`~repro.errors.ModelError` when
+          unsupported);
+        * ``"scalar"`` — force the loop-per-trial oracle, the
+          distributional reference for the batch tier (the
+          ``engine="auto"`` selection rules are spelled out in
+          ``docs/architecture.md``).
 
         With ``measure_rounds=True`` each converged trial additionally
         reports its completed-round count (see
@@ -415,248 +771,39 @@ class MonteCarloRunner:
         streams: engine selection and trial execution are identical
         with or without them.
         """
-        if trials < 1:
-            raise MarkovError("need at least one trial")
-        if max_steps < 0:
-            raise MarkovError("max_steps must be >= 0")
-        if initial_configurations is not None:
-            if not initial_configurations:
-                raise MarkovError("need at least one initial configuration")
-            # Every engine rejects a foreign initial the same way.
-            for configuration in initial_configurations:
-                self.system.check_configuration(configuration)
-        engine = engine if engine is not None else self.engine
+        system = self.system
+        check_point(
+            system,
+            trials,
+            max_steps,
+            initial_configurations,
+            fault,
+            measure_rounds,
+        )
         if engine not in ENGINES:
             raise MarkovError(
                 f"unknown engine {engine!r}; known: {ENGINES}"
             )
-        compiled_fault: CompiledFault | None = None
-        if fault is not None:
-            if measure_rounds:
-                raise MarkovError(
-                    "round counting is not supported with fault injection"
-                )
-            compiled_fault = compile_fault(fault, self.system, trials)
-        batch_engine = self._batch_engine(engine, sampler, measure_rounds)
-        if batch_engine is not None:
-            return self._estimate_batch(
-                batch_engine,
-                sampler,
-                legitimate,
-                trials,
-                max_steps,
-                rng,
-                initial_configurations,
-                batch_legitimate,
-                compiled_fault,
-                keep_samples,
-                sink,
-            )
-        return self._estimate_scalar(
+        point = MonteCarloPoint(
             sampler,
             legitimate,
             trials,
             max_steps,
-            rng,
             initial_configurations,
-            compiled_fault,
-            measure_rounds,
-            keep_samples,
-            sink,
+            batch_legitimate,
+            None if fault is None else compile_fault(fault, system, trials),
         )
-
-    # ------------------------------------------------------------------
-    # engine selection
-    # ------------------------------------------------------------------
-    def _batch_engine(
-        self,
-        engine: str,
-        sampler: SchedulerSampler,
-        measure_rounds: bool,
-    ) -> BatchEngine | None:
-        """The lockstep engine for this estimate, or ``None`` for scalar.
-
-        ``engine="batch"`` raises instead of silently falling back;
-        ``engine="auto"`` degrades to scalar.  Nothing caches a failed
-        compilation: the table budget check raises before any entry is
-        resolved, and the scalar loop that follows costs far more.
-        """
-        if engine == "scalar":
-            return None
-        require = engine == "batch"
-        if measure_rounds:
-            if require:
-                raise MarkovError(
-                    "rounds are counted on the scalar cursor; the batch"
-                    " engine does not count them — use engine='scalar'"
-                )
-            return None
-        if batch_strategy_for(sampler) is None:
-            if require:
-                raise MarkovError(
-                    f"sampler {type(sampler).__name__} has no vectorized"
-                    " strategy; use engine='scalar'"
-                )
-            return None
-        try:
-            return BatchEngine(self.system, self.table_budget)
-        except ModelError:
-            if require:
-                raise
-            return None
-
-    # ------------------------------------------------------------------
-    # the two engines
-    # ------------------------------------------------------------------
-    def _estimate_batch(
-        self,
-        engine: BatchEngine,
-        sampler: SchedulerSampler,
-        legitimate: Callable[[Configuration], bool],
-        trials: int,
-        max_steps: int,
-        rng: RandomSource,
-        initial_configurations: Sequence[Configuration] | None,
-        batch_legitimate: BatchLegitimacy | None,
-        fault: CompiledFault | None = None,
-        keep_samples: bool = True,
-        sink: TrialSink | None = None,
-    ) -> MonteCarloResult:
-        if initial_configurations is not None:
-            codes = encode_initials(
-                engine.encoding, initial_configurations, trials
+        _, batch_engine = resolve_engine(
+            system, [sampler], engine, measure_rounds=measure_rounds
+        )
+        if batch_engine is None:
+            return estimate_scalar(
+                system, point, rng, measure_rounds, keep_samples, sink
             )
-        else:
-            codes = engine.encoding.encode_batch(
-                random_configurations(self.system, rng, trials)
-            )
-        legitimacy = compile_legitimacy(
-            batch_legitimate if batch_legitimate is not None else legitimate
+        (result,) = estimate_lockstep(
+            batch_engine, [point], [rng], None, keep_samples, sink
         )
-        strategy = batch_strategy_for(sampler)
-        assert strategy is not None  # _batch_engine vetted it
-        outcome = engine.run(
-            strategy,
-            legitimacy,
-            codes,
-            max_steps,
-            rng.numpy_generator(),
-            fault=fault,
-        )
-        return lockstep_point_result(
-            outcome, slice(None), fault is not None, keep_samples, sink
-        )
-
-    def _estimate_scalar(
-        self,
-        sampler: SchedulerSampler,
-        legitimate: Callable[[Configuration], bool],
-        trials: int,
-        max_steps: int,
-        rng: RandomSource,
-        initial_configurations: Sequence[Configuration] | None,
-        fault: CompiledFault | None,
-        measure_rounds: bool,
-        keep_samples: bool = True,
-        sink: TrialSink | None = None,
-    ) -> MonteCarloResult:
-        """The loop-per-trial oracle: one :class:`Cursor` per trial.
-
-        Follows the fault timeline of :mod:`repro.stabilization.faults`
-        observation for observation, as :meth:`BatchEngine.lockstep`
-        does (trigger → bookkeeping → retire converged → terminal →
-        budget → step), so a deterministic sampler with explicit initials
-        produces bit-identical per-trial outcome vectors.  Without a
-        fault nothing is pending, which is exactly
-        :func:`~repro.core.simulate.run_until`'s semantics and random
-        stream: one lazy initial draw per trial, then one
-        ``sampler.choose`` and one ``Cursor.advance`` per step.
-
-        ``measure_rounds`` counts completed rounds as the loop steps —
-        :func:`repro.analysis.rounds.round_boundaries` restated on the
-        cursor: ``waiting`` starts as the processes enabled at the
-        round's start, loses every mover and every process the step
-        disabled, and when it empties a round completes and it restarts
-        from the cursor's enabled set.
-        """
-        system = self.system
-        outcome = BatchRunResult(trials)
-        rounds = np.full(trials, np.nan) if measure_rounds else None
-        at_convergence = fault is not None and fault.at_convergence
-        domains = (
-            _domain_table(system) if initial_configurations is None else None
-        )
-        for trial in range(trials):
-            if initial_configurations is not None:
-                initial = initial_configurations[
-                    trial % len(initial_configurations)
-                ]
-            else:
-                # Drawn lazily (one configuration per trial, interleaved
-                # with the run's own consumption of ``rng``) so seeded
-                # scalar runs reproduce pre-batch-engine results exactly.
-                initial = _draw_configuration(domains, rng)
-            cursor = Cursor(system, initial)
-            pending = fault is not None
-            waiting = set(cursor.enabled)
-            completed = legit_seen = excursion = peak = step = 0
-            while True:
-                legit = bool(legitimate(cursor.configuration))
-                if pending and (
-                    legit if at_convergence else step == fault.step
-                ):
-                    cursor.reset(fault.corrupt(cursor.configuration, trial))
-                    outcome.fault_times[trial] = step
-                    pending = False
-                    legit = bool(legitimate(cursor.configuration))
-                if legit:
-                    legit_seen += 1
-                    excursion = 0
-                else:
-                    excursion += 1
-                    peak = max(peak, excursion)
-                if legit and not pending:
-                    outcome.converged[trial] = True
-                    outcome.times[trial] = step
-                    if rounds is not None:
-                        rounds[trial] = completed
-                    break
-                enabled = cursor.enabled
-                # Illegitimate terminal: censored — unless a pending
-                # fixed-step fault may re-enable the system, in which
-                # case the trial idles in place (time still passes).
-                if not enabled and not (pending and not at_convergence):
-                    outcome.hit_terminal[trial] = True
-                    break
-                if step >= max_steps:
-                    outcome.timed_out[trial] = True
-                    break
-                if enabled:
-                    subset = list(
-                        sampler.choose(
-                            system, cursor.configuration, enabled, rng
-                        )
-                    )
-                    _validate_subset(subset, enabled)
-                    cursor.advance(subset, rng)
-                    if rounds is not None:
-                        waiting.difference_update(subset)
-                        waiting.intersection_update(cursor.enabled)
-                        if not waiting:
-                            completed += 1
-                            waiting = set(cursor.enabled)
-                step += 1
-            outcome.observations[trial] = step + 1
-            outcome.legit_counts[trial] = legit_seen
-            outcome.max_runs[trial] = peak
-        return lockstep_point_result(
-            outcome,
-            slice(None),
-            fault is not None,
-            keep_samples,
-            sink,
-            rounds=rounds,
-        )
+        return result
 
     def batch(self, cases: Sequence[dict]) -> list[MonteCarloResult]:
         """One :meth:`estimate` per case (its keyword arguments), in

@@ -28,13 +28,18 @@ into shared code matrices:
   :func:`repro.core.encoding.tables_for`, never compiled per point);
 * a point that cannot take the fused path (no vectorized sampler
   strategy, neighborhood tables over the compilation budget) falls back
-  to the **per-point scalar oracle**
-  (:class:`~repro.markov.montecarlo.MonteCarloRunner`) under
-  ``engine="auto"`` — and
-  ``engine="scalar"`` forces that oracle for every point, which is the
-  seeded distributional reference the conformance tier
-  (``tests/test_engine_conformance.py``) checks the fused engine
-  against.
+  to the **scalar trial loop**
+  (:func:`~repro.markov.montecarlo.estimate_scalar`) under
+  ``engine="auto"`` — and ``engine="scalar"`` forces that oracle for
+  every point, which is the seeded distributional reference the
+  conformance tier (``tests/test_engine_conformance.py``) checks the
+  fused engine against; ``engine="batch"`` runs every point as a
+  one-point lockstep block on its block's compiled engine.
+
+The point checks, the engine resolution and both engines live in
+:mod:`repro.markov.montecarlo`, where
+:meth:`~repro.markov.montecarlo.MonteCarloRunner.estimate` calls the
+same functions for one point.
 
 Each sweep point carries its own integer ``seed``.  The fused engine
 draws a point's initial configurations from ``RandomSource(seed)`` all
@@ -51,36 +56,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.core.configuration import Configuration
-from repro.core.encoding import DEFAULT_TABLE_BUDGET
+from repro.core.encoding import DEFAULT_TABLE_BUDGET, StateEncoding
 from repro.core.simulate import SchedulerSampler
 from repro.core.system import System
-from repro.errors import MarkovError, ModelError
-from repro.markov.batch import (
-    BatchEngine,
-    BatchLegitimacy,
-    EnabledCountLegitimacy,
-    batch_strategy_for,
-    compile_legitimacy,
-    encode_initials,
-)
+from repro.errors import MarkovError
+from repro.markov.batch import BatchEngine, BatchLegitimacy
 from repro.markov.montecarlo import (
+    MonteCarloPoint,
     MonteCarloResult,
-    MonteCarloRunner,
-    TrialOutcomes,
     TrialSink,
-    lockstep_point_result,
-    random_configurations,
+    check_point,
+    estimate_lockstep,
+    estimate_scalar,
+    resolve_engine,
 )
 from repro.random_source import RandomSource
-from repro.schedulers.samplers import (
-    BernoulliSampler,
-    CentralRandomizedSampler,
-    DistributedRandomizedSampler,
-    SynchronousSampler,
-)
 from repro.stabilization.faults import FaultPlan, compile_fault
 from repro.store.columnar import system_cache_key
 
@@ -96,13 +87,14 @@ __all__ = [
 #: corresponding per-point engine, ``"auto"`` fuses what it can.
 SWEEP_ENGINES = ("auto", "fused", "batch", "scalar")
 
+
 @dataclass(frozen=True)
 class SweepPointSpec:
     """One sweep point: a complete, self-seeded estimate request.
 
     The fusable subset of :meth:`MonteCarloRunner.estimate`'s signature
-    (round measurement keeps the scalar engine and therefore the
-    per-point path).  ``seed`` replaces the live
+    (round measurement keeps the scalar engine and is not offered
+    here).  ``seed`` replaces the live
     :class:`~repro.random_source.RandomSource` argument so a spec is a
     pure value: the scalar oracle for this point is
     ``estimate(..., rng=RandomSource(seed), engine="scalar")``.
@@ -134,34 +126,6 @@ class PointExecution:
     group: tuple[str, str]
     engine: str
     fused_rows: int = 0
-
-
-def _strategy_signature(sampler: SchedulerSampler) -> tuple:
-    """Dispatch key: points with equal signatures share one vectorized
-    ``choose`` call per fused step.  Only the four exact built-in
-    sampler types have a strategy (:func:`batch_strategy_for` looks up
-    the exact type, so a subclass has none and never fuses); each keys
-    on its parameters."""
-    sampler_type = type(sampler)
-    if sampler_type is SynchronousSampler:
-        return ("synchronous",)
-    if sampler_type is CentralRandomizedSampler:
-        return ("central",)
-    if sampler_type is BernoulliSampler:
-        return ("coin", sampler._p)
-    # Vetted by _resolve_block: the last type with a strategy.
-    assert sampler_type is DistributedRandomizedSampler
-    return ("coin", 0.5)
-
-
-def _legitimacy_signature(spec: SweepPointSpec) -> tuple:
-    """Dispatch key for legitimacy: equal keys share one evaluation."""
-    batch = spec.batch_legitimate
-    if isinstance(batch, EnabledCountLegitimacy):
-        return ("enabled-count", batch.count)
-    if batch is not None:
-        return ("batch", id(batch))
-    return ("predicate", id(spec.legitimate))
 
 
 def _fold_seeds(seeds: Sequence[int]) -> int:
@@ -243,8 +207,8 @@ class SweepRunner:
         ``sink`` receives one
         :class:`~repro.markov.montecarlo.TrialOutcomes` per point (its
         ``point`` field is the point's input index, ``label`` the spec's
-        label), emitted as soon as that point's execution block — a
-        per-point fallback run or the fused matrix it belonged to —
+        label), emitted as soon as that point's execution block — its
+        own per-point run or the fused matrix it belonged to —
         completes.  ``keep_samples=False`` drops the per-trial tuples
         from the returned results; neither knob perturbs execution
         plans or random streams.
@@ -281,22 +245,34 @@ class SweepRunner:
             fused: list[tuple[int, SweepPointSpec]] = []
             for index, engine in zip(indices, engines):
                 spec = points[index]
-                if engine == "fused":
-                    fused.append((index, spec))
-                else:
-                    results[index] = self._run_point(
-                        spec, engine, index, sink, keep_samples
-                    )
                 plan[index] = PointExecution(
                     index=index,
                     label=spec.label,
                     group=group_key,
                     engine=engine,
                 )
+                if engine == "fused":
+                    fused.append((index, spec))
+                elif engine == "batch":
+                    member = [(index, spec)]
+                    results.update(
+                        self._run_lockstep(
+                            compiled, member, False, sink, keep_samples
+                        )
+                    )
+                else:
+                    results[index] = estimate_scalar(
+                        spec.system,
+                        self._point(index, spec, spec.system),
+                        RandomSource(spec.seed),
+                        keep_samples=keep_samples,
+                        sink=sink,
+                    )
             if fused:
-                assert compiled is not None
                 results.update(
-                    self._run_fused(compiled, fused, sink, keep_samples)
+                    self._run_lockstep(
+                        compiled, fused, True, sink, keep_samples
+                    )
                 )
                 rows = sum(spec.trials for _, spec in fused)
                 for index, _ in fused:
@@ -318,29 +294,14 @@ class SweepRunner:
                     f"sweep point {position} is {type(spec).__name__},"
                     " expected SweepPointSpec"
                 )
-            if spec.trials < 1:
-                raise MarkovError(
-                    f"sweep point {position}: need at least one trial"
-                )
-            if spec.max_steps < 0:
-                raise MarkovError(
-                    f"sweep point {position}: max_steps must be >= 0"
-                )
-            if (
-                spec.initial_configurations is not None
-                and not spec.initial_configurations
-            ):
-                raise MarkovError(
-                    f"sweep point {position}: need at least one initial"
-                    " configuration"
-                )
-            if spec.fault is not None and not isinstance(
-                spec.fault, FaultPlan
-            ):
-                raise MarkovError(
-                    f"sweep point {position}: fault is"
-                    f" {type(spec.fault).__name__}, expected FaultPlan"
-                )
+            check_point(
+                spec.system,
+                spec.trials,
+                spec.max_steps,
+                spec.initial_configurations,
+                spec.fault,
+                where=f"sweep point {position}: ",
+            )
             for earlier in seen:
                 if earlier is spec or earlier == spec:
                     raise MarkovError(
@@ -357,181 +318,70 @@ class SweepRunner:
         block's compiled lockstep engine (``None`` when no point needs
         one).  Raises when the policy demands an engine a point cannot
         take."""
-        if self.engine == "scalar":
-            return ["scalar"] * len(specs), None
-        require = self.engine != "auto"
-        vectorized = [
-            batch_strategy_for(spec.sampler) is not None for spec in specs
-        ]
-        if require and not all(vectorized):
-            refused = specs[vectorized.index(False)].sampler
-            raise MarkovError(
-                f"sampler {type(refused).__name__} has no vectorized"
-                " strategy; use engine='scalar'"
-            )
-        if not any(vectorized):
-            return ["scalar"] * len(specs), None
-        try:
-            compiled = BatchEngine(specs[0].system, self.table_budget)
-        except ModelError:
-            if require:
-                raise
-            return ["scalar"] * len(specs), None
-        lockstep = "batch" if self.engine == "batch" else "fused"
-        return [lockstep if ok else "scalar" for ok in vectorized], compiled
+        lockstep, compiled = resolve_engine(
+            specs[0].system,
+            [spec.sampler for spec in specs],
+            self.engine,
+            self.table_budget,
+        )
+        label = "batch" if self.engine == "batch" else "fused"
+        return [label if ok else "scalar" for ok in lockstep], compiled
 
-    def _run_point(
-        self,
-        spec: SweepPointSpec,
-        engine: str,
-        index: int = 0,
-        sink: TrialSink | None = None,
-        keep_samples: bool = True,
-    ) -> MonteCarloResult:
-        """One point through a per-point engine (``"batch"`` or
-        ``"scalar"``); the batch engine compiles under this runner's
-        ``table_budget``."""
-        runner = MonteCarloRunner(spec.system, table_budget=self.table_budget)
-        point_sink: TrialSink | None = None
-        if sink is not None:
-            # The per-point engines emit point=0/label=None; restamp
-            # with this point's sweep coordinates before forwarding.
-            def point_sink(outcome: TrialOutcomes) -> None:
-                sink(
-                    replace(outcome, point=index, label=spec.label)
-                )
-
-        return runner.estimate(
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _point(
+        index: int, spec: SweepPointSpec, space: System | StateEncoding
+    ) -> MonteCarloPoint:
+        """``spec`` as the engines read it, its fault compiled against
+        ``space`` (the system, or the lockstep engine's encoding)."""
+        return MonteCarloPoint(
             spec.sampler,
             spec.legitimate,
-            trials=spec.trials,
-            max_steps=spec.max_steps,
-            rng=RandomSource(spec.seed),
-            initial_configurations=spec.initial_configurations,
-            engine=engine,
-            batch_legitimate=spec.batch_legitimate,
-            fault=spec.fault,
-            keep_samples=keep_samples,
-            sink=point_sink,
+            spec.trials,
+            spec.max_steps,
+            spec.initial_configurations,
+            spec.batch_legitimate,
+            None
+            if spec.fault is None
+            else compile_fault(spec.fault, space, spec.trials),
+            index,
+            spec.label,
         )
 
-    # ------------------------------------------------------------------
-    # the fused engine
-    # ------------------------------------------------------------------
-    def _run_fused(
+    def _run_lockstep(
         self,
         engine: BatchEngine,
         members: Sequence[tuple[int, SweepPointSpec]],
-        sink: TrialSink | None = None,
-        keep_samples: bool = True,
+        fused: bool,
+        sink: TrialSink | None,
+        keep_samples: bool,
     ) -> dict[int, MonteCarloResult]:
-        """Advance all member points in one lockstep code matrix.
+        """Advance ``members`` in one lockstep code matrix on the block's
+        ``engine``; results keyed by input index.
 
-        Stacks the members' initial codes with per-row point ids and
-        budgets, groups them by legitimacy and sampler signature, and
-        hands everything to :meth:`BatchEngine.lockstep` — the same loop
-        a one-point :meth:`BatchEngine.run` takes.  Returns the
-        per-point results keyed by input index.
+        Each member draws its initials from ``RandomSource(seed)``.  A
+        fused block then draws its steps from one generator folded over
+        the member seeds; a per-point ``"batch"`` run (one member) from
+        its own seed's source, after its initials — the stream
+        :meth:`MonteCarloRunner.estimate
+        <repro.markov.montecarlo.MonteCarloRunner.estimate>` consumes.
         """
-        encoding = engine.encoding
-        system = engine.system
         specs = [spec for _, spec in members]
-        counts = np.array([spec.trials for spec in specs], dtype=np.int64)
-
-        blocks = []
-        for spec in specs:
-            if spec.initial_configurations is not None:
-                blocks.append(
-                    encode_initials(
-                        encoding, spec.initial_configurations, spec.trials
-                    )
-                )
-            else:
-                blocks.append(
-                    encoding.encode_batch(
-                        random_configurations(
-                            system, RandomSource(spec.seed), spec.trials
-                        )
-                    )
-                )
-        codes = np.concatenate(blocks, axis=0)
-        point = np.repeat(np.arange(len(specs)), counts)
-        budget = np.repeat(
-            np.array([spec.max_steps for spec in specs], dtype=np.int64),
-            counts,
+        results = estimate_lockstep(
+            engine,
+            [
+                self._point(index, spec, engine.encoding)
+                for index, spec in members
+            ],
+            [RandomSource(spec.seed) for spec in specs],
+            RandomSource(_fold_seeds([spec.seed for spec in specs]))
+            if fused
+            else None,
+            keep_samples,
+            sink,
         )
-
-        # Dispatch groups: member mask per distinct legitimacy/strategy
-        # signature — one vectorized call per signature per step.
-        legit_groups: list[tuple[BatchLegitimacy, np.ndarray]] = []
-        signature_rows: dict[tuple, list[int]] = {}
-        for member, spec in enumerate(specs):
-            signature_rows.setdefault(
-                _legitimacy_signature(spec), []
-            ).append(member)
-        for signature, group_members in signature_rows.items():
-            spec = specs[group_members[0]]
-            legitimacy = compile_legitimacy(
-                spec.batch_legitimate
-                if spec.batch_legitimate is not None
-                else spec.legitimate
-            )
-            mask = np.zeros(len(specs), dtype=bool)
-            mask[group_members] = True
-            legit_groups.append((legitimacy, mask))
-
-        strategy_groups = []
-        signature_rows = {}
-        for member, spec in enumerate(specs):
-            signature_rows.setdefault(
-                _strategy_signature(spec.sampler), []
-            ).append(member)
-        for signature, group_members in signature_rows.items():
-            strategy = batch_strategy_for(specs[group_members[0]].sampler)
-            assert strategy is not None  # vetted by _resolve_block
-            mask = np.zeros(len(specs), dtype=bool)
-            mask[group_members] = True
-            strategy_groups.append((strategy, mask))
-
-        generator = RandomSource(
-            _fold_seeds([spec.seed for spec in specs])
-        ).numpy_generator()
-
-        # Per-point fault plans, compiled against the shared encoding.
-        faults = [
-            compile_fault(spec.fault, encoding, spec.trials)
-            if spec.fault is not None
-            else None
-            for spec in specs
-        ]
-        outcome = engine.lockstep(
-            codes,
-            point,
-            budget,
-            legit_groups,
-            strategy_groups,
-            generator,
-            faults=(
-                faults
-                if any(fault is not None for fault in faults)
-                else None
-            ),
-        )
-
-        results: dict[int, MonteCarloResult] = {}
-        start = 0
-        for (index, spec), count, fault in zip(
-            members, counts.tolist(), faults
-        ):
-            rows = slice(start, start + count)
-            start += count
-            results[index] = lockstep_point_result(
-                outcome,
-                rows,
-                fault is not None,
-                keep_samples,
-                sink,
-                index,
-                spec.label,
-            )
-        return results
+        return {
+            index: result for (index, _), result in zip(members, results)
+        }

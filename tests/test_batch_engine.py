@@ -9,6 +9,7 @@ two-sample Kolmogorov–Smirnov bound, plus matching structural outcomes
 """
 
 import copy
+import re
 from functools import partial
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.markov.montecarlo import (
     random_configuration,
     random_configurations,
 )
+from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
 from repro.random_source import RandomSource
 from repro.schedulers.samplers import (
     BernoulliSampler,
@@ -279,12 +281,13 @@ def test_batch_mean_matches_exact_lumped_chain(n):
     )
     system = make_transformed_system(base)
     spec = TransformedSpec(TokenCirculationSpec(), base)
-    result = MonteCarloRunner(system, engine="batch").estimate(
+    result = MonteCarloRunner(system).estimate(
         SynchronousSampler(),
         lambda c: spec.legitimate(system, c),
         trials=2000,
         max_steps=100_000,
         rng=RandomSource(2030),
+        engine="batch",
         batch_legitimate=EnabledCountLegitimacy(1),
     )
     assert result.censored == 0
@@ -342,8 +345,8 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         system = make_token_ring_system(4)
-        with pytest.raises(MarkovError):
-            MonteCarloRunner(system, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            MonteCarloRunner(system, engine="batch")  # per call only
         with pytest.raises(MarkovError):
             MonteCarloRunner(system).estimate(
                 CentralRandomizedSampler(),
@@ -472,7 +475,7 @@ class TestBatchStructuralEquivalence:
         """Two ``engine="batch"`` estimates compile the tables once."""
         system = make_token_ring_system(5)
         spec = TokenCirculationSpec()
-        runner = MonteCarloRunner(system, engine="batch")
+        runner = MonteCarloRunner(system)
         TABLE_CACHE.clear()
         for seed in (1, 2):
             result = runner.estimate(
@@ -481,6 +484,7 @@ class TestBatchStructuralEquivalence:
                 trials=5,
                 max_steps=5_000,
                 rng=RandomSource(seed),
+                engine="batch",
                 batch_legitimate=EnabledCountLegitimacy(1),
             )
             assert result.converged == 5
@@ -532,9 +536,12 @@ def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
     ]
     outcomes = []
     for system, cases in groups:
-        runner = MonteCarloRunner(system, engine="scalar")
+        runner = MonteCarloRunner(system)
         batched = runner.batch(
-            [dict(case, rng=RandomSource(case["rng"].seed)) for case in cases]
+            [
+                dict(case, rng=RandomSource(case["rng"].seed), engine="scalar")
+                for case in cases
+            ]
         )
         separate = [
             MonteCarloRunner(system).estimate(engine="scalar", **case)
@@ -555,16 +562,23 @@ def test_montecarlo_runner_batch_scalar_matches_separate_estimates():
 _FOREIGN_INITIALS = [
     pytest.param(((17,),) * 4, id="out-of-domain"),
     pytest.param(((0,),) * 3, id="too-short"),
+    pytest.param(((0, 0),) + ((0,),) * 3, id="too-many-variables"),
+    pytest.param(((True,),) + ((0,),) * 3, id="bool-for-int"),
 ]
 
 
 @pytest.mark.parametrize("initial", _FOREIGN_INITIALS)
-@pytest.mark.parametrize("path_name", ["scalar", "batch", "run_until"])
+@pytest.mark.parametrize(
+    "path_name", ["scalar", "batch", "fused", "run_until"]
+)
 def test_foreign_initials_rejected_by_every_path(path_name, initial):
     """Each engine checks explicit initials against the system once,
-    before anything runs, and rejects them the same way."""
+    before anything runs, and rejects them the same way: with the
+    message of ``System.check_configuration``."""
     system = make_token_ring_system(4)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError) as expected:
+        system.check_configuration(initial)
+    with pytest.raises(ModelError, match=re.escape(str(expected.value))):
         if path_name == "run_until":
             run_until(
                 system,
@@ -573,6 +587,20 @@ def test_foreign_initials_rejected_by_every_path(path_name, initial):
                 stop=system.is_terminal,
                 max_steps=5,
                 rng=RandomSource(0),
+            )
+        elif path_name == "fused":
+            SweepRunner(engine="fused").run(
+                [
+                    SweepPointSpec(
+                        system=system,
+                        sampler=CentralRandomizedSampler(),
+                        legitimate=system.is_terminal,
+                        trials=3,
+                        max_steps=5,
+                        seed=0,
+                        initial_configurations=(initial,),
+                    )
+                ]
             )
         else:
             MonteCarloRunner(system).estimate(

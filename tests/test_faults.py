@@ -264,13 +264,14 @@ def test_recovery_times_are_total_minus_fault_step():
 @pytest.mark.parametrize("engine", ["scalar", "batch"])
 def test_timeout_rate_counts_budget_exhaustion(engine):
     system = make_token_ring_system(6)
-    runner = MonteCarloRunner(system, engine=engine)
+    runner = MonteCarloRunner(system)
     result = runner.estimate(
         sampler=CentralRandomizedSampler(),
         legitimate=_token_predicate(system),
         trials=50,
         max_steps=1,
         rng=RandomSource(10),
+        engine=engine,
         batch_legitimate=TOKEN_LEGITIMACY,
     )
     assert result.timed_out == result.censored == 50 - result.converged

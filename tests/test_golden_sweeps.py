@@ -7,8 +7,11 @@ lockstep draws from the fold-seeded NumPy generator.  The
 ``*_small_scalar`` entries run every Monte-Carlo point through the
 scalar oracle (``MonteCarloRunner`` ``engine="scalar"``: one seeded
 ``RandomSource`` stream per point, consumed by the per-trial cursor
-loop), Q1/Q3 fault-free and FT1 with its six fault plans.  Both engines
-are fully deterministic for a fixed seed, so any change to grouping,
+loop), Q1/Q3 fault-free and FT1 with its six fault plans.  The
+``*_small_batch`` entries run the same parameters through the per-point
+lockstep engine (``engine="batch"``: initials from ``RandomSource(seed)``,
+then lockstep draws from that same source's NumPy generator).  Every
+engine is fully deterministic for a fixed seed, so any change to grouping,
 seeding, retirement order, the trial loop's random-stream consumption,
 or dispatch logic — or to the exact tiers feeding the same tables —
 shows up as a golden diff instead of a silent distribution shift.
@@ -58,6 +61,16 @@ GOLDEN_SWEEPS = {
     "q3_small_scalar": lambda: run_q3(trials=40, engine="scalar"),
     "ft1_small_scalar": lambda: run_ft1(
         ring_size=6, trials=60, engine="scalar"
+    ),
+    "q1_small_batch": lambda: run_q1(
+        exact_sizes=(3, 4),
+        monte_carlo_sizes=(8,),
+        trials=60,
+        engine="batch",
+    ),
+    "q3_small_batch": lambda: run_q3(trials=40, engine="batch"),
+    "ft1_small_batch": lambda: run_ft1(
+        ring_size=6, trials=60, engine="batch"
     ),
 }
 

@@ -568,3 +568,30 @@ class TestSignatureKeyedCache:
         assert [r.samples for r in results] == [
             r.samples for r in oracle
         ]
+
+    def test_per_point_batch_compiles_once_without_content_key(
+        self, compile_calls
+    ):
+        """A system without a content key misses the table cache every
+        time, so only the block's own compilation may happen: each
+        ``engine="batch"`` point runs on the engine that resolved its
+        block."""
+        from test_class_tables import _echo_system
+
+        system = _echo_system([[0], [0]])  # list constants: no key
+        points = [
+            SweepPointSpec(
+                system=system,
+                sampler=CentralRandomizedSampler(),
+                legitimate=lambda c: c[0] == (0,),
+                trials=5,
+                max_steps=10,
+                seed=seed,
+            )
+            for seed in (1, 2, 3)
+        ]
+        runner = SweepRunner(engine="batch")
+        results = runner.run(points)
+        assert len(compile_calls) == 1
+        assert [e.engine for e in runner.last_plan] == ["batch"] * 3
+        assert [r.trials for r in results] == [5, 5, 5]
