@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.actions import Action, Outcome
+from repro.core.actions import Action
 from repro.core.algorithm import Algorithm
 from repro.core.configuration import (
     Configuration,

@@ -10,7 +10,7 @@ represented and checked for fairness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.configuration import Configuration
 from repro.core.system import Move

@@ -10,7 +10,7 @@ want.  ``EXPERIMENTS.md`` is generated from these results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.analysis.tables import format_table
 from repro.errors import ExperimentError

@@ -26,7 +26,7 @@ from repro.algorithms.herman_ring import (
     make_herman_system,
 )
 from repro.algorithms.israeli_jalfon import ij_expected_merge_time
-from repro.algorithms.number_theory import memory_bits, smallest_non_divisor
+from repro.algorithms.number_theory import memory_bits
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,

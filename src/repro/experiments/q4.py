@@ -38,11 +38,9 @@ from repro.algorithms.token_ring import (
 )
 from repro.experiments.base import ExperimentResult
 from repro.graphs.generators import complete, path, ring
-from repro.markov.builder import build_chain
 from repro.markov.lumping import lumped_synchronous_transformed_chain
 from repro.schedulers.distributions import SynchronousDistribution
 from repro.stabilization.probabilistic import classify_probabilistic
-from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 
 EXPERIMENT_ID = "Q4"
 

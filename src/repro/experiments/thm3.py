@@ -47,10 +47,6 @@ EXPERIMENT_ID = "THM3"
 _SYMMETRIC_PORTS = ((1,), (0, 2), (3, 1), (2,))
 
 
-def _pointer_predicate(name: str) -> bool:
-    return name == "Par"
-
-
 def run_thm3() -> ExperimentResult:
     """Run the symmetry argument on both Section 3.2 algorithms."""
     graph = figure3_chain()
@@ -70,7 +66,7 @@ def run_thm3() -> ExperimentResult:
             CenterLeaderSpec(),
         ),
     ):
-        check = check_symmetry(system, sigma, _pointer_predicate)
+        check = check_symmetry(system, sigma)
         equivariant = bool(check.equivariant.all())
         count = len(check.symmetric)
         violations = check.violations

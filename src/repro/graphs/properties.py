@@ -9,7 +9,6 @@ two neighboring centers).
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -200,8 +199,3 @@ def tree_center_split(graph: Graph) -> tuple[list[int], bool]:
     raise GraphError(
         f"Property 1 violated: centers {cs} on a supposed tree"
     )  # pragma: no cover - unreachable on real trees
-
-
-def path_length(path: Sequence[int]) -> int:
-    """Length (edge count) of a node sequence."""
-    return max(len(path) - 1, 0)

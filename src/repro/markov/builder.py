@@ -69,7 +69,7 @@ from repro.core.configuration import Configuration
 from repro.core.encoding import expansion_context, ranks_fit_int64, tables_for
 from repro.core.system import System, compose_weighted_targets
 from repro.errors import MarkovError, ModelError
-from repro.markov.chain import MarkovChain, concat_ranges
+from repro.markov.chain import MarkovChain
 from repro.schedulers.distributions import (
     BernoulliDistribution,
     CentralRandomizedDistribution,

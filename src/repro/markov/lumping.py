@@ -15,9 +15,6 @@ and is cross-validated against the full transformed chain in the tests.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.core.configuration import Configuration
 from repro.core.system import System
 from repro.markov.builder import build_chain
 from repro.markov.chain import MarkovChain
@@ -28,10 +25,7 @@ __all__ = ["lumped_synchronous_transformed_chain"]
 
 def lumped_synchronous_transformed_chain(
     base_system: System,
-    initial: Iterable[Configuration] | None = None,
-    max_states: int = 500_000,
     win_probability: float = 0.5,
-    engine: str = "auto",
 ) -> MarkovChain:
     """Chain of the *transformed* system under the synchronous scheduler,
     expressed on the *base* system's configuration space.
@@ -42,17 +36,12 @@ def lumped_synchronous_transformed_chain(
     :func:`repro.markov.builder.build_chain` +
     :class:`repro.schedulers.distributions.SynchronousDistribution`.
     ``win_probability`` matches the transformer's coin bias (½ in the
-    paper).  ``engine`` forwards to :func:`repro.markov.builder.build_chain`
-    (the Bernoulli daemon takes the compiled builder's array layer over
-    the compiled tables).
+    paper).  The chain covers the whole base configuration space and is
+    built by :func:`repro.markov.builder.build_chain` (the Bernoulli
+    daemon takes the compiled builder's array layer over the compiled
+    tables).
     """
     daemon = BernoulliDistribution(
         probability=win_probability, include_empty=True
     )
-    return build_chain(
-        base_system,
-        daemon,
-        initial=initial,
-        max_states=max_states,
-        engine=engine,
-    )
+    return build_chain(base_system, daemon)

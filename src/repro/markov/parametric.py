@@ -43,13 +43,14 @@ over rebuilding the chain per point on a 64-point bias grid.
 
 That per-target structure solves the chain's **rotation quotient**.
 An anonymous ring's step commutes with rotating the ring (the symmetry
-argument of the paper's Theorem 3), so when rotation by one process is
-an automorphism of the symbolic chain and the target is invariant, the
-chain lumps exactly onto its rotation orbits: a Herman ring of 9 has
-512 states but 60 orbits.  Sweeps then evaluate only the orbit
-representatives' edges and factor the orbit chain; a chain without
-the symmetry is its own quotient, one state per orbit
-(:class:`_HittingStructure` records which, and why).
+argument of the paper's Theorem 3, which the same
+:class:`~repro.stabilization.symmetry.Automorphism` decides on the
+compiled tables), so when the rotation also permutes the state set and
+the target is invariant, the chain lumps exactly onto its rotation
+orbits: a Herman ring of 9 has 512 states but 60 orbits.  Sweeps then
+evaluate only the orbit representatives' edges and factor the orbit
+chain; a chain without the symmetry is its own quotient, one state per
+orbit (:class:`_HittingStructure` records which, and why).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import expansion_context
 from repro.core.parametric import CoinParameter
 from repro.core.system import System
 from repro.errors import MarkovError, ModelError
@@ -80,6 +80,7 @@ from repro.markov.hitting import (
     backward_closure,
 )
 from repro.schedulers.distributions import SchedulerDistribution
+from repro.stabilization.symmetry import Automorphism
 
 __all__ = ["ParametricChain", "build_parametric_chain"]
 
@@ -454,79 +455,37 @@ class ParametricChain:
         """Orbit representatives under rotation by one process, or why not.
 
         Rotation σ moves process ``i``'s local state to process
-        ``i + 1`` (mod N): one column roll of the code matrix, and a
-        permutation of the states when the state set maps onto itself.
-        It is used only when it is an automorphism of the *symbolic*
-        chain: the wire edges ``(source, target, weight / divisor,
-        sorted atom forms)`` and their images ``(σ source, σ target,
-        ...)`` are the same multiset.  An atom's form is its
-        construction value and affine ``(constant, coefficients)`` row,
-        not its table slot, so a ring whose port numbering splits it
-        into several process classes keeps its symmetry.  Equal forms
-        evaluate to equal floats at every point, so σ then preserves
-        every transition probability at every assignment.
+        ``i + 1`` (mod N).  It is used only when it is an
+        :class:`~repro.stabilization.symmetry.Automorphism` whose
+        :meth:`~repro.stabilization.symmetry.Automorphism.equivariant`
+        holds — decided on the compiled tables before any wire edge is
+        read: every neighborhood and its image enable the same number of
+        actions, with equal outcome forms (construction value and affine
+        ``(constant, coefficients)`` row, not table slot, so a ring whose
+        port numbering splits it into several process classes keeps its
+        symmetry).  Equal forms evaluate to equal floats at every point
+        and the built-in schedulers weigh enabled processes
+        exchangeably, so σ then preserves every transition probability
+        at every assignment — provided it also permutes the state set.
 
         Returns ``(representative, None)`` — per state, the minimum-rank
         state of its orbit — or ``(None, reason)`` with reason
-        ``"state set not closed"`` or ``"not equivariant"``.  Computed
-        once per chain.
+        ``"not equivariant"`` (also when rotation is no graph
+        automorphism) or ``"state set not closed"``.  Computed once per
+        chain.
         """
-        expansion = expansion_context(self._tables)
-        codes = self._codes.astype(np.int64)
-        rotated = np.roll(codes, 1, axis=1)
-        if (rotated >= np.asarray(expansion.sizes)).any():
-            return None, "state set not closed"
-        ranks = codes @ expansion.weights_row
-        order = np.argsort(ranks)
-        rotated_ranks = rotated @ expansion.weights_row
-        slot = np.minimum(
-            np.searchsorted(ranks[order], rotated_ranks), ranks.shape[0] - 1
-        )
-        if not np.array_equal(ranks[order][slot], rotated_ranks):
-            return None, "state set not closed"
-        sigma = order[slot]
-
-        tables = self._tables
-        form_columns = [tables.outcome_prob.reshape(-1, 1)]
-        if tables.param_names:
-            form_columns += [
-                tables.outcome_prob_const.reshape(-1, 1),
-                tables.outcome_prob_coeff.reshape(
-                    -1, len(tables.param_names)
-                ),
-            ]
-        forms = np.hstack(form_columns)
-        forms = np.vstack([forms, np.zeros(forms.shape[1])])
-        forms[-1, :2] = 1.0  # the padding atom: exactly 1.0, no terms
-        _, form_of_atom = np.unique(forms, axis=0, return_inverse=True)
-        edge_forms = np.sort(
-            form_of_atom.reshape(-1)[self._edge_atoms], axis=1
-        )
-        scale = self._edge_weights / self._edge_divisors
-        sources = np.repeat(
-            np.arange(self.num_states, dtype=np.int64), self._edge_counts
-        )
-
-        def sorted_edges(src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
-            columns = [src, dst, scale, *edge_forms.T]
-            order = np.lexsort(columns[::-1])
-            return [column[order] for column in columns]
-
-        image = sorted_edges(sigma[sources], sigma[self._edge_targets])
-        if not all(
-            np.array_equal(a, b)
-            for a, b in zip(sorted_edges(sources, self._edge_targets), image)
-        ):
+        n = self.system.num_processes
+        try:
+            rotation = Automorphism(
+                self.system, [(p + 1) % n for p in range(n)]
+            )
+        except ModelError:
             return None, "not equivariant"
-
-        representative = np.arange(self.num_states, dtype=np.int64)
-        best = ranks.copy()
-        member = representative
-        for _ in range(codes.shape[1] - 1):
-            member = sigma[member]
-            lower = ranks[member] < best
-            best[lower] = ranks[member][lower]
-            representative[lower] = member[lower]
+        if not rotation.equivariant():
+            return None, "not equivariant"
+        representative = rotation.representatives(self._codes)
+        if representative is None:
+            return None, "state set not closed"
         return representative, None
 
     def _solver(self, target: np.ndarray) -> _HittingStructure:

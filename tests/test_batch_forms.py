@@ -38,7 +38,7 @@ from repro.algorithms.token_ring import (
 from repro.core.encoding import compile_tables, expansion_context, tables_for
 from repro.core.system import System
 from repro.core.topology import Topology
-from repro.errors import StateSpaceError
+from repro.errors import ModelError, StateSpaceError
 from repro.experiments.thm2 import run_thm2
 from repro.experiments.thm3 import _SYMMETRIC_PORTS, run_thm3
 from repro.experiments.thm4 import run_thm4
@@ -46,11 +46,13 @@ from repro.graphs.generators import path, ring
 from repro.markov.batch import mark_states
 from repro.stabilization import witnesses
 from repro.stabilization.symmetry import (
+    Automorphism,
     check_symmetric_class_closed,
     check_symmetry,
     is_equivariant_synchronous_step,
     mirror_of_path,
     symmetric_configurations,
+    transport_configuration,
 )
 from repro.transformer.coin_toss import make_transformed_system
 
@@ -209,31 +211,77 @@ SYMMETRY_CASES = [
 ]
 
 
-def _pointer(name):
-    return name == "Par"
-
-
 @pytest.mark.parametrize(
     "system, sigma",
     [case[1:] for case in SYMMETRY_CASES],
     ids=[case[0] for case in SYMMETRY_CASES],
 )
 def test_compiled_symmetry_check_equals_the_oracle(system, sigma):
-    check = check_symmetry(system, sigma, _pointer)
+    check = check_symmetry(system, sigma)
     assert check.equivariant.tolist() == [
-        is_equivariant_synchronous_step(system, configuration, sigma, _pointer)
+        is_equivariant_synchronous_step(system, configuration, sigma)
         for configuration in system.all_configurations()
     ]
     assert check.symmetric == list(
-        symmetric_configurations(system, sigma, _pointer)
+        symmetric_configurations(system, sigma)
     )
     assert (len(check.symmetric), check.violations) == (
-        check_symmetric_class_closed(system, sigma, _pointer)
+        check_symmetric_class_closed(system, sigma)
     )
     assert np.array_equal(
         check.symmetric_codes,
         tables_for(system).encoding.encode_batch(check.symmetric),
     )
+
+
+def rotation_of_ring(num_nodes):
+    return [(node + 1) % num_nodes for node in range(num_nodes)]
+
+
+ROTATION_CASES = [
+    ("token/5-ring/rotation", make_token_ring_system(5), rotation_of_ring(5)),
+    ("dijkstra/4-ring/rotation", make_dijkstra_system(4), rotation_of_ring(4)),
+    ("herman/5-ring/rotation", make_herman_system(5), rotation_of_ring(5)),
+    # Par pointers: a ring's sorted ports make rotation translate them.
+    ("alg2/4-ring/rotation", System(
+        LeaderTreeAlgorithm(), Topology(ring(4))
+    ), rotation_of_ring(4)),
+]
+
+
+@pytest.mark.parametrize(
+    "system, sigma",
+    [case[1:] for case in SYMMETRY_CASES + ROTATION_CASES],
+    ids=[case[0] for case in SYMMETRY_CASES + ROTATION_CASES],
+)
+def test_automorphism_apply_equals_transport_configuration(system, sigma):
+    automorphism = Automorphism(system, sigma)
+    encoding = automorphism.tables.encoding
+    configurations = list(system.all_configurations())
+    image = automorphism.apply(encoding.encode_batch(configurations))
+    assert encoding.decode_batch(image) == [
+        transport_configuration(system, configuration, sigma)
+        for configuration in configurations
+    ]
+    # On deterministic tables the table verdict is the synchronous
+    # step's, checked at every configuration.
+    if expansion_context(automorphism.tables).deterministic:
+        check = check_symmetry(system, sigma)
+        assert automorphism.equivariant() == bool(check.equivariant.all())
+
+
+@pytest.mark.parametrize(
+    "system, sigma",
+    [
+        (make_leader_tree_system(path(4)), [1, 0, 2, 3]),
+        (make_herman_system(5), [1, 0, 2, 3, 4]),
+        (make_token_ring_system(5), [0, 1, 2, 3]),
+    ],
+    ids=["path-swap", "ring-swap", "short-sigma"],
+)
+def test_automorphism_rejects_a_non_automorphism(system, sigma):
+    with pytest.raises(ModelError, match="not a graph automorphism"):
+        Automorphism(system, sigma)
 
 
 def test_compiled_symmetry_check_rejects_probabilistic_tables():

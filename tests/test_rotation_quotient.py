@@ -9,12 +9,19 @@ instantiated chain, and certified lower bounds from the interval value
 iteration run on every state of it.  Chains the rotation does not map
 onto themselves must decline — each with its reason — and still answer
 exactly like the full chain, since they then solve it.
+
+Whether the rotation commutes with the step is decided on the compiled
+tables (:meth:`repro.stabilization.symmetry.Automorphism.equivariant`);
+its oracle here is the symbolic chain's own wire-edge multiset, under
+each of the four scheduler distributions the compiled builder takes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.algorithms.dijkstra_ring import SinglePrivilegeSpec, make_dijkstra_system
@@ -25,13 +32,21 @@ from repro.algorithms.herman_variants import (
     make_herman_speed_reducer2_system,
     make_herman_speed_reducer_system,
 )
+from repro.algorithms.israeli_jalfon import make_israeli_jalfon_system
+from repro.algorithms.token_ring import make_token_ring_system
 from repro.analysis.bias import certified_lower_bound
+from repro.core.encoding import expansion_context
 from repro.errors import MarkovError
 from repro.markov.parametric import ParametricChain
 from repro.schedulers.distributions import (
+    BernoulliDistribution,
     CentralRandomizedDistribution,
+    DistributedRandomizedDistribution,
     SynchronousDistribution,
 )
+from repro.stabilization.symmetry import Automorphism
+
+from test_class_tables import systems
 
 pytestmark = pytest.mark.conformance
 
@@ -273,3 +288,109 @@ def test_row_mass_off_one_raises_through_the_quotient(monkeypatch):
         pchain.hitting_sweep([{"p": 0.5}], target)
     with pytest.raises(MarkovError, match="row mass off one"):
         pchain.data_vector({"p": 0.5})
+
+
+# ----------------------------------------------------------------------
+# the table verdict against the wire-edge oracle
+# ----------------------------------------------------------------------
+def rotation(num_processes):
+    return [(p + 1) % num_processes for p in range(num_processes)]
+
+
+def wire_equivariant(pchain):
+    """Whether rotating every configuration by one process maps the
+    symbolic chain's wire edges ``(source, target, weight / divisor,
+    sorted atom forms)`` onto themselves as a multiset; ``None`` when
+    the state set does not map onto itself.  An atom's form is its
+    construction value and affine ``(constant, coefficients)`` row."""
+    expansion = expansion_context(pchain._tables)
+    codes = pchain._codes.astype(np.int64)
+    rotated = np.roll(codes, 1, axis=1)
+    if (rotated >= np.asarray(expansion.sizes)).any():
+        return None
+    ranks = codes @ expansion.weights_row
+    order = np.argsort(ranks)
+    rotated_ranks = rotated @ expansion.weights_row
+    slot = np.minimum(
+        np.searchsorted(ranks[order], rotated_ranks), ranks.shape[0] - 1
+    )
+    if not np.array_equal(ranks[order][slot], rotated_ranks):
+        return None
+    sigma = order[slot]
+
+    tables = pchain._tables
+    form_columns = [tables.outcome_prob.reshape(-1, 1)]
+    if tables.param_names:
+        form_columns += [
+            tables.outcome_prob_const.reshape(-1, 1),
+            tables.outcome_prob_coeff.reshape(-1, len(tables.param_names)),
+        ]
+    forms = np.hstack(form_columns)
+    forms = np.vstack([forms, np.zeros(forms.shape[1])])
+    forms[-1, :2] = 1.0  # the padding atom: exactly 1.0, no terms
+    _, form_of_atom = np.unique(forms, axis=0, return_inverse=True)
+    edge_forms = np.sort(form_of_atom.reshape(-1)[pchain._edge_atoms], axis=1)
+    scale = pchain._edge_weights / pchain._edge_divisors
+    sources = np.repeat(
+        np.arange(pchain.num_states, dtype=np.int64), pchain._edge_counts
+    )
+
+    def sorted_edges(src, dst):
+        columns = [src, dst, scale, *edge_forms.T]
+        order = np.lexsort(columns[::-1])
+        return [column[order] for column in columns]
+
+    image = sorted_edges(sigma[sources], sigma[pchain._edge_targets])
+    return all(
+        np.array_equal(a, b)
+        for a, b in zip(sorted_edges(sources, pchain._edge_targets), image)
+    )
+
+
+#: The symmetric cases above plus two central-daemon rings and a ring
+#: whose bottom process breaks the symmetry.
+ORACLE_CASES = {
+    **{name: (build, n) for name, (build, n, _) in SYMMETRIC.items()},
+    "token-ring-5": (make_token_ring_system, 5),
+    "israeli-jalfon-5": (make_israeli_jalfon_system, 5),
+    "dijkstra-4": (make_dijkstra_system, 4),
+}
+
+#: The four distribution types the compiled chain builder takes.
+DISTRIBUTIONS = [
+    SynchronousDistribution(),
+    CentralRandomizedDistribution(),
+    DistributedRandomizedDistribution(),
+    BernoulliDistribution(0.3),
+]
+
+
+@pytest.mark.parametrize(
+    "distribution", DISTRIBUTIONS, ids=lambda d: type(d).__name__
+)
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_table_verdict_equals_wire_edge_oracle(name, distribution):
+    build, n = ORACLE_CASES[name]
+    system = build(n)
+    verdict = Automorphism(system, rotation(n)).equivariant()
+    assert verdict == (name != "dijkstra-4")
+    pchain = ParametricChain(system, distribution)
+    assert wire_equivariant(pchain) == verdict
+    assert pchain._rotation[1] == (None if verdict else "not equivariant")
+
+
+@settings(
+    derandomize=True,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(systems(), st.sampled_from(DISTRIBUTIONS))
+def test_table_verdict_equals_wire_edge_oracle_on_generated_rings(
+    system, distribution
+):
+    sigma = rotation(system.num_processes)
+    assume(system.topology.graph.is_automorphism(sigma))
+    assume(system.num_configurations() <= 4096)
+    pchain = ParametricChain(system, distribution)
+    assert wire_equivariant(pchain) == Automorphism(system, sigma).equivariant()

@@ -491,6 +491,13 @@ class TestWarmCaches:
         with pytest.raises(ServingError, match=message):
             service.bias_sweep(body)
 
+    def test_parametric_ring_size_stops_at_13(self):
+        # Checked before anything is built: n = 15 would exhaust memory.
+        from repro.serving.resolver import parametric_parts
+
+        with pytest.raises(ServingError, match=r"\[3, 13\]"):
+            parametric_parts("herman-random-bit", 15)
+
     def test_experiment_cached_by_overrides(self, service):
         result = service.experiment(
             "THM2", {"ring_sizes": [3, 4]}
