@@ -9,7 +9,7 @@ The runner owns the crash-resilience story end to end:
   file, so a worker SIGKILLed at any instant leaves either a complete,
   checksum-valid shard or nothing (plus a recognizable ``*.tmp``
   dropping) — never a torn file.  A worker exits when its pipe reaches
-  end-of-file, so none outlives a killed supervisor;
+  end-of-file, so none outlives a killed supervisor (:mod:`repro.workers`);
 * **supervision** — the supervisor blocks on the busy workers' pipes
   and process sentinels until the nearest deadline or backoff expiry;
   per-shard wall-clock timeouts (hung workers are terminated, then
@@ -38,15 +38,15 @@ tests and the CI smoke job assert.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
 import os
 import pathlib
 import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import wait
 from typing import Callable, Iterable
 
 from repro.campaign.points import (
@@ -60,6 +60,8 @@ from repro.errors import CampaignError
 from repro.random_source import RandomSource
 from repro.store.atomic import atomic_write_text
 from repro.store.columnar import ResultStore, records_from_arrays, shard_key
+from repro.workers import Worker, spawn_context, start_worker
+from repro.workers import retire as retire_worker
 
 __all__ = [
     "CampaignConfig",
@@ -150,32 +152,6 @@ def execute_shard(root: str | os.PathLike, meta: dict) -> str:
     return key
 
 
-def _worker_loop(root: str, inbox, inherited: list) -> None:
-    """Child-process entry point (module-level for picklability): run
-    every shard whose metadata arrives on ``inbox``, acking each with
-    its key, until the supervisor's end of the pipe closes.
-
-    ``inherited`` are the supervisor-side pipe ends a fork copied into
-    this child (its own and every earlier worker's).  They are closed
-    first: a copy left open would keep a pipe from reaching end-of-file
-    when the supervisor dies, and the workers would wait on it forever.
-    An exception from :func:`execute_shard` ends the process, which the
-    supervisor counts as a worker death.
-    """
-    for connection in inherited:
-        connection.close()
-    while True:
-        try:
-            meta = inbox.recv()
-        except (EOFError, OSError):  # the supervisor closed or died
-            return
-        key = execute_shard(root, meta)
-        try:
-            inbox.send(key)
-        except OSError:  # the supervisor is gone
-            return
-
-
 # ----------------------------------------------------------------------
 # checkpoint manifest
 # ----------------------------------------------------------------------
@@ -218,14 +194,8 @@ def _read_manifest(root: pathlib.Path) -> dict:
 # ----------------------------------------------------------------------
 # supervision
 # ----------------------------------------------------------------------
-def _spawn_context():
-    """Fork where the platform has it (cheap, and the workers inherit
-    the tables :func:`_warm_tables` compiled, copy-on-write); the
-    default context otherwise."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
+#: Forked workers inherit the tables :func:`_warm_tables` compiled.
+_spawn_context = spawn_context
 
 
 def _warm_tables(shards: Iterable[ShardSpec]) -> None:
@@ -254,33 +224,6 @@ def _warm_tables(shards: Iterable[ShardSpec]) -> None:
                 tables_for(system)
             except Exception:  # the workers meet it as they would cold
                 pass
-
-
-@dataclass
-class _Worker:
-    """A persistent worker process and the supervisor's end of its
-    pipe; ``shard`` is the shard it runs (``None`` while idle)."""
-
-    process: multiprocessing.Process
-    conn: Connection
-    shard: ShardSpec | None = None
-    deadline: float = 0.0
-
-
-def _start_worker(
-    context, root: pathlib.Path, workers: list[_Worker]
-) -> _Worker:
-    """Fork a worker on a fresh pipe; the child is handed every
-    supervisor-side end it inherits (``workers``' and its own) to close."""
-    conn, inbox = context.Pipe()
-    process = context.Process(
-        target=_worker_loop,
-        args=(str(root), inbox, [worker.conn for worker in workers] + [conn]),
-        daemon=True,
-    )
-    process.start()
-    inbox.close()
-    return _Worker(process=process, conn=conn)
 
 
 def run_campaign(
@@ -332,11 +275,13 @@ def run_campaign(
     _write_manifest(root, selection, completed)
 
     attempts: dict[str, int] = {}
-    workers: list[_Worker] = []
+    workers: list[Worker] = []
     slots = max(1, config.workers)
     degraded = config.sequential
     worker_deaths = 0
     context = _spawn_context()
+    # Read at each run, so a patched ``execute_shard`` reaches the fork.
+    handler = functools.partial(execute_shard, str(root))
     if not degraded and context.get_start_method() == "fork":
         _warm_tables(shard for shard, _ in pending)
     # Deterministic jitter stream: supervision timing must not consult
@@ -391,29 +336,18 @@ def run_campaign(
         )
         pending.append((shard, time.monotonic() + delay))
 
-    def retire(worker: _Worker, grace: float = 0.0) -> None:
-        """Close the worker's pipe (it exits once its shard, if any, is
-        done) and join it, terminating, then killing it after ``grace``
-        seconds."""
+    def retire(worker: Worker, grace: float = 0.0) -> None:
         workers.remove(worker)
-        worker.conn.close()
-        process = worker.process
-        process.join(grace)
-        if process.is_alive():
-            process.terminate()
-            process.join(1.0)
-            if process.is_alive():  # pragma: no cover - stubborn child
-                process.kill()
-                process.join()
+        retire_worker(worker, grace)
 
-    def fail(worker: _Worker, reason: str | None = None) -> None:
+    def fail(worker: Worker, reason: str | None = None) -> None:
         """Replace a dead, erroring or overdue worker; retry its shard."""
         retire(worker)
         handle_failure(
-            worker.shard, reason or f"exit code {worker.process.exitcode}"
+            worker.task, reason or f"exit code {worker.process.exitcode}"
         )
 
-    def settle(worker: _Worker) -> None:
+    def settle(worker: Worker) -> None:
         """Collect a busy worker whose pipe or sentinel woke the wait.
         The ack only says the worker is free again; the shard counts as
         done when its file validates."""
@@ -422,11 +356,11 @@ def run_campaign(
         except (EOFError, OSError):
             fail(worker)
             return
-        if not finish(worker.shard):
+        if not finish(worker.task):
             fail(worker, "no valid shard file")
             return
         report.executed += 1
-        worker.shard = None
+        worker.task = None
 
     try:
         while True:
@@ -437,8 +371,8 @@ def run_campaign(
                 # completed, and dropping one would lose its work item.
                 for worker in list(workers):
                     grace = 1.0
-                    if worker.shard is not None:
-                        pending.append((worker.shard, 0.0))
+                    if worker.task is not None:
+                        pending.append((worker.task, 0.0))
                         grace = max(0.0, worker.deadline - time.monotonic())
                     retire(worker, grace)
                 while pending:
@@ -454,7 +388,7 @@ def run_campaign(
             # worker only when no idle one is left and a slot is free.
             now = time.monotonic()
             for _ in range(len(pending)):
-                idle = [worker for worker in workers if worker.shard is None]
+                idle = [worker for worker in workers if worker.task is None]
                 if not idle and len(workers) >= slots:
                     break
                 shard, ready_at = pending.popleft()
@@ -466,15 +400,15 @@ def run_campaign(
                 if idle:
                     worker = idle[0]
                 else:
-                    worker = _start_worker(context, root, workers)
+                    worker = start_worker(context, handler, workers)
                     workers.append(worker)
-                worker.shard = shard
+                worker.task = shard
                 worker.deadline = time.monotonic() + config.shard_timeout
                 try:
                     worker.conn.send(shard.meta)
                 except OSError:  # it died while idle
                     fail(worker)
-            busy = [worker for worker in workers if worker.shard is not None]
+            busy = [worker for worker in workers if worker.task is not None]
             if not busy and not pending:
                 break
             # Sleep until a busy worker answers or dies, or until the
@@ -497,7 +431,7 @@ def run_campaign(
                     fail(worker, "timeout")
     finally:
         for worker in list(workers):
-            retire(worker, 1.0 if worker.shard is None else 0.0)
+            retire(worker, 1.0 if worker.task is None else 0.0)
 
     _write_manifest(root, selection, completed)
     report.degraded = degraded and not config.sequential

@@ -19,11 +19,12 @@ GET     ``/api/report``         Campaign-store summary (``dir=<store root>``)
 GET     ``/api/caches``         Cache / dispatcher observability counters
 ======  ======================  ===============================================
 
-Handler threads only *submit and wait*; execution happens on the single
-dispatcher thread, which is what lets concurrent tenants' requests fuse
-into one code matrix.  Client errors (:class:`~repro.errors.ServingError`)
-map to HTTP 400 (404 for unknown jobs/paths); everything else is a 500
-with the exception type in the body.
+Handler threads only *submit and wait* for sweeps; the dispatcher's
+sweep worker executes them in batches, which is what lets concurrent
+tenants' requests fuse into one code matrix.  Client errors
+(:class:`~repro.errors.ServingError`) map to HTTP 400 (404 for unknown
+jobs/paths); everything else is a 500 with the exception type in the
+body.
 """
 
 from __future__ import annotations

@@ -9,34 +9,45 @@ group-commit style:
 
 1. wait until at least one job is queued — an idle dispatcher starts a
    submission at once, nothing is held back;
-2. take everything queued, concatenate the specs in admission order,
-   and execute them through one :meth:`SweepRunner.run` call — which
-   groups by family, fuses what it legally can, and falls back to the
-   per-point path for the rest (stateful samplers, over-budget tables);
-3. slice the results back per job and publish them.
+2. take everything queued, concatenate the points in admission order,
+   and send them to the sweep worker, which executes them through one
+   :meth:`SweepRunner.run` call — which groups by family, fuses what it
+   legally can, and falls back to the per-point path for the rest
+   (stateful samplers, over-budget tables);
+3. slice the rows back per job and publish them.
 
 Jobs submitted while a batch runs queue up and form the next batch, so
 under load tenants fuse and a job waits at most for the batch ahead of
 it.
 
-**The oracle contract.**  Execution is single-threaded and every spec
-is self-seeded, so the response rows of a batch are *bit-identical* to
-a sequential ``SweepRunner().run(batch_specs)`` over the same payloads
-in the same admission order — each job records its batch's full payload
-list (``batch_payloads``) precisely so a client (or the conformance
-tests) can replay that oracle.
+Batches run in one sweep worker (:mod:`repro.workers`) forked when the
+dispatcher is built, so the Monte-Carlo loop never takes the server's
+GIL from the exact-tier handler threads.  A dead worker is replaced and
+its batch re-run once; where ``fork`` is missing, batches run in-process.
+
+**The oracle contract.**  One batch runs at a time in one process, and
+every spec is self-seeded, so the response rows of a batch are
+*bit-identical* to a sequential ``SweepRunner().run(batch_specs)`` over
+the same payloads in the same admission order — each job records its
+batch's full payload list (``batch_payloads``) precisely so a client
+(or the conformance tests) can replay that oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
+from repro.core.encoding import TABLE_CACHE
 from repro.errors import ServingError
 from repro.markov.montecarlo import MonteCarloResult
 from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
+from repro.serving.resolver import resolve_point
+from repro.workers import retire, spawn_context, start_worker
 
 __all__ = ["AdmissionDispatcher", "Job", "result_payload"]
 
@@ -74,6 +85,25 @@ def result_payload(result: MonteCarloResult) -> dict:
             }
         )
     return payload
+
+
+def _run_batch(runner: SweepRunner, payloads: list[dict]) -> dict:
+    """The sweep worker's handler: one batch's rows, plan and table-cache
+    counters, or the error that stopped it.  Points resolve one by one,
+    since a batch of several jobs may exceed one submission's cap."""
+    try:
+        results = runner.run([resolve_point(point) for point in payloads])
+    except Exception as error:  # the batch's jobs fail, not the worker
+        return {"error": f"{type(error).__name__}: {error}"}
+    return {
+        "rows": [result_payload(result) for result in results],
+        "plan": [
+            {"label": run.label, "engine": run.engine,
+             "fused_rows": run.fused_rows}
+            for run in runner.last_plan
+        ],
+        "tables": TABLE_CACHE.stats(),
+    }
 
 
 @dataclass
@@ -116,14 +146,14 @@ class Job:
 
 class AdmissionDispatcher:
     """Single-threaded group-commit executor over a shared
-    :class:`SweepRunner`.
+    :class:`SweepRunner`, which its sweep worker inherits.
 
-    One dispatcher owns one runner; compiled tables live in the
-    process-wide table cache, so every batch benefits from every
-    previous tenant's compilations.  ``max_jobs`` bounds the
-    completed-job history kept for status queries (oldest evicted
-    first).  One condition guards the queue, the job index and the
-    closed flag.
+    Compiled tables live in the worker's table cache, so every batch
+    benefits from every previous tenant's compilations; ``tables`` is
+    that cache's counters after the last batch (as forked, before it).
+    ``max_jobs`` bounds the completed-job history kept for status
+    queries (oldest evicted first).  One condition guards the queue,
+    the job index, the worker and the closed flag.
     """
 
     def __init__(self, runner: SweepRunner, max_jobs: int = 1024) -> None:
@@ -131,12 +161,19 @@ class AdmissionDispatcher:
         self.max_jobs = max_jobs
         self.batches_run = 0
         self.points_run = 0
+        self.tables = TABLE_CACHE.stats()
         self._pending: list[Job] = []
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._ids = itertools.count(1)
         self._closed = False
         self._condition = threading.Condition()
+        self._handler = functools.partial(_run_batch, runner)
+        self._context = spawn_context()
+        self._forks = self._context.get_start_method() == "fork"
+        self._worker = None  # forked before the dispatcher thread starts
+        if self._forks:
+            self._worker = start_worker(self._context, self._handler, [])
         self._thread = threading.Thread(
             target=self._loop, name="sweep-dispatcher", daemon=True
         )
@@ -194,11 +231,15 @@ class AdmissionDispatcher:
         }
 
     def close(self) -> None:
-        """Stop the dispatcher thread (idempotent)."""
+        """Stop the dispatcher thread and reap the worker (idempotent)."""
         with self._condition:
             self._closed = True
             self._condition.notify()
         self._thread.join(timeout=10.0)
+        with self._condition:
+            worker, self._worker = self._worker, None
+        if worker is not None:
+            retire(worker, 1.0)
 
     # ------------------------------------------------------------------
     # the dispatcher loop
@@ -220,6 +261,33 @@ class AdmissionDispatcher:
             job.error = "dispatcher shut down before execution"
             job.done.set()
 
+    def _run(self, payloads: list[dict]) -> dict:
+        """One batch's worker reply; a worker that dies is replaced and
+        the batch re-run once, so no batch yields two results."""
+        if not self._forks:
+            return self._handler(payloads)
+        for _ in range(2):
+            with self._condition:
+                if self._worker is None and not self._closed:
+                    self._worker = start_worker(
+                        self._context, self._handler, []
+                    )
+                worker = self._worker
+            if worker is None:
+                return {"error": "dispatcher shut down during execution"}
+            try:
+                worker.conn.send(payloads)
+                wait([worker.conn, worker.process.sentinel])
+                if worker.conn.poll():
+                    return worker.conn.recv()
+            except (EOFError, OSError):
+                pass
+            with self._condition:
+                if self._worker is worker:
+                    self._worker = None
+            retire(worker)
+        return {"error": "the sweep worker died running this batch, twice"}
+
     def _execute(self, batch: list[Job]) -> None:
         started = time.monotonic()
         self.batches_run += 1
@@ -227,43 +295,27 @@ class AdmissionDispatcher:
         batch_payloads = [
             payload for job in batch for payload in job.payloads
         ]
-        specs = [spec for job in batch for spec in job.specs]
         for job in batch:
             job.status = "running"
             job.started_at = started
             job.batch_id = batch_id
             job.batch_payloads = batch_payloads
-        try:
-            results = self.runner.run(specs)
-            plan = self.runner.last_plan
-        except Exception as error:  # surface, never kill the loop
-            finished = time.monotonic()
-            for job in batch:
-                job.status = "error"
-                job.error = f"{type(error).__name__}: {error}"
-                job.finished_at = finished
-                job.done.set()
-            return
-        self.points_run += len(specs)
+        reply = self._run(batch_payloads)
+        self.tables = reply.get("tables", self.tables)
+        error = reply.get("error")  # surfaced per job, never kills the loop
+        if error is None:
+            self.points_run += len(batch_payloads)
         finished = time.monotonic()
         offset = 0
         for job in batch:
             count = len(job.specs)
-            job.results = [
-                result_payload(result)
-                for result in results[offset : offset + count]
-            ]
-            job.plan = [
-                {
-                    "label": execution.label,
-                    "engine": execution.engine,
-                    "fused_rows": execution.fused_rows,
-                }
-                for execution in plan[offset : offset + count]
-            ]
-            for row, execution in zip(job.results, job.plan):
-                row["label"] = execution["label"]
-            job.status = "done"
+            if error is None:
+                job.results = reply["rows"][offset : offset + count]
+                job.plan = reply["plan"][offset : offset + count]
+                for row, execution in zip(job.results, job.plan):
+                    row["label"] = execution["label"]
+            job.status = "done" if error is None else "error"
+            job.error = error
             job.finished_at = finished
             job.done.set()
             offset += count

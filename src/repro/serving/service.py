@@ -5,11 +5,12 @@ tier — the HTTP layer (:mod:`repro.serving.http`) is a thin JSON shim
 over it, and the tests drive it directly.  One service owns:
 
 * one :class:`~repro.markov.sweep_engine.SweepRunner`, which compiles
-  lockstep tables through the process-wide table cache
-  (:data:`~repro.core.encoding.TABLE_CACHE`), so they stay warm for the
-  life of the process;
+  lockstep tables through the table cache
+  (:data:`~repro.core.encoding.TABLE_CACHE`) of the sweep worker, so
+  they stay warm for the life of that process;
 * one :class:`~repro.serving.jobs.AdmissionDispatcher` that coalesces
-  concurrent tenants' sweep submissions into fused batches;
+  concurrent tenants' sweep submissions into fused batches and runs
+  them in its forked sweep worker;
 * :class:`~repro.lru.SignatureLRU` caches for the exact-tier
   artifacts — built chains (which retain their LU factorizations),
   probabilistic verdicts, :class:`~repro.markov.parametric.ParametricChain`
@@ -318,9 +319,12 @@ class SweepService:
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
         return {
-            # The table cache is the runner's only cache; perfbench's
-            # serve-mix reads ``runner.evictions``.
-            "runner": TABLE_CACHE.stats(),
+            # Sweeps run in the dispatcher's worker process, so the
+            # runner's only cache is that process's table cache, as of
+            # its last batch; ``tables`` below is this process's (the
+            # exact tier's).  perfbench's serve-mix reads
+            # ``runner.evictions``.
+            "runner": self.dispatcher.tables,
             "dispatcher": self.dispatcher.stats(),
             "lru": [
                 cache.stats()

@@ -12,7 +12,11 @@ through JSON (floats round-trip exactly at ``repr`` precision).
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -21,7 +25,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.encoding import TABLE_CACHE
+import repro
 from repro.errors import ReproError, ServingError
 from repro.markov.sweep_engine import SweepRunner
 from repro.serving import (
@@ -34,6 +38,8 @@ from repro.serving import (
     resolve_points,
 )
 from repro.serving.jobs import result_payload
+from repro.workers import spawn_context
+from test_campaign_crash import running
 
 
 def oracle_rows(batch_payloads, **runner_kwargs):
@@ -176,11 +182,18 @@ class TestDispatcher:
         with pytest.raises(ServingError, match="unknown job"):
             service.job_snapshot("job-999")
 
-    def test_execution_error_marks_job_not_server(self, service):
-        original = service.runner.run
-        service.runner.run = lambda specs: (_ for _ in ()).throw(
-            RuntimeError("injected")
-        )
+    def test_execution_error_marks_job_not_server(self, monkeypatch):
+        # Patched before the service is built, so the forked sweep
+        # worker inherits it; only the seed-5 submission raises.
+        run = SweepRunner.run
+
+        def failing_run(runner, specs, *args, **kwargs):
+            if specs[0].label == "Q1-n4-seed5":
+                raise RuntimeError("injected")
+            return run(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(SweepRunner, "run", failing_run)
+        service = SweepService()
         try:
             job = service.submit_sweep(
                 {"points": [{"family": "Q1", "n": 4, "seed": 5}]}
@@ -188,13 +201,13 @@ class TestDispatcher:
             assert job.done.wait(10)
             assert job.status == "error"
             assert "injected" in job.error
+            # The dispatcher and its worker survived: the next batch runs.
+            snapshot = service.run_sweep(
+                {"points": [{"family": "Q1", "n": 4, "seed": 6, "trials": 10}]}
+            )
+            assert snapshot["status"] == "done"
         finally:
-            service.runner.run = original
-        # The dispatcher thread survived and serves the next batch.
-        snapshot = service.run_sweep(
-            {"points": [{"family": "Q1", "n": 4, "seed": 6, "trials": 10}]}
-        )
-        assert snapshot["status"] == "done"
+            service.close()
 
     def test_spurious_wake_executes_nothing(self, service):
         condition = service.dispatcher._condition
@@ -254,17 +267,19 @@ class TestMultiTenantFusion:
     gate then opens, and group commit runs all of them as one batch."""
 
     def _submit_behind_gate(self, service, submissions, monkeypatch):
-        run = service.runner.run
+        # Gated in this process, where the dispatcher thread runs: the
+        # sweep worker forked before any patch could reach it.
+        execute = service.dispatcher._execute
         gate = threading.Event()
         gate_running = threading.Event()
 
-        def gated_run(specs):
+        def gated_execute(batch):
             if not gate_running.is_set():
                 gate_running.set()
                 gate.wait(60.0)
-            return run(specs)
+            return execute(batch)
 
-        monkeypatch.setattr(service.runner, "run", gated_run)
+        monkeypatch.setattr(service.dispatcher, "_execute", gated_execute)
         opener = service.submit_sweep(
             {"points": [{"family": "Q1", "n": 4, "trials": 5, "seed": 0}]}
         )
@@ -401,13 +416,141 @@ class TestMultiTenantFusion:
             service.close()
 
 
+def children(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid``, from ``/proc``."""
+    found = []
+    for entry in pathlib.Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # not a process, or gone
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            found.append(int(entry.name))
+    return [child for child in found if running(child)]
+
+
+@pytest.mark.skipif(
+    spawn_context().get_start_method() != "fork"
+    or not os.path.isdir("/proc/self"),
+    reason="the sweep worker is forked; its pid is read from /proc",
+)
+class TestSweepWorker:
+    """Batches run in one forked worker: replaced when it dies, reaped
+    on close, and never outliving its server."""
+
+    def test_close_reaps_the_worker(self):
+        service = SweepService()
+        pid = service.dispatcher._worker.process.pid
+        assert children(os.getpid()).count(pid) == 1
+        service.close()
+        assert not running(pid)
+
+    def test_worker_exits_when_the_server_is_sigkilled(self):
+        env = dict(os.environ)
+        source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.experiments", "serve",
+             "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stdin=subprocess.DEVNULL,
+        )
+        try:
+            assert b"listening on" in server.stdout.readline()
+            (worker,) = children(server.pid)
+            server.kill()
+            server.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and running(worker):
+                time.sleep(0.05)
+            assert not running(worker)
+        finally:
+            server.kill()
+            server.wait(timeout=10)
+            server.stdout.close()
+
+    def test_dead_worker_is_replaced_and_its_batch_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        parent, run = os.getpid(), SweepRunner.run
+        marker = tmp_path / "died"
+
+        def dying_run(runner, specs, *args, **kwargs):
+            if os.getpid() != parent and not marker.exists():
+                marker.write_text(str(os.getpid()))
+                os._exit(1)
+            return run(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(SweepRunner, "run", dying_run)
+        service = SweepService()
+        try:
+            first = service.dispatcher._worker.process.pid
+            snapshot = service.run_sweep(
+                {
+                    "points": [
+                        {"family": "Q1", "n": 5, "trials": 20, "seed": 8},
+                        {"family": "FT1", "n": 5, "trials": 20, "seed": 9},
+                    ]
+                }
+            )
+            assert marker.read_text() == str(first)
+            assert not running(first)
+            assert service.dispatcher._worker.process.pid != first
+            assert snapshot["batch"] == 1
+            assert_job_matches_oracle(snapshot)
+        finally:
+            service.close()
+
+    def test_batch_killing_every_worker_errors_once(
+        self, tmp_path, monkeypatch
+    ):
+        parent, run = os.getpid(), SweepRunner.run
+        deaths = tmp_path / "deaths"
+        deaths.mkdir()
+
+        def killing_run(runner, specs, *args, **kwargs):
+            if os.getpid() != parent and specs[0].label == "doomed":
+                (deaths / str(os.getpid())).touch()
+                os._exit(1)
+            return run(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(SweepRunner, "run", killing_run)
+        service = SweepService()
+        try:
+            doomed = service.submit_sweep(
+                {"points": [{"family": "Q1", "n": 4, "seed": 1,
+                             "label": "doomed"}]}
+            )
+            assert doomed.done.wait(60)
+            assert doomed.status == "error"
+            assert "died" in doomed.error
+            assert doomed.results is None
+            # The batch ran on the first worker and one replacement.
+            assert len(list(deaths.iterdir())) == 2
+            snapshot = service.run_sweep(
+                {"points": [{"family": "Q1", "n": 4, "seed": 2,
+                             "trials": 10}]}
+            )
+            assert snapshot["batch"] == 2
+            assert_job_matches_oracle(snapshot)
+            assert doomed.snapshot()["status"] == "error"
+            assert service.dispatcher.stats()["points"] == 1
+        finally:
+            service.close()
+
+
 class TestWarmCaches:
     def test_sweep_batches_share_compilations(self, service):
+        # ``runner`` is the sweep worker's table cache, where the
+        # sweeps compile; this process's ``TABLE_CACHE`` never sees them.
         point = {"family": "Q1", "n": 5, "trials": 10}
         service.run_sweep({"points": [dict(point, seed=1)]})
-        misses = TABLE_CACHE.stats()["misses"]
+        first = service.cache_stats()["runner"]
         service.run_sweep({"points": [dict(point, seed=2)]})
-        assert TABLE_CACHE.stats()["misses"] == misses
+        second = service.cache_stats()["runner"]
+        assert second["misses"] == first["misses"]
+        assert second["hits"] > first["hits"]
         assert service.dispatcher.stats()["batches"] == 2
 
     def test_verdict_cached_and_correct(self, service):
